@@ -121,7 +121,7 @@ def _count(text: str) -> int:
     """Integer that tolerates scientific notation like 1e7."""
     try:
         return int(text) if text.isdigit() else int(float(text))
-    except ValueError:
+    except (ValueError, OverflowError):  # int(float("inf")) overflows
         raise argparse.ArgumentTypeError(f"not a count: {text!r}")
 
 
@@ -167,7 +167,7 @@ def _load_config_file(path: str) -> dict:
 def _config_int(value: str, path: str, lineno: int) -> int:
     try:
         return int(float(value)) if ("e" in value or "." in value) else int(value)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise DomainError(f"{path}:{lineno}: expected integer, got {value.strip()!r}")
 
 
@@ -182,10 +182,6 @@ def _resolve_globals(args) -> dict:
     if cfg["format"] not in ("json", "table"):
         raise DomainError(f"unknown format {cfg['format']!r}")
     return cfg
-
-
-def _make_set(elements: list[int], cap: int) -> IntSet:
-    return IntSet(elements, diameter_cap=cap)
 
 
 def _ground_from_args(args, cfg) -> IntSet:
@@ -203,40 +199,40 @@ def _ground_from_args(args, cfg) -> IntSet:
 # -- handlers ----------------------------------------------------------
 
 def _cmd_classify(args, cfg):
-    s = _make_set(args.set, cfg["diameter_cap"])
+    s = IntSet(args.set, diameter_cap=None)
     _emit(classify(s, diameter_cap=cfg["diameter_cap"]).to_dict(), cfg["format"])
     return 0
 
 
 def _cmd_sumset(args, cfg):
-    s = _make_set(args.set, cfg["diameter_cap"])
+    s = IntSet(args.set, diameter_cap=None)
     result = sumset(s, diameter_cap=cfg["diameter_cap"])
     _emit({"elements": list(result.elements)}, cfg["format"])
     return 0
 
 
 def _cmd_diffset(args, cfg):
-    s = _make_set(args.set, cfg["diameter_cap"])
+    s = IntSet(args.set, diameter_cap=None)
     _emit({"elements": list(diffset(s, diameter_cap=cfg["diameter_cap"]))}, cfg["format"])
     return 0
 
 
 def _cmd_expand(args, cfg):
-    s = _make_set(args.set, cfg["diameter_cap"])
+    s = IntSet(args.set, diameter_cap=None)
     result = base_expansion(s, args.k, diameter_cap=cfg["diameter_cap"])
     _emit({"elements": list(result.elements)}, cfg["format"])
     return 0
 
 
 def _cmd_append(args, cfg):
-    s = _make_set(args.set, cfg["diameter_cap"])
+    s = IntSet(args.set, diameter_cap=None)
     analysis = append_analysis(s, args.x, diameter_cap=cfg["diameter_cap"])
     _emit(analysis.to_dict(), cfg["format"])
     return 0
 
 
 def _cmd_bound(args, cfg):
-    s = _make_set(args.set, cfg["diameter_cap"])
+    s = IntSet(args.set, diameter_cap=None)
     report = verify_difference_bound(s, args.x, args.r)
     _emit(report.to_dict(), cfg["format"])
     return 0
@@ -390,6 +386,13 @@ def _cmd_reproduce(args, cfg):
     return 0 if report["passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line (no usage dump), exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _add_ground_options(sub):
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--ground", type=_int_list, help="inline list or @file")
@@ -399,7 +402,7 @@ def _add_ground_options(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--threads", type=int, default=None)
@@ -407,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--diameter-cap", dest="diameter_cap", type=_count, default=None)
     common.add_argument("--config", default=None, help="key=value defaults file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mstd",
         description="Sumset vs difference-set toolkit: classification, certificates, searches, prime constellations.",
     )

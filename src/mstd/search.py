@@ -20,6 +20,7 @@ exhaustive scan (see ``min_mstd_diameter``) before any engine uses it.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -27,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError
-from .sets import CONWAY, IntSet, sum_diff_counts
+from .sets import CONWAY, IntSet, _select_bits, _shift_or, sum_diff_counts
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_MONTE_CARLO = "monte-carlo"
@@ -253,28 +254,13 @@ def _mc_chunk(
         if contiguous:
             # index mask doubles as the element bit vector (counts are
             # shift invariant), so run the kernel on it directly
-            base = mask
-            top = base.bit_length() - 1
-            smask = 0
-            dmask = 0
-            m = base
-            while m:
-                lsb = m & -m
-                b = lsb.bit_length() - 1
-                smask |= base << b
-                dmask |= base << (top - b)
-                m ^= lsb
+            smask, dmask = _shift_or(mask)
             sc = smask.bit_count()
             dc = dmask.bit_count()
-            size = base.bit_count()
+            size = mask.bit_count()
         else:
-            chosen = []
-            m = mask
-            while m:
-                lsb = m & -m
-                chosen.append(elems[lsb.bit_length() - 1])
-                m ^= lsb
-            sc, dc = sum_diff_counts(tuple(chosen))
+            chosen = _select_bits(mask, elems)
+            sc, dc = sum_diff_counts(chosen)
             size = len(chosen)
         if sc > dc and (not special or sc - dc >= size):
             hit_count += 1
@@ -295,8 +281,9 @@ def _mc_scan(cfg: SearchConfig, special: bool) -> SearchReport:
         chunks.append((elems, contiguous, cfg.seed, index, take, special, cfg.hit_cap))
         remaining -= take
         index += 1
-    if cfg.threads > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    workers = _pool_size(cfg.threads, len(chunks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mc_worker, chunks, chunksize=1))
     else:
         results = [_mc_worker(args) for args in chunks]
@@ -308,7 +295,7 @@ def _mc_scan(cfg: SearchConfig, special: bool) -> SearchReport:
             if len(hit_masks) < cfg.hit_cap:
                 hit_masks.append(mask)
     hits = tuple(
-        IntSet(_mask_elements(mask, elems), diameter_cap=None) for mask in hit_masks
+        IntSet(_select_bits(mask, elems), diameter_cap=None) for mask in hit_masks
     )
     density = hit_count / samples
     stderr = math.sqrt(density * (1.0 - density) / samples)
@@ -327,13 +314,11 @@ def _mc_worker(args):
     return _mc_chunk(*args)
 
 
-def _mask_elements(mask: int, elems: tuple[int, ...]) -> list[int]:
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(elems[lsb.bit_length() - 1])
-        mask ^= lsb
-    return out
+def _pool_size(threads: int, chunks: int) -> int:
+    """Worker processes for a Monte Carlo run.  A pool forks all its
+    workers at once, so more than one per chunk or CPU is waste; results
+    merge in chunk order, so the report does not depend on this."""
+    return max(1, min(threads, chunks, os.cpu_count() or 1))
 
 
 def monte_carlo_density(

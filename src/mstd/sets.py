@@ -18,12 +18,18 @@ Two interchangeable kernels compute |A+A| and |A-A|:
 ``auto`` picks between them from the density of the set; both are exact
 and tests cross-check them against each other and against a naive
 quadratic reference.
+
+``diameter_cap`` bounds only bit-vector allocation: 2 * diameter bits,
+as the vector is offset by min(A).  ``auto`` falls back to pairs when
+the vector would not fit, so every set gets an answer; only an explicit
+``bits`` over the cap raises CapacityError.  ``base_expansion`` keeps
+its own guard on the size of the set it builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DomainError
 
@@ -177,13 +183,16 @@ class AppendAnalysis:
         }
 
 
-def _counts_bits(elems: tuple[int, ...]) -> tuple[int, int]:
-    """|A+A| and |A-A| via bit-vector convolution in Python ints."""
-    lo = elems[0]
-    top = elems[-1] - lo
-    base = 0
-    for a in elems:
-        base |= 1 << (a - lo)
+def _shift_or(base: int) -> tuple[int, int]:
+    """Sum and difference masks of the set whose membership mask is ``base``.
+
+    Shifting ``base`` by each member and OR-ing convolves it with
+    itself: bit i + j of the sum mask is set for every pair of member
+    bits i, j, and bit top + i - j of the difference mask, where top is
+    the highest member bit.  Counts are shift invariant, so ``base``
+    need not start at bit 0.
+    """
+    top = base.bit_length() - 1
     smask = 0
     dmask = 0
     m = base
@@ -195,19 +204,62 @@ def _counts_bits(elems: tuple[int, ...]) -> tuple[int, int]:
         # difference appears because both signs of each pair occur.
         dmask |= base << (top - b)
         m ^= lsb
-    return smask.bit_count(), dmask.bit_count()
+    return smask, dmask
 
 
-def _counts_pairs(elems: tuple[int, ...]) -> tuple[int, int]:
-    """|A+A| and |A-A| via pair enumeration; diameter-independent."""
+def _select_bits(mask: int, items: Sequence) -> tuple:
+    """``items[i]`` for every set bit i of ``mask``, in ascending i.
+
+    With ``items`` a range this decodes the mask into shifted positions;
+    with a ground tuple it maps an index mask to the chosen elements.
+    """
+    out = []
+    while mask:
+        lsb = mask & -mask
+        out.append(items[lsb.bit_length() - 1])
+        mask ^= lsb
+    return tuple(out)
+
+
+def _bit_vector(elems: tuple[int, ...], kernel: str, diameter_cap: int | None) -> int | None:
+    """The kernel choice and the capacity rule, in one place.
+
+    Returns the membership mask of ``elems`` offset by min (bit a - min
+    per member a) when the bit kernel should run, or None for pairs.
+    The cap bounds the widest vector, 2 * diameter bits: an explicit
+    "bits" over it raises CapacityError, "auto" falls back to pairs.
+    """
+    if not elems:
+        raise DomainError("set must be nonempty")
+    lo = elems[0]
+    diameter = elems[-1] - lo
+    fits_cap = diameter_cap is None or 2 * diameter <= diameter_cap
+    if kernel == "auto":
+        if not (fits_cap and diameter <= _AUTO_BITS_PER_ELEMENT * len(elems)):
+            return None
+    elif kernel == "bits":
+        if not fits_cap:
+            raise CapacityError(f"bit kernel needs {2 * diameter} bits, cap is {diameter_cap}")
+    elif kernel == "pairs":
+        return None
+    else:
+        raise DomainError(f"unknown kernel {kernel!r}")
+    base = 0
+    for a in elems:
+        base |= 1 << (a - lo)
+    return base
+
+
+def _pair_sets(elems: tuple[int, ...]) -> tuple[set[int], set[int]]:
+    """A+A and the nonnegative half of A-A (which is symmetric about 0)
+    by pair enumeration; the cost is independent of the diameter."""
     sums = set()
     nonneg_diffs = set()
     for i, a in enumerate(elems):
         for b in elems[i:]:
             sums.add(a + b)
             nonneg_diffs.add(b - a)
-    # A - A is symmetric about 0 and 0 is always present.
-    return len(sums), 2 * len(nonneg_diffs) - 1
+    return sums, nonneg_diffs
 
 
 def sum_diff_counts(
@@ -221,90 +273,36 @@ def sum_diff_counts(
     capacity error: it falls back to the pair kernel when the bit
     vector would exceed the cap.
     """
-    k = len(elements)
-    if k == 0:
-        raise DomainError("set must be nonempty")
-    if k == 1:
-        return 1, 1
-    diameter = elements[-1] - elements[0]
-    if kernel == "auto":
-        fits_cap = diameter_cap is None or 2 * diameter <= diameter_cap
-        kernel = "bits" if fits_cap and diameter <= _AUTO_BITS_PER_ELEMENT * k else "pairs"
-    if kernel == "bits":
-        if diameter_cap is not None and 2 * diameter > diameter_cap:
-            raise CapacityError(
-                f"bit kernel needs {2 * diameter} bits, cap is {diameter_cap}"
-            )
-        return _counts_bits(elements)
-    if kernel == "pairs":
-        return _counts_pairs(elements)
-    raise DomainError(f"unknown kernel {kernel!r}")
+    base = _bit_vector(elements, kernel, diameter_cap)
+    if base is None:
+        sums, nonneg_diffs = _pair_sets(elements)
+        return len(sums), 2 * len(nonneg_diffs) - 1
+    smask, dmask = _shift_or(base)
+    return smask.bit_count(), dmask.bit_count()
 
 
 def sumset(s: IntSet, kernel: str = "auto", diameter_cap: int | None = DEFAULT_DIAMETER_CAP) -> IntSet:
-    """A+A as an IntSet."""
+    """A+A as an IntSet.  ``kernel`` and ``diameter_cap`` act as in
+    ``sum_diff_counts``: the cap bounds only the bit vector (2 * diameter
+    bits, offset by min), so only an explicit "bits" can fail."""
     elems = s.elements
-    if diameter_cap is not None and 2 * s.max > diameter_cap:
-        raise CapacityError(f"sumset max {2 * s.max} exceeds cap {diameter_cap}")
-    if len(elems) == 1:
-        return IntSet((2 * elems[0],), diameter_cap=None)
-    diameter = s.diameter
-    use_bits = kernel == "bits" or (
-        kernel == "auto" and diameter <= _AUTO_BITS_PER_ELEMENT * len(elems)
-    )
-    if use_bits:
-        lo = elems[0]
-        base = 0
-        for a in elems:
-            base |= 1 << (a - lo)
-        smask = 0
-        m = base
-        while m:
-            lsb = m & -m
-            smask |= base << (lsb.bit_length() - 1)
-            m ^= lsb
-        vals = _mask_positions(smask, 2 * lo)
+    base = _bit_vector(elems, kernel, diameter_cap)
+    if base is None:
+        vals = sorted(_pair_sets(elems)[0])
     else:
-        vals = sorted({a + b for i, a in enumerate(elems) for b in elems[i:]})
+        vals = _select_bits(_shift_or(base)[0], range(2 * s.min, 2 * s.max + 1))
     return IntSet(vals, diameter_cap=None)
 
 
 def diffset(s: IntSet, kernel: str = "auto", diameter_cap: int | None = DEFAULT_DIAMETER_CAP) -> tuple[int, ...]:
-    """A-A as a sorted tuple (differences can be negative, so not an IntSet)."""
+    """A-A as a sorted tuple (differences can be negative, so not an
+    IntSet).  ``kernel`` and ``diameter_cap`` act as in ``sumset``."""
     elems = s.elements
-    if diameter_cap is not None and 2 * s.diameter > diameter_cap:
-        raise CapacityError(f"diffset needs {2 * s.diameter} bits, cap is {diameter_cap}")
-    if len(elems) == 1:
-        return (0,)
-    diameter = s.diameter
-    use_bits = kernel == "bits" or (
-        kernel == "auto" and diameter <= _AUTO_BITS_PER_ELEMENT * len(elems)
-    )
-    if use_bits:
-        lo = elems[0]
-        top = diameter
-        base = 0
-        for a in elems:
-            base |= 1 << (a - lo)
-        dmask = 0
-        m = base
-        while m:
-            lsb = m & -m
-            dmask |= base << (top - (lsb.bit_length() - 1))
-            m ^= lsb
-        return tuple(_mask_positions(dmask, -top))
-    nonneg = sorted({b - a for i, a in enumerate(elems) for b in elems[i:]})
-    return tuple(-d for d in reversed(nonneg[1:])) + tuple(nonneg)
-
-
-def _mask_positions(mask: int, offset: int) -> list[int]:
-    """Set-bit indices of ``mask``, each shifted by ``offset``."""
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(lsb.bit_length() - 1 + offset)
-        mask ^= lsb
-    return out
+    base = _bit_vector(elems, kernel, diameter_cap)
+    if base is None:
+        nonneg = sorted(_pair_sets(elems)[1])
+        return tuple(-d for d in reversed(nonneg[1:])) + tuple(nonneg)
+    return _select_bits(_shift_or(base)[1], range(-s.diameter, s.diameter + 1))
 
 
 def classify(
@@ -339,7 +337,7 @@ def append_analysis(
     if x < 0:
         raise DomainError(f"elements must be nonnegative, got {x}")
     before_counts = sum_diff_counts(s.elements, kernel=kernel, diameter_cap=diameter_cap)
-    extended = s.with_element(x, diameter_cap=diameter_cap)
+    extended = s.with_element(x, diameter_cap=None)
     after_counts = sum_diff_counts(extended.elements, kernel=kernel, diameter_cap=diameter_cap)
     before = Classification.from_counts(*before_counts, len(s))
     after = Classification.from_counts(*after_counts, len(extended))

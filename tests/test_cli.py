@@ -266,9 +266,81 @@ def test_domain_error_exits_one(capsys):
 
 
 def test_capacity_error_exits_one(capsys):
-    code, _, err = run(capsys, "classify", "0,20000000", "--diameter-cap", "1000000")
+    # the expansion's diameter 14*(29^6-1)/28 exceeds the default 2^24 cap
+    code, _, err = run(capsys, "expand", "0,2,3,4,7,11,12,14", "6")
     assert code == 1
     assert "error:" in err
+
+
+def _naive_sums(elements):
+    return sorted({a + b for a in elements for b in elements})
+
+
+def _naive_diffs(elements):
+    return sorted({a - b for a in elements for b in elements})
+
+
+def _naive_census(elements):
+    sums, diffs = _naive_sums(elements), _naive_diffs(elements)
+    gap = len(sums) - len(diffs)
+    verdict = "mstd" if gap > 0 else "balanced" if gap == 0 else "diff_dominated"
+    return {
+        "sum_count": len(sums),
+        "diff_count": len(diffs),
+        "verdict": verdict,
+        "gap": gap,
+        "special": gap >= len(elements),
+    }
+
+
+def _naive_append(elements, x):
+    before, after = _naive_census(elements), _naive_census(elements + [x])
+    return {
+        "new_sums": after["sum_count"] - before["sum_count"],
+        "new_diffs": after["diff_count"] - before["diff_count"],
+        "threshold_met": x >= 2 * sum(elements),
+        "before": before,
+        "after": after,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["sumset", "100000000,100000001"], {"elements": _naive_sums([10**8, 10**8 + 1])}),
+        (["classify", "0,1,40000000"], _naive_census([0, 1, 40_000_000])),
+        (["diffset", "0,20000000"], {"elements": _naive_diffs([0, 20_000_000])}),
+        (
+            ["append", "0,2,3,4,7,11,12,14", "20000000"],
+            _naive_append([0, 2, 3, 4, 7, 11, 12, 14], 20_000_000),
+        ),
+        (
+            ["classify", "0,20000000", "--diameter-cap", "1000000"],
+            _naive_census([0, 20_000_000]),
+        ),
+    ],
+    ids=["sumset", "classify", "diffset", "append", "classify-cap"],
+)
+def test_wide_sets_fall_back_to_pairs(capsys, argv, expected):
+    assert run_json(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_non_finite_count_flag_exits_two(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "--n", "10", "--samples", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--samples" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["budget=1e400", "seed=1e999", "threads=-1e400"])
+def test_non_finite_config_value_exits_one(capsys, tmp_path, line):
+    cfg = tmp_path / "mstd.conf"
+    cfg.write_text(line + "\n")
+    code, _, err = run(capsys, "classify", "0..5", "--config", str(cfg))
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_missing_argument_exits_two(capsys):

@@ -1,6 +1,7 @@
 """Exhaustive enumeration, Monte Carlo density, minimality search."""
 
 import itertools
+import os
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from mstd import (
     special_search,
     sum_diff_counts,
 )
+from mstd.search import _pool_size
 
 GROUND_15 = IntSet(range(15))
 
@@ -153,6 +155,15 @@ def test_density_independent_of_worker_count():
     serial = monte_carlo_density(60, 200_000, seed=2, threads=1)
     pooled = monte_carlo_density(60, 200_000, seed=2, threads=3)
     assert serial.to_dict() == pooled.to_dict()
+
+
+def test_pool_size_clamped_to_chunks_and_cpus():
+    # pure function: no pool is started, whatever ``threads`` asks for
+    cpus = os.cpu_count() or 1
+    assert _pool_size(10**6, 10**6) == cpus
+    assert _pool_size(10**6, 3) == min(3, cpus)
+    assert _pool_size(1, 50) == 1
+    assert _pool_size(8, 1) == 1
 
 
 def test_monte_carlo_hits_reclassify_mstd():

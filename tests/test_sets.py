@@ -142,6 +142,21 @@ def test_bits_and_pairs_kernels_agree():
         pairs = sum_diff_counts(s.elements, kernel="pairs")
         auto = sum_diff_counts(s.elements)
         assert bits == pairs == auto == naive_counts(s.elements)
+    # every kernel against naive comprehension, on dense sets far from 0
+    # and on sparse sets whose diameter is far past the auto crossover
+    for _ in range(40):
+        shift = rng.randint(10**6, 10**12)
+        far = IntSet(shift + e for e in random_set(rng).elements)
+        shift = rng.randint(0, 10**9)
+        sparse = IntSet(shift + e for e in rng.sample(range(1 << 20), rng.randint(1, 12)))
+        for s in (far, sparse):
+            e = s.elements
+            for kernel in ("bits", "pairs", "auto"):
+                assert sum_diff_counts(e, kernel=kernel) == naive_counts(e)
+                assert list(sumset(s, kernel=kernel).elements) == sorted(
+                    {a + b for a in e for b in e}
+                )
+                assert list(diffset(s, kernel=kernel)) == sorted({a - b for a in e for b in e})
 
 
 def test_bits_kernel_respects_capacity():
@@ -150,11 +165,24 @@ def test_bits_kernel_respects_capacity():
         sum_diff_counts(wide, kernel="bits", diameter_cap=1 << 20)
     # auto quietly switches to the pair kernel instead of failing
     assert sum_diff_counts(wide, diameter_cap=1 << 20) == naive_counts(wide)
+    s = IntSet(wide)
+    for op in (sumset, diffset):
+        with pytest.raises(CapacityError):
+            op(s, kernel="bits", diameter_cap=1 << 20)
+    assert len(sumset(s, diameter_cap=1 << 20)) == naive_counts(wide)[0]
+    assert len(diffset(s, diameter_cap=1 << 20)) == naive_counts(wide)[1]
+    # the vector is offset by min, so only the diameter counts
+    narrow_far = IntSet([10**8, 10**8 + 1])
+    assert sumset(narrow_far, kernel="bits").elements == (2 * 10**8, 2 * 10**8 + 1, 2 * 10**8 + 2)
+    assert diffset(narrow_far, kernel="bits") == (-1, 0, 1)
 
 
 def test_unknown_kernel_rejected():
     with pytest.raises(DomainError):
         sum_diff_counts((0, 1), kernel="fft")
+    for op in (sumset, diffset):
+        with pytest.raises(DomainError):
+            op(IntSet([0, 1]), kernel="fft")
 
 
 # -- classify ----------------------------------------------------------
