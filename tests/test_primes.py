@@ -1,10 +1,16 @@
 """Sieve, admissibility, singular series, tuple matching, prime APs."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import mstd
 from mstd import (
     CapacityError,
     DomainError,
@@ -134,6 +140,24 @@ def test_series_monotone_convergence():
     assert abs(tight.value - loose.value) <= loose.tail_bound * loose.value
 
 
+def test_series_matches_plain_product():
+    rng = random.Random(604)
+    tuples = [TUPLE_T, TWIN] + [
+        PrimeTuple(tuple(rng.sample(range(0, 300, 2), rng.randint(2, 6)))) for _ in range(20)
+    ]
+    for t in tuples:
+        series = singular_series(t, rel_tol=1e-3)
+        if series.value == 0.0:
+            continue
+        m = t.m
+        logs = []
+        for p in range(2, series.truncation_prime + 1):
+            if trial_division_is_prime(p):
+                v = len({b % p for b in t.offsets})
+                logs.append((m - 1) * math.log(p / (p - 1)) + math.log((p - v) / (p - 1)))
+        assert series.value == pytest.approx(math.exp(math.fsum(logs)), rel=1e-9), t
+
+
 def test_series_tolerance_validated():
     with pytest.raises(DomainError):
         singular_series(TWIN, rel_tol=0.5)
@@ -184,6 +208,50 @@ def test_match_cap_truncates_listing_not_count():
 def test_cousin_tuple_ratio_near_one():
     report = match_tuple(PrimeTuple((0, 4)), 1_000_000)
     assert 0.9 <= report.ratio <= 1.1
+
+
+def hardy_littlewood_sum(offsets, x):
+    """Plain-Python sum over 2 <= n <= x of prod_i 1/log(n + b_i)."""
+    return math.fsum(
+        math.prod(1 / math.log(n + b) for b in offsets) for n in range(2, x + 1)
+    )
+
+
+@pytest.mark.parametrize("t", [TUPLE_T, TWIN, PrimeTuple((0,))], ids=["T", "twin", "single"])
+@pytest.mark.parametrize("x", [10**3, 10**4, 10**5])
+def test_prediction_matches_plain_sum(t, x):
+    report = match_tuple(t, x)
+    expected = report.series.value * hardy_littlewood_sum(t.offsets, x)
+    assert report.predicted == pytest.approx(expected, rel=1e-6)
+    assert report.ratio == pytest.approx(report.count / expected, rel=1e-6)
+
+
+def test_prediction_nondecreasing_in_x():
+    predicted = [match_tuple(TUPLE_T, 10**k).predicted for k in range(2, 7)]
+    assert predicted == sorted(predicted)
+
+
+def test_match_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (TUPLE_T, TWIN, PrimeTuple((0,)), PrimeTuple((0, 1))):
+            match_tuple(t, 100_000)
+
+
+def test_tuple_t_ratio_at_1e8():
+    # 57 matches against ~62 predicted; the window is +-2 Poisson s.d.
+    report = match_tuple(TUPLE_T, 10**8)
+    assert report.count == 57
+    assert 0.75 <= report.ratio <= 1.25, report.ratio
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(mstd.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mstd.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "False"
 
 
 # -- dilations and APs ---------------------------------------------------
