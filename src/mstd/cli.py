@@ -135,6 +135,13 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not a count: {text!r}")
 
 
+def _nonnegative_count(text: str) -> int:
+    value = _count(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative count: {text!r}")
+    return value
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "table":
         _print_table(payload)
@@ -526,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("offsets", type=_int_list)
     sub.add_argument("--upto", type=_count, required=True)
     sub.add_argument("--tol", type=float, default=1e-3)
-    sub.add_argument("--cap", type=int, default=1000)
+    sub.add_argument("--cap", type=_nonnegative_count, default=1000)
     sub.set_defaults(handler=_cmd_primes_match)
 
     sub = psubs.add_parser("ap", parents=[common], help="prime arithmetic progression")
@@ -537,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = psubs.add_parser("sieve", parents=[common], help="primes up to a limit")
     sub.add_argument("--upto", type=_count, required=True)
-    sub.add_argument("--cap", type=int, default=1000, help="max primes listed")
+    sub.add_argument("--cap", type=_nonnegative_count, default=1000, help="max primes listed")
     sub.set_defaults(handler=_cmd_primes_sieve)
 
     sub = psubs.add_parser("dilate", parents=[common], help="affine image of the minimal pattern")
@@ -553,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = psubs.add_parser("mstd", parents=[common], help="MSTD prime sets from tuple matches")
     sub.add_argument("--upto", type=_count, required=True)
-    sub.add_argument("--cap", type=int, default=1000)
+    sub.add_argument("--cap", type=_nonnegative_count, default=1000)
     sub.set_defaults(handler=_cmd_primes_mstd)
 
     sub = subs.add_parser("reproduce", parents=[common], help="pinned result pipelines")

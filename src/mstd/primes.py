@@ -179,6 +179,8 @@ def singular_series(t: PrimeTuple, rel_tol: float = 1e-3) -> SingularSeries:
 
     Zero is exact, not approximate: the value vanishes iff some prime
     p <= m is fully covered, which is checked first and short-circuits.
+    The product is truncated at max(spread + 1, m^2/rel_tol), and a
+    truncation point beyond the sieve cap raises CapacityError.
     """
     if not 0 < rel_tol <= 0.1:
         raise DomainError(f"rel_tol must be in (0, 0.1], got {rel_tol}")
@@ -192,6 +194,8 @@ def singular_series(t: PrimeTuple, rel_tol: float = 1e-3) -> SingularSeries:
     if m == 1:
         return SingularSeries(1.0, 2, 0.0, per_prime_v)
     cutoff = max(t.spread + 1, 2 * m + 2, int(m * m / rel_tol) + 2)
+    if cutoff > _SIEVE_LIMIT_CAP:
+        raise CapacityError(f"singular series sieve limit {cutoff} exceeds cap {_SIEVE_LIMIT_CAP}")
     primes = _prime_array(cutoff)
     # v = m beyond the spread; below it, count distinct sorted residues
     near = primes[primes <= t.spread]
@@ -273,6 +277,8 @@ def match_tuple(
     with b_1 normalized to 0 every match n is itself prime.
     """
     x = int(x)
+    if match_cap < 0:
+        raise DomainError(f"match_cap must be >= 0, got {match_cap}")
     series = singular_series(t, rel_tol)
     if x < 2:
         return MatchReport(x=x, count=0, matches=(), predicted=0.0, ratio=None, series=series)

@@ -11,6 +11,15 @@ Three engines share one report shape:
 * a best-first minimality search for the smallest MSTD subset of a
   ground set under a max-element or diameter objective.
 
+The lattice engines (exhaustive, special-exhaustive, each minimality
+level, and the prefix pass of ``sequences.certify_finitely_many``)
+share one budgeted loop, ``_scan``, fed a stream of candidate tuples.
+It counts each candidate toward the budget before any test, so a
+budget stop leaves ``examined`` equal to the budget; it then skips
+candidates below the diameter floor (they count as examined but are
+not classified), classifies the rest, and applies the hit cap and the
+first-hit stop.
+
 Every reported hit is re-classified before it is stored; engines never
 report a set they did not verify.  The only pruning rule, skipping
 subsets of diameter below 14, is itself established at runtime by an
@@ -23,7 +32,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -38,12 +47,7 @@ OBJECTIVE_COUNT_ALL = "count-all"
 OBJECTIVE_MIN_MAX = "minimize-max-element"
 OBJECTIVE_MIN_DIAMETER = "minimize-diameter"
 
-_OBJECTIVES = (
-    OBJECTIVE_FIRST_HIT,
-    OBJECTIVE_COUNT_ALL,
-    OBJECTIVE_MIN_MAX,
-    OBJECTIVE_MIN_DIAMETER,
-)
+_MINIMAL_OBJECTIVES = (OBJECTIVE_MIN_MAX, OBJECTIVE_MIN_DIAMETER)
 
 DEFAULT_BUDGET = 5_000_000
 DEFAULT_HIT_CAP = 1000
@@ -82,7 +86,9 @@ class SearchConfig:
     legal and yields an empty exhausted report).  budget caps how many
     subsets the exhaustive engine may generate.  samples and seed only
     matter in monte-carlo mode, where the size window does not apply
-    (sampling is over the full power set).
+    (sampling is over the full power set).  objective is count-all or
+    first-hit, and first-hit needs exhaustive mode; the minimize-*
+    objectives are minimal_mstd_in's and are rejected here.
     """
 
     ground: IntSet
@@ -99,8 +105,14 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in (MODE_EXHAUSTIVE, MODE_MONTE_CARLO):
             raise DomainError(f"unknown mode {self.mode!r}")
-        if self.objective not in _OBJECTIVES:
+        if self.objective in _MINIMAL_OBJECTIVES:
+            raise DomainError(
+                f"objective {self.objective!r} is served by minimal_mstd_in, not a search config"
+            )
+        if self.objective not in (OBJECTIVE_FIRST_HIT, OBJECTIVE_COUNT_ALL):
             raise DomainError(f"unknown objective {self.objective!r}")
+        if self.mode == MODE_MONTE_CARLO and self.objective == OBJECTIVE_FIRST_HIT:
+            raise DomainError("objective 'first-hit' needs exhaustive mode; monte-carlo runs every sample")
         if self.min_size < 0:
             raise DomainError("min_size must be >= 0")
         if self.budget < 1:
@@ -158,48 +170,52 @@ def _is_hit(combo: tuple[int, ...], special: bool) -> bool:
     return sc > dc and (not special or sc - dc >= len(combo))
 
 
-def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
-    elems = cfg.ground.elements
-    n = len(elems)
-    lo_size = cfg.min_size
-    hi_size = n if cfg.max_size is None else min(cfg.max_size, n)
+def _scan(stream, budget, examined, special, hit_cap, first_hit):
+    """The one budgeted loop behind every lattice engine.
+
+    Each candidate tuple of ``stream`` counts toward ``budget`` before
+    any test; ``examined`` is the count carried in from earlier scans.
+    Candidates below the verified diameter floor count as examined but
+    are not classified.  Returns (hits, hit_count, examined, complete),
+    where complete means the stream ran dry: False after a budget stop
+    or a first-hit stop.
+    """
     floor = min_mstd_diameter()
-    pruning = (f"skip diameter < {floor}",)
-    first_hit = cfg.objective == OBJECTIVE_FIRST_HIT
     hits: list[IntSet] = []
     hit_count = 0
-    examined = 0
-
-    def report(exhausted: bool) -> SearchReport:
-        return SearchReport(
-            hits=tuple(hits),
-            hit_count=hit_count,
-            examined=examined,
-            density_estimate=None,
-            stderr=None,
-            exhausted=exhausted,
-            seed=cfg.seed,
-            pruning=pruning,
-        )
-
-    for size in range(lo_size, hi_size + 1):
-        if size == 0:
-            examined += 1  # empty subset, never a hit
+    for combo in stream:
+        if examined >= budget:
+            return hits, hit_count, examined, False
+        examined += 1
+        if not combo or combo[-1] - combo[0] < floor or not _is_hit(combo, special):
             continue
-        for combo in combinations(elems, size):
-            if examined >= cfg.budget:
-                return report(False)
-            examined += 1
-            if combo[-1] - combo[0] < floor:
-                continue
-            if not _is_hit(combo, special):
-                continue
-            hit_count += 1
-            if len(hits) < cfg.hit_cap:
-                hits.append(IntSet(combo, diameter_cap=None))
-            if first_hit:
-                return report(False)
-    return report(True)
+        hit_count += 1
+        if len(hits) < hit_cap:
+            hits.append(IntSet(combo, diameter_cap=None))
+        if first_hit:
+            return hits, hit_count, examined, False
+    return hits, hit_count, examined, True
+
+
+def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
+    elems = cfg.ground.elements
+    hi_size = len(elems) if cfg.max_size is None else min(cfg.max_size, len(elems))
+    stream = chain.from_iterable(
+        combinations(elems, size) for size in range(cfg.min_size, hi_size + 1)
+    )
+    hits, hit_count, examined, complete = _scan(
+        stream, cfg.budget, 0, special, cfg.hit_cap, cfg.objective == OBJECTIVE_FIRST_HIT
+    )
+    return SearchReport(
+        hits=tuple(hits),
+        hit_count=hit_count,
+        examined=examined,
+        density_estimate=None,
+        stderr=None,
+        exhausted=complete,
+        seed=cfg.seed,
+        pruning=(f"skip diameter < {min_mstd_diameter()}",),
+    )
 
 
 def exhaustive_search(cfg: SearchConfig) -> SearchReport:
@@ -368,7 +384,7 @@ def minimal_mstd_in(
     objective value makes any MSTD subset impossible (below the
     verified diameter floor) are skipped soundly without enumeration.
     """
-    if objective not in (OBJECTIVE_MIN_MAX, OBJECTIVE_MIN_DIAMETER):
+    if objective not in _MINIMAL_OBJECTIVES:
         raise DomainError(f"minimality search needs a minimize-* objective, got {objective!r}")
     elems = ground.elements
     floor = min_mstd_diameter()
@@ -407,83 +423,60 @@ def minimal_mstd_in(
             for j in range(i + 1, len(elems))
         )
 
-    complete_below_best = True
     ran_out = False
     for value, where in levels:
         if bound is not None and value >= bound:
             break
         if value < floor:
             continue  # whole level is below the verified diameter floor
-        if examined >= budget:
-            ran_out = True
-            break
-        found, examined, ran_out = _scan_level(
-            elems, where, objective, floor, budget, examined
+        found, _, examined, complete = _scan(
+            _level(elems, objective, where, floor), budget, examined, False, 1, True
         )
-        if found is not None:
-            hit = IntSet(found, diameter_cap=None)
+        if found:
             if len(hits) < hit_cap:
-                hits.append(hit)
-            best = hit
+                hits.append(found[0])
+            best = found[0]
             bound = value
             # anything below this level was already exhausted
             break
-        if ran_out:
-            complete_below_best = False
+        if not complete:
+            ran_out = True
             break
 
-    exhausted = not ran_out
-    optimal = (best is not None) and complete_below_best and exhausted
     return SearchReport(
         hits=tuple(hits),
         hit_count=len(hits),
         examined=examined,
         density_estimate=None,
         stderr=None,
-        exhausted=exhausted,
+        exhausted=not ran_out,
         seed=None,
         pruning=pruning,
-        optimal=optimal if best is not None else None,
+        optimal=None if best is None else not ran_out,
         objective_value=bound,
     )
 
 
-def _scan_level(elems, where, objective, floor, budget, examined):
-    """Enumerate one level of the minimality lattice.
+def _level(elems, objective, where, floor):
+    """Candidates of one minimality level, in scan order.
 
-    Returns (first_hit_or_None, examined, ran_out).  A level fixes the
-    subset's max element (min-max objective) or both endpoints
-    (min-diameter).  Enumeration ascends by cardinality, lexicographic
-    within; combinations stream in nondecreasing first-element order,
-    so once the first element breaks the diameter floor the rest of a
-    cardinality block can be skipped wholesale.
+    A level fixes the subset's max element (min-max objective: level m
+    is elems[m] plus any subset of the elements below it) or both
+    endpoints (min-diameter: level (i, j) is elems[i], elems[j] plus any
+    subset of the elements between them).  Candidates ascend by
+    cardinality, lexicographic within; combinations stream in
+    nondecreasing first-element order, so the candidate that breaks the
+    diameter floor is the last of its cardinality block: it is yielded
+    (and counted as examined), the rest of the block is skipped.
     """
     if objective == OBJECTIVE_MIN_MAX:
-        m = where
-        top = elems[m]
-        prefix = elems[:m]
-        for size in range(1, m + 2):
-            for combo in combinations(prefix, size - 1):
-                if examined >= budget:
-                    return None, examined, True
-                examined += 1
-                cand = combo + (top,)
-                if combo and top - combo[0] < floor:
-                    break  # later combos start no lower: skip block
-                if not combo:
-                    continue  # singleton {top}: never a hit
-                if _is_hit(cand, special=False):
-                    return cand, examined, False
-        return None, examined, False
-    i, j = where
-    lo, hi = elems[i], elems[j]
-    interior = elems[i + 1 : j]
-    for size in range(2, len(interior) + 3):
-        for combo in combinations(interior, size - 2):
-            if examined >= budget:
-                return None, examined, True
-            examined += 1
-            cand = (lo,) + combo + (hi,)
-            if _is_hit(cand, special=False):
-                return cand, examined, False
-    return None, examined, False
+        head, interior, tail = (), elems[:where], (elems[where],)
+    else:
+        i, j = where
+        head, interior, tail = (elems[i],), elems[i + 1 : j], (elems[j],)
+    for size in range(len(interior) + 1):
+        for combo in combinations(interior, size):
+            cand = head + combo + tail
+            yield cand
+            if cand[-1] - cand[0] < floor:
+                break  # later candidates start no lower

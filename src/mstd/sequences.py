@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .search import SearchConfig, exhaustive_search, special_search
+from .search import SearchConfig, _scan, exhaustive_search, special_search
 from .sets import IntSet, sum_diff_counts
 
 KIND_FIBONACCI = "fibonacci"
@@ -295,27 +295,7 @@ def certify_no_mstd(
     terms = materialize(spec, upto)
     ground = IntSet(terms, diameter_cap=None)
 
-    if not growth.holds:
-        cfg = SearchConfig(
-            ground=ground,
-            min_size=8,
-            max_size=len(terms),
-            budget=budget,
-            objective="first-hit",
-        )
-        rep = exhaustive_search(cfg)
-        witness = rep.hits[0] if rep.hits else None
-        return NoMstdCertificate(
-            growth=growth,
-            small_subset_bound=bound,
-            small_search_exhausted=rep.exhausted,
-            mstd_witness=witness,
-            verdict=VERDICT_REFUTED if witness else VERDICT_INCONCLUSIVE,
-            route="refutation-search",
-            examined=rep.examined,
-        )
-
-    if bound <= 7:
+    if growth.holds and bound <= 7:
         # every MSTD set has at least 8 elements, so the small-subset
         # window [1, 2r+1] cannot contain one
         verdict = VERDICT_CERTIFIED if growth.symbolic else VERDICT_CONSISTENT
@@ -329,18 +309,21 @@ def certify_no_mstd(
             examined=0,
         )
 
-    cfg = SearchConfig(
-        ground=ground,
-        min_size=8,
-        max_size=bound,
-        budget=budget,
-        objective="first-hit",
+    # without growth there is nothing to certify: hunt a counterexample of any size
+    refuting = not growth.holds
+    rep = exhaustive_search(
+        SearchConfig(
+            ground=ground,
+            min_size=8,
+            max_size=len(terms) if refuting else bound,
+            budget=budget,
+            objective="first-hit",
+        )
     )
-    rep = exhaustive_search(cfg)
     witness = rep.hits[0] if rep.hits else None
     if witness is not None:
         verdict = VERDICT_REFUTED
-    elif not rep.exhausted:
+    elif refuting or not rep.exhausted:
         verdict = VERDICT_INCONCLUSIVE
     elif growth.symbolic:
         verdict = VERDICT_CERTIFIED
@@ -352,7 +335,7 @@ def certify_no_mstd(
         small_search_exhausted=rep.exhausted,
         mstd_witness=witness,
         verdict=verdict,
-        route="small-subset-search",
+        route="refutation-search" if refuting else "small-subset-search",
         examined=rep.examined,
     )
 
@@ -482,17 +465,9 @@ def certify_finitely_many(
     terms = materialize(spec, upto)
     growth = check_growth(spec, 3, upto, start=start)
 
-    examined = 0
-    witness = None
-    for j in range(2, upto + 1):
-        if examined >= special_search_budget:
-            break
-        examined += 1
-        prefix = tuple(terms[:j])
-        sc, dc = sum_diff_counts(prefix)
-        if sc - dc >= j:
-            witness = IntSet(prefix, diameter_cap=None)
-            break
+    prefixes = (tuple(terms[:j]) for j in range(2, upto + 1))
+    found, _, examined, _ = _scan(prefixes, special_search_budget, 0, True, 1, True)
+    witness = found[0] if found else None
 
     window = 0
     exhausted = witness is not None  # prefix scan stopped early on purpose

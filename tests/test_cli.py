@@ -101,6 +101,38 @@ def test_search_ground_from_sequence(capsys):
     assert data["hit_count"] == 0
 
 
+def test_search_rejects_first_hit_in_monte_carlo(capsys):
+    code, out, err = run(
+        capsys, "search", "--ground", "0..20", "--mode", "monte-carlo", "--special",
+        "--objective", "first-hit", "--samples", "2000",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "first-hit" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--ground", "0..15", "--min-size", "8", "--max-size", "9", "--hit-cap", "3"],
+        ["search", "--ground", "0..15", "--objective", "first-hit", "--budget", "30000"],
+        ["search", "--ground", "0..30", "--mode", "monte-carlo", "--special", "--samples", "3000"],
+        ["minimal", "--primes-upto", "200", "--objective", "minimize-max-element", "--budget", "20000"],
+        ["minimal", "--ground", "0..20", "--objective", "minimize-diameter", "--budget", "5000"],
+        ["certify", "--seq", "geometric:1,2,0", "--r", "4", "--upto", "14"],
+        ["certify", "--seq", "recurrence:1,1:4,7", "--r", "2", "--upto", "14", "--budget", "500"],
+        ["certify-finite", "--seq", "fibonacci", "--start", "4", "--upto", "30"],
+    ],
+    ids=["search", "first-hit", "monte-carlo", "minimal", "minimal-diameter",
+         "certify", "certify-refutation", "certify-finite"],
+)
+def test_thread_count_leaves_stdout_unchanged(capsys, argv):
+    serial = run(capsys, *argv, "--threads", "1")
+    pooled = run(capsys, *argv, "--threads", "2")
+    assert serial[0] == 0, serial[2]
+    assert serial == pooled
+
+
 def test_search_monte_carlo_needs_special(capsys):
     code, _, err = run(
         capsys, "search", "--ground", "0..30", "--mode", "monte-carlo",
@@ -351,6 +383,25 @@ def test_non_finite_config_value_exits_one(capsys, tmp_path, line):
         code, _, err = run(capsys, *argv, "--config", str(cfg))
         assert code == 1, argv
         assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["primes", "match", "0,2", "--upto", "100", "--cap", "-1"],
+        ["primes", "sieve", "--upto", "100", "--cap", "-2"],
+        ["primes", "mstd", "--upto", "10000", "--cap", "-1"],
+    ],
+    ids=["match", "sieve", "mstd"],
+)
+def test_negative_cap_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--cap" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_missing_argument_exits_two(capsys):

@@ -165,6 +165,15 @@ def test_series_tolerance_validated():
         singular_series(TWIN, rel_tol=0.0)
 
 
+def test_series_sieve_is_capped():
+    # twins truncate at 4/rel_tol + 2: here 2^27 + 2, just past the sieve cap
+    with pytest.raises(CapacityError):
+        singular_series(TWIN, rel_tol=2.0**-25)
+    # a wide spread forces the truncation point past the cap at any tolerance
+    with pytest.raises(CapacityError):
+        singular_series(PrimeTuple((0, 1_000_000_000_000)))
+
+
 # -- match_tuple ---------------------------------------------------------
 
 def test_twin_matches_to_100():
@@ -203,6 +212,12 @@ def test_match_cap_truncates_listing_not_count():
     report = match_tuple(TWIN, 10_000, match_cap=5)
     assert len(report.matches) == 5
     assert report.count == 205  # pi_2(10^4), frozen from the full scan
+
+
+def test_negative_match_cap_rejected():
+    with pytest.raises(DomainError):
+        match_tuple(TWIN, 100, match_cap=-1)
+    assert match_tuple(TWIN, 100, match_cap=0).matches == ()
 
 
 def test_cousin_tuple_ratio_near_one():

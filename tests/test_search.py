@@ -1,6 +1,7 @@
 """Exhaustive enumeration, Monte Carlo density, minimality search."""
 
 import itertools
+import math
 import os
 import random
 
@@ -132,6 +133,80 @@ def test_config_validation():
         SearchConfig(ground=GROUND_15, budget=0)
     with pytest.raises(DomainError):
         SearchConfig(ground=GROUND_15, mode="monte-carlo")  # samples missing
+    # objectives no search engine honours are refused, not run as count-all
+    for objective in ("minimize-max-element", "minimize-diameter"):
+        with pytest.raises(DomainError, match="minimal_mstd_in"):
+            SearchConfig(ground=GROUND_15, min_size=8, max_size=8, objective=objective)
+    with pytest.raises(DomainError, match="first-hit"):
+        SearchConfig(ground=GROUND_15, mode="monte-carlo", samples=2000, objective="first-hit")
+
+
+# -- the scan loop -----------------------------------------------------
+
+def _scan_order(elems, lo, hi):
+    """Every subset of the size window in the documented scan order."""
+    return [c for k in range(lo, hi + 1) for c in itertools.combinations(elems, k)]
+
+
+@pytest.mark.parametrize(
+    "elems, lo, hi, hit_cap",
+    [
+        ((0, 2, 3, 4, 7, 10, 11, 12, 14), 0, 9, 1000),
+        ((0, 2, 3, 4, 7, 10, 11, 12, 14, 16, 17), 8, 11, 1000),
+        ((0, 2, 3, 4, 7, 10, 11, 12, 14, 16, 17), 8, 11, 1),
+    ],
+    ids=["full-window", "size-window", "hit-cap"],
+)
+def test_every_budget_examines_a_prefix(elems, lo, hi, hit_cap):
+    total = sum(math.comb(len(elems), k) for k in range(lo, hi + 1))
+    order = _scan_order(elems, lo, hi)
+    is_hit = [naive_mstd(c) for c in order]
+    naive_hits = [c for c, hit in zip(order, is_hit) if hit]
+    assert len(naive_hits) >= 2
+
+    def run(budget):
+        cfg = SearchConfig(ground=IntSet(elems), min_size=lo, max_size=hi, budget=budget, hit_cap=hit_cap)
+        return exhaustive_search(cfg)
+
+    full = run(total)
+    assert full.exhausted and full.examined == total
+    assert [h.elements for h in full.hits] == naive_hits[:hit_cap]
+    assert full.hit_count == len(naive_hits)
+    for budget in range(1, total + 2):
+        report = run(budget)
+        examined = min(budget, total)
+        assert report.examined == examined
+        assert report.exhausted == (budget >= total)
+        assert report.hits == full.hits[: len(report.hits)]
+        seen = [c for c, hit in zip(order[:examined], is_hit) if hit]
+        assert report.hit_count == len(seen)
+        assert [h.elements for h in report.hits] == seen[:hit_cap]
+
+
+@pytest.mark.parametrize(
+    "ground, lo, hi",
+    [
+        (GROUND_15, 8, 8),
+        (IntSet(range(16)), 8, 9),
+        (IntSet((0, 2, 3, 4, 7, 9, 10, 11, 12, 14, 16)), 0, 11),
+        (IntSet(3 * e + 5 for e in range(15)), 8, 8),
+        (IntSet(range(12)), 0, 12),  # no MSTD subset at all
+    ],
+)
+def test_first_hit_is_first_count_all_hit(ground, lo, hi):
+    def run(objective):
+        return exhaustive_search(SearchConfig(ground=ground, min_size=lo, max_size=hi, objective=objective))
+
+    count_all, first = run("count-all"), run("first-hit")
+    order = _scan_order(ground.elements, lo, hi)
+    naive_hits = [i for i, c in enumerate(order) if naive_mstd(c)]
+    assert first.hits == count_all.hits[:1]
+    if naive_hits:
+        assert first.hits[0].elements == order[naive_hits[0]]
+        assert (first.hit_count, first.examined, first.exhausted) == (1, naive_hits[0] + 1, False)
+    else:
+        assert first.to_dict() == count_all.to_dict()
+        assert (first.hit_count, first.examined, first.exhausted) == (0, len(order), True)
 
 
 # -- monte carlo -------------------------------------------------------
@@ -261,6 +336,45 @@ def test_minimal_in_primes_finds_dilated_conway():
     found = [h.elements for h in report.hits]
     assert (19, 79, 109, 139, 229, 349, 379, 439) in found
     assert not report.optimal  # lower levels were not exhausted in budget
+
+
+def _brute_optimum(elems, objective):
+    """Best objective value over every MSTD subset, by pair enumeration."""
+    values = [
+        c[-1] if objective == "minimize-max-element" else c[-1] - c[0]
+        for k in range(2, len(elems) + 1)
+        for c in itertools.combinations(elems, k)
+        if naive_mstd(c)
+    ]
+    return min(values, default=None)
+
+
+@pytest.mark.parametrize(
+    "elems",
+    [
+        tuple(range(15)),
+        (0, 1, 2, 3, 6, 7, 10, 11, 12, 13, 14),  # no Conway image: the level scan must find it
+        tuple(3 * e + 5 for e in range(15)),
+        # the probe finds 2*CONWAY + 1 (max 29); the level scan must beat it
+        (0, 1, 2, 3, 5, 7, 9, 10, 11, 12, 14, 15, 23, 25, 29),
+        tuple(materialize(SequenceSpec.fibonacci(), 14)),  # no MSTD subset
+    ],
+    ids=["interval", "no-probe", "affine", "probe-beaten", "fibonacci"],
+)
+@pytest.mark.parametrize("objective", ["minimize-max-element", "minimize-diameter"])
+def test_minimal_within_budget_and_optimal_only_when_proved(elems, objective):
+    truth = _brute_optimum(elems, objective)
+    for budget in (1, 3, 10, 50, 200, 1000, 10**5):
+        report = minimal_mstd_in(IntSet(elems), objective=objective, budget=budget)
+        assert report.examined <= budget
+        if report.optimal:
+            assert report.objective_value == truth
+        if report.objective_value is not None:
+            assert report.objective_value >= truth
+    # with room to finish, the search proves the brute-force optimum
+    assert report.exhausted
+    assert report.objective_value == truth
+    assert report.optimal is (None if truth is None else True)
 
 
 def test_minimal_rejects_search_objectives():
