@@ -32,7 +32,6 @@ from .primes import (
 )
 from .reproduce import CLAIM_IDS, TUPLE_T, run_claim
 from .search import (
-    DEFAULT_BUDGET,
     MODE_EXHAUSTIVE,
     MODE_MONTE_CARLO,
     SearchConfig,
@@ -63,7 +62,7 @@ _GLOBAL_DEFAULTS = {
     "format": "json",
     "seed": 0,
     "threads": 1,
-    "budget": None,  # per-command defaults apply when unset
+    "budget": None,  # library defaults apply when unset
     "diameter_cap": DEFAULT_DIAMETER_CAP,
 }
 
@@ -215,6 +214,11 @@ def _ground_from_args(args, cfg) -> IntSet:
     )
 
 
+def _budget(cfg, keyword="budget") -> dict:
+    """--budget as a keyword argument if given; otherwise the library default applies."""
+    return {} if cfg["budget"] is None else {keyword: cfg["budget"]}
+
+
 # -- handlers ----------------------------------------------------------
 
 def _cmd_classify(args, cfg):
@@ -271,13 +275,13 @@ def _cmd_search(args, cfg):
         ground=ground,
         min_size=args.min_size,
         max_size=args.max_size,
-        budget=DEFAULT_BUDGET if cfg["budget"] is None else cfg["budget"],
         mode=mode,
         samples=args.samples,
         seed=cfg["seed"],
         objective=args.objective,
         hit_cap=args.hit_cap,
         threads=cfg["threads"],
+        **_budget(cfg),
     )
     report = special_search(config) if args.special else exhaustive_search(config)
     _emit(report.to_dict(), cfg["format"])
@@ -298,25 +302,20 @@ def _cmd_density(args, cfg):
 
 def _cmd_minimal(args, cfg):
     ground = _ground_from_args(args, cfg)
-    budget = DEFAULT_BUDGET if cfg["budget"] is None else cfg["budget"]
-    report = minimal_mstd_in(ground, objective=args.objective, budget=budget)
+    report = minimal_mstd_in(ground, objective=args.objective, **_budget(cfg))
     _emit(report.to_dict(), cfg["format"])
     return 0
 
 
 def _cmd_certify(args, cfg):
-    budget = 2_000_000 if cfg["budget"] is None else cfg["budget"]
-    cert = certify_no_mstd(args.seq, r=args.r, upto=args.upto, budget=budget)
+    cert = certify_no_mstd(args.seq, r=args.r, upto=args.upto, **_budget(cfg))
     _emit(cert.to_dict(), cfg["format"])
     return 0
 
 
 def _cmd_certify_finite(args, cfg):
     cert = certify_finitely_many(
-        args.seq,
-        start=args.start,
-        upto=args.upto,
-        special_search_budget=65_536 if cfg["budget"] is None else cfg["budget"],
+        args.seq, start=args.start, upto=args.upto, **_budget(cfg, "special_search_budget")
     )
     _emit(cert.to_dict(), cfg["format"])
     return 0

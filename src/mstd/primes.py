@@ -12,6 +12,9 @@ scan counts: the singular series times the discrete sum over
 offset, so the summand is smooth; the sum is exact for n <= 2^12 and
 beyond that a midpoint-rule integral taken by Gauss-Legendre
 quadrature on geometric panels (relative error about 1e-10).
+
+Every prime list in this module comes from one sieve, ``PrimeSieve``,
+which also enforces the one memory cap on sieve limits.
 """
 
 from __future__ import annotations
@@ -36,28 +39,15 @@ _TAIL_PANELS = 63
 _GAUSS_NODES = 8
 
 
-def _prime_array(limit: int) -> np.ndarray:
-    """Primes <= limit by a plain vectorized sieve (small limits only)."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags)
-
-
-def _small_primes(limit: int) -> list[int]:
-    """Primes <= limit as Python ints."""
-    return _prime_array(limit).tolist()
-
-
 class PrimeSieve:
     """Boolean prime table on [0, limit] with O(1) membership.
 
-    Marking walks the table in cache-sized segments.  A limit below 2
-    yields an empty (but valid) sieve rather than an error.
+    The only sieve in the package: admissibility moduli, singular-series
+    factors, AP primorials and its own base primes all come from one.
+    Marking walks the table in cache-sized segments, crossing off the
+    primes up to sqrt(limit) that a smaller PrimeSieve supplies.  A
+    limit below 2 yields an empty (but valid) sieve rather than an
+    error; a limit above the cap raises CapacityError.
     """
 
     __slots__ = ("limit", "flags")
@@ -70,7 +60,7 @@ class PrimeSieve:
         flags = np.zeros(max(limit + 1, 0), dtype=bool)
         if limit >= 2:
             flags[2:] = True
-            base = _small_primes(math.isqrt(limit))
+            base = PrimeSieve(math.isqrt(limit)).primes().tolist()
             segment = 1 << 20
             for lo in range(2, limit + 1, segment):
                 hi = min(lo + segment, limit + 1)
@@ -143,7 +133,7 @@ def is_admissible(t: PrimeTuple) -> AdmissibilityResult:
     at most m classes, so any p > m has a free class automatically.
     """
     checked = []
-    for p in _small_primes(t.m):
+    for p in PrimeSieve(t.m).primes().tolist():
         checked.append(p)
         if len({b % p for b in t.offsets}) == p:
             return AdmissibilityResult(False, p, tuple(checked))
@@ -180,13 +170,14 @@ def singular_series(t: PrimeTuple, rel_tol: float = 1e-3) -> SingularSeries:
     Zero is exact, not approximate: the value vanishes iff some prime
     p <= m is fully covered, which is checked first and short-circuits.
     The product is truncated at max(spread + 1, m^2/rel_tol), and a
-    truncation point beyond the sieve cap raises CapacityError.
+    truncation point beyond the sieve cap raises the sieve's
+    CapacityError.
     """
     if not 0 < rel_tol <= 0.1:
         raise DomainError(f"rel_tol must be in (0, 0.1], got {rel_tol}")
     m = t.m
     per_prime_v = {}
-    for p in _small_primes(m):
+    for p in PrimeSieve(m).primes().tolist():
         v = len({b % p for b in t.offsets})
         per_prime_v[p] = v
         if v == p:
@@ -194,9 +185,7 @@ def singular_series(t: PrimeTuple, rel_tol: float = 1e-3) -> SingularSeries:
     if m == 1:
         return SingularSeries(1.0, 2, 0.0, per_prime_v)
     cutoff = max(t.spread + 1, 2 * m + 2, int(m * m / rel_tol) + 2)
-    if cutoff > _SIEVE_LIMIT_CAP:
-        raise CapacityError(f"singular series sieve limit {cutoff} exceeds cap {_SIEVE_LIMIT_CAP}")
-    primes = _prime_array(cutoff)
+    primes = PrimeSieve(cutoff).primes()  # raises CapacityError past the cap
     # v = m beyond the spread; below it, count distinct sorted residues
     near = primes[primes <= t.spread]
     residues = np.sort(np.array(t.offsets)[None, :] % near[:, None], axis=1)
@@ -336,7 +325,7 @@ def find_prime_ap(
         table = PrimeSieve(bound)
         first = next((int(p) for p in table.primes()), None)
         return None if first is None else (first, 0)
-    small = _small_primes(length)
+    small = PrimeSieve(length).primes().tolist()
     primorial = math.prod(small)
     if max_diff is None:
         headroom = (_SIEVE_LIMIT_CAP - bound) // (length - 1)

@@ -11,14 +11,16 @@ Three engines share one report shape:
 * a best-first minimality search for the smallest MSTD subset of a
   ground set under a max-element or diameter objective.
 
-The lattice engines (exhaustive, special-exhaustive, each minimality
-level, and the prefix pass of ``sequences.certify_finitely_many``)
-share one budgeted loop, ``_scan``, fed a stream of candidate tuples.
-It counts each candidate toward the budget before any test, so a
-budget stop leaves ``examined`` equal to the budget; it then skips
-candidates below the diameter floor (they count as examined but are
-not classified), classifies the rest, and applies the hit cap and the
-first-hit stop.
+The lattice engines (exhaustive, special-exhaustive, minimality, and
+the prefix pass of ``sequences.certify_finitely_many``) share one
+budgeted loop, ``_scan``, fed a stream of candidate tuples; each run
+is one ``_scan`` call.  It counts each candidate toward the budget
+before any test, so a budget stop leaves ``examined`` equal to the
+budget; it then skips candidates below the diameter floor (they count
+as examined but are not classified), classifies the rest, and applies
+the hit cap and the first-hit stop.  The minimality stream chains its
+levels lazily in ascending objective order, so no list of levels is
+built.
 
 Every reported hit is re-classified before it is stored; engines never
 report a set they did not verify.  The only pruning rule, skipping
@@ -28,11 +30,12 @@ exhaustive scan (see ``min_mstd_diameter``) before any engine uses it.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, takewhile
 
 import numpy as np
 
@@ -82,8 +85,8 @@ def min_mstd_diameter() -> int:
 class SearchConfig:
     """Parameters for one search run.
 
-    min_size/max_size bound subset cardinality (an empty window is
-    legal and yields an empty exhausted report).  budget caps how many
+    min_size/max_size bound subset cardinality; both must be >= 0 (an
+    empty window is legal and yields an empty exhausted report).  budget caps how many
     subsets the exhaustive engine may generate.  samples and seed only
     matter in monte-carlo mode, where the size window does not apply
     (sampling is over the full power set).  objective is count-all or
@@ -115,6 +118,8 @@ class SearchConfig:
             raise DomainError("objective 'first-hit' needs exhaustive mode; monte-carlo runs every sample")
         if self.min_size < 0:
             raise DomainError("min_size must be >= 0")
+        if self.max_size is not None and self.max_size < 0:
+            raise DomainError("max_size must be >= 0")
         if self.budget < 1:
             raise DomainError("budget must be >= 1")
         if self.hit_cap < 1:
@@ -377,15 +382,22 @@ def minimal_mstd_in(
     Two candidate streams feed one verifier: a probe over dilations
     p + c*s of the known minimal pattern that happen to lie inside the
     ground (cheap, often supplies the optimum on structured grounds),
-    and level-by-level lattice enumeration where level = forced max
-    element (or forced endpoint pair for the diameter objective) in
-    ascending objective order.  ``optimal`` certifies that every level
+    and one ``_scan`` call over the lattice levels, where level =
+    forced max element (or forced endpoint pair for the diameter
+    objective).  The levels below the probe's bound stream lazily in
+    ascending objective order (pairs come from a merge of one ascending
+    run per left end, so memory stays linear in the ground), and the
+    scan stops at the first hit.  ``optimal`` certifies that every level
     strictly below the returned bound was exhausted; levels whose
     objective value makes any MSTD subset impossible (below the
     verified diameter floor) are skipped soundly without enumeration.
     """
     if objective not in _MINIMAL_OBJECTIVES:
         raise DomainError(f"minimality search needs a minimize-* objective, got {objective!r}")
+    if budget < 1:
+        raise DomainError("budget must be >= 1")
+    if hit_cap < 1:
+        raise DomainError("hit_cap must be >= 1")
     elems = ground.elements
     floor = min_mstd_diameter()
     pruning = (f"skip diameter < {floor}", "dilated minimal-pattern probe")
@@ -415,33 +427,22 @@ def minimal_mstd_in(
 
     bound = None if best is None else value_of(best.elements)
     if objective == OBJECTIVE_MIN_MAX:
-        levels = [(elems[m], m) for m in range(len(elems))]
+        levels = ((elems[m], m) for m in range(len(elems)))
     else:
-        levels = sorted(
-            (elems[j] - elems[i], (i, j))
-            for i in range(len(elems))
-            for j in range(i + 1, len(elems))
-        )
+        def from_left(i):
+            return ((elems[j] - elems[i], (i, j)) for j in range(i + 1, len(elems)))
 
-    ran_out = False
-    for value, where in levels:
-        if bound is not None and value >= bound:
-            break
-        if value < floor:
-            continue  # whole level is below the verified diameter floor
-        found, _, examined, complete = _scan(
-            _level(elems, objective, where, floor), budget, examined, False, 1, True
-        )
-        if found:
-            if len(hits) < hit_cap:
-                hits.append(found[0])
-            best = found[0]
-            bound = value
-            # anything below this level was already exhausted
-            break
-        if not complete:
-            ran_out = True
-            break
+        levels = heapq.merge(*(from_left(i) for i in range(len(elems))))
+    below_bound = takewhile(lambda level: bound is None or level[0] < bound, levels)
+    stream = chain.from_iterable(
+        _level(elems, objective, where, floor) for value, where in below_bound if value >= floor
+    )
+    found, _, examined, complete = _scan(stream, budget, examined, False, 1, True)
+    if found:  # every level below the hit's was exhausted first
+        best = found[0]
+        if len(hits) < hit_cap:
+            hits.append(best)
+    ran_out = not found and not complete
 
     return SearchReport(
         hits=tuple(hits),
@@ -453,7 +454,7 @@ def minimal_mstd_in(
         seed=None,
         pruning=pruning,
         optimal=None if best is None else not ran_out,
-        objective_value=bound,
+        objective_value=None if best is None else value_of(best.elements),
     )
 
 

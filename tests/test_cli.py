@@ -111,6 +111,13 @@ def test_search_rejects_first_hit_in_monte_carlo(capsys):
     assert err.count("\n") == 1 and err.startswith("error:") and "first-hit" in err
 
 
+def test_search_rejects_negative_max_size(capsys):
+    code, out, err = run(capsys, "search", "--ground", "0..14", "--max-size", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "max_size" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -48,6 +48,13 @@ def test_small_primes():
     assert list(PrimeSieve(20).primes()) == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
+def test_every_small_limit_matches_trial_division():
+    # limits up to 300 reach the base-prime recursion's small cases
+    for n in range(301):
+        expected = [k for k in range(n + 1) if trial_division_is_prime(k)]
+        assert PrimeSieve(n).primes().tolist() == expected, n
+
+
 def test_limit_below_two_is_empty():
     assert list(PrimeSieve(1).primes()) == []
     assert PrimeSieve(1).count() == 0

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -131,6 +132,8 @@ def test_config_validation():
         SearchConfig(ground=GROUND_15, objective="maximize-gap")
     with pytest.raises(DomainError):
         SearchConfig(ground=GROUND_15, budget=0)
+    with pytest.raises(DomainError, match="max_size"):
+        SearchConfig(ground=GROUND_15, max_size=-1)
     with pytest.raises(DomainError):
         SearchConfig(ground=GROUND_15, mode="monte-carlo")  # samples missing
     # objectives no search engine honours are refused, not run as count-all
@@ -380,6 +383,47 @@ def test_minimal_within_budget_and_optimal_only_when_proved(elems, objective):
 def test_minimal_rejects_search_objectives():
     with pytest.raises(DomainError):
         minimal_mstd_in(GROUND_15, objective="first-hit")
+
+
+def test_minimal_scans_no_level_at_or_above_the_probe_bound():
+    # the six Conway images in {0..19} are probe hits at the floor, 14,
+    # so the level stream is empty and no seventh hit is added
+    report = minimal_mstd_in(IntSet(range(20)), objective="minimize-diameter")
+    assert report.examined == 6 and report.hit_count == 6
+    assert report.optimal and report.objective_value == 14
+
+
+def test_minimal_diameter_levels_ascend_across_left_ends():
+    # the ground's first element starts an MSTD subset of diameter 28
+    # (inside 2 * no_probe); the optimum, 14, lies in no_probe + 40, so
+    # the stream must interleave the endpoint pairs of all left ends
+    no_probe = (0, 1, 2, 3, 6, 7, 10, 11, 12, 13, 14)
+    ground = IntSet([2 * e for e in no_probe] + [e + 40 for e in no_probe])
+    report = minimal_mstd_in(ground, objective="minimize-diameter")
+    assert report.optimal and report.objective_value == 14
+
+
+def test_minimal_rejects_empty_budget_and_hit_cap():
+    # with hit_cap=0 an optimum would be claimed with no witness in hits
+    for kwargs in ({"budget": 0}, {"budget": -5}, {"hit_cap": 0}, {"hit_cap": -1}):
+        for objective in ("minimize-max-element", "minimize-diameter"):
+            with pytest.raises(DomainError):
+                minimal_mstd_in(IntSet(range(20)), objective=objective, **kwargs)
+
+
+def test_minimal_diameter_levels_stream_in_linear_memory():
+    # a sorted list of all n(n-1)/2 endpoint pairs of the 669 primes
+    # <= 5000 takes about 40 MB; the merged stream holds O(n) of them
+    ground = IntSet(int(p) for p in PrimeSieve(5000).primes())
+    min_mstd_diameter()  # the one-off floor scan is not the search's memory
+    tracemalloc.start()
+    try:
+        report = minimal_mstd_in(ground, objective="minimize-diameter", budget=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.examined == 1 and not report.exhausted
+    assert peak < 4 * 2**20
 
 
 # -- report serialization ----------------------------------------------
