@@ -22,6 +22,13 @@ the hit cap and the first-hit stop.  The minimality stream chains its
 levels lazily in ascending objective order, so no list of levels is
 built.
 
+The Monte Carlo engine draws each chunk's samples as raw mask bytes and
+classifies them a block at a time with ``sets.PairCensus``, one
+bit-sliced pair form for every ground; each hit it finds is counted
+again by ``sum_diff_counts`` before it is kept.  Chunk descriptors are
+generated lazily, and a pool holds at most two chunks per worker in
+flight, merging results in chunk order.
+
 Every reported hit is re-classified before it is stored; engines never
 report a set they did not verify.  The only pruning rule, skipping
 subsets of diameter below 14, is itself established at runtime by an
@@ -33,14 +40,15 @@ from __future__ import annotations
 import heapq
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, combinations, takewhile
+from itertools import chain, combinations, starmap, takewhile
 
 import numpy as np
 
 from .errors import DomainError
-from .sets import CONWAY, IntSet, _select_bits, _shift_or, sum_diff_counts
+from .sets import CONWAY, IntSet, PairCensus, _select_bits, sum_diff_counts
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_MONTE_CARLO = "monte-carlo"
@@ -247,8 +255,7 @@ def special_search(cfg: SearchConfig) -> SearchReport:
 # -- Monte Carlo ------------------------------------------------------
 
 def _mc_chunk(
-    elems: tuple[int, ...],
-    contiguous: bool,
+    census: PairCensus,
     seed: int,
     chunk_index: int,
     count: int,
@@ -259,64 +266,71 @@ def _mc_chunk(
 
     Deterministic in (seed, chunk_index) alone: each chunk draws from
     its own SeedSequence spawn, so the merged result is independent of
-    how chunks are scheduled across workers.
+    how chunks are scheduled across workers.  Subset k is the ground
+    elements at the set bits of bytes k * nbytes ... (k + 1) * nbytes
+    of the chunk's ``rng.bytes`` draw, read little-endian.  A
+    ``PairCensus`` classifies the subsets a block at a time, and every
+    hit it finds is counted again by ``sum_diff_counts`` before it is
+    reported.
     """
-    n = len(elems)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
-    nbytes = (n + 7) // 8
+    nbytes = census.nbytes
     buf = rng.bytes(nbytes * count)
-    full = (1 << n) - 1
+    full = (1 << census.n) - 1
     hit_count = 0
     hit_masks: list[int] = []
-    for i in range(count):
-        mask = int.from_bytes(buf[i * nbytes : (i + 1) * nbytes], "little") & full
-        if mask == 0 or mask & (mask - 1) == 0:
-            continue  # empty or singleton: 1 sum, 1 diff
-        if contiguous:
-            # index mask doubles as the element bit vector (counts are
-            # shift invariant), so run the kernel on it directly
-            smask, dmask = _shift_or(mask)
-            sc = smask.bit_count()
-            dc = dmask.bit_count()
-            size = mask.bit_count()
-        else:
-            chosen = _select_bits(mask, elems)
-            sc, dc = sum_diff_counts(chosen)
-            size = len(chosen)
-        if sc > dc and (not special or sc - dc >= size):
+    for start in range(0, count, census.block):
+        sc, dc, size = census.counts(buf[start * nbytes : (start + census.block) * nbytes])
+        hit = sc > dc
+        if special:
+            hit &= sc - dc >= size
+        for row in np.flatnonzero(hit).tolist():
+            at = (start + row) * nbytes
+            mask = int.from_bytes(buf[at : at + nbytes], "little") & full
+            chosen = _select_bits(mask, census.elements)
+            if sum_diff_counts(chosen) != (int(sc[row]), int(dc[row])):
+                raise RuntimeError(f"batched census disagrees with sum_diff_counts on {chosen}")
             hit_count += 1
             if len(hit_masks) < want_hits:
                 hit_masks.append(mask)
     return hit_count, hit_masks
 
 
+def _mc_chunks(cfg: SearchConfig, census: PairCensus, special: bool):
+    """Argument tuples of ``_mc_chunk`` for a run, one per chunk of
+    ``_MC_CHUNK`` samples, generated lazily: 10**15 samples are 1.5e10
+    chunks."""
+    for index, start in enumerate(range(0, cfg.samples, _MC_CHUNK)):
+        yield census, cfg.seed, index, min(_MC_CHUNK, cfg.samples - start), special, cfg.hit_cap
+
+
+def _mc_results(chunks, workers: int):
+    """``_mc_chunk`` results in chunk order.  A pool holds at most
+    2 * workers chunks in flight, so ``chunks`` is read as it is used."""
+    if workers == 1:
+        yield from starmap(_mc_chunk, chunks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for args in chunks:
+            pending.append(pool.submit(_mc_chunk, *args))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def _mc_scan(cfg: SearchConfig, special: bool) -> SearchReport:
-    elems = cfg.ground.elements
     samples = cfg.samples
-    contiguous = elems == tuple(range(elems[0], elems[-1] + 1))
-    chunks = []
-    remaining = samples
-    index = 0
-    while remaining > 0:
-        take = min(_MC_CHUNK, remaining)
-        chunks.append((elems, contiguous, cfg.seed, index, take, special, cfg.hit_cap))
-        remaining -= take
-        index += 1
-    workers = _pool_size(cfg.threads, len(chunks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_worker, chunks, chunksize=1))
-    else:
-        results = [_mc_worker(args) for args in chunks]
+    workers = _pool_size(cfg.threads, -(-samples // _MC_CHUNK))
     hit_count = 0
     hit_masks: list[int] = []
-    for count, masks in results:  # merge in chunk order: deterministic
+    census = PairCensus(cfg.ground.elements)
+    for count, masks in _mc_results(_mc_chunks(cfg, census, special), workers):
         hit_count += count
-        for mask in masks:
-            if len(hit_masks) < cfg.hit_cap:
-                hit_masks.append(mask)
+        hit_masks += masks[: cfg.hit_cap - len(hit_masks)]
     hits = tuple(
-        IntSet(_select_bits(mask, elems), diameter_cap=None) for mask in hit_masks
+        IntSet(_select_bits(mask, cfg.ground.elements), diameter_cap=None) for mask in hit_masks
     )
     density = hit_count / samples
     stderr = math.sqrt(density * (1.0 - density) / samples)
@@ -329,10 +343,6 @@ def _mc_scan(cfg: SearchConfig, special: bool) -> SearchReport:
         exhausted=False,
         seed=cfg.seed,
     )
-
-
-def _mc_worker(args):
-    return _mc_chunk(*args)
 
 
 def _pool_size(threads: int, chunks: int) -> int:

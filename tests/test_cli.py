@@ -309,6 +309,10 @@ def test_capacity_error_exits_one(capsys):
     code, _, err = run(capsys, "expand", "0,2,3,4,7,11,12,14", "6")
     assert code == 1
     assert "error:" in err
+    # {0..1023} has 2^19 + 512 element pairs, past the Monte Carlo census cap
+    code, out, err = run(capsys, "density", "--n", "1023", "--samples", "10")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "error:" in err
 
 
 def _naive_sums(elements):

@@ -6,6 +6,7 @@ import os
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mstd import (
@@ -25,7 +26,8 @@ from mstd import (
     special_search,
     sum_diff_counts,
 )
-from mstd.search import _pool_size
+from mstd.search import _MC_CHUNK, _mc_chunk, _mc_chunks, _mc_results, _mc_scan, _pool_size
+from mstd.sets import PairCensus
 
 GROUND_15 = IntSet(range(15))
 
@@ -277,6 +279,130 @@ def test_monte_carlo_dilated_ground_same_hits():
     assert [tuple(2 * e for e in h.elements) for h in plain.hits] == [
         h.elements for h in dilated.hits
     ]
+
+
+def naive_monte_carlo(elems, samples, seed, special, hit_cap):
+    """(hit_count, hits) from the documented stream: chunk c draws
+    SeedSequence(seed, spawn_key=(c,)) bytes, sample k of the chunk is
+    bytes k * nbytes ... (k + 1) * nbytes read little-endian, and bit j
+    picks elems[j]; classified by pair enumeration."""
+    nbytes = (len(elems) + 7) // 8
+    hit_count, hits = 0, []
+    for chunk, start in enumerate(range(0, samples, 1 << 16)):
+        take = min(1 << 16, samples - start)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
+        buf = rng.bytes(nbytes * take)
+        for k in range(take):
+            mask = int.from_bytes(buf[k * nbytes : (k + 1) * nbytes], "little")
+            chosen = [e for j, e in enumerate(elems) if mask >> j & 1]
+            gap = len({a + b for a in chosen for b in chosen}) - len({a - b for a in chosen for b in chosen})
+            if gap > 0 and (not special or gap >= len(chosen)):
+                hit_count += 1
+                if len(hits) < hit_cap:
+                    hits.append(chosen)
+    return hit_count, hits
+
+
+MC_PRIMES = [p for p in range(2, 600) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+@pytest.mark.parametrize(
+    "elems, samples",
+    [
+        ((5,), 63),
+        ((0, 7), 65),
+        (CONWAY, 2049),
+        (CONWAY + (20,), (1 << 16) + 1),
+        (tuple(range(0, 128, 2)), 2049),
+        (tuple(MC_PRIMES[:65]), 2049),
+        (tuple(range(101)), 2049),
+        (tuple(MC_PRIMES[:101]), 1),
+    ],
+)
+def test_monte_carlo_matches_naive_recount(elems, samples):
+    for special in (False, True):
+        for seed, hit_cap in ((1, 1000), (8, 2)):
+            cfg = SearchConfig(
+                ground=IntSet(elems, diameter_cap=None), mode="monte-carlo",
+                samples=samples, seed=seed, hit_cap=hit_cap,
+            )
+            report = _mc_scan(cfg, special)
+            hit_count, hits = naive_monte_carlo(elems, samples, seed, special, hit_cap)
+            assert report.hit_count == hit_count
+            assert [list(h.elements) for h in report.hits] == hits
+            assert report.examined == samples
+            assert report.density_estimate == hit_count / samples
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 18])
+def test_census_of_every_subset_matches_lattice_count(n):
+    # every subset of {0..n-1} through the batched kernel, against the
+    # scalar lattice engine's count of the same power set
+    census = PairCensus(tuple(range(n)))
+    masks = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)[:, : census.nbytes]
+    mstd_count = 0
+    for start in range(0, 1 << n, census.block):
+        sc, dc, _ = census.counts(masks[start : start + census.block].tobytes())
+        mstd_count += int(np.count_nonzero(sc > dc))
+    lattice = exhaustive_search(SearchConfig(ground=IntSet(range(n))))
+    assert lattice.exhausted
+    assert mstd_count == lattice.hit_count > 0
+
+
+def test_monte_carlo_memory_independent_of_diameter():
+    # a two-element ground of diameter 2 * 10**6: nothing of the
+    # diameter's size may be built
+    cfg = SearchConfig(ground=IntSet((0, 2 * 10**6)), mode="monte-carlo", samples=10, seed=1)
+    tracemalloc.start()
+    try:
+        report = special_search(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.hit_count, report.examined) == (0, 10)
+    assert peak < 4 * 2**20
+
+
+def test_monte_carlo_chunks_are_lazy():
+    census = PairCensus(GROUND_15.elements)
+
+    def chunks(samples):
+        cfg = SearchConfig(ground=GROUND_15, mode="monte-carlo", samples=samples, seed=4, hit_cap=7)
+        return _mc_chunks(cfg, census, special=True)
+
+    # 10**15 samples are ~1.5e10 chunks; only the first few are built
+    first = list(itertools.islice(chunks(10**15), 3))
+    assert [c[2:5] for c in first] == [(0, _MC_CHUNK, True), (1, _MC_CHUNK, True), (2, _MC_CHUNK, True)]
+    assert first[0] == (census, 4, 0, _MC_CHUNK, True, 7)
+    for samples, sizes in (
+        (1, [1]),
+        (_MC_CHUNK, [_MC_CHUNK]),
+        (_MC_CHUNK + 1, [_MC_CHUNK, 1]),
+        (3 * _MC_CHUNK - 5, [_MC_CHUNK, _MC_CHUNK, _MC_CHUNK - 5]),
+    ):
+        built = list(chunks(samples))
+        assert [c[3] for c in built] == sizes
+        assert [c[2] for c in built] == list(range(len(sizes)))
+
+
+def test_pool_reads_chunks_as_it_uses_them():
+    # a pool keeps at most 2 * workers chunks in flight and yields their
+    # results in chunk order, so an endless descriptor stream is fine
+    census = PairCensus(GROUND_15.elements)
+    drawn = []
+
+    def endless():
+        for index in itertools.count():
+            drawn.append(index)
+            yield census, 3, index, 100, False, 10
+
+    results = _mc_results(endless(), 2)
+    try:
+        got = list(itertools.islice(results, 3))
+    finally:
+        results.close()
+    assert got == [_mc_chunk(census, 3, i, 100, False, 10) for i in range(3)]
+    assert len(drawn) <= 2 * 2 + 3
 
 
 # -- special search ----------------------------------------------------

@@ -16,6 +16,7 @@ from mstd import (
     sum_diff_counts,
     sumset,
 )
+from mstd.sets import PairCensus
 
 CONWAY_SET = IntSet(CONWAY)
 
@@ -157,6 +158,64 @@ def test_bits_and_pairs_kernels_agree():
                     {a + b for a in e for b in e}
                 )
                 assert list(diffset(s, kernel=kernel)) == sorted({a - b for a in e for b in e})
+    # bit-kernel masks wider than 4096 bits are decoded by numpy, not bit
+    # by bit: sparse and dense sets of diameter past 2048
+    wide = [
+        IntSet(rng.sample(range(30_000), 150)),
+        IntSet(rng.sample(range(2500), 400)),
+        IntSet([0, 2049, 2051]),
+    ]
+    for s in wide:
+        e = s.elements
+        for kernel in ("bits", "pairs"):
+            assert list(sumset(s, kernel=kernel).elements) == sorted({a + b for a in e for b in e})
+            assert list(diffset(s, kernel=kernel)) == sorted({a - b for a in e for b in e})
+
+
+def census_grounds():
+    """AP and non-AP grounds whose sizes straddle byte and word edges."""
+    primes = [p for p in range(2, 600) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    return [
+        (5,),
+        (0, 7),
+        CONWAY,
+        CONWAY + (20,),
+        tuple(range(0, 128, 2)),
+        tuple(primes[:65]),
+        tuple(range(101)),
+        tuple(10**12 + 3 * k for k in range(9)),
+        tuple(2**k for k in range(101)),  # all pair sums distinct, sums past 2**64
+    ]
+
+
+def test_pair_census_matches_naive_counts():
+    rng = random.Random(611)
+    for ground in census_grounds():
+        census = PairCensus(ground)
+        assert census.nbytes == (len(ground) + 7) // 8
+        for count in sorted({1, 63, 65, census.block}):
+            # random bytes also set the bits past the ground, which must be ignored
+            masks = rng.randbytes(count * census.nbytes)
+            sc, dc, size = census.counts(masks)
+            assert len(sc) == len(dc) == len(size) == count
+            for row in range(count):
+                mask = int.from_bytes(masks[row * census.nbytes : (row + 1) * census.nbytes], "little")
+                chosen = [e for j, e in enumerate(ground) if mask >> j & 1]
+                assert (sc[row], dc[row], size[row]) == (*naive_counts(chosen), len(chosen))
+
+
+def test_pair_census_bounds_its_memory():
+    # at most 2**11 subsets per block; a ground with many distinct pair
+    # sums and differences gets narrower blocks, never none
+    assert PairCensus(tuple(range(101))).block == 2048
+    assert PairCensus(tuple(range(1000))).block == 2048
+    assert PairCensus(tuple(2**k for k in range(101))).block == 768  # 10202 rows
+    sparse = sorted(random.Random(5).sample(range(10**9), 600))
+    assert PairCensus(sparse).block == 64  # ~360000 rows
+    # one index per pair of ground elements: 1023 elements fit, 1024 do not
+    assert PairCensus(tuple(range(1023))).n == 1023
+    with pytest.raises(CapacityError):
+        PairCensus(tuple(range(1024)))
 
 
 def test_bits_kernel_respects_capacity():
