@@ -58,12 +58,10 @@ _AUTO_BITS_PER_ELEMENT = 512
 # the lowest-bit loop is faster (Monte Carlo hits are ~100-bit masks).
 _WIDE_MASK_BITS = 4096
 
-# PairCensus memory.  Its row index arrays take 16 bytes per pair of
-# ground elements, and each block costs one AND per pair, so grounds
-# past 2**19 pairs (1023 elements) are refused.  A block holds at most
-# 2**11 subsets (32 words), fewer when the sum and difference tables
-# would pass 2**17 words (1 MB); they are counted by unpacking to one
-# byte per bit, at most 2**14 words (1 MB unpacked) at a time.
+# PairCensus memory: 16 bytes of row indices per pair of ground elements,
+# capped at 2**19 pairs (1023 elements); blocks of at most 2**11 subsets,
+# fewer when the tables would pass 2**17 words (1 MB); tables unpacked
+# one byte per bit for counting, at most 2**14 words (1 MB) at a time.
 _CENSUS_PAIRS_CAP = 1 << 19
 _CENSUS_WORDS = 32
 _CENSUS_TABLE_WORDS = 1 << 17

@@ -388,21 +388,22 @@ def test_monte_carlo_chunks_are_lazy():
 def test_pool_reads_chunks_as_it_uses_them():
     # a pool keeps at most 2 * workers chunks in flight and yields their
     # results in chunk order, so an endless descriptor stream is fine
-    census = PairCensus(GROUND_15.elements)
+    census = PairCensus(CONWAY + (20,))
     drawn = []
 
     def endless():
         for index in itertools.count():
             drawn.append(index)
-            yield census, 3, index, 100, False, 10
+            yield census, 3, index, 2000, False, 10
 
     results = _mc_results(endless(), 2)
     try:
-        got = list(itertools.islice(results, 3))
+        got = list(itertools.islice(results, 4))
     finally:
         results.close()
-    assert got == [_mc_chunk(census, 3, i, 100, False, 10) for i in range(3)]
-    assert len(drawn) <= 2 * 2 + 3
+    serial = [_mc_chunk(census, 3, i, 2000, False, 10) for i in range(4)]
+    assert got == serial and len({count for count, _ in serial}) > 1
+    assert len(drawn) <= 2 * 2 + 4
 
 
 # -- special search ----------------------------------------------------
