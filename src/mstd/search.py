@@ -254,6 +254,15 @@ def special_search(cfg: SearchConfig) -> SearchReport:
 
 # -- Monte Carlo ------------------------------------------------------
 
+def _mc_hits(sum_counts, diff_counts, sizes, special: bool) -> np.ndarray:
+    """``_is_hit`` elementwise on a census block: MSTD, and with
+    ``special`` also a gap of at least the size."""
+    hit = sum_counts > diff_counts
+    if special:
+        hit &= sum_counts - diff_counts >= sizes
+    return hit
+
+
 def _mc_chunk(
     census: PairCensus,
     seed: int,
@@ -281,10 +290,7 @@ def _mc_chunk(
     hit_masks: list[int] = []
     for start in range(0, count, census.block):
         sc, dc, size = census.counts(buf[start * nbytes : (start + census.block) * nbytes])
-        hit = sc > dc
-        if special:
-            hit &= sc - dc >= size
-        for row in np.flatnonzero(hit).tolist():
+        for row in np.flatnonzero(_mc_hits(sc, dc, size, special)).tolist():
             at = (start + row) * nbytes
             mask = int.from_bytes(buf[at : at + nbytes], "little") & full
             chosen = _select_bits(mask, census.elements)

@@ -25,8 +25,10 @@ a block of them bit-sliced (Biham 1997, "A fast new DES implementation
 in software") so that one uint64 word holds one element across 64
 subsets, and runs the pair enumeration on those words: one AND per pair
 of ground elements marks that pair's sum and difference in 64 subsets.
-Its rows are keyed by the ground's distinct pair sums and differences,
-so one form serves every ground, whatever its diameter or spacing.
+Its rows are keyed by the ground's distinct pair sums and differences;
+each left element finds its pairs' rows by binary search as a block is
+counted, so memory does not grow with the number of pairs and one form
+serves every ground, whatever its size, diameter or spacing.
 
 ``diameter_cap`` bounds only bit-vector allocation: 2 * diameter bits,
 as the vector is offset by min(A).  ``auto`` falls back to pairs when
@@ -54,15 +56,9 @@ DEFAULT_DIAMETER_CAP = 1 << 24
 # CPython 3.10; the exact constant only affects speed, never results).
 _AUTO_BITS_PER_ELEMENT = 512
 
-# Masks wider than this are decoded by numpy in linear time; below it
-# the lowest-bit loop is faster (Monte Carlo hits are ~100-bit masks).
-_WIDE_MASK_BITS = 4096
-
-# PairCensus memory: 16 bytes of row indices per pair of ground elements,
-# capped at 2**19 pairs (1023 elements); blocks of at most 2**11 subsets,
-# fewer when the tables would pass 2**17 words (1 MB); tables unpacked
-# one byte per bit for counting, at most 2**14 words (1 MB) at a time.
-_CENSUS_PAIRS_CAP = 1 << 19
+# PairCensus memory: blocks of at most 2**11 subsets, fewer when the
+# tables would pass 2**17 words (1 MB); tables unpacked one byte per bit
+# for counting, at most 2**14 words (1 MB) at a time.
 _CENSUS_WORDS = 32
 _CENSUS_TABLE_WORDS = 1 << 17
 _CENSUS_UNPACK_WORDS = 1 << 14
@@ -232,21 +228,15 @@ def _shift_or(base: int) -> tuple[int, int]:
 
 
 def _select_bits(mask: int, items: Sequence) -> tuple:
-    """``items[i]`` for every set bit i of ``mask``, in ascending i.
+    """``items[i]`` for every set bit i of ``mask``, in ascending i, in
+    time linear in the mask's width.
 
     With ``items`` a range this decodes the mask into shifted positions;
     with a ground tuple it maps an index mask to the chosen elements.
     """
-    if mask.bit_length() > _WIDE_MASK_BITS:
-        raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-        on = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
-        return tuple(map(items.__getitem__, on.tolist()))
-    out = []
-    while mask:
-        lsb = mask & -mask
-        out.append(items[lsb.bit_length() - 1])
-        mask ^= lsb
-    return tuple(out)
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    on = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+    return tuple(map(items.__getitem__, on.tolist()))
 
 
 def _bit_vector(elems: tuple[int, ...], kernel: str, diameter_cap: int | None) -> int | None:
@@ -290,6 +280,22 @@ def _pair_sets(elems: tuple[int, ...]) -> tuple[set[int], set[int]]:
     return sums, nonneg_diffs
 
 
+def _distinct_sets(elems: tuple[int, ...], kernel: str, diameter_cap: int | None) -> tuple[tuple, tuple]:
+    """A+A and the nonnegative half of A-A as sorted tuples, by the
+    kernel ``_bit_vector`` picks."""
+    base = _bit_vector(elems, kernel, diameter_cap)
+    if base is None:
+        sums, nonneg_diffs = _pair_sets(elems)
+        return tuple(sorted(sums)), tuple(sorted(nonneg_diffs))
+    smask, dmask = _shift_or(base)
+    # the difference mask is biased by the diameter, its top member bit
+    diameter = elems[-1] - elems[0]
+    return (
+        _select_bits(smask, range(2 * elems[0], 2 * elems[-1] + 1)),
+        _select_bits(dmask >> diameter, range(diameter + 1)),
+    )
+
+
 class PairCensus:
     """|A+A|, |A-A| and |A| for many subsets A of one ground at once.
 
@@ -297,31 +303,21 @@ class PairCensus:
     each (bit j set: ground element j is in the subset), the layout the
     Monte Carlo engine reads its random bytes in; bits past the ground
     are ignored.  ``counts`` takes up to ``block`` masks at a time.
+    Memory is the ground's distinct pair sums and differences and one
+    block's tables, never a table of its element pairs.
     """
 
     def __init__(self, elements: Sequence[int]):
         self.elements = tuple(elements)
-        self.n = len(elements)
+        self.n = len(self.elements)
         self.nbytes = (self.n + 7) // 8
-        pairs = self.n * (self.n + 1) // 2
-        if pairs > _CENSUS_PAIRS_CAP:
-            raise CapacityError(
-                f"batched census of {self.n} elements needs {pairs} pairs, cap is {_CENSUS_PAIRS_CAP}"
-            )
-        # For each left element i, the table rows of the pairs (i, j),
-        # j >= i.  Within one i the sums and differences are distinct,
-        # so OR-ing through a fancy index never drops an update.
-        sum_rows: dict[int, int] = {}
-        diff_rows: dict[int, int] = {}
-        self._rows = [
-            (
-                np.array([sum_rows.setdefault(a + b, len(sum_rows)) for b in elements[i:]], dtype=np.intp),
-                np.array([diff_rows.setdefault(b - a, len(diff_rows)) for b in elements[i:]], dtype=np.intp),
-            )
-            for i, a in enumerate(elements)
-        ]
-        self._tables = (len(sum_rows), len(diff_rows))
-        words = _CENSUS_TABLE_WORDS // (len(sum_rows) + len(diff_rows))
+        sums, nonneg_diffs = _distinct_sets(self.elements, "auto", DEFAULT_DIAMETER_CAP)
+        # Python ints past int64 stay exact as object arrays
+        dtype = np.int64 if 2 * self.elements[-1] < 1 << 63 else object
+        self._ground = np.array(self.elements, dtype=dtype)
+        self._sums = np.array(sums, dtype=dtype)
+        self._diffs = np.array(nonneg_diffs, dtype=dtype)
+        words = _CENSUS_TABLE_WORDS // (len(sums) + len(nonneg_diffs))
         self.block = 64 * max(1, min(_CENSUS_WORDS, words))
 
     def counts(self, masks: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -333,12 +329,15 @@ class PairCensus:
         flags[:, :count] = np.unpackbits(member, axis=1, count=self.n, bitorder="little").T
         # x[j, w] bit b: element j is in subset 64 * w + b
         x = np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
-        sums = np.zeros((self._tables[0], words), dtype=np.uint64)
-        diffs = np.zeros((self._tables[1], words), dtype=np.uint64)
-        for i, (sum_rows, diff_rows) in enumerate(self._rows):
+        sums = np.zeros((len(self._sums), words), dtype=np.uint64)
+        diffs = np.zeros((len(self._diffs), words), dtype=np.uint64)
+        ground = self._ground
+        for i in range(self.n):
+            # the pairs (i, j), j >= i: their sums and their differences
+            # each ascend strictly, so every row is updated at most once
             both = x[i] & x[i:]
-            sums[sum_rows] |= both
-            diffs[diff_rows] |= both
+            _or_rows(sums, self._sums.searchsorted(ground[i:] + ground[i]), both)
+            _or_rows(diffs, self._diffs.searchsorted(ground[i:] - ground[i]), both)
         # A-A is the nonnegative differences, mirrored about 0
         nonneg = _column_counts(diffs)[:count]
         return (
@@ -346,6 +345,16 @@ class PairCensus:
             np.maximum(2 * nonneg - 1, 0),
             flags.sum(axis=0, dtype=np.int64)[:count],
         )
+
+
+def _or_rows(table: np.ndarray, rows: np.ndarray, words: np.ndarray) -> None:
+    """``table[rows] |= words`` for distinct ascending ``rows``; a run of
+    consecutive rows (every row of an arithmetic progression) is OR-ed
+    in place as a slice."""
+    if rows[-1] - rows[0] == len(rows) - 1:
+        table[rows[0] : rows[-1] + 1] |= words
+    else:
+        table[rows] |= words
 
 
 def _column_counts(table: np.ndarray) -> np.ndarray:
@@ -381,24 +390,14 @@ def sumset(s: IntSet, kernel: str = "auto", diameter_cap: int | None = DEFAULT_D
     """A+A as an IntSet.  ``kernel`` and ``diameter_cap`` act as in
     ``sum_diff_counts``: the cap bounds only the bit vector (2 * diameter
     bits, offset by min), so only an explicit "bits" can fail."""
-    elems = s.elements
-    base = _bit_vector(elems, kernel, diameter_cap)
-    if base is None:
-        vals = sorted(_pair_sets(elems)[0])
-    else:
-        vals = _select_bits(_shift_or(base)[0], range(2 * s.min, 2 * s.max + 1))
-    return IntSet(vals, diameter_cap=None)
+    return IntSet(_distinct_sets(s.elements, kernel, diameter_cap)[0], diameter_cap=None)
 
 
 def diffset(s: IntSet, kernel: str = "auto", diameter_cap: int | None = DEFAULT_DIAMETER_CAP) -> tuple[int, ...]:
     """A-A as a sorted tuple (differences can be negative, so not an
     IntSet).  ``kernel`` and ``diameter_cap`` act as in ``sumset``."""
-    elems = s.elements
-    base = _bit_vector(elems, kernel, diameter_cap)
-    if base is None:
-        nonneg = sorted(_pair_sets(elems)[1])
-        return tuple(-d for d in reversed(nonneg[1:])) + tuple(nonneg)
-    return _select_bits(_shift_or(base)[1], range(-s.diameter, s.diameter + 1))
+    nonneg = _distinct_sets(s.elements, kernel, diameter_cap)[1]
+    return tuple(-d for d in reversed(nonneg[1:])) + nonneg
 
 
 def classify(

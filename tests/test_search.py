@@ -26,7 +26,9 @@ from mstd import (
     special_search,
     sum_diff_counts,
 )
-from mstd.search import _MC_CHUNK, _mc_chunk, _mc_chunks, _mc_results, _mc_scan, _pool_size
+from mstd.search import (
+    _MC_CHUNK, _is_hit, _mc_chunk, _mc_chunks, _mc_hits, _mc_results, _mc_scan, _pool_size,
+)
 from mstd.sets import PairCensus
 
 GROUND_15 = IntSet(range(15))
@@ -332,6 +334,30 @@ def test_monte_carlo_matches_naive_recount(elems, samples):
             assert [list(h.elements) for h in report.hits] == hits
             assert report.examined == samples
             assert report.density_estimate == hit_count / samples
+
+
+def test_monte_carlo_special_rule_at_its_boundary():
+    # random subsets of a test-sized ground are special far too rarely
+    # to reach gap == size by sampling, so the block rule is pinned on
+    # counts: a special hit needs a gap of at least the size
+    sc = np.array([26, 26, 26, 10, 9, 0])
+    dc = np.array([25, 18, 19, 2, 9, 0])
+    size = np.array([8, 8, 8, 9, 1, 0])  # gaps 1, 8, 7, 8, 0, 0
+    assert _mc_hits(sc, dc, size, special=False).tolist() == [True, True, True, True, False, False]
+    assert _mc_hits(sc, dc, size, special=True).tolist() == [False, True, False, False, False, False]
+    # on real sets it is the lattice engines' rule: S3 (gap 1951, size
+    # 512) stays special for two far appends and is MSTD only after three
+    sets = [(0, 1, 3), (0, 1, 2), CONWAY]
+    grown = base_expansion(IntSet(CONWAY), 3)
+    for _ in range(4):
+        sets.append(grown.elements)
+        grown = grown.with_element(2 * grown.total, diameter_cap=None)
+    counts = np.array([sum_diff_counts(e) for e in sets])
+    sizes = np.array([len(e) for e in sets])
+    for special in (False, True):
+        expected = [_is_hit(e, special) for e in sets]
+        assert _mc_hits(counts[:, 0], counts[:, 1], sizes, special).tolist() == expected
+    assert [_is_hit(e, True) for e in sets] == [False] * 3 + [True] * 3 + [False]
 
 
 @pytest.mark.parametrize("n", [15, 16, 17, 18])

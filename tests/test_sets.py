@@ -1,6 +1,7 @@
 """Core set arithmetic: sumsets, difference sets, classification."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -158,8 +159,7 @@ def test_bits_and_pairs_kernels_agree():
                     {a + b for a in e for b in e}
                 )
                 assert list(diffset(s, kernel=kernel)) == sorted({a - b for a in e for b in e})
-    # bit-kernel masks wider than 4096 bits are decoded by numpy, not bit
-    # by bit: sparse and dense sets of diameter past 2048
+    # wide bit-kernel masks: sparse and dense sets of diameter past 2048
     wide = [
         IntSet(rng.sample(range(30_000), 150)),
         IntSet(rng.sample(range(2500), 400)),
@@ -212,10 +212,24 @@ def test_pair_census_bounds_its_memory():
     assert PairCensus(tuple(2**k for k in range(101))).block == 768  # 10202 rows
     sparse = sorted(random.Random(5).sample(range(10**9), 600))
     assert PairCensus(sparse).block == 64  # ~360000 rows
-    # one index per pair of ground elements: 1023 elements fit, 1024 do not
-    assert PairCensus(tuple(range(1023))).n == 1023
-    with pytest.raises(CapacityError):
-        PairCensus(tuple(range(1024)))
+    # {0..2047} has 2**21 element pairs; no per-pair state is kept, so a
+    # full block's memory follows its 6143 distinct sums and differences
+    # (one 16-byte index per pair would be 32 MiB)
+    ground = tuple(range(2048))
+    masks = random.Random(7).randbytes(1344 * 256)
+    tracemalloc.start()
+    try:
+        census = PairCensus(ground)
+        sc, dc, size = census.counts(masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census.block == 1344
+    assert peak < 12 * 2**20
+    for row in range(3):
+        mask = int.from_bytes(masks[row * 256 : (row + 1) * 256], "little")
+        chosen = [e for e in ground if mask >> e & 1]
+        assert (sc[row], dc[row], size[row]) == (*sum_diff_counts(tuple(chosen)), len(chosen))
 
 
 def test_bits_kernel_respects_capacity():
