@@ -67,6 +67,11 @@ _GLOBAL_DEFAULTS = {
 }
 
 
+# Ranges in an integer list expand to at most this many integers in all,
+# checked before expanding: "0..1000000000" must not build 10^9 ints.
+INT_LIST_RANGE_CAP = 1 << 24
+
+
 def _int_list(text: str) -> list[int]:
     """Parse '1,2,3', 'lo..hi' (inclusive), or '@path' (one integer per line)."""
     try:
@@ -83,6 +88,8 @@ def _int_list(text: str) -> list[int]:
                 lo, hi = int(lo_text), int(hi_text)
                 if hi < lo:
                     raise ValueError(f"empty range {tok!r}")
+                if len(out) + hi - lo + 1 > INT_LIST_RANGE_CAP:
+                    raise ValueError(f"range {tok!r} would pass {INT_LIST_RANGE_CAP} integers")
                 out.extend(range(lo, hi + 1))
             else:
                 out.append(int(tok))

@@ -13,14 +13,21 @@ Three engines share one report shape:
 
 The lattice engines (exhaustive, special-exhaustive, minimality, and
 the prefix pass of ``sequences.certify_finitely_many``) share one
-budgeted loop, ``_scan``, fed a stream of candidate tuples; each run
-is one ``_scan`` call.  It counts each candidate toward the budget
-before any test, so a budget stop leaves ``examined`` equal to the
-budget; it then skips candidates below the diameter floor (they count
-as examined but are not classified), classifies the rest, and applies
-the hit cap and the first-hit stop.  The minimality stream chains its
-levels lazily in ascending objective order, so no list of levels is
-built.
+budgeted driver, ``_scan``; each run is one ``_scan`` call.  It is fed
+blocks of at most 2048 candidates, each an index array over one scan
+ground (the search's ground, or a minimality level's elements), with
+combinations drawn by ``np.fromiter`` from ``itertools.combinations``,
+so the scan order above is unchanged.  Every candidate counts toward
+the budget before any test, so a budget stop leaves ``examined`` equal
+to the budget.  Candidates below the diameter floor count as examined
+but are not classified; the rest of a block is classified at once by
+``sets.PairCensus`` when the ground has at most 64 elements, and row
+by row otherwise.  The budget, the hit cap and the first-hit stop then
+apply to the block's hit positions.  Under the min-max objective each
+cardinality of a level stops at its first candidate below the floor,
+a position ``_level`` computes from binomial counts.  The minimality
+stream chains its levels lazily in ascending objective order, so no
+list of levels is built.
 
 The Monte Carlo engine draws each chunk's samples as raw mask bytes and
 classifies them a block at a time with ``sets.PairCensus``, one
@@ -29,10 +36,13 @@ again by ``sum_diff_counts`` before it is kept.  Chunk descriptors are
 generated lazily, and a pool holds at most two chunks per worker in
 flight, merging results in chunk order.
 
-Every reported hit is re-classified before it is stored; engines never
-report a set they did not verify.  The only pruning rule, skipping
-subsets of diameter below 14, is itself established at runtime by an
-exhaustive scan (see ``min_mstd_diameter``) before any engine uses it.
+Every reported hit is re-classified by ``sum_diff_counts`` before it
+is stored, and so is the first candidate of every lattice census
+block: a census that disagrees with the scalar kernel raises instead
+of reporting.  Engines never report a set they did not verify.  The
+only pruning rule, skipping subsets of diameter below 14, is itself
+established at runtime by an exhaustive scan (see
+``min_mstd_diameter``) before any engine uses it.
 """
 
 from __future__ import annotations
@@ -40,15 +50,17 @@ from __future__ import annotations
 import heapq
 import math
 import os
+from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, combinations, starmap, takewhile
+from functools import cached_property
+from itertools import chain, combinations, islice, starmap, takewhile
 
 import numpy as np
 
 from .errors import DomainError
-from .sets import CONWAY, IntSet, PairCensus, _select_bits, sum_diff_counts
+from .sets import CONWAY, IntSet, PairCensus, _int_array, _select_bits, sum_diff_counts
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_MONTE_CARLO = "monte-carlo"
@@ -64,6 +76,13 @@ DEFAULT_BUDGET = 5_000_000
 DEFAULT_HIT_CAP = 1000
 
 _MC_CHUNK = 1 << 16
+
+# Lattice candidates per block: at most one census block.  The census
+# takes masks of at most 64 bits; wider grounds classify row by row.
+_BLOCK = 2048
+_CENSUS_WIDTH = 64
+# (scale, shift) pairs the minimality probe tests per batch of scales
+_PROBE_PAIRS = 1 << 14
 
 _diameter_floor_verified = False
 
@@ -183,29 +202,121 @@ def _is_hit(combo: tuple[int, ...], special: bool) -> bool:
     return sc > dc and (not special or sc - dc >= len(combo))
 
 
-def _scan(stream, budget, examined, special, hit_cap, first_hit):
-    """The one budgeted loop behind every lattice engine.
+def _census_hits(sum_counts, diff_counts, sizes, special: bool) -> np.ndarray:
+    """``_is_hit`` elementwise on a census block: MSTD, and with
+    ``special`` also a gap of at least the size."""
+    hit = sum_counts > diff_counts
+    if special:
+        hit &= sum_counts - diff_counts >= sizes
+    return hit
 
-    Each candidate tuple of ``stream`` counts toward ``budget`` before
-    any test; ``examined`` is the count carried in from earlier scans.
-    Candidates below the verified diameter floor count as examined but
-    are not classified.  Returns (hits, hit_count, examined, complete),
-    where complete means the stream ran dry: False after a budget stop
-    or a first-hit stop.
+
+def _recount(chosen: tuple[int, ...], sum_count, diff_count) -> None:
+    """Count ``chosen`` again with ``sum_diff_counts``; a census result
+    it disagrees with is an error, never a report."""
+    if sum_diff_counts(chosen) != (int(sum_count), int(diff_count)):
+        raise RuntimeError(f"batched census disagrees with sum_diff_counts on {chosen}")
+
+
+class _ScanGround:
+    """The ground of a lattice scan; its candidates are rows of indices
+    into ``elements``.  The census is built when a block first needs it."""
+
+    def __init__(self, elements: tuple[int, ...]):
+        self.elements = elements
+        self.values = _int_array(elements, elements[-1])
+
+    @cached_property
+    def census(self) -> PairCensus:
+        return PairCensus(self.elements)
+
+    def subset(self, row: np.ndarray) -> tuple[int, ...]:
+        return tuple(map(self.elements.__getitem__, row.tolist()))
+
+
+def _combination_rows(k: int, size: int, count: int | None = None):
+    """The first ``count`` (default: all) ``size``-combinations of
+    range(k) in lexicographic order, as index arrays of at most
+    ``_BLOCK`` nonempty rows."""
+    if size == 0:
+        yield np.zeros((1, 0), dtype=np.intp)
+        return
+    combos = islice(combinations(range(k), size), count)
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(combos, _BLOCK)), dtype=np.intp)
+        if not len(flat):
+            return
+        yield flat.reshape(-1, size)
+
+
+def _mask_bytes(rows: np.ndarray, nbytes: int) -> bytes:
+    """Index rows (indices below 64) as little-endian membership masks of
+    ``nbytes`` bytes each, the layout ``PairCensus.counts`` reads."""
+    masks = (np.uint64(1) << rows.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+    return masks.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes].tobytes()
+
+
+def _hit_rows(ground: _ScanGround, rows: np.ndarray, special: bool, floor: int) -> np.ndarray:
+    """Positions of the hits among ``rows``, ascending.
+
+    Rows of diameter below ``floor`` are not classified.  Grounds of at
+    most ``_CENSUS_WIDTH`` elements classify a block by census when it
+    has more rows than the ground has elements (a smaller block costs
+    less row by row); every census block counts its first row and each
+    hit again with ``sum_diff_counts``.  Other rows go through
+    ``_is_hit`` one by one.
+    """
+    if not rows.shape[1]:
+        return np.zeros(0, dtype=np.intp)
+    values = ground.values
+    wide = np.flatnonzero(values[rows[:, -1]] - values[rows[:, 0]] >= floor)
+    n = len(ground.elements)
+    if n > _CENSUS_WIDTH or len(wide) <= n:
+        return np.array(
+            [r for r in wide.tolist() if _is_hit(ground.subset(rows[r]), special)], dtype=np.intp
+        )
+    census = ground.census
+    found = []
+    for start in range(0, len(wide), census.block):
+        at = wide[start : start + census.block]
+        sc, dc, size = census.counts(_mask_bytes(rows[at], census.nbytes))
+        hit = np.flatnonzero(_census_hits(sc, dc, size, special))
+        for r in np.union1d(0, hit).tolist():
+            _recount(ground.subset(rows[at[r]]), sc[r], dc[r])
+        found.append(at[hit])
+    return np.concatenate(found)
+
+
+def _scan(blocks, budget, examined, special, hit_cap, first_hit):
+    """The one budgeted driver behind every lattice engine.
+
+    ``blocks`` yields (ground, rows) pairs: ``rows`` holds one nonempty
+    block of candidates, in scan order, as rows of indices into the
+    ``_ScanGround``.  Each candidate counts toward ``budget`` before any
+    test; ``examined`` is the count carried in from earlier scans.  The
+    rules apply to a block's hit positions: a budget stop cuts the block
+    at the budget, the hit cap keeps the first hits, and a first-hit
+    stop counts the block up to its first hit.  Returns (hits,
+    hit_count, examined, complete), where complete means the stream ran
+    dry: False after a budget stop or a first-hit stop.
     """
     floor = min_mstd_diameter()
     hits: list[IntSet] = []
     hit_count = 0
-    for combo in stream:
+    for ground, rows in blocks:
         if examined >= budget:
             return hits, hit_count, examined, False
-        examined += 1
-        if not combo or combo[-1] - combo[0] < floor or not _is_hit(combo, special):
-            continue
-        hit_count += 1
-        if len(hits) < hit_cap:
-            hits.append(IntSet(combo, diameter_cap=None))
-        if first_hit:
+        cut = len(rows) > budget - examined
+        rows = rows[: budget - examined]
+        at = _hit_rows(ground, rows, special, floor)
+        if first_hit and len(at):
+            at, cut = at[:1], True
+            rows = rows[: at[0] + 1]
+        hit_count += len(at)
+        room = hit_cap - len(hits)
+        hits += [IntSet(ground.subset(rows[r]), diameter_cap=None) for r in at[:room]]
+        examined += len(rows)
+        if cut:
             return hits, hit_count, examined, False
     return hits, hit_count, examined, True
 
@@ -213,11 +324,14 @@ def _scan(stream, budget, examined, special, hit_cap, first_hit):
 def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     elems = cfg.ground.elements
     hi_size = len(elems) if cfg.max_size is None else min(cfg.max_size, len(elems))
-    stream = chain.from_iterable(
-        combinations(elems, size) for size in range(cfg.min_size, hi_size + 1)
+    ground = _ScanGround(elems)
+    blocks = (
+        (ground, rows)
+        for size in range(cfg.min_size, hi_size + 1)
+        for rows in _combination_rows(len(elems), size)
     )
     hits, hit_count, examined, complete = _scan(
-        stream, cfg.budget, 0, special, cfg.hit_cap, cfg.objective == OBJECTIVE_FIRST_HIT
+        blocks, cfg.budget, 0, special, cfg.hit_cap, cfg.objective == OBJECTIVE_FIRST_HIT
     )
     return SearchReport(
         hits=tuple(hits),
@@ -229,6 +343,13 @@ def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
         seed=cfg.seed,
         pruning=(f"skip diameter < {min_mstd_diameter()}",),
     )
+
+
+def _prefix_blocks(terms: tuple[int, ...]):
+    """Blocks of the prefixes terms[:2], terms[:3], ... of a sorted
+    sequence, one candidate each, for ``_scan``."""
+    ground = _ScanGround(terms)
+    return ((ground, np.arange(j)[None, :]) for j in range(2, len(terms) + 1))
 
 
 def exhaustive_search(cfg: SearchConfig) -> SearchReport:
@@ -253,15 +374,6 @@ def special_search(cfg: SearchConfig) -> SearchReport:
 
 
 # -- Monte Carlo ------------------------------------------------------
-
-def _mc_hits(sum_counts, diff_counts, sizes, special: bool) -> np.ndarray:
-    """``_is_hit`` elementwise on a census block: MSTD, and with
-    ``special`` also a gap of at least the size."""
-    hit = sum_counts > diff_counts
-    if special:
-        hit &= sum_counts - diff_counts >= sizes
-    return hit
-
 
 def _mc_chunk(
     census: PairCensus,
@@ -290,12 +402,10 @@ def _mc_chunk(
     hit_masks: list[int] = []
     for start in range(0, count, census.block):
         sc, dc, size = census.counts(buf[start * nbytes : (start + census.block) * nbytes])
-        for row in np.flatnonzero(_mc_hits(sc, dc, size, special)).tolist():
+        for row in np.flatnonzero(_census_hits(sc, dc, size, special)).tolist():
             at = (start + row) * nbytes
             mask = int.from_bytes(buf[at : at + nbytes], "little") & full
-            chosen = _select_bits(mask, census.elements)
-            if sum_diff_counts(chosen) != (int(sc[row]), int(dc[row])):
-                raise RuntimeError(f"batched census disagrees with sum_diff_counts on {chosen}")
+            _recount(_select_bits(mask, census.elements), sc[row], dc[row])
             hit_count += 1
             if len(hit_masks) < want_hits:
                 hit_masks.append(mask)
@@ -417,8 +527,6 @@ def minimal_mstd_in(
     elems = ground.elements
     floor = min_mstd_diameter()
     pruning = (f"skip diameter < {floor}", "dilated minimal-pattern probe")
-    ground_lookup = set(elems)
-    examined = 0
     hits: list[IntSet] = []
 
     def value_of(elements: tuple[int, ...]) -> int:
@@ -428,18 +536,14 @@ def minimal_mstd_in(
 
     # Probe: affine images of the minimal pattern inside the ground.
     best: IntSet | None = None
-    for scale in range(1, ground.diameter // floor + 1):
-        for shift in elems:
-            if shift + floor * scale > elems[-1] or examined >= budget:
-                break
-            cand = tuple(shift + c * scale for c in CONWAY)
-            examined += 1
-            if all(v in ground_lookup for v in cand) and _is_hit(cand, special=False):
-                hit = IntSet(cand, diameter_cap=None)
-                if len(hits) < hit_cap:
-                    hits.append(hit)
-                if best is None or value_of(cand) < value_of(best.elements):
-                    best = hit
+    examined, images = _probe(elems, floor, budget)
+    for cand in images:
+        if _is_hit(cand, special=False):
+            hit = IntSet(cand, diameter_cap=None)
+            if len(hits) < hit_cap:
+                hits.append(hit)
+            if best is None or value_of(cand) < value_of(best.elements):
+                best = hit
 
     bound = None if best is None else value_of(best.elements)
     if objective == OBJECTIVE_MIN_MAX:
@@ -474,26 +578,68 @@ def minimal_mstd_in(
     )
 
 
+def _probe(elems, floor, budget):
+    """(pairs tried, in-ground images) of the probe over dilations
+    shift + c * scale of the minimal pattern.
+
+    Pairs run in (scale, shift) order, shifts ascending through the
+    ground while the image's top stays in it, and stop after ``budget``
+    pairs; every pair counts, in the ground or not.  Membership is one
+    ``searchsorted`` over every image of a batch of consecutive scales.
+    """
+    values = _int_array(elems, elems[-1])
+    pattern = np.array(CONWAY)
+    top = elems[-1]
+    last = (top - elems[0]) // floor
+    tried = 0
+    images: list[tuple[int, ...]] = []
+    scale = 1
+    while scale <= last and tried < budget:
+        batch = max(1, _PROBE_PAIRS // bisect_right(elems, top - floor * scale))
+        scales = np.array(range(scale, min(scale + batch, last + 1)), dtype=values.dtype)
+        counts = values.searchsorted(top - floor * scales, side="right")
+        ends = np.cumsum(counts)
+        take = min(int(ends[-1]), budget - tried)
+        scale_of = np.repeat(scales, counts)[:take]
+        shift_of = values[np.arange(take) - np.repeat(ends - counts, counts)[:take]]
+        image = shift_of[:, None] + scale_of[:, None] * pattern
+        inside = (values[values.searchsorted(image)] == image).all(axis=1)
+        images += map(tuple, image[inside].tolist())
+        tried += take
+        scale += len(scales)
+    return tried, images
+
+
 def _level(elems, objective, where, floor):
-    """Candidates of one minimality level, in scan order.
+    """Blocks of one minimality level, in scan order.
 
     A level fixes the subset's max element (min-max objective: level m
     is elems[m] plus any subset of the elements below it) or both
     endpoints (min-diameter: level (i, j) is elems[i], elems[j] plus any
-    subset of the elements between them).  Candidates ascend by
-    cardinality, lexicographic within; combinations stream in
-    nondecreasing first-element order, so the candidate that breaks the
-    diameter floor is the last of its cardinality block: it is yielded
-    (and counted as examined), the rest of the block is skipped.
+    subset of the elements between them), and its elements are the
+    scan ground.  Candidates ascend by cardinality, lexicographic
+    within.  Under min-max, a candidate whose least element lies within
+    ``floor`` of the top has diameter below the floor, and so has every
+    later candidate of its cardinality: the first such candidate is the
+    last one streamed (it counts as examined and is not classified).
+    Counted in bulk, that is C(k, s) - C(k - t, s) candidates of size s,
+    plus one when C(k - t, s) > 0, for k interior elements of which the
+    first t lie at least ``floor`` below the top.
     """
     if objective == OBJECTIVE_MIN_MAX:
-        head, interior, tail = (), elems[:where], (elems[where],)
+        level = elems[: where + 1]
+        lead, k = 0, where
+        t = bisect_right(level, level[-1] - floor, 0, k)
     else:
         i, j = where
-        head, interior, tail = (elems[i],), elems[i + 1 : j], (elems[j],)
-    for size in range(len(interior) + 1):
-        for combo in combinations(interior, size):
-            cand = head + combo + tail
-            yield cand
-            if cand[-1] - cand[0] < floor:
-                break  # later candidates start no lower
+        level = elems[i : j + 1]
+        lead, k = 1, j - i - 1
+        t = k  # every candidate spans the level's diameter, at least the floor
+    ground = _ScanGround(level)
+    for size in range(k + 1):
+        near = math.comb(k - t, size)
+        for rows in _combination_rows(k, size, math.comb(k, size) - near + (near > 0)):
+            framed = np.zeros((len(rows), lead + size + 1), dtype=np.intp)
+            framed[:, lead:-1] = rows + lead
+            framed[:, -1] = len(level) - 1
+            yield ground, framed

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .search import SearchConfig, _scan, exhaustive_search, special_search
+from .search import SearchConfig, _prefix_blocks, _scan, exhaustive_search, special_search
 from .sets import IntSet, sum_diff_counts
 
 KIND_FIBONACCI = "fibonacci"
@@ -465,8 +465,7 @@ def certify_finitely_many(
     terms = materialize(spec, upto)
     growth = check_growth(spec, 3, upto, start=start)
 
-    prefixes = (tuple(terms[:j]) for j in range(2, upto + 1))
-    found, _, examined, _ = _scan(prefixes, special_search_budget, 0, True, 1, True)
+    found, _, examined, _ = _scan(_prefix_blocks(tuple(terms)), special_search_budget, 0, True, 1, True)
     witness = found[0] if found else None
 
     window = 0

@@ -312,11 +312,10 @@ class PairCensus:
         self.n = len(self.elements)
         self.nbytes = (self.n + 7) // 8
         sums, nonneg_diffs = _distinct_sets(self.elements, "auto", DEFAULT_DIAMETER_CAP)
-        # Python ints past int64 stay exact as object arrays
-        dtype = np.int64 if 2 * self.elements[-1] < 1 << 63 else object
-        self._ground = np.array(self.elements, dtype=dtype)
-        self._sums = np.array(sums, dtype=dtype)
-        self._diffs = np.array(nonneg_diffs, dtype=dtype)
+        top = 2 * self.elements[-1]
+        self._ground = _int_array(self.elements, top)
+        self._sums = _int_array(sums, top)
+        self._diffs = _int_array(nonneg_diffs, top)
         words = _CENSUS_TABLE_WORDS // (len(sums) + len(nonneg_diffs))
         self.block = 64 * max(1, min(_CENSUS_WORDS, words))
 
@@ -345,6 +344,13 @@ class PairCensus:
             np.maximum(2 * nonneg - 1, 0),
             flags.sum(axis=0, dtype=np.int64)[:count],
         )
+
+
+def _int_array(values: Sequence[int], top: int) -> np.ndarray:
+    """``values`` as int64, or as exact Python ints (an object array)
+    when ``top``, the largest value to be computed from them, passes
+    int64."""
+    return np.array(values, dtype=np.int64 if top < 1 << 63 else object)
 
 
 def _or_rows(table: np.ndarray, rows: np.ndarray, words: np.ndarray) -> None:

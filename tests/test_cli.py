@@ -1,9 +1,11 @@
 """CLI surface: parsing, output formats, exit codes, reproducibility."""
 
 import json
+import tracemalloc
 
 import pytest
 
+from mstd import cli
 from mstd.cli import main
 
 
@@ -426,6 +428,34 @@ def test_missing_argument_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify"])
     assert exc.value.code == 2
+
+
+def test_huge_range_exits_two_before_expanding(capsys, monkeypatch):
+    def bounded_range(*args):
+        # a range past the cap is never built, even if the guard breaks
+        assert len(range(*args)) <= cli.INT_LIST_RANGE_CAP
+        return range(*args)
+
+    monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--ground", "0..1000000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert len(err.strip().splitlines()) == 1 and "0..1000000000" in err
+    assert peak < 2**20
+    # ranges count together, and a list of exactly the cap is allowed
+    monkeypatch.setattr(cli, "INT_LIST_RANGE_CAP", 10)
+    assert cli._int_list("0..9") == list(range(10))
+    assert cli._int_list("0..4,20,6..9") == [0, 1, 2, 3, 4, 20, 6, 7, 8, 9]
+    for text in ("0..10", "0..4,5..10", "3,0..9"):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", text])
+        assert exc.value.code == 2
 
 
 def test_malformed_set_exits_two(capsys):

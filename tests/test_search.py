@@ -1,5 +1,6 @@
 """Exhaustive enumeration, Monte Carlo density, minimality search."""
 
+import functools
 import itertools
 import math
 import os
@@ -26,8 +27,10 @@ from mstd import (
     special_search,
     sum_diff_counts,
 )
+from mstd import search
 from mstd.search import (
-    _MC_CHUNK, _is_hit, _mc_chunk, _mc_chunks, _mc_hits, _mc_results, _mc_scan, _pool_size,
+    _BLOCK, _MC_CHUNK, _census_hits, _is_hit, _level, _mc_chunk, _mc_chunks, _mc_results, _mc_scan,
+    _pool_size, _scan,
 )
 from mstd.sets import PairCensus
 
@@ -216,6 +219,202 @@ def test_first_hit_is_first_count_all_hit(ground, lo, hi):
         assert (first.hit_count, first.examined, first.exhausted) == (0, len(order), True)
 
 
+# -- the block driver against the tuple stream it replaced ------------
+
+FLOOR = 14
+MIN_MAX, MIN_DIAMETER = "minimize-max-element", "minimize-diameter"
+
+
+@functools.lru_cache(maxsize=None)
+def naive_hit(combo, special):
+    gap = len({a + b for a in combo for b in combo}) - len({a - b for a in combo for b in combo})
+    return gap > 0 and (not special or gap >= len(combo))
+
+
+def reference_level(elems, objective, where):
+    """A minimality level as the tuple stream the scan once consumed."""
+    if objective == MIN_MAX:
+        head, interior, tail = (), elems[:where], (elems[where],)
+    else:
+        i, j = where
+        head, interior, tail = (elems[i],), elems[i + 1 : j], (elems[j],)
+    for size in range(len(interior) + 1):
+        for combo in itertools.combinations(interior, size):
+            cand = head + combo + tail
+            yield cand
+            if cand[-1] - cand[0] < FLOOR:
+                break
+
+
+def reference_scan(stream, budget, examined, special, hit_cap, first_hit):
+    """The per-tuple loop the block driver replaced, on naive counts."""
+    hits, hit_count = [], 0
+    for combo in stream:
+        if examined >= budget:
+            return hits, hit_count, examined, False
+        examined += 1
+        if not combo or combo[-1] - combo[0] < FLOOR or not naive_hit(combo, special):
+            continue
+        hit_count += 1
+        if len(hits) < hit_cap:
+            hits.append(combo)
+        if first_hit:
+            return hits, hit_count, examined, False
+    return hits, hit_count, examined, True
+
+
+def reference_minimal(elems, objective, budget):
+    """minimal_mstd_in as (hits, examined, exhausted, objective value),
+    from the per-pair probe and the tuple stream."""
+    value = (lambda c: c[-1]) if objective == MIN_MAX else (lambda c: c[-1] - c[0])
+    hits, examined, best = [], 0, None
+    for scale in range(1, (elems[-1] - elems[0]) // FLOOR + 1):
+        for shift in elems:
+            if shift + FLOOR * scale > elems[-1] or examined >= budget:
+                break
+            examined += 1
+            cand = tuple(shift + c * scale for c in CONWAY)
+            if set(cand) <= set(elems) and naive_hit(cand, False):
+                hits.append(cand)
+                best = cand if best is None or value(cand) < value(best) else best
+    if objective == MIN_MAX:
+        levels = sorted((e, m) for m, e in enumerate(elems))
+    else:
+        levels = sorted((b - a, (i, j)) for i, a in enumerate(elems) for j, b in enumerate(elems) if i < j)
+    stream = itertools.chain.from_iterable(
+        reference_level(elems, objective, where) for v, where in levels
+        if FLOOR <= v and (best is None or v < value(best))
+    )
+    found, _, examined, complete = reference_scan(stream, budget, examined, False, 1, True)
+    best = found[0] if found else best
+    return hits + found, examined, bool(found) or complete, None if best is None else value(best)
+
+
+def budgets_around(stream_length, edges, rng):
+    """Budgets at, and one either side of, every given edge, the stream's
+    end, and a few random points."""
+    marks = {1, stream_length, *edges, *(rng.randrange(1, stream_length + 1) for _ in range(4))}
+    return sorted({b for m in marks for b in (m - 1, m, m + 1) if b >= 1})
+
+
+def conway_ground(rng, extra, span):
+    """A Conway image plus ``extra`` random elements below ``span``."""
+    shift = rng.randrange(4)
+    image = {c + shift for c in CONWAY}
+    return tuple(sorted(image | set(rng.sample(sorted(set(range(span)) - image), extra))))
+
+
+def assert_matches_reference(report, expected):
+    hits, hit_count, examined, complete = expected
+    assert [h.elements for h in report.hits] == hits
+    assert (report.hit_count, report.examined, report.exhausted) == (hit_count, examined, complete)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lattice_blocks_match_the_tuple_stream(seed):
+    rng = random.Random(seed)
+    elems = conway_ground(rng, 7, 30)
+    lo, hi = [(0, len(elems)), (7, 9), (8, 8)][seed]
+    stream = [c for k in range(lo, hi + 1) for c in itertools.combinations(elems, k)]
+    # block edges: every size starts a block, and a block holds _BLOCK rows
+    edges = list(itertools.accumulate(
+        min(_BLOCK, math.comb(len(elems), k) - start)
+        for k in range(lo, hi + 1) for start in range(0, math.comb(len(elems), k), _BLOCK)
+    ))
+    full_blocks = [b for a, b in zip([0] + edges, edges) if b - a == _BLOCK]
+    assert full_blocks
+    for budget in budgets_around(len(stream), full_blocks[:1] + rng.sample(edges, 3), rng):
+        for special, run in ((False, exhaustive_search), (True, special_search)):
+            for objective, hit_cap in (("count-all", 1000), ("count-all", 5), ("first-hit", 1), ("count-all", 1)):
+                cfg = SearchConfig(ground=IntSet(elems), min_size=lo, max_size=hi, budget=budget,
+                                   objective=objective, hit_cap=hit_cap)
+                expected = reference_scan(stream, budget, 0, special, hit_cap, objective == "first-hit")
+                assert_matches_reference(run(cfg), expected)
+
+
+@pytest.mark.parametrize("objective", [MIN_MAX, MIN_DIAMETER])
+def test_level_blocks_match_the_tuple_stream(objective):
+    rng = random.Random(5)
+    elems = conway_ground(rng, 7, 30)
+    if objective == MIN_MAX:
+        levels = [m for m, e in enumerate(elems) if e >= FLOOR]
+    else:
+        levels = [w for _, w in sorted((b - a, (i, j)) for i, a in enumerate(elems)
+                                       for j, b in enumerate(elems) if b - a >= FLOOR)]
+    stream = [c for w in levels for c in reference_level(elems, objective, w)]
+    floor_breaks = [p + 1 for p, c in enumerate(stream) if c[-1] - c[0] < FLOOR]
+    assert floor_breaks or objective == MIN_DIAMETER
+    sizes = [len(rows) for w in levels for _, rows in _level(elems, objective, w, FLOOR)]
+    assert sum(sizes) == len(stream) and (max(sizes) == _BLOCK or objective == MIN_DIAMETER)
+    largest = list(itertools.accumulate(sizes))[sizes.index(max(sizes))]  # the end of the largest block
+    for budget in budgets_around(len(stream), rng.sample(floor_breaks, min(4, len(floor_breaks))) + [largest], rng):
+        for hit_cap, first_hit in ((1000, False), (5, False), (1, True)):
+            blocks = itertools.chain.from_iterable(_level(elems, objective, w, FLOOR) for w in levels)
+            hits, hit_count, examined, complete = _scan(blocks, budget, 0, False, hit_cap, first_hit)
+            expected = reference_scan(stream, budget, 0, False, hit_cap, first_hit)
+            assert ([h.elements for h in hits], hit_count, examined, complete) == expected
+
+
+@pytest.mark.parametrize(
+    "elems",
+    [
+        conway_ground(random.Random(11), 6, 26),
+        conway_ground(random.Random(12), 8, 40),
+        tuple(materialize(SequenceSpec.fibonacci(), 30)),  # sparse: many scales per probe batch
+        tuple(2**64 + e for e in range(30)),  # past int64
+    ],
+    ids=["dense", "sparse", "fibonacci", "past-int64"],
+)
+@pytest.mark.parametrize("objective", [MIN_MAX, MIN_DIAMETER])
+def test_minimal_matches_the_reference_search(elems, objective):
+    most = 50_000
+    full = reference_minimal(elems, objective, most)
+    for budget in sorted({1, 2, 17, 600, full[1] - 1, full[1], most} - {0}):
+        report = minimal_mstd_in(IntSet(elems, diameter_cap=None), objective=objective, budget=budget)
+        hits, examined, exhausted, value = reference_minimal(elems, objective, budget)
+        assert [h.elements for h in report.hits] == hits
+        assert (report.examined, report.exhausted, report.objective_value) == (examined, exhausted, value)
+    if len(elems) <= 16:
+        assert report.exhausted and report.objective_value == _brute_optimum(elems, objective)
+
+
+@pytest.mark.parametrize(
+    "elems",
+    [
+        base_expansion(IntSet(CONWAY), 2).elements,  # 64 elements: census
+        base_expansion(IntSet(CONWAY), 2).elements + (10**4,),  # 65: row by row
+        tuple(2 ** (10 * i) for i in range(20)),  # past int64, no MSTD subset
+        tuple(2**70 + 2**64 * i for i in CONWAY + tuple(range(15, 27))),  # past int64, with hits
+    ],
+    ids=["width-64", "width-65", "powers-past-int64", "conway-past-int64"],
+)
+def test_lattice_blocks_on_wide_and_huge_grounds(elems):
+    lo, hi = (7, 9) if 2**10 in elems else (8, 8)
+    stream = list(itertools.islice((c for k in range(lo, hi + 1) for c in itertools.combinations(elems, k)), 5000))
+    assert any(naive_hit(c, False) for c in stream) is (2**10 not in elems)
+    for budget in (2047, 2048, 2049, 4999):
+        for special, run in ((False, exhaustive_search), (True, special_search)):
+            for objective, hit_cap in (("count-all", 5), ("first-hit", 1)):
+                cfg = SearchConfig(ground=IntSet(elems, diameter_cap=None), min_size=lo, max_size=hi,
+                                   budget=budget, objective=objective, hit_cap=hit_cap)
+                expected = reference_scan(stream, budget, 0, special, hit_cap, objective == "first-hit")
+                assert_matches_reference(run(cfg), expected)
+
+
+def test_census_blocks_are_spot_checked(monkeypatch):
+    # a kernel that counts one sum too many makes every size-6 subset of
+    # this ground look balanced or better, and none is MSTD: only the
+    # recount of each block's first row can notice
+    ground = IntSet((0, 1, 2, 3, 4, 5, 12, 13, 14, 15, 16, 17))
+    min_mstd_diameter()  # the floor scan runs before the fault
+    honest = search.sum_diff_counts
+    monkeypatch.setattr(search, "sum_diff_counts", lambda elems, *a, **k: (honest(elems)[0] + 1, honest(elems)[1]))
+    with pytest.raises(RuntimeError, match="disagrees with sum_diff_counts"):
+        exhaustive_search(SearchConfig(ground=ground, min_size=6, max_size=6))
+    monkeypatch.undo()
+    assert exhaustive_search(SearchConfig(ground=ground, min_size=6, max_size=6)).hit_count == 0
+
+
 # -- monte carlo -------------------------------------------------------
 
 def test_density_of_short_interval_is_zero():
@@ -343,8 +542,8 @@ def test_monte_carlo_special_rule_at_its_boundary():
     sc = np.array([26, 26, 26, 10, 9, 0])
     dc = np.array([25, 18, 19, 2, 9, 0])
     size = np.array([8, 8, 8, 9, 1, 0])  # gaps 1, 8, 7, 8, 0, 0
-    assert _mc_hits(sc, dc, size, special=False).tolist() == [True, True, True, True, False, False]
-    assert _mc_hits(sc, dc, size, special=True).tolist() == [False, True, False, False, False, False]
+    assert _census_hits(sc, dc, size, special=False).tolist() == [True, True, True, True, False, False]
+    assert _census_hits(sc, dc, size, special=True).tolist() == [False, True, False, False, False, False]
     # on real sets it is the lattice engines' rule: S3 (gap 1951, size
     # 512) stays special for two far appends and is MSTD only after three
     sets = [(0, 1, 3), (0, 1, 2), CONWAY]
@@ -356,23 +555,29 @@ def test_monte_carlo_special_rule_at_its_boundary():
     sizes = np.array([len(e) for e in sets])
     for special in (False, True):
         expected = [_is_hit(e, special) for e in sets]
-        assert _mc_hits(counts[:, 0], counts[:, 1], sizes, special).tolist() == expected
+        assert _census_hits(counts[:, 0], counts[:, 1], sizes, special).tolist() == expected
     assert [_is_hit(e, True) for e in sets] == [False] * 3 + [True] * 3 + [False]
 
 
 @pytest.mark.parametrize("n", [15, 16, 17, 18])
 def test_census_of_every_subset_matches_lattice_count(n):
     # every subset of {0..n-1} through the batched kernel, against the
-    # scalar lattice engine's count of the same power set
+    # scalar bit kernel's count of the same power set (the lattice engine
+    # runs the census too, so it is no independent check by itself)
     census = PairCensus(tuple(range(n)))
     masks = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)[:, : census.nbytes]
     mstd_count = 0
     for start in range(0, 1 << n, census.block):
         sc, dc, _ = census.counts(masks[start : start + census.block].tobytes())
         mstd_count += int(np.count_nonzero(sc > dc))
+    scalar = 0
+    for k in range(1, n + 1):
+        for combo in itertools.combinations(range(n), k):
+            sc, dc = sum_diff_counts(combo, kernel="bits")
+            scalar += sc > dc
     lattice = exhaustive_search(SearchConfig(ground=IntSet(range(n))))
     assert lattice.exhausted
-    assert mstd_count == lattice.hit_count > 0
+    assert mstd_count == scalar == lattice.hit_count > 0
 
 
 def test_monte_carlo_memory_independent_of_diameter():
