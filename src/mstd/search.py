@@ -81,6 +81,7 @@ _MC_CHUNK = 1 << 16
 # takes masks of at most 64 bits; wider grounds classify row by row.
 _BLOCK = 2048
 _CENSUS_WIDTH = 64
+_BITS = np.uint64(1) << np.arange(_CENSUS_WIDTH, dtype=np.uint64)
 # (scale, shift) pairs the minimality probe tests per batch of scales
 _PROBE_PAIRS = 1 << 14
 
@@ -234,25 +235,26 @@ class _ScanGround:
         return tuple(map(self.elements.__getitem__, row.tolist()))
 
 
-def _combination_rows(k: int, size: int, count: int | None = None):
+def _combination_rows(pool: range, size: int, count: int | None = None):
     """The first ``count`` (default: all) ``size``-combinations of
-    range(k) in lexicographic order, as index arrays of at most
-    ``_BLOCK`` nonempty rows."""
-    if size == 0:
-        yield np.zeros((1, 0), dtype=np.intp)
-        return
-    combos = islice(combinations(range(k), size), count)
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(combos, _BLOCK)), dtype=np.intp)
-        if not len(flat):
-            return
-        yield flat.reshape(-1, size)
+    ``pool`` in lexicographic order, as index arrays of at most
+    ``_BLOCK`` rows, in a dtype that holds ``pool.stop``."""
+    if count is None:
+        count = math.comb(len(pool), size)
+    dtype = np.uint8 if pool.stop < 256 else np.intp
+    combos = combinations(pool, size)
+    for start in range(0, count, _BLOCK):
+        rows = min(_BLOCK, count - start)
+        flat = np.fromiter(chain.from_iterable(islice(combos, rows)), dtype=dtype, count=rows * size)
+        yield flat.reshape(rows, size)
 
 
 def _mask_bytes(rows: np.ndarray, nbytes: int) -> bytes:
     """Index rows (indices below 64) as little-endian membership masks of
     ``nbytes`` bytes each, the layout ``PairCensus.counts`` reads."""
-    masks = (np.uint64(1) << rows.astype(np.uint64)).sum(axis=1, dtype=np.uint64)
+    masks = np.zeros(len(rows), dtype=np.uint64)
+    for column in rows.T:
+        masks |= _BITS[column]
     return masks.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes].tobytes()
 
 
@@ -279,9 +281,9 @@ def _hit_rows(ground: _ScanGround, rows: np.ndarray, special: bool, floor: int) 
     found = []
     for start in range(0, len(wide), census.block):
         at = wide[start : start + census.block]
-        sc, dc, size = census.counts(_mask_bytes(rows[at], census.nbytes))
+        sc, dc, size = census.counts(_mask_bytes(rows[at] if len(at) < len(rows) else rows, census.nbytes))
         hit = np.flatnonzero(_census_hits(sc, dc, size, special))
-        for r in np.union1d(0, hit).tolist():
+        for r in sorted({0, *hit.tolist()}):
             _recount(ground.subset(rows[at[r]]), sc[r], dc[r])
         found.append(at[hit])
     return np.concatenate(found)
@@ -328,7 +330,7 @@ def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     blocks = (
         (ground, rows)
         for size in range(cfg.min_size, hi_size + 1)
-        for rows in _combination_rows(len(elems), size)
+        for rows in _combination_rows(range(len(elems)), size)
     )
     hits, hit_count, examined, complete = _scan(
         blocks, cfg.budget, 0, special, cfg.hit_cap, cfg.objective == OBJECTIVE_FIRST_HIT
@@ -638,8 +640,8 @@ def _level(elems, objective, where, floor):
     ground = _ScanGround(level)
     for size in range(k + 1):
         near = math.comb(k - t, size)
-        for rows in _combination_rows(k, size, math.comb(k, size) - near + (near > 0)):
-            framed = np.zeros((len(rows), lead + size + 1), dtype=np.intp)
-            framed[:, lead:-1] = rows + lead
+        for rows in _combination_rows(range(lead, lead + k), size, math.comb(k, size) - near + (near > 0)):
+            framed = np.zeros((len(rows), lead + size + 1), dtype=rows.dtype)  # column 0: the left end
+            framed[:, lead:-1] = rows
             framed[:, -1] = len(level) - 1
             yield ground, framed

@@ -58,10 +58,11 @@ _AUTO_BITS_PER_ELEMENT = 512
 
 # PairCensus memory: blocks of at most 2**11 subsets, fewer when the
 # tables would pass 2**17 words (1 MB); tables unpacked one byte per bit
-# for counting, at most 2**14 words (1 MB) at a time.
+# for counting, at most 2**11 words (128 KiB) at a time, which keeps a
+# lattice block's peak memory near its tables' size.
 _CENSUS_WORDS = 32
 _CENSUS_TABLE_WORDS = 1 << 17
-_CENSUS_UNPACK_WORDS = 1 << 14
+_CENSUS_UNPACK_WORDS = 1 << 11
 
 VERDICT_MSTD = "mstd"
 VERDICT_BALANCED = "balanced"
