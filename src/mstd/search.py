@@ -281,7 +281,7 @@ def _hit_rows(ground: _ScanGround, rows: np.ndarray, special: bool, floor: int) 
     found = []
     for start in range(0, len(wide), census.block):
         at = wide[start : start + census.block]
-        sc, dc, size = census.counts(_mask_bytes(rows[at] if len(at) < len(rows) else rows, census.nbytes))
+        sc, dc, size = census.counts(_mask_bytes(rows[at], census.nbytes))
         hit = np.flatnonzero(_census_hits(sc, dc, size, special))
         for r in sorted({0, *hit.tolist()}):
             _recount(ground.subset(rows[at[r]]), sc[r], dc[r])
