@@ -20,7 +20,6 @@ from .primes import (
     is_admissible,
     match_tuple,
     mstd_in_ap,
-    sieve,
     singular_series,
 )
 from .reproduce import CLAIM_IDS, MANIFEST, run_claim
@@ -101,7 +100,6 @@ __all__ = [
     "monte_carlo_density",
     "mstd_in_ap",
     "run_claim",
-    "sieve",
     "singular_series",
     "special_search",
     "sum_diff_counts",

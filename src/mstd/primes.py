@@ -81,11 +81,6 @@ class PrimeSieve:
         return int(self.flags.sum())
 
 
-def sieve(limit: int) -> PrimeSieve:
-    """Membership oracle plus prime list up to ``limit``."""
-    return PrimeSieve(limit)
-
-
 @dataclass(frozen=True)
 class PrimeTuple:
     """Offset pattern (b_1, ..., b_m), stored sorted with b_1 = 0."""

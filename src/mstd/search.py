@@ -11,38 +11,33 @@ Three engines share one report shape:
 * a best-first minimality search for the smallest MSTD subset of a
   ground set under a max-element or diameter objective.
 
-The lattice engines (exhaustive, special-exhaustive, minimality, and
-the prefix pass of ``sequences.certify_finitely_many``) share one
-budgeted driver, ``_scan``; each run is one ``_scan`` call.  It is fed
-blocks of at most 2048 candidates, each an index array over one scan
-ground (the search's ground, or a minimality level's elements), with
-combinations drawn by ``np.fromiter`` from ``itertools.combinations``,
-so the scan order above is unchanged.  Every candidate counts toward
-the budget before any test, so a budget stop leaves ``examined`` equal
-to the budget.  Candidates below the diameter floor count as examined
-but are not classified; the rest of a block is classified at once by
-``sets.PairCensus`` when the ground has at most 64 elements, and row
-by row otherwise.  The budget, the hit cap and the first-hit stop then
-apply to the block's hit positions.  Under the min-max objective each
-cardinality of a level stops at its first candidate below the floor,
-a position ``_level`` computes from binomial counts.  The minimality
-stream chains its levels lazily in ascending objective order, so no
-list of levels is built.
+Every run is one call of one budgeted driver, ``_scan``: exhaustive and
+special search, Monte Carlo, the minimality levels and the prefix pass
+of ``sequences.certify_finitely_many``.  It takes blocks of candidates
+and a classifier, cuts a block at the budget before it is classified
+(so a budget stop leaves ``examined`` equal to the budget), and applies
+the hit cap and the first-hit stop to the hit positions.  With more
+than one worker the blocks are classified in a process pool and merged
+in block order, so a report does not depend on the worker count.
 
-The Monte Carlo engine draws each chunk's samples as raw mask bytes and
-classifies them a block at a time with ``sets.PairCensus``, one
-bit-sliced pair form for every ground; each hit it finds is counted
-again by ``sum_diff_counts`` before it is kept.  Chunk descriptors are
-generated lazily, and a pool holds at most two chunks per worker in
-flight, merging results in chunk order.
+A lattice block is at most 2048 index rows over one scan ground (the
+search's ground, or a minimality level's elements), drawn by
+``np.fromiter`` from ``itertools.combinations`` in the order above.
+Candidates below the diameter floor count as examined but are not
+classified.  Under the min-max objective each cardinality of a level
+stops at its first candidate below the floor, a position ``_level``
+computes from binomial counts; levels stream lazily in ascending
+objective order.  A Monte Carlo block is a chunk of 2^16 samples, drawn
+as raw mask bytes from the chunk's own seed stream.
 
-Every reported hit is re-classified by ``sum_diff_counts`` before it
-is stored, and so is the first candidate of every lattice census
-block: a census that disagrees with the scalar kernel raises instead
-of reporting.  Engines never report a set they did not verify.  The
-only pruning rule, skipping subsets of diameter below 14, is itself
-established at runtime by an exhaustive scan (see
-``min_mstd_diameter``) before any engine uses it.
+Both are classified by ``sets.PairCensus``, one bit-sliced pair form
+for every ground; lattice grounds of more than 64 elements, and small
+lattice blocks, go row by row.  The first candidate of every census
+block and every hit are counted again by ``sum_diff_counts``: a census
+that disagrees raises instead of reporting, so engines never report a
+set they did not verify.  The only pruning rule, skipping subsets of
+diameter below 14, is itself established at runtime by an exhaustive
+scan (see ``min_mstd_diameter``) before any engine uses it.
 """
 
 from __future__ import annotations
@@ -54,13 +49,13 @@ from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, combinations, islice, starmap, takewhile
+from functools import cached_property, partial
+from itertools import chain, combinations, compress, islice, starmap, takewhile
 
 import numpy as np
 
-from .errors import DomainError
-from .sets import CONWAY, IntSet, PairCensus, _int_array, _select_bits, sum_diff_counts
+from .errors import CapacityError, DomainError
+from .sets import CONWAY, DEFAULT_DIAMETER_CAP, IntSet, PairCensus, _int_array, _select_bits, sum_diff_counts
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_MONTE_CARLO = "monte-carlo"
@@ -102,9 +97,7 @@ def min_mstd_diameter() -> int:
             for combo in combinations(range(14), size):
                 sc, dc = sum_diff_counts(combo)
                 if sc > dc:
-                    raise RuntimeError(
-                        f"diameter floor refuted by {combo}; pruning unsound"
-                    )
+                    raise RuntimeError(f"diameter floor refuted by {combo}; pruning unsound")
         _diameter_floor_verified = True
     return 14
 
@@ -119,7 +112,10 @@ class SearchConfig:
     matter in monte-carlo mode, where the size window does not apply
     (sampling is over the full power set).  objective is count-all or
     first-hit, and first-hit needs exhaustive mode; the minimize-*
-    objectives are minimal_mstd_in's and are rejected here.
+    objectives are minimal_mstd_in's and are rejected here.  threads
+    caps the worker processes that classify blocks, in either mode (see
+    ``_pool_size``); it never changes a report.  minimal_mstd_in and the
+    ``sequences`` certifiers take no thread count and run serially.
     """
 
     ground: IntSet
@@ -198,26 +194,114 @@ class SearchReport:
         return out
 
 
-def _is_hit(combo: tuple[int, ...], special: bool) -> bool:
-    sc, dc = sum_diff_counts(combo)
-    return sc > dc and (not special or sc - dc >= len(combo))
-
-
 def _census_hits(sum_counts, diff_counts, sizes, special: bool) -> np.ndarray:
-    """``_is_hit`` elementwise on a census block: MSTD, and with
-    ``special`` also a gap of at least the size."""
+    """The hit rule, elementwise: MSTD, and with ``special`` also a gap
+    of at least the size."""
     hit = sum_counts > diff_counts
     if special:
         hit &= sum_counts - diff_counts >= sizes
     return hit
 
 
-def _recount(chosen: tuple[int, ...], sum_count, diff_count) -> None:
-    """Count ``chosen`` again with ``sum_diff_counts``; a census result
-    it disagrees with is an error, never a report."""
-    if sum_diff_counts(chosen) != (int(sum_count), int(diff_count)):
-        raise RuntimeError(f"batched census disagrees with sum_diff_counts on {chosen}")
+def _counted_hits(subsets: list[tuple[int, ...]], special: bool) -> np.ndarray:
+    """``_census_hits`` of each subset, counted one at a time by
+    ``sum_diff_counts``."""
+    counts = np.array([sum_diff_counts(s) for s in subsets], dtype=np.int64).reshape(-1, 2)
+    return _census_hits(counts[:, 0], counts[:, 1], np.array([len(s) for s in subsets], dtype=np.int64), special)
 
+
+def _census_scan(census: PairCensus, masks: bytes, special: bool, subset) -> np.ndarray:
+    """Positions of the hits among the subsets whose membership masks
+    ``masks`` holds, ascending, classified a census block at a time.
+    The first subset of every census block (unless empty) and every hit,
+    ``subset(k)`` for subset k, are counted again by ``sum_diff_counts``,
+    looked up when called; a census it disagrees with raises."""
+    nbytes = census.nbytes
+    found = [np.zeros(0, dtype=np.intp)]
+    for start in range(0, len(masks) // nbytes, census.block):
+        sc, dc, size = census.counts(masks[start * nbytes : (start + census.block) * nbytes])
+        at = np.flatnonzero(_census_hits(sc, dc, size, special))
+        for r in sorted({0, *at.tolist()}):
+            chosen = subset(start + r)
+            if chosen and sum_diff_counts(chosen) != (int(sc[r]), int(dc[r])):
+                raise RuntimeError(f"batched census disagrees with sum_diff_counts on {chosen}")
+        found.append(start + at)
+    return np.concatenate(found)
+
+
+def _ordered(fn, work, workers: int):
+    """``fn(*args)`` for every ``args`` of ``work``, in order.  With more
+    than one worker a process pool holds at most 2 * workers calls in
+    flight, so ``work`` is read as it is used; closing the generator
+    cancels the calls not yet started and waits for the running ones,
+    so no worker outlives it."""
+    if workers == 1:
+        yield from starmap(fn, work)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        pending: deque = deque()
+        for args in work:
+            pending.append(pool.submit(fn, *args))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _scan(blocks, classify, budget, examined, hit_cap, first_hit, workers=1):
+    """The one budgeted driver behind every engine.
+
+    ``blocks`` yields (count, block) pairs in scan order, ``block``
+    holding ``count`` >= 1 candidates.  ``classify(block, take)``
+    returns (take, the hit positions among the block's first ``take``
+    candidates, ascending, and the first ``hit_cap`` hits as tuples);
+    it runs in ``_ordered``, so with more than one worker it and the
+    blocks must pickle.  ``examined`` is the count carried in from
+    earlier scans, and a block is cut at the budget before it is
+    classified.  The hit cap and a first-hit stop apply by position, in
+    block order, so the result does not depend on ``workers``.  Returns
+    (hits, hit_count, examined, complete), where complete means the
+    stream ran dry: False after a budget stop or a first-hit stop.
+    """
+    ran_dry = False
+
+    def cut(room):
+        nonlocal ran_dry
+        for count, block in blocks:
+            if room <= 0:
+                return
+            yield block, min(count, room)
+            if count > room:
+                return
+            room -= count
+        ran_dry = True
+
+    hits: list[IntSet] = []
+    hit_count = 0
+    results = _ordered(classify, cut(budget - examined), workers)
+    try:
+        for take, at, found in results:
+            if first_hit and len(at):
+                return [IntSet(found[0], diameter_cap=None)], 1, examined + int(at[0]) + 1, False
+            hit_count += len(at)
+            hits += [IntSet(e, diameter_cap=None) for e in found[: hit_cap - len(hits)]]
+            examined += take
+    finally:
+        results.close()
+    return hits, hit_count, examined, ran_dry
+
+
+def _pool_size(threads: int, units: int) -> int:
+    """Worker processes for a ``_scan`` over ``units`` blocks.  A pool
+    forks all its workers at once, so more than one per block or CPU is
+    waste; blocks merge in order, so the report does not depend on this."""
+    return max(1, min(threads, units, os.cpu_count() or 1))
+
+
+# -- Lattice engines --------------------------------------------------
 
 class _ScanGround:
     """The ground of a lattice scan; its candidates are rows of indices
@@ -258,82 +342,43 @@ def _mask_bytes(rows: np.ndarray, nbytes: int) -> bytes:
     return masks.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes].tobytes()
 
 
-def _hit_rows(ground: _ScanGround, rows: np.ndarray, special: bool, floor: int) -> np.ndarray:
-    """Positions of the hits among ``rows``, ascending.
+def _lattice_block(special: bool, hit_cap: int, block, take: int):
+    """The classifier ``_scan`` runs on lattice blocks.
 
-    Rows of diameter below ``floor`` are not classified.  Grounds of at
-    most ``_CENSUS_WIDTH`` elements classify a block by census when it
-    has more rows than the ground has elements (a smaller block costs
-    less row by row); every census block counts its first row and each
-    hit again with ``sum_diff_counts``.  Other rows go through
-    ``_is_hit`` one by one.
+    ``block`` is (ground, rows): candidates as rows of indices into a
+    ``_ScanGround``.  Rows of diameter below the floor are not
+    classified.  Grounds of at most ``_CENSUS_WIDTH`` elements classify
+    a block by census when it has more rows than the ground has
+    elements (a smaller block costs less row by row); other rows are
+    counted one at a time.
     """
-    if not rows.shape[1]:
-        return np.zeros(0, dtype=np.intp)
-    values = ground.values
-    wide = np.flatnonzero(values[rows[:, -1]] - values[rows[:, 0]] >= floor)
-    n = len(ground.elements)
-    if n > _CENSUS_WIDTH or len(wide) <= n:
-        return np.array(
-            [r for r in wide.tolist() if _is_hit(ground.subset(rows[r]), special)], dtype=np.intp
-        )
-    census = ground.census
-    found = []
-    for start in range(0, len(wide), census.block):
-        at = wide[start : start + census.block]
-        sc, dc, size = census.counts(_mask_bytes(rows[at], census.nbytes))
-        hit = np.flatnonzero(_census_hits(sc, dc, size, special))
-        for r in sorted({0, *hit.tolist()}):
-            _recount(ground.subset(rows[at[r]]), sc[r], dc[r])
-        found.append(at[hit])
-    return np.concatenate(found)
-
-
-def _scan(blocks, budget, examined, special, hit_cap, first_hit):
-    """The one budgeted driver behind every lattice engine.
-
-    ``blocks`` yields (ground, rows) pairs: ``rows`` holds one nonempty
-    block of candidates, in scan order, as rows of indices into the
-    ``_ScanGround``.  Each candidate counts toward ``budget`` before any
-    test; ``examined`` is the count carried in from earlier scans.  The
-    rules apply to a block's hit positions: a budget stop cuts the block
-    at the budget, the hit cap keeps the first hits, and a first-hit
-    stop counts the block up to its first hit.  Returns (hits,
-    hit_count, examined, complete), where complete means the stream ran
-    dry: False after a budget stop or a first-hit stop.
-    """
-    floor = min_mstd_diameter()
-    hits: list[IntSet] = []
-    hit_count = 0
-    for ground, rows in blocks:
-        if examined >= budget:
-            return hits, hit_count, examined, False
-        cut = len(rows) > budget - examined
-        rows = rows[: budget - examined]
-        at = _hit_rows(ground, rows, special, floor)
-        if first_hit and len(at):
-            at, cut = at[:1], True
-            rows = rows[: at[0] + 1]
-        hit_count += len(at)
-        room = hit_cap - len(hits)
-        hits += [IntSet(ground.subset(rows[r]), diameter_cap=None) for r in at[:room]]
-        examined += len(rows)
-        if cut:
-            return hits, hit_count, examined, False
-    return hits, hit_count, examined, True
+    ground, rows = block
+    rows = rows[:take]
+    at = np.zeros(0, dtype=np.intp)
+    if rows.shape[1]:
+        values = ground.values
+        wide = np.flatnonzero(values[rows[:, -1]] - values[rows[:, 0]] >= min_mstd_diameter())
+        if len(ground.elements) > _CENSUS_WIDTH or len(wide) <= len(ground.elements):
+            at = wide[_counted_hits([ground.subset(rows[r]) for r in wide.tolist()], special)]
+        else:
+            census = ground.census
+            masks = _mask_bytes(rows[wide], census.nbytes)
+            at = wide[_census_scan(census, masks, special, lambda k: ground.subset(rows[wide[k]]))]
+    return take, at, [ground.subset(rows[r]) for r in at[:hit_cap].tolist()]
 
 
 def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     elems = cfg.ground.elements
-    hi_size = len(elems) if cfg.max_size is None else min(cfg.max_size, len(elems))
+    sizes = range(cfg.min_size, (len(elems) if cfg.max_size is None else min(cfg.max_size, len(elems))) + 1)
     ground = _ScanGround(elems)
-    blocks = (
-        (ground, rows)
-        for size in range(cfg.min_size, hi_size + 1)
-        for rows in _combination_rows(range(len(elems)), size)
-    )
+    blocks = ((len(rows), (ground, rows)) for k in sizes for rows in _combination_rows(range(len(elems)), k))
+    # every size is at least one block, so the first few sizes settle the pool
+    counted = sizes[: _pool_size(cfg.threads, len(sizes))]
+    workers = _pool_size(cfg.threads, sum(-(-math.comb(len(elems), k) // _BLOCK) for k in counted))
+    pruning = (f"skip diameter < {min_mstd_diameter()}",)
     hits, hit_count, examined, complete = _scan(
-        blocks, cfg.budget, 0, special, cfg.hit_cap, cfg.objective == OBJECTIVE_FIRST_HIT
+        blocks, partial(_lattice_block, special, cfg.hit_cap), cfg.budget, 0, cfg.hit_cap,
+        cfg.objective == OBJECTIVE_FIRST_HIT, workers,
     )
     return SearchReport(
         hits=tuple(hits),
@@ -343,7 +388,7 @@ def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
         stderr=None,
         exhausted=complete,
         seed=cfg.seed,
-        pruning=(f"skip diameter < {min_mstd_diameter()}",),
+        pruning=pruning,
     )
 
 
@@ -351,7 +396,7 @@ def _prefix_blocks(terms: tuple[int, ...]):
     """Blocks of the prefixes terms[:2], terms[:3], ... of a sorted
     sequence, one candidate each, for ``_scan``."""
     ground = _ScanGround(terms)
-    return ((ground, np.arange(j)[None, :]) for j in range(2, len(terms) + 1))
+    return ((1, (ground, np.arange(j)[None, :])) for j in range(2, len(terms) + 1))
 
 
 def exhaustive_search(cfg: SearchConfig) -> SearchReport:
@@ -377,83 +422,38 @@ def special_search(cfg: SearchConfig) -> SearchReport:
 
 # -- Monte Carlo ------------------------------------------------------
 
-def _mc_chunk(
-    census: PairCensus,
-    seed: int,
-    chunk_index: int,
-    count: int,
-    special: bool,
-    want_hits: int,
-) -> tuple[int, list[int]]:
-    """Classify ``count`` random subsets; returns (hit_count, hit_masks).
+def _mc_chunk(census: PairCensus, seed: int, special: bool, hit_cap: int, index: int, take: int):
+    """The classifier ``_scan`` runs on Monte Carlo chunks: chunk
+    ``index`` draws ``take`` random subsets.
 
-    Deterministic in (seed, chunk_index) alone: each chunk draws from
-    its own SeedSequence spawn, so the merged result is independent of
-    how chunks are scheduled across workers.  Subset k is the ground
-    elements at the set bits of bytes k * nbytes ... (k + 1) * nbytes
-    of the chunk's ``rng.bytes`` draw, read little-endian.  A
-    ``PairCensus`` classifies the subsets a block at a time, and every
-    hit it finds is counted again by ``sum_diff_counts`` before it is
-    reported.
+    Deterministic in (seed, index) alone: each chunk draws from its own
+    SeedSequence spawn, so the merged result is independent of how
+    chunks are scheduled across workers.  Subset k is the ground
+    elements at the set bits of bytes k * nbytes ... (k + 1) * nbytes of
+    the chunk's ``rng.bytes`` draw, read little-endian.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
     nbytes = census.nbytes
-    buf = rng.bytes(nbytes * count)
+    buf = rng.bytes(nbytes * take)
     full = (1 << census.n) - 1
-    hit_count = 0
-    hit_masks: list[int] = []
-    for start in range(0, count, census.block):
-        sc, dc, size = census.counts(buf[start * nbytes : (start + census.block) * nbytes])
-        for row in np.flatnonzero(_census_hits(sc, dc, size, special)).tolist():
-            at = (start + row) * nbytes
-            mask = int.from_bytes(buf[at : at + nbytes], "little") & full
-            _recount(_select_bits(mask, census.elements), sc[row], dc[row])
-            hit_count += 1
-            if len(hit_masks) < want_hits:
-                hit_masks.append(mask)
-    return hit_count, hit_masks
 
+    def subset(k: int) -> tuple[int, ...]:
+        return _select_bits(int.from_bytes(buf[k * nbytes : (k + 1) * nbytes], "little") & full, census.elements)
 
-def _mc_chunks(cfg: SearchConfig, census: PairCensus, special: bool):
-    """Argument tuples of ``_mc_chunk`` for a run, one per chunk of
-    ``_MC_CHUNK`` samples, generated lazily: 10**15 samples are 1.5e10
-    chunks."""
-    for index, start in enumerate(range(0, cfg.samples, _MC_CHUNK)):
-        yield census, cfg.seed, index, min(_MC_CHUNK, cfg.samples - start), special, cfg.hit_cap
-
-
-def _mc_results(chunks, workers: int):
-    """``_mc_chunk`` results in chunk order.  A pool holds at most
-    2 * workers chunks in flight, so ``chunks`` is read as it is used."""
-    if workers == 1:
-        yield from starmap(_mc_chunk, chunks)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for args in chunks:
-            pending.append(pool.submit(_mc_chunk, *args))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    at = _census_scan(census, buf, special, subset)
+    return take, at, [subset(k) for k in at[:hit_cap].tolist()]
 
 
 def _mc_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     samples = cfg.samples
+    chunks = ((min(_MC_CHUNK, samples - start), start // _MC_CHUNK) for start in range(0, samples, _MC_CHUNK))
+    classify = partial(_mc_chunk, PairCensus(cfg.ground.elements), cfg.seed, special, cfg.hit_cap)
     workers = _pool_size(cfg.threads, -(-samples // _MC_CHUNK))
-    hit_count = 0
-    hit_masks: list[int] = []
-    census = PairCensus(cfg.ground.elements)
-    for count, masks in _mc_results(_mc_chunks(cfg, census, special), workers):
-        hit_count += count
-        hit_masks += masks[: cfg.hit_cap - len(hit_masks)]
-    hits = tuple(
-        IntSet(_select_bits(mask, cfg.ground.elements), diameter_cap=None) for mask in hit_masks
-    )
+    hits, hit_count, _, _ = _scan(chunks, classify, samples, 0, cfg.hit_cap, False, workers)
     density = hit_count / samples
     stderr = math.sqrt(density * (1.0 - density) / samples)
     return SearchReport(
-        hits=hits,
+        hits=tuple(hits),
         hit_count=hit_count,
         examined=samples,
         density_estimate=density,
@@ -461,13 +461,6 @@ def _mc_scan(cfg: SearchConfig, special: bool) -> SearchReport:
         exhausted=False,
         seed=cfg.seed,
     )
-
-
-def _pool_size(threads: int, chunks: int) -> int:
-    """Worker processes for a Monte Carlo run.  A pool forks all its
-    workers at once, so more than one per chunk or CPU is waste; results
-    merge in chunk order, so the report does not depend on this."""
-    return max(1, min(threads, chunks, os.cpu_count() or 1))
 
 
 def monte_carlo_density(
@@ -486,6 +479,8 @@ def monte_carlo_density(
     n = int(n)
     if n < 0:
         raise DomainError("n must be >= 0")
+    if n > DEFAULT_DIAMETER_CAP:  # before the ground's n + 1 ints are built
+        raise CapacityError(f"diameter {n} exceeds cap {DEFAULT_DIAMETER_CAP}")
     cfg = SearchConfig(
         ground=IntSet(range(n + 1)),
         mode=MODE_MONTE_CARLO,
@@ -539,13 +534,12 @@ def minimal_mstd_in(
     # Probe: affine images of the minimal pattern inside the ground.
     best: IntSet | None = None
     examined, images = _probe(elems, floor, budget)
-    for cand in images:
-        if _is_hit(cand, special=False):
-            hit = IntSet(cand, diameter_cap=None)
-            if len(hits) < hit_cap:
-                hits.append(hit)
-            if best is None or value_of(cand) < value_of(best.elements):
-                best = hit
+    for cand in compress(images, _counted_hits(images, special=False)):
+        hit = IntSet(cand, diameter_cap=None)
+        if len(hits) < hit_cap:
+            hits.append(hit)
+        if best is None or value_of(cand) < value_of(best.elements):
+            best = hit
 
     bound = None if best is None else value_of(best.elements)
     if objective == OBJECTIVE_MIN_MAX:
@@ -556,10 +550,8 @@ def minimal_mstd_in(
 
         levels = heapq.merge(*(from_left(i) for i in range(len(elems))))
     below_bound = takewhile(lambda level: bound is None or level[0] < bound, levels)
-    stream = chain.from_iterable(
-        _level(elems, objective, where, floor) for value, where in below_bound if value >= floor
-    )
-    found, _, examined, complete = _scan(stream, budget, examined, False, 1, True)
+    stream = chain.from_iterable(_level(elems, objective, w, floor) for value, w in below_bound if value >= floor)
+    found, _, examined, complete = _scan(stream, partial(_lattice_block, False, 1), budget, examined, 1, True)
     if found:  # every level below the hit's was exhausted first
         best = found[0]
         if len(hits) < hit_cap:
@@ -644,4 +636,4 @@ def _level(elems, objective, where, floor):
             framed = np.zeros((len(rows), lead + size + 1), dtype=rows.dtype)  # column 0: the left end
             framed[:, lead:-1] = rows
             framed[:, -1] = len(level) - 1
-            yield ground, framed
+            yield len(framed), (ground, framed)

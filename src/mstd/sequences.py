@@ -24,11 +24,14 @@ finite evidence alone yields consistent-within-budget.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import count, islice
 
-from .errors import DomainError
-from .search import SearchConfig, _prefix_blocks, _scan, exhaustive_search, special_search
-from .sets import IntSet, sum_diff_counts
+from .errors import CapacityError, DomainError
+from .search import SearchConfig, _lattice_block, _prefix_blocks, _scan, exhaustive_search, special_search
+from .sets import DEFAULT_DIAMETER_CAP, IntSet, sum_diff_counts
 
 KIND_FIBONACCI = "fibonacci"
 KIND_SHIFTED_GEOMETRIC = "shifted_geometric"
@@ -126,37 +129,55 @@ class SequenceSpec:
         )
 
 
+def _terms(spec: SequenceSpec):
+    """The terms of ``spec``, endlessly (explicit: as many as stored)."""
+    if spec.kind == KIND_FIBONACCI:
+        yield from (0, 1)
+        a, b = 1, 2
+        while True:
+            yield b
+            a, b = b, a + b
+    elif spec.kind == KIND_SHIFTED_GEOMETRIC:
+        yield from (spec.c * spec.r**k + spec.d for k in count(1))
+    elif spec.kind == KIND_LINEAR_RECURRENCE:
+        trail = deque(spec.seeds, maxlen=len(spec.seeds))
+        yield from spec.seeds
+        while True:
+            trail.append(sum(c * trail[-1 - i] for i, c in enumerate(spec.coeffs)))
+            yield trail[-1]
+    else:
+        yield from spec.elements
+
+
 def materialize(spec: SequenceSpec, n: int) -> list[int]:
-    """First n terms, validated nonnegative and strictly increasing."""
+    """First n terms, validated nonnegative and strictly increasing.
+
+    Terms are checked as they are built, and their bit lengths may add
+    up to at most ``DEFAULT_DIAMETER_CAP`` bits (CapacityError past it):
+    a Fibonacci term is about 0.69 bits longer than the last, so that
+    admits about 6900 terms.  Strictly increasing terms have at least
+    log2(k) bits at index k, so the cap bounds the term count as well.
+    """
     n = int(n)
     if n < 1:
         raise DomainError(f"term count must be >= 1, got {n}")
-    if spec.kind == KIND_FIBONACCI:
-        terms = [0, 1, 2]
-        while len(terms) < n:
-            terms.append(terms[-1] + terms[-2])
-        terms = terms[:n]
-    elif spec.kind == KIND_SHIFTED_GEOMETRIC:
-        terms = [spec.c * spec.r**k + spec.d for k in range(1, n + 1)]
-    elif spec.kind == KIND_LINEAR_RECURRENCE:
-        terms = list(spec.seeds)
-        while len(terms) < n:
-            terms.append(sum(c * terms[-1 - i] for i, c in enumerate(spec.coeffs)))
-        terms = terms[:n]
-    else:
-        if n > len(spec.elements):
-            raise DomainError(
-                f"explicit sequence has {len(spec.elements)} terms, {n} requested"
-            )
-        terms = list(spec.elements[:n])
-    if terms[0] < 0:
-        raise DomainError(f"sequence terms must be nonnegative, a_1 = {terms[0]}")
-    for i in range(1, len(terms)):
-        if terms[i] <= terms[i - 1]:
+    if spec.kind == KIND_EXPLICIT and n > len(spec.elements):
+        raise DomainError(f"explicit sequence has {len(spec.elements)} terms, {n} requested")
+    terms: list[int] = []
+    bits = 0
+    for term in islice(_terms(spec), n):
+        if not terms and term < 0:
+            raise DomainError(f"sequence terms must be nonnegative, a_1 = {term}")
+        if terms and term <= terms[-1]:
+            i = len(terms)
             raise DomainError(
                 f"sequence not strictly increasing at index {i + 1}: "
-                f"a_{i} = {terms[i - 1]}, a_{i + 1} = {terms[i]}"
+                f"a_{i} = {terms[-1]}, a_{i + 1} = {term}"
             )
+        bits += term.bit_length()
+        if bits > DEFAULT_DIAMETER_CAP:
+            raise CapacityError(f"{n} terms pass the cap of {DEFAULT_DIAMETER_CAP} bits in all")
+        terms.append(term)
     return terms
 
 
@@ -465,7 +486,8 @@ def certify_finitely_many(
     terms = materialize(spec, upto)
     growth = check_growth(spec, 3, upto, start=start)
 
-    found, _, examined, _ = _scan(_prefix_blocks(tuple(terms)), special_search_budget, 0, True, 1, True)
+    prefixes = _prefix_blocks(tuple(terms))
+    found, _, examined, _ = _scan(prefixes, partial(_lattice_block, True, 1), special_search_budget, 0, 1, True)
     witness = found[0] if found else None
 
     window = 0

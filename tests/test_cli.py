@@ -1,6 +1,9 @@
 """CLI surface: parsing, output formats, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -456,6 +459,32 @@ def test_huge_range_exits_two_before_expanding(capsys, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(["classify", text])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--n", "20000000", "--samples", "1"],
+        ["density", "--n", "10000000000", "--samples", "1"],
+        ["growth", "--seq", "fibonacci", "--r", "3", "--upto", "100000000"],
+        ["search", "--seq", "geometric:1,2,0", "--terms", "100000000", "--max-size", "1"],
+    ],
+    ids=["density-past-cap", "density-huge", "growth", "search-terms"],
+)
+def test_huge_input_exits_one_under_a_memory_limit(argv):
+    # in a child limited to 1 GiB of address space, a guard that checks
+    # after allocating ends in a MemoryError traceback instead
+    pytest.importorskip("resource")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from mstd.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (1, ""), done.stderr[-2000:]
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error:")
 
 
 def test_malformed_set_exits_two(capsys):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import multiprocessing
 import os
 import random
 import tracemalloc
@@ -29,8 +30,8 @@ from mstd import (
 )
 from mstd import search
 from mstd.search import (
-    _BLOCK, _MC_CHUNK, _census_hits, _is_hit, _level, _mc_chunk, _mc_chunks, _mc_results, _mc_scan,
-    _pool_size, _scan,
+    _BLOCK, _MC_CHUNK, _census_hits, _combination_rows, _lattice_block, _level, _mc_chunk, _mc_scan, _ordered,
+    _pool_size, _scan, _ScanGround,
 )
 from mstd.sets import PairCensus
 
@@ -310,6 +311,14 @@ def assert_matches_reference(report, expected):
     assert (report.hit_count, report.examined, report.exhausted) == (hit_count, examined, complete)
 
 
+def scan_lattice(blocks, budget, special, hit_cap, first_hit, workers):
+    """``_scan`` over lattice blocks, its hits as tuples."""
+    hits, hit_count, examined, complete = _scan(
+        blocks, functools.partial(_lattice_block, special, hit_cap), budget, 0, hit_cap, first_hit, workers
+    )
+    return [h.elements for h in hits], hit_count, examined, complete
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_lattice_blocks_match_the_tuple_stream(seed):
     rng = random.Random(seed)
@@ -323,13 +332,27 @@ def test_lattice_blocks_match_the_tuple_stream(seed):
     ))
     full_blocks = [b for a, b in zip([0] + edges, edges) if b - a == _BLOCK]
     assert full_blocks
-    for budget in budgets_around(len(stream), full_blocks[:1] + rng.sample(edges, 3), rng):
+    # a budget inside a later block, and the whole stream, whose first
+    # hit lies past the first block, run in a pool too
+    first = next(p for p, c in enumerate(stream) if naive_hit(c, False))
+    assert seed == 2 or first >= edges[0]
+    pooled = {rng.randrange(edges[1] + 1, len(stream)), len(stream)}
+
+    def blocks():
+        ground = _ScanGround(elems)
+        return ((len(rows), (ground, rows)) for k in range(lo, hi + 1)
+                for rows in _combination_rows(range(len(elems)), k))
+
+    for budget in budgets_around(len(stream), full_blocks[:1] + rng.sample(edges, 3) + sorted(pooled), rng):
         for special, run in ((False, exhaustive_search), (True, special_search)):
             for objective, hit_cap in (("count-all", 1000), ("count-all", 5), ("first-hit", 1), ("count-all", 1)):
                 cfg = SearchConfig(ground=IntSet(elems), min_size=lo, max_size=hi, budget=budget,
                                    objective=objective, hit_cap=hit_cap)
-                expected = reference_scan(stream, budget, 0, special, hit_cap, objective == "first-hit")
+                first_hit = objective == "first-hit"
+                expected = reference_scan(stream, budget, 0, special, hit_cap, first_hit)
                 assert_matches_reference(run(cfg), expected)
+                if budget in pooled and (objective, hit_cap) in (("count-all", 5), ("first-hit", 1)):
+                    assert scan_lattice(blocks(), budget, special, hit_cap, first_hit, 2) == expected
 
 
 @pytest.mark.parametrize("objective", [MIN_MAX, MIN_DIAMETER])
@@ -344,15 +367,20 @@ def test_level_blocks_match_the_tuple_stream(objective):
     stream = [c for w in levels for c in reference_level(elems, objective, w)]
     floor_breaks = [p + 1 for p, c in enumerate(stream) if c[-1] - c[0] < FLOOR]
     assert floor_breaks or objective == MIN_DIAMETER
-    sizes = [len(rows) for w in levels for _, rows in _level(elems, objective, w, FLOOR)]
+    sizes = [count for w in levels for count, _ in _level(elems, objective, w, FLOOR)]
     assert sum(sizes) == len(stream) and (max(sizes) == _BLOCK or objective == MIN_DIAMETER)
-    largest = list(itertools.accumulate(sizes))[sizes.index(max(sizes))]  # the end of the largest block
-    for budget in budgets_around(len(stream), rng.sample(floor_breaks, min(4, len(floor_breaks))) + [largest], rng):
+    ends = list(itertools.accumulate(sizes))
+    largest = ends[sizes.index(max(sizes))]  # the end of the largest block
+    first = next(p for p, c in enumerate(stream) if c[-1] - c[0] >= FLOOR and naive_hit(c, False))
+    assert first >= ends[0]  # the first hit lies in a later block
+    pooled = {first + 1, len(stream)}
+    marks = rng.sample(floor_breaks, min(4, len(floor_breaks))) + [largest, *sorted(pooled)]
+    for budget in budgets_around(len(stream), marks, rng):
         for hit_cap, first_hit in ((1000, False), (5, False), (1, True)):
-            blocks = itertools.chain.from_iterable(_level(elems, objective, w, FLOOR) for w in levels)
-            hits, hit_count, examined, complete = _scan(blocks, budget, 0, False, hit_cap, first_hit)
             expected = reference_scan(stream, budget, 0, False, hit_cap, first_hit)
-            assert ([h.elements for h in hits], hit_count, examined, complete) == expected
+            for workers in (1, 2) if budget in pooled else (1,):
+                blocks = itertools.chain.from_iterable(_level(elems, objective, w, FLOOR) for w in levels)
+                assert scan_lattice(blocks, budget, False, hit_cap, first_hit, workers) == expected
 
 
 @pytest.mark.parametrize(
@@ -554,9 +582,9 @@ def test_monte_carlo_special_rule_at_its_boundary():
     counts = np.array([sum_diff_counts(e) for e in sets])
     sizes = np.array([len(e) for e in sets])
     for special in (False, True):
-        expected = [_is_hit(e, special) for e in sets]
+        expected = [naive_hit(e, special) for e in sets]
         assert _census_hits(counts[:, 0], counts[:, 1], sizes, special).tolist() == expected
-    assert [_is_hit(e, True) for e in sets] == [False] * 3 + [True] * 3 + [False]
+    assert [naive_hit(e, True) for e in sets] == [False] * 3 + [True] * 3 + [False]
 
 
 @pytest.mark.parametrize("n", [15, 16, 17, 18])
@@ -594,47 +622,77 @@ def test_monte_carlo_memory_independent_of_diameter():
     assert peak < 4 * 2**20
 
 
-def test_monte_carlo_chunks_are_lazy():
-    census = PairCensus(GROUND_15.elements)
+def test_monte_carlo_chunks_are_lazy(monkeypatch):
+    # 10**15 samples are ~1.5e10 chunks; the driver pulls them as it
+    # classifies them, so a run stopped in its third chunk built three
+    class Stop(Exception):
+        pass
 
-    def chunks(samples):
+    drawn = []
+
+    def chunk(census, seed, special, hit_cap, index, take):
+        assert (census.elements, seed, special, hit_cap) == (GROUND_15.elements, 4, True, 7)
+        drawn.append((index, take))
+        if index == 2 and take == _MC_CHUNK:
+            raise Stop
+        return take, np.zeros(0, dtype=np.intp), []
+
+    monkeypatch.setattr(search, "_mc_chunk", chunk)
+
+    def run(samples):
+        drawn.clear()
         cfg = SearchConfig(ground=GROUND_15, mode="monte-carlo", samples=samples, seed=4, hit_cap=7)
-        return _mc_chunks(cfg, census, special=True)
+        return special_search(cfg)
 
-    # 10**15 samples are ~1.5e10 chunks; only the first few are built
-    first = list(itertools.islice(chunks(10**15), 3))
-    assert [c[2:5] for c in first] == [(0, _MC_CHUNK, True), (1, _MC_CHUNK, True), (2, _MC_CHUNK, True)]
-    assert first[0] == (census, 4, 0, _MC_CHUNK, True, 7)
+    with pytest.raises(Stop):
+        run(10**15)
+    assert drawn == [(0, _MC_CHUNK), (1, _MC_CHUNK), (2, _MC_CHUNK)]
     for samples, sizes in (
         (1, [1]),
         (_MC_CHUNK, [_MC_CHUNK]),
         (_MC_CHUNK + 1, [_MC_CHUNK, 1]),
         (3 * _MC_CHUNK - 5, [_MC_CHUNK, _MC_CHUNK, _MC_CHUNK - 5]),
     ):
-        built = list(chunks(samples))
-        assert [c[3] for c in built] == sizes
-        assert [c[2] for c in built] == list(range(len(sizes)))
+        assert run(samples).examined == samples
+        assert drawn == list(enumerate(sizes))
 
 
 def test_pool_reads_chunks_as_it_uses_them():
-    # a pool keeps at most 2 * workers chunks in flight and yields their
-    # results in chunk order, so an endless descriptor stream is fine
-    census = PairCensus(CONWAY + (20,))
+    # a pool keeps at most 2 * workers blocks in flight and yields their
+    # results in block order, so an endless block stream is fine
+    census = PairCensus(GROUND_15.elements)  # 4 of its 2^15 subsets are MSTD
     drawn = []
 
     def endless():
         for index in itertools.count():
             drawn.append(index)
-            yield census, 3, index, 2000, False, 10
+            yield 1000, index
 
-    results = _mc_results(endless(), 2)
+    def first_hit(workers):
+        drawn.clear()
+        classify = functools.partial(_mc_chunk, census, 3, False, 10)
+        return _scan(endless(), classify, 10**18, 0, 10, True, workers)
+
+    serial = first_hit(1)
+    blocks = (serial[2] - 1) // 1000 + 1  # up to the first hit's
+    assert len(drawn) == blocks >= 2
+    assert first_hit(2) == serial
+    assert len(drawn) <= blocks + 2 * 2
+    assert not multiprocessing.active_children()  # the stop shut the pool down
+
+    census = PairCensus(CONWAY + (20,))
+    drawn.clear()
+    work = ((index, 2000) for _, index in endless())
+    results = _ordered(functools.partial(_mc_chunk, census, 3, False, 10), work, 2)
     try:
-        got = list(itertools.islice(results, 4))
+        got = [(take, at.tolist(), found) for take, at, found in itertools.islice(results, 4)]
     finally:
         results.close()
-    serial = [_mc_chunk(census, 3, i, 2000, False, 10) for i in range(4)]
-    assert got == serial and len({count for count, _ in serial}) > 1
     assert len(drawn) <= 2 * 2 + 4
+    serial = [_mc_chunk(census, 3, False, 10, i, 2000) for i in range(4)]
+    assert got == [(take, at.tolist(), found) for take, at, found in serial]
+    assert len({len(at) for _, at, _ in got}) > 1
+    assert not multiprocessing.active_children()
 
 
 # -- special search ----------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from mstd import (
     CONWAY,
+    CapacityError,
     DomainError,
     IntSet,
     SequenceSpec,
@@ -18,6 +19,7 @@ from mstd import (
     sum_diff_counts,
     verify_difference_bound,
 )
+from mstd import sequences
 
 FIB = SequenceSpec.fibonacci()
 
@@ -62,6 +64,21 @@ def test_explicit_prefix_and_exhaustion():
     assert materialize(spec, 2) == [3, 6]
     with pytest.raises(DomainError):
         materialize(spec, 4)
+
+
+def test_materialize_caps_the_total_bit_length(monkeypatch):
+    naive = [0, 1]
+    while len(naive) < 1600:
+        naive.append(naive[-1] + naive[-2] if len(naive) > 2 else 2)
+    assert materialize(FIB, 1600) == naive  # certify_finitely_many(fibonacci, 4, 1600) fits
+    monkeypatch.setattr(sequences, "DEFAULT_DIAMETER_CAP", 100)
+    fits = max(n for n in range(1, 40) if sum(t.bit_length() for t in naive[:n]) <= 100)
+    assert materialize(FIB, fits) == naive[:fits]
+    with pytest.raises(CapacityError, match="100 bits"):
+        materialize(FIB, fits + 1)
+    # repeated zero terms have no bits; they are refused as they are built
+    with pytest.raises(DomainError, match="index 2"):
+        materialize(SequenceSpec.linear_recurrence([1], [0]), 10**12)
 
 
 def test_materialize_requires_positive_count():
