@@ -392,13 +392,6 @@ def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     )
 
 
-def _prefix_blocks(terms: tuple[int, ...]):
-    """Blocks of the prefixes terms[:2], terms[:3], ... of a sorted
-    sequence, one candidate each, for ``_scan``."""
-    ground = _ScanGround(terms)
-    return ((1, (ground, np.arange(j)[None, :])) for j in range(2, len(terms) + 1))
-
-
 def exhaustive_search(cfg: SearchConfig) -> SearchReport:
     """Enumerate the configured size window and report MSTD subsets.
 

@@ -10,9 +10,9 @@ here turn that statement into checkable artifacts:
   c*r**k + d), decides it for every k at once.
 * ``certify_no_mstd`` combines growth with an exhaustive search over
   the small-subset window.
-* ``verify_difference_bound`` recomputes, for one adjoined element, the
-  exact number of new sums and new differences and checks them against
-  the claimed bounds (new_diffs >= |S|+1 >= new_sums).
+* ``verify_difference_bound`` adjoins one element to the census of a
+  set, counts the exact number of new sums and new differences and
+  checks them against the claimed bounds (new_diffs >= |S|+1 >= new_sums).
 * ``certify_finitely_many`` handles the weaker conclusion "at most
   finitely many MSTD subsets": growth with window 3 from a start index,
   plus a falsification search for special MSTD subsets.
@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from itertools import count, islice
 
 from .errors import CapacityError, DomainError
-from .search import SearchConfig, _lattice_block, _prefix_blocks, _scan, exhaustive_search, special_search
-from .sets import DEFAULT_DIAMETER_CAP, IntSet, sum_diff_counts
+from .search import SearchConfig, _census_hits, _scan, exhaustive_search, special_search
+from .sets import DEFAULT_DIAMETER_CAP, IntSet, SumDiffSets, append_analysis, sum_diff_counts
 
 KIND_FIBONACCI = "fibonacci"
 KIND_SHIFTED_GEOMETRIC = "shifted_geometric"
@@ -393,8 +392,8 @@ class DifferenceBoundReport:
 
 
 def verify_difference_bound(s_prime: IntSet, new_element: int, r: int) -> DifferenceBoundReport:
-    """Check that adjoining ``new_element`` to S' creates at least
-    |S|+1 new differences and at most |S|+1 new sums.
+    """Check, by ``append_analysis``, that adjoining ``new_element`` to
+    S' creates at least |S|+1 new differences and at most |S|+1 new sums.
 
     The hypothesis is the growth inequality on the top elements of
     S = S' + {x}: x > s_{k-1} + s_{k-r} (1-indexed, s_k = x).  When it
@@ -412,14 +411,9 @@ def verify_difference_bound(s_prime: IntSet, new_element: int, r: int) -> Differ
     k = len(s_prime) + 1
     if k < 2 * r + 2:
         raise DomainError(f"|S'|+1 = {k} is below the required 2r+2 = {2 * r + 2}")
-    t = (k + 2) // 2
-    sc0, dc0 = sum_diff_counts(s_prime.elements)
-    extended = s_prime.with_element(x, diameter_cap=None)
-    sc1, dc1 = sum_diff_counts(extended.elements)
-    new_sums = sc1 - sc0
-    new_diffs = dc1 - dc0
-    s = extended.elements  # s[i] is s_{i+1}
-    applies = x > s[k - 2] + s[k - r - 1]
+    change = append_analysis(s_prime, x)
+    new_sums, new_diffs = change.new_sums, change.new_diffs
+    applies = x > s_prime.elements[k - 2] + s_prime.elements[k - r - 1]  # s_{k-1} + s_{k-r}
     if not applies:
         verdict = BOUND_NOT_APPLICABLE
     elif new_diffs >= k + 1 >= new_sums:
@@ -429,7 +423,7 @@ def verify_difference_bound(s_prime: IntSet, new_element: int, r: int) -> Differ
     return DifferenceBoundReport(
         set_size=k,
         r=r,
-        t=t,
+        t=(k + 2) // 2,
         new_sums=new_sums,
         new_diffs=new_diffs,
         gap_change=new_sums - new_diffs,
@@ -477,17 +471,16 @@ def certify_finitely_many(
     Condition one is growth with window 3 from ``start`` (checked on
     [start, upto], symbolically when possible).  Condition two, the
     absence of special MSTD subsets, is only falsifiable at finite
-    scale; the search examines every leading prefix of the sequence as
-    a candidate (special sets built by digit expansion show up exactly
-    there) and then exhausts the subset lattice of the longest leading
-    window the budget allows.
+    scale; the search examines every leading prefix of the sequence,
+    adjoining one term per prefix to one census (special sets built by
+    digit expansion show up exactly there), and then exhausts the subset
+    lattice of the longest leading window the budget allows.
     """
     upto = int(upto)
     terms = materialize(spec, upto)
     growth = check_growth(spec, 3, upto, start=start)
 
-    prefixes = _prefix_blocks(tuple(terms))
-    found, _, examined, _ = _scan(prefixes, partial(_lattice_block, True, 1), special_search_budget, 0, 1, True)
+    found, _, examined, _ = _scan([(upto - 1, terms)], _prefix_block, special_search_budget, 0, 1, True)
     witness = found[0] if found else None
 
     window = 0
@@ -514,3 +507,19 @@ def certify_finitely_many(
         searched_window=window,
         search_exhausted=exhausted,
     )
+
+
+def _prefix_block(terms: list[int], take: int):
+    """Prefix-pass classifier: terms[:2] ... terms[:take + 1] by the special
+    rule, one term adjoined per prefix, up to the first hit (all a first-hit
+    scan reads); the first prefix and the hit are recounted by sum_diff_counts."""
+    census = SumDiffSets(terms[:1])
+    for k in range(take):
+        census.adjoin(terms[k + 1])
+        counts = census.counts()
+        hit = _census_hits(*counts, k + 2, special=True)
+        if (k == 0 or hit) and sum_diff_counts(tuple(terms[: k + 2])) != counts:
+            raise RuntimeError(f"adjoined census disagrees with sum_diff_counts on {terms[: k + 2]}")
+        if hit:
+            return take, [k], [terms[: k + 2]]
+    return take, [], []

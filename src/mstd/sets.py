@@ -4,20 +4,18 @@ The objects here are small enough to hold in memory, so every answer is
 exact: sumsets A+A, difference sets A-A, and the classification of a set
 as sum-dominated (MSTD), balanced, or difference-dominated.
 
-Two interchangeable kernels compute |A+A| and |A-A|:
+Two interchangeable kernels compute |A+A| and |A-A|; ``auto`` picks one
+from the density of the set, and tests cross-check both against each
+other and against a naive quadratic reference:
 
 * ``bits``  -- a dense bit-vector over [min, max] held in a Python int.
   Shifting the membership mask by each element and OR-ing accumulates
   the sumset; shifting by (diameter - element) accumulates all
-  differences in one unsigned vector.  Cost scales with
-  k * diameter / wordsize.
-* ``pairs`` -- plain set comprehension over ordered pairs.  Cost scales
-  with k**2 but is independent of the diameter, so it wins on sparse
-  sets (geometric-like growth) where the bit vector would be huge.
-
-``auto`` picks between them from the density of the set; both are exact
-and tests cross-check them against each other and against a naive
-quadratic reference.
+  differences in one unsigned vector.  Cost: k * diameter / wordsize.
+* ``pairs`` -- ``SumDiffSets``, A+A and the nonnegative half of A-A as
+  Python sets, grown by adjoining one element at a time at O(k) each,
+  so ``append_analysis`` adjoins x to a sparse set's census.
+  Cost: k**2, independent of the diameter, so it wins on sparse sets.
 
 ``PairCensus`` counts many subsets of one ground at once, for the Monte
 Carlo engine.  It takes their membership masks as raw bytes, transposes
@@ -30,15 +28,16 @@ each left element finds its pairs' rows by binary search as a block is
 counted, so memory does not grow with the number of pairs and one form
 serves every ground, whatever its size, diameter or spacing.
 
-``diameter_cap`` bounds only bit-vector allocation: 2 * diameter bits,
-as the vector is offset by min(A).  ``auto`` falls back to pairs when
-the vector would not fit, so every set gets an answer; only an explicit
-``bits`` over the cap raises CapacityError.  ``base_expansion`` keeps
-its own guard on the size of the set it builds.
+Two capacity rules bound memory.  ``diameter_cap`` bounds the bit vector
+(2 * diameter bits, offset by min(A)); ``auto`` falls back to pairs past
+it, and only an explicit ``bits`` raises CapacityError.  ``SumDiffSets``
+raises CapacityError before its sets could pass ``_PAIR_SETS_BYTES``.
+``base_expansion`` keeps its own guard on the size of the set it builds.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -55,6 +54,12 @@ DEFAULT_DIAMETER_CAP = 1 << 24
 # diameter stays within ~512 bits per element (measured crossover on
 # CPython 3.10; the exact constant only affects speed, never results).
 _AUTO_BITS_PER_ELEMENT = 512
+
+# SumDiffSets memory per entry: up to 80 bytes of hash table (3 slots while
+# a table doubles) and an int of 28 bytes plus 4 per 30 bits.  The cap
+# admits the first 1600 Fibonacci numbers (about 460 MB held).
+_SET_ENTRY_BYTES = 112
+_PAIR_SETS_BYTES = 3 << 28
 
 # PairCensus memory: blocks of at most 2**11 subsets, fewer when the
 # tables would pass 2**17 words (1 MB); tables unpacked one byte per bit
@@ -136,12 +141,6 @@ class IntSet:
 
     def __repr__(self) -> str:
         return f"IntSet({list(self.elements)!r})"
-
-    def with_element(self, x: int, diameter_cap: int | None = DEFAULT_DIAMETER_CAP) -> "IntSet":
-        """Return a new set with ``x`` adjoined; ``x`` must be new."""
-        if x in self.elements:
-            raise DomainError(f"element {x} already present")
-        return IntSet(self.elements + (int(x),), diameter_cap=diameter_cap)
 
     def to_dict(self) -> dict:
         return {"elements": list(self.elements)}
@@ -269,16 +268,37 @@ def _bit_vector(elems: tuple[int, ...], kernel: str, diameter_cap: int | None) -
     return base
 
 
-def _pair_sets(elems: tuple[int, ...]) -> tuple[set[int], set[int]]:
-    """A+A and the nonnegative half of A-A (which is symmetric about 0)
-    by pair enumeration; the cost is independent of the diameter."""
-    sums = set()
-    nonneg_diffs = set()
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
-            sums.add(a + b)
-            nonneg_diffs.add(b - a)
-    return sums, nonneg_diffs
+class SumDiffSets:
+    """A, A+A and the nonnegative half of A-A (symmetric about 0): the
+    pairs kernel.  ``adjoin(x)``, for a new x, adds x + a and |x - a| for
+    every a in A and x itself, at O(|A|); it raises CapacityError, before
+    either set grows, when they could pass ``_PAIR_SETS_BYTES``."""
+
+    def __init__(self, elements: Iterable[int] = ()):
+        self.elements, self.sums, self.diffs = [], set(), set()  # elements ascend
+        for x in elements:
+            self.adjoin(x)
+
+    def adjoin(self, x: int) -> None:
+        elems, sums, diffs = self.elements, self.sums, self.diffs
+        ascending = not elems or x > elems[-1]
+        entry = _SET_ENTRY_BYTES + (x if ascending else elems[-1]).bit_length() // 7
+        if (len(sums) + len(diffs) + 2 * len(elems) + 2) * entry > _PAIR_SETS_BYTES:
+            raise CapacityError(f"pair census of {len(elems) + 1} elements could pass {_PAIR_SETS_BYTES} bytes")
+        if ascending:  # the kernel's case: no gap is negative
+            elems.append(x)
+            for a in elems:
+                sums.add(x + a)
+                diffs.add(x - a)
+        elif x in elems:
+            raise DomainError(f"element {x} already present")
+        else:
+            insort(elems, x)
+            sums.update(map(x.__add__, elems))
+            diffs.update(map(abs, map(x.__sub__, elems)))
+
+    def counts(self) -> tuple[int, int]:  # (|A+A|, |A-A|)
+        return len(self.sums), 2 * len(self.diffs) - 1
 
 
 def _distinct_sets(elems: tuple[int, ...], kernel: str, diameter_cap: int | None) -> tuple[tuple, tuple]:
@@ -286,8 +306,8 @@ def _distinct_sets(elems: tuple[int, ...], kernel: str, diameter_cap: int | None
     kernel ``_bit_vector`` picks."""
     base = _bit_vector(elems, kernel, diameter_cap)
     if base is None:
-        sums, nonneg_diffs = _pair_sets(elems)
-        return tuple(sorted(sums)), tuple(sorted(nonneg_diffs))
+        census = SumDiffSets(elems)
+        return tuple(sorted(census.sums)), tuple(sorted(census.diffs))
     smask, dmask = _shift_or(base)
     # the difference mask is biased by the diameter, its top member bit
     diameter = elems[-1] - elems[0]
@@ -381,14 +401,13 @@ def sum_diff_counts(
 ) -> tuple[int, int]:
     """Return (|A+A|, |A-A|) for a sorted tuple of distinct integers.
 
-    ``kernel`` is one of "auto", "bits", "pairs".  Auto never raises a
-    capacity error: it falls back to the pair kernel when the bit
-    vector would exceed the cap.
+    ``kernel`` is one of "auto", "bits", "pairs".  Auto falls back to
+    the pair kernel when the bit vector would exceed the cap, so it
+    raises CapacityError only past the pair kernel's memory cap.
     """
     base = _bit_vector(elements, kernel, diameter_cap)
     if base is None:
-        sums, nonneg_diffs = _pair_sets(elements)
-        return len(sums), 2 * len(nonneg_diffs) - 1
+        return SumDiffSets(elements).counts()
     smask, dmask = _shift_or(base)
     return smask.bit_count(), dmask.bit_count()
 
@@ -396,7 +415,7 @@ def sum_diff_counts(
 def sumset(s: IntSet, kernel: str = "auto", diameter_cap: int | None = DEFAULT_DIAMETER_CAP) -> IntSet:
     """A+A as an IntSet.  ``kernel`` and ``diameter_cap`` act as in
     ``sum_diff_counts``: the cap bounds only the bit vector (2 * diameter
-    bits, offset by min), so only an explicit "bits" can fail."""
+    bits, offset by min), so only an explicit "bits" fails on it."""
     return IntSet(_distinct_sets(s.elements, kernel, diameter_cap)[0], diameter_cap=None)
 
 
@@ -422,14 +441,11 @@ def classify(
     return Classification.from_counts(sc, dc, len(s))
 
 
-def append_analysis(
-    s: IntSet,
-    x: int,
-    kernel: str = "auto",
-    diameter_cap: int | None = DEFAULT_DIAMETER_CAP,
-) -> AppendAnalysis:
+def append_analysis(s: IntSet, x: int, diameter_cap: int | None = DEFAULT_DIAMETER_CAP) -> AppendAnalysis:
     """Classify S and S + {x} and count the sums/differences x creates.
 
+    S goes to the kernel "auto" picks.  Pairs count S once and adjoin x;
+    bits count S + {x} afresh, as a dense S's sums would not fit in sets.
     threshold_met records x >= 2 * sum(S): past that point x+x exceeds
     every old sum and every s+x exceeds every old element sum, so the
     adjoined element contributes exactly |S|+1 new sums and 2|S| new
@@ -438,11 +454,20 @@ def append_analysis(
     x = int(x)
     if x < 0:
         raise DomainError(f"elements must be nonnegative, got {x}")
-    before_counts = sum_diff_counts(s.elements, kernel=kernel, diameter_cap=diameter_cap)
-    extended = s.with_element(x, diameter_cap=None)
-    after_counts = sum_diff_counts(extended.elements, kernel=kernel, diameter_cap=diameter_cap)
+    base = _bit_vector(s.elements, "auto", diameter_cap)
+    if base is None:
+        census = SumDiffSets(s.elements)
+        before_counts = census.counts()
+        census.adjoin(x)
+        after_counts = census.counts()
+    elif x in s.elements:
+        raise DomainError(f"element {x} already present")
+    else:
+        smask, dmask = _shift_or(base)
+        before_counts = smask.bit_count(), dmask.bit_count()
+        after_counts = sum_diff_counts(tuple(sorted((*s.elements, x))), diameter_cap=diameter_cap)
     before = Classification.from_counts(*before_counts, len(s))
-    after = Classification.from_counts(*after_counts, len(extended))
+    after = Classification.from_counts(*after_counts, len(s) + 1)
     return AppendAnalysis(
         new_sums=after.sum_count - before.sum_count,
         new_diffs=after.diff_count - before.diff_count,

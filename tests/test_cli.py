@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -461,19 +462,8 @@ def test_huge_range_exits_two_before_expanding(capsys, monkeypatch):
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["density", "--n", "20000000", "--samples", "1"],
-        ["density", "--n", "10000000000", "--samples", "1"],
-        ["growth", "--seq", "fibonacci", "--r", "3", "--upto", "100000000"],
-        ["search", "--seq", "geometric:1,2,0", "--terms", "100000000", "--max-size", "1"],
-    ],
-    ids=["density-past-cap", "density-huge", "growth", "search-terms"],
-)
-def test_huge_input_exits_one_under_a_memory_limit(argv):
-    # in a child limited to 1 GiB of address space, a guard that checks
-    # after allocating ends in a MemoryError traceback instead
+def run_limited(argv):
+    """``mstd argv`` in a child limited to 1 GiB of address space."""
     pytest.importorskip("resource")
     code = (
         "import resource, sys\n"
@@ -482,9 +472,39 @@ def test_huge_input_exits_one_under_a_memory_limit(argv):
         "sys.exit(main(sys.argv[1:]))\n"
     )
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--n", "20000000", "--samples", "1"],
+        ["density", "--n", "10000000000", "--samples", "1"],
+        ["growth", "--seq", "fibonacci", "--r", "3", "--upto", "100000000"],
+        ["search", "--seq", "geometric:1,2,0", "--terms", "100000000", "--max-size", "1"],
+        ["classify", "@{ints}"],
+        ["certify-finite", "--seq", "fibonacci", "--start", "4", "--upto", "6000"],
+    ],
+    ids=["density-past-cap", "density-huge", "growth", "search-terms", "classify-spread-out", "certify-finite-pairs"],
+)
+def test_huge_input_exits_one_under_a_memory_limit(argv, tmp_path):
+    # a guard that checks after allocating ends in a MemoryError
+    # traceback instead; {ints} is 6000 integers below 10**12, whose
+    # pair census would need about 3 GB
+    ints = tmp_path / "ints.txt"
+    rng = random.Random(6000)
+    ints.write_text("\n".join(str(v) for v in rng.sample(range(10**12), 6000)))
+    done = run_limited([a.replace("{ints}", str(ints)) for a in argv])
     assert (done.returncode, done.stdout) == (1, ""), done.stderr[-2000:]
     assert done.stderr.count("\n") == 1 and done.stderr.startswith("error:")
+
+
+def test_fibonacci_finiteness_at_1600_terms_fits_a_memory_limit():
+    # the prefix pass adjoins one term per prefix: about 2 s and 500 MB;
+    # counting every prefix afresh would take minutes
+    done = run_limited(["certify-finite", "--seq", "fibonacci", "--start", "4", "--upto", "1600"])
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout)["verdict"] == "consistent-within-budget"
 
 
 def test_malformed_set_exits_two(capsys):

@@ -578,7 +578,7 @@ def test_monte_carlo_special_rule_at_its_boundary():
     grown = base_expansion(IntSet(CONWAY), 3)
     for _ in range(4):
         sets.append(grown.elements)
-        grown = grown.with_element(2 * grown.total, diameter_cap=None)
+        grown = IntSet(grown.elements + (2 * grown.total,), diameter_cap=None)
     counts = np.array([sum_diff_counts(e) for e in sets])
     sizes = np.array([len(e) for e in sets])
     for special in (False, True):

@@ -282,6 +282,48 @@ def test_special_prefix_is_refuted():
     assert witness.special
 
 
+def special_prefixes(terms, budget):
+    """(witness, examined) of the prefix pass, counting each of the
+    first ``budget`` prefixes afresh by ``sum_diff_counts``."""
+    for j in range(2, min(len(terms), budget + 1) + 1):
+        sc, dc = sum_diff_counts(tuple(terms[:j]))
+        if sc > dc and sc - dc >= j:
+            return terms[:j], j - 1
+    return None, min(len(terms) - 1, budget)
+
+
+def test_prefix_pass_matches_counting_every_prefix():
+    # S3 is special, and so is its prefix of 126 elements: budgets cut
+    # the pass before, at and after that prefix
+    s3 = list(base_expansion(IntSet(CONWAY), 3).elements)
+    terms = s3 + [2 * sum(s3) * 3**k for k in range(1, 8)]
+    assert special_prefixes(terms, len(terms))[1] == 125
+    for budget in (1, 2, 9, 123, 124, 125, 126, 200, 65536):
+        cert = certify_finitely_many(SequenceSpec.explicit(terms), 4, len(terms), special_search_budget=budget)
+        expected, upto = special_prefixes(terms, budget)
+        assert cert.examined == (upto if expected else budget)
+        assert cert.special_witness == (IntSet(expected, diameter_cap=None) if expected else None)
+        assert cert.verdict == ("refuted" if expected else "consistent-within-budget")
+        assert cert.searched_window == 0
+
+
+def test_prefix_pass_recounts_only_its_first_prefix_and_witness(monkeypatch):
+    recounted = []
+
+    def counting(elements, *args, **kwargs):
+        recounted.append(len(elements))
+        return sum_diff_counts(elements, *args, **kwargs)
+
+    monkeypatch.setattr(sequences, "sum_diff_counts", counting)
+    cert = certify_finitely_many(FIB, 4, 1600)  # counting every prefix afresh would take minutes
+    assert cert.verdict == "consistent-within-budget" and cert.examined == 1599 + 2**15
+    assert recounted == [2]
+    recounted.clear()
+    s3 = base_expansion(IntSet(CONWAY), 3)
+    cert = certify_finitely_many(SequenceSpec.explicit(s3.elements), 4, 512)
+    assert recounted == [2, len(cert.special_witness)]
+
+
 def test_finiteness_start_must_precede_upto():
     with pytest.raises(DomainError):
         certify_finitely_many(FIB, 10, 5)

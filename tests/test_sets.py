@@ -17,7 +17,8 @@ from mstd import (
     sum_diff_counts,
     sumset,
 )
-from mstd.sets import PairCensus
+from mstd import sets
+from mstd.sets import PairCensus, SumDiffSets
 
 CONWAY_SET = IntSet(CONWAY)
 
@@ -72,13 +73,6 @@ def test_cached_extremes():
     s = IntSet([3, 9, 20])
     assert (s.min, s.max, s.diameter, s.total) == (3, 20, 17, 32)
     assert len(s) == 3
-
-
-def test_with_element():
-    s = IntSet([0, 2]).with_element(5)
-    assert s.elements == (0, 2, 5)
-    with pytest.raises(DomainError):
-        IntSet([0, 2]).with_element(2)
 
 
 # -- sumset / diffset --------------------------------------------------
@@ -315,6 +309,82 @@ def test_special_requires_gap_at_least_size():
     assert c3.special  # 1951 >= 512
 
 
+# -- SumDiffSets -------------------------------------------------------
+
+def spread_set(rng):
+    """2..31 distinct integers in [1, 10**e) for a random e up to 30,
+    with room for a new element between the extremes."""
+    top = 10 ** rng.randint(2, 30)
+    elems = sorted(random_ints(rng, rng.randint(2, min(30, top // 4)), 1, top))
+    return elems if elems[-1] - elems[0] >= len(elems) else elems + [elems[-1] + 2]
+
+
+def random_ints(rng, count, low, high):
+    """``count`` distinct integers in [low, high), for ranges of any size."""
+    picked = set()
+    while len(picked) < count:
+        picked.add(rng.randrange(low, high))
+    return picked
+
+
+@pytest.mark.parametrize("where", ["above", "inside", "below"])
+def test_adjoin_matches_pair_enumeration(where):
+    rng = random.Random(f"adjoin-{where}")
+    for _ in range(60):
+        elems = spread_set(rng)
+        census = SumDiffSets(elems)
+        if where == "above":
+            x = elems[-1] + rng.randint(1, 10 ** rng.randint(1, 30))
+        elif where == "below":
+            x = rng.randrange(elems[0])
+        else:
+            i = rng.choice([i for i, (a, b) in enumerate(zip(elems, elems[1:])) if b - a > 1])
+            x = rng.randrange(elems[i] + 1, elems[i + 1])
+        census.adjoin(x)
+        grown = elems + [x]
+        assert census.elements == sorted(grown)
+        assert census.sums == {a + b for a in grown for b in grown}
+        assert census.diffs == {abs(a - b) for a in grown for b in grown}
+        assert census.counts() == naive_counts(grown)
+
+
+def test_adjoin_rejects_a_member_and_leaves_the_census_as_it_was():
+    census = SumDiffSets(CONWAY)
+    with pytest.raises(DomainError, match="already present"):
+        census.adjoin(7)
+    assert census.elements == list(CONWAY)
+    assert census.counts() == (26, 25)
+
+
+def test_pair_census_capacity_is_checked_before_growth(monkeypatch):
+    census = SumDiffSets(range(0, 100, 7))
+    entries = len(census.sums) + len(census.diffs)
+    # room for the entries held, not for the 2 * 16 an adjoin may add
+    monkeypatch.setattr(sets, "_PAIR_SETS_BYTES", (entries + 31) * sets._SET_ENTRY_BYTES)
+    with pytest.raises(CapacityError):
+        census.adjoin(1000)
+    assert len(census.elements) == 15 and len(census.sums) + len(census.diffs) == entries
+    with pytest.raises(CapacityError):
+        sum_diff_counts(tuple(range(0, 10**9, 10**7)), kernel="pairs")
+
+
+def test_pair_census_bytes_bound_what_it_holds():
+    # the capacity rule bounds each entry by a hash-table share plus the
+    # largest sum's int object, also while a table of more than 50000
+    # entries doubles; tracemalloc sees what the sets allocate
+    rng = random.Random(64)
+    for top in (10**6, 10**12, 10**40):
+        elems = sorted(random_ints(rng, 400, 0, top))
+        tracemalloc.start()
+        try:
+            census = SumDiffSets(elems)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = len(census.sums) + len(census.diffs)
+        assert peak <= entries * (sets._SET_ENTRY_BYTES + elems[-1].bit_length() // 7)
+
+
 # -- append_analysis ---------------------------------------------------
 
 def test_append_conway_example():
@@ -370,6 +440,27 @@ def test_append_to_special_set_stays_mstd():
         report = append_analysis(s3, x, diameter_cap=None)
         assert report.threshold_met
         assert report.after.verdict == "mstd"
+
+
+def test_append_keeps_a_dense_set_in_bit_vectors():
+    # auto sends these 1500 integers below 750000 to bits; their 1.3
+    # million sums and differences would take over 100 MB as Python sets
+    rng = random.Random(1500)
+    s = IntSet(rng.sample(range(750_000), 1500))
+    inside = next(a + 1 for a, b in zip(s.elements, s.elements[1:]) if b - a > 1)
+    for x in (inside, 750_017):
+        tracemalloc.start()
+        try:
+            report = append_analysis(s, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert (report.before.sum_count, report.before.diff_count) == sum_diff_counts(s.elements)
+        grown = tuple(sorted(s.elements + (x,)))
+        assert (report.after.sum_count, report.after.diff_count) == sum_diff_counts(grown, kernel="bits")
+    with pytest.raises(DomainError, match="already present"):
+        append_analysis(s, s.elements[700])
 
 
 # -- base_expansion ----------------------------------------------------
