@@ -149,10 +149,19 @@ def _nonnegative_count(text: str) -> int:
 
 
 def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "table":
-        _print_table(payload)
-    else:
-        print(json.dumps(payload))
+    # a report may hold integers of more digits than the interpreter turns
+    # into text (sequence terms): lift that limit only while printing
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "table":
+            _print_table(payload)
+        else:
+            print(json.dumps(payload))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _print_table(payload: dict, indent: int = 0) -> None:

@@ -28,16 +28,17 @@ classified.  Under the min-max objective each cardinality of a level
 stops at its first candidate below the floor, a position ``_level``
 computes from binomial counts; levels stream lazily in ascending
 objective order.  A Monte Carlo block is a chunk of 2^16 samples, drawn
-as raw mask bytes from the chunk's own seed stream.
+as random bytes from the chunk's own seed stream.
 
-Both are classified by ``sets.PairCensus``, one bit-sliced pair form
-for every ground; lattice grounds of more than 64 elements, and small
-lattice blocks, go row by row.  The first candidate of every census
-block and every hit are counted again by ``sum_diff_counts``: a census
-that disagrees raises instead of reporting, so engines never report a
-set they did not verify.  The only pruning rule, skipping subsets of
-diameter below 14, is itself established at runtime by an exhaustive
-scan (see ``min_mstd_diameter``) before any engine uses it.
+Both feed membership rows to ``sets.PairCensus``, one bit-sliced pair
+form for every ground, and decode its hits in ``_census_scan``; lattice
+grounds of more than 64 elements, and small lattice blocks, cost less
+row by row.  The first candidate of every census block and every hit
+are counted again by ``sum_diff_counts``: a census that disagrees raises
+instead of reporting, so engines never report a set they did not
+verify.  The only pruning rule, skipping subsets of diameter below 14,
+is itself established at runtime by an exhaustive scan (see
+``min_mstd_diameter``) before any engine uses it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from itertools import chain, combinations, compress, islice, starmap, takewhile
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sets import CONWAY, DEFAULT_DIAMETER_CAP, IntSet, PairCensus, _int_array, _select_bits, sum_diff_counts
+from .sets import CONWAY, DEFAULT_DIAMETER_CAP, IntSet, PairCensus, _int_array, sum_diff_counts
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_MONTE_CARLO = "monte-carlo"
@@ -72,11 +73,11 @@ DEFAULT_HIT_CAP = 1000
 
 _MC_CHUNK = 1 << 16
 
-# Lattice candidates per block: at most one census block.  The census
-# takes masks of at most 64 bits; wider grounds classify row by row.
+# Lattice candidates per block: at most one census block.  Grounds of
+# more than _CENSUS_WIDTH elements classify row by row, for cost: a census
+# block does one AND per element pair whatever the subset size.
 _BLOCK = 2048
 _CENSUS_WIDTH = 64
-_BITS = np.uint64(1) << np.arange(_CENSUS_WIDTH, dtype=np.uint64)
 # (scale, shift) pairs the minimality probe tests per batch of scales
 _PROBE_PAIRS = 1 << 14
 
@@ -152,6 +153,8 @@ class SearchConfig:
             raise DomainError("threads must be >= 1")
         if self.mode == MODE_MONTE_CARLO and (self.samples is None or self.samples < 1):
             raise DomainError("monte-carlo mode requires samples >= 1")
+        if self.mode == MODE_MONTE_CARLO and self.seed < 0:
+            raise DomainError(f"monte-carlo mode requires seed >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -210,23 +213,25 @@ def _counted_hits(subsets: list[tuple[int, ...]], special: bool) -> np.ndarray:
     return _census_hits(counts[:, 0], counts[:, 1], np.array([len(s) for s in subsets], dtype=np.int64), special)
 
 
-def _census_scan(census: PairCensus, masks: bytes, special: bool, subset) -> np.ndarray:
-    """Positions of the hits among the subsets whose membership masks
-    ``masks`` holds, ascending, classified a census block at a time.
-    The first subset of every census block (unless empty) and every hit,
-    ``subset(k)`` for subset k, are counted again by ``sum_diff_counts``,
+def _census_scan(census: PairCensus, blocks, special: bool, hit_cap: int):
+    """(hit positions, ascending, and the first ``hit_cap`` hits as
+    tuples of ground elements) among the subsets that ``blocks`` yields
+    as membership matrices of at most ``census.block`` rows, the one
+    decoder of census hits.  The first subset of every block (unless
+    empty) and every hit are counted again by ``sum_diff_counts``,
     looked up when called; a census it disagrees with raises."""
-    nbytes = census.nbytes
-    found = [np.zeros(0, dtype=np.intp)]
-    for start in range(0, len(masks) // nbytes, census.block):
-        sc, dc, size = census.counts(masks[start * nbytes : (start + census.block) * nbytes])
+    found, hits, start = [np.zeros(0, dtype=np.intp)], [], 0
+    for member in blocks:
+        sc, dc, size = census.counts(member)
         at = np.flatnonzero(_census_hits(sc, dc, size, special))
-        for r in sorted({0, *at.tolist()}):
-            chosen = subset(start + r)
-            if chosen and sum_diff_counts(chosen) != (int(sc[r]), int(dc[r])):
-                raise RuntimeError(f"batched census disagrees with sum_diff_counts on {chosen}")
+        chosen = {r: tuple(compress(census.elements, member[r].tolist())) for r in sorted({0, *at.tolist()})}
+        for r, subset in chosen.items():
+            if subset and sum_diff_counts(subset) != (int(sc[r]), int(dc[r])):
+                raise RuntimeError(f"batched census disagrees with sum_diff_counts on {subset}")
+        hits += [chosen[r] for r in at[: hit_cap - len(hits)].tolist()]
         found.append(start + at)
-    return np.concatenate(found)
+        start += len(member)
+    return np.concatenate(found), hits
 
 
 def _ordered(fn, work, workers: int):
@@ -333,38 +338,34 @@ def _combination_rows(pool: range, size: int, count: int | None = None):
         yield flat.reshape(rows, size)
 
 
-def _mask_bytes(rows: np.ndarray, nbytes: int) -> bytes:
-    """Index rows (indices below 64) as little-endian membership masks of
-    ``nbytes`` bytes each, the layout ``PairCensus.counts`` reads."""
-    masks = np.zeros(len(rows), dtype=np.uint64)
-    for column in rows.T:
-        masks |= _BITS[column]
-    return masks.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes].tobytes()
-
-
 def _lattice_block(special: bool, hit_cap: int, block, take: int):
     """The classifier ``_scan`` runs on lattice blocks.
 
     ``block`` is (ground, rows): candidates as rows of indices into a
     ``_ScanGround``.  Rows of diameter below the floor are not
     classified.  Grounds of at most ``_CENSUS_WIDTH`` elements classify
-    a block by census when it has more rows than the ground has
-    elements (a smaller block costs less row by row); other rows are
-    counted one at a time.
+    a block by census, as membership rows, when it has more rows than
+    the ground has elements (a smaller block costs less row by row);
+    other rows are counted one at a time.
     """
     ground, rows = block
     rows = rows[:take]
-    at = np.zeros(0, dtype=np.intp)
+    at, found = np.zeros(0, dtype=np.intp), []
     if rows.shape[1]:
         values = ground.values
         wide = np.flatnonzero(values[rows[:, -1]] - values[rows[:, 0]] >= min_mstd_diameter())
-        if len(ground.elements) > _CENSUS_WIDTH or len(wide) <= len(ground.elements):
+        n = len(ground.elements)
+        if n > _CENSUS_WIDTH or len(wide) <= n:
             at = wide[_counted_hits([ground.subset(rows[r]) for r in wide.tolist()], special)]
+            found = [ground.subset(rows[r]) for r in at[:hit_cap].tolist()]
         else:
             census = ground.census
-            masks = _mask_bytes(rows[wide], census.nbytes)
-            at = wide[_census_scan(census, masks, special, lambda k: ground.subset(rows[wide[k]]))]
-    return take, at, [ground.subset(rows[r]) for r in at[:hit_cap].tolist()]
+            member = np.zeros((len(wide), n), dtype=np.uint8)
+            member[np.arange(len(wide))[:, None], rows[wide]] = 1
+            blocks = (member[a : a + census.block] for a in range(0, len(wide), census.block))
+            hit, found = _census_scan(census, blocks, special, hit_cap)
+            at = wide[hit]
+    return take, at, found
 
 
 def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
@@ -422,19 +423,17 @@ def _mc_chunk(census: PairCensus, seed: int, special: bool, hit_cap: int, index:
     Deterministic in (seed, index) alone: each chunk draws from its own
     SeedSequence spawn, so the merged result is independent of how
     chunks are scheduled across workers.  Subset k is the ground
-    elements at the set bits of bytes k * nbytes ... (k + 1) * nbytes of
-    the chunk's ``rng.bytes`` draw, read little-endian.
+    elements at the set bits of row k of the chunk's ``rng.bytes`` draw,
+    rows of ceil(n / 8) bytes read little-endian, unpacked into
+    membership rows one census block at a time.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
-    nbytes = census.nbytes
-    buf = rng.bytes(nbytes * take)
-    full = (1 << census.n) - 1
-
-    def subset(k: int) -> tuple[int, ...]:
-        return _select_bits(int.from_bytes(buf[k * nbytes : (k + 1) * nbytes], "little") & full, census.elements)
-
-    at = _census_scan(census, buf, special, subset)
-    return take, at, [subset(k) for k in at[:hit_cap].tolist()]
+    raw = np.frombuffer(rng.bytes((census.n + 7) // 8 * take), dtype=np.uint8).reshape(take, -1)
+    blocks = (
+        np.unpackbits(raw[a : a + census.block], axis=1, count=census.n, bitorder="little")
+        for a in range(0, take, census.block)
+    )
+    return (take, *_census_scan(census, blocks, special, hit_cap))
 
 
 def _mc_scan(cfg: SearchConfig, special: bool) -> SearchReport:

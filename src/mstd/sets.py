@@ -18,11 +18,12 @@ other and against a naive quadratic reference:
   Cost: k**2, independent of the diameter, so it wins on sparse sets.
 
 ``PairCensus`` counts many subsets of one ground at once, for the Monte
-Carlo engine.  It takes their membership masks as raw bytes, transposes
-a block of them bit-sliced (Biham 1997, "A fast new DES implementation
-in software") so that one uint64 word holds one element across 64
-subsets, and runs the pair enumeration on those words: one AND per pair
-of ground elements marks that pair's sum and difference in 64 subsets.
+Carlo and lattice engines.  It takes a membership matrix (one row of 0/1
+bytes per subset, one column per ground element), transposes a block of
+it bit-sliced (Biham 1997, "A fast new DES implementation in software")
+so that one uint64 word holds one element across 64 subsets, and runs
+the pair enumeration on those words: one AND per pair of ground
+elements marks that pair's sum and difference in 64 subsets.
 Its rows are keyed by the ground's distinct pair sums and differences;
 each left element finds its pairs' rows by binary search as a block is
 counted, so memory does not grow with the number of pairs and one form
@@ -229,11 +230,8 @@ def _shift_or(base: int) -> tuple[int, int]:
 
 def _select_bits(mask: int, items: Sequence) -> tuple:
     """``items[i]`` for every set bit i of ``mask``, in ascending i, in
-    time linear in the mask's width.
-
-    With ``items`` a range this decodes the mask into shifted positions;
-    with a ground tuple it maps an index mask to the chosen elements.
-    """
+    time linear in the mask's width; with ``items`` a range this decodes
+    the mask into shifted positions."""
     raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
     on = np.flatnonzero(np.unpackbits(raw, bitorder="little"))
     return tuple(map(items.__getitem__, on.tolist()))
@@ -320,18 +318,16 @@ def _distinct_sets(elems: tuple[int, ...], kernel: str, diameter_cap: int | None
 class PairCensus:
     """|A+A|, |A-A| and |A| for many subsets A of one ground at once.
 
-    Subsets arrive as membership masks of ``nbytes`` little-endian bytes
-    each (bit j set: ground element j is in the subset), the layout the
-    Monte Carlo engine reads its random bytes in; bits past the ground
-    are ignored.  ``counts`` takes up to ``block`` masks at a time.
-    Memory is the ground's distinct pair sums and differences and one
-    block's tables, never a table of its element pairs.
+    Subsets arrive as rows of a membership matrix: column j of a row is
+    1 when ground element j is in the subset, else 0.  ``counts`` takes
+    up to ``block`` rows at a time.  Memory is the ground's distinct
+    pair sums and differences and one block's tables, never a table of
+    its element pairs.
     """
 
     def __init__(self, elements: Sequence[int]):
         self.elements = tuple(elements)
         self.n = len(self.elements)
-        self.nbytes = (self.n + 7) // 8
         sums, nonneg_diffs = _distinct_sets(self.elements, "auto", DEFAULT_DIAMETER_CAP)
         top = 2 * self.elements[-1]
         self._ground = _int_array(self.elements, top)
@@ -340,13 +336,13 @@ class PairCensus:
         words = _CENSUS_TABLE_WORDS // (len(sums) + len(nonneg_diffs))
         self.block = 64 * max(1, min(_CENSUS_WORDS, words))
 
-    def counts(self, masks: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sum counts, difference counts, sizes), one entry per mask."""
-        member = np.frombuffer(masks, dtype=np.uint8).reshape(-1, self.nbytes)
+    def counts(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sum counts, difference counts, sizes), one entry per row of
+        the (subsets, n) 0/1 matrix ``member``."""
         count = len(member)
         words = (count + 63) // 64
         flags = np.zeros((self.n, 64 * words), dtype=np.uint8)
-        flags[:, :count] = np.unpackbits(member, axis=1, count=self.n, bitorder="little").T
+        flags[:, :count] = member.T
         # x[j, w] bit b: element j is in subset 64 * w + b
         x = np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
         sums = np.zeros((len(self._sums), words), dtype=np.uint64)
@@ -363,7 +359,7 @@ class PairCensus:
         return (
             _column_counts(sums)[:count],
             np.maximum(2 * nonneg - 1, 0),
-            flags.sum(axis=0, dtype=np.int64)[:count],
+            member.sum(axis=1, dtype=np.int64),
         )
 
 
@@ -494,9 +490,11 @@ def base_expansion(s: IntSet, k: int, diameter_cap: int | None = DEFAULT_DIAMETE
     if s.max == 0:
         return s  # {0} expands to {0}; b = 1 would be degenerate
     b = 2 * s.max + 1
-    top = s.max * (b**k - 1) // (b - 1)
-    if diameter_cap is not None and top > diameter_cap:
-        raise CapacityError(f"expansion diameter {top} exceeds cap {diameter_cap}")
+    # the diameter max * (b**k - 1) / (b - 1) is at least 2 ** low, so a
+    # cap below that refuses before b**k is formed
+    low = s.max.bit_length() - 1 + (k - 1) * (b.bit_length() - 1)
+    if diameter_cap is not None and (low > diameter_cap.bit_length() or s.max * (b**k - 1) // (b - 1) > diameter_cap):
+        raise CapacityError(f"expansion of length {k} has a diameter past the cap {diameter_cap}")
     vals = [0]
     for _ in range(k):
         vals = [v * b + d for v in vals for d in s.elements]

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -84,6 +85,28 @@ def test_seq_command(capsys):
     assert data["terms"] == [4, 10, 28, 82]
     data = run_json(capsys, "seq", "--seq", "recurrence:1,1:4,7", "--terms", "4")
     assert data["terms"] == [4, 7, 11, 18]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_seq_prints_terms_past_the_digit_limit(capsys, fmt):
+    # a_k = 10**6 * a_(k-1) + a_(k-2) passes 4300 decimal digits, the
+    # interpreter's default limit on int-to-text conversion, near k = 717
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no limit on int-to-text conversion")
+    expected = [1, 2]
+    while len(expected) < 800:
+        expected.append(10**6 * expected[-1] + expected[-2])
+    limit = sys.get_int_max_str_digits()
+    assert expected[-1].bit_length() > 4300 * 3.33 and limit
+    code, out, err = run(capsys, "seq", "--seq", "recurrence:1000000,1:1,2", "--terms", "800", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # lifted only while printing
+    sys.set_int_max_str_digits(0)
+    try:
+        terms = json.loads(out)["terms"] if fmt == "json" else json.loads(out.removeprefix("terms: "))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert terms == expected
 
 
 # -- search family -------------------------------------------------------
@@ -326,6 +349,38 @@ def test_capacity_error_exits_one(capsys):
     code, _, err = run(capsys, "expand", "0,2,3,4,7,11,12,14", "6")
     assert code == 1
     assert "error:" in err
+    # 14*(29^5-1)/28 does not: 8^5 elements
+    assert len(run_json(capsys, "expand", "0,2,3,4,7,11,12,14", "5")["elements"]) == 8**5
+
+
+@pytest.mark.parametrize("k", ["10000", "100000000"])
+def test_expansion_past_the_cap_exits_one_at_once(capsys, k):
+    # 3**k has about 0.48 * k digits: it must be refused from bit lengths,
+    # before the power is formed, and the message must not print it
+    started = time.perf_counter()
+    code, out, err = run(capsys, "expand", "0,1", k)
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--n", "10", "--samples", "10", "--seed", "-1"],
+        ["search", "--ground", "0..20", "--mode", "monte-carlo", "--special", "--samples", "10", "--seed", "-5"],
+        ["reproduce", "density-4.5e-4", "--samples", "10", "--seed", "-2"],
+    ],
+    ids=["density", "search", "reproduce"],
+)
+def test_negative_monte_carlo_seed_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_exhaustive_search_echoes_a_negative_seed(capsys):
+    assert run_json(capsys, "search", "--ground", "0..15", "--max-size", "3", "--seed", "-5")["seed"] == -5
 
 
 def _naive_sums(elements):

@@ -593,10 +593,11 @@ def test_census_of_every_subset_matches_lattice_count(n):
     # scalar bit kernel's count of the same power set (the lattice engine
     # runs the census too, so it is no independent check by itself)
     census = PairCensus(tuple(range(n)))
-    masks = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)[:, : census.nbytes]
     mstd_count = 0
     for start in range(0, 1 << n, census.block):
-        sc, dc, _ = census.counts(masks[start : start + census.block].tobytes())
+        # row k: the bits of start + k, element j at bit j
+        index = np.arange(start, min(start + census.block, 1 << n))
+        sc, dc, _ = census.counts((index[:, None] >> np.arange(n) & 1).astype(np.uint8))
         mstd_count += int(np.count_nonzero(sc > dc))
     scalar = 0
     for k in range(1, n + 1):
@@ -606,6 +607,31 @@ def test_census_of_every_subset_matches_lattice_count(n):
     lattice = exhaustive_search(SearchConfig(ground=IntSet(range(n))))
     assert lattice.exhausted
     assert mstd_count == scalar == lattice.hit_count > 0
+
+
+@pytest.mark.parametrize("hit_cap", [1, 2, 5])
+def test_lattice_block_in_many_census_blocks_matches_row_by_row(monkeypatch, hit_cap):
+    # census blocks of 64 rows cut each 2048-row lattice block of sizes
+    # 9 and 10 of {0..17} into up to 32, and one block's hits lie in at
+    # least five 64-row stretches; whole and budget-cut blocks give the
+    # row-by-row positions and hits
+    blocks = [rows for size in (9, 10) for rows in itertools.islice(_combination_rows(range(18), size), 3)]
+    ground = _ScanGround(tuple(range(18)))
+    ground.census.block = 64
+
+    def classify():
+        return [
+            (take, at.tolist(), found)
+            for special in (False, True)
+            for rows in blocks
+            for take, at, found in (_lattice_block(special, hit_cap, (ground, rows), t) for t in (len(rows), 1000))
+        ]
+
+    split = classify()
+    monkeypatch.setattr(search, "_CENSUS_WIDTH", 0)
+    assert classify() == split
+    assert max(len({p // 64 for p in at}) for _, at, _ in split) >= 5
+    assert max(len(found) for _, _, found in split) == hit_cap
 
 
 def test_monte_carlo_memory_independent_of_diameter():

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mstd import (
@@ -183,18 +184,15 @@ def census_grounds():
 
 
 def test_pair_census_matches_naive_counts():
-    rng = random.Random(611)
+    rng = np.random.default_rng(611)
     for ground in census_grounds():
         census = PairCensus(ground)
-        assert census.nbytes == (len(ground) + 7) // 8
         for count in sorted({1, 63, 65, census.block}):
-            # random bytes also set the bits past the ground, which must be ignored
-            masks = rng.randbytes(count * census.nbytes)
-            sc, dc, size = census.counts(masks)
+            member = rng.integers(0, 2, size=(count, len(ground)), dtype=np.uint8)
+            sc, dc, size = census.counts(member)
             assert len(sc) == len(dc) == len(size) == count
             for row in range(count):
-                mask = int.from_bytes(masks[row * census.nbytes : (row + 1) * census.nbytes], "little")
-                chosen = [e for j, e in enumerate(ground) if mask >> j & 1]
+                chosen = [e for e, bit in zip(ground, member[row].tolist()) if bit]
                 assert (sc[row], dc[row], size[row]) == (*naive_counts(chosen), len(chosen))
 
 
@@ -208,22 +206,22 @@ def test_pair_census_bounds_its_memory():
     assert PairCensus(sparse).block == 64  # ~360000 rows
     # {0..2047} has 2**21 element pairs; no per-pair state is kept, so a
     # full block's memory follows its 6143 distinct sums and differences
-    # (one 16-byte index per pair would be 32 MiB)
+    # (one 16-byte index per pair would be 32 MiB); the block's own
+    # 1344 x 2048 membership matrix is built inside the traced region
     ground = tuple(range(2048))
-    masks = random.Random(7).randbytes(1344 * 256)
     tracemalloc.start()
     try:
         census = PairCensus(ground)
-        sc, dc, size = census.counts(masks)
+        member = np.random.default_rng(7).integers(0, 2, size=(census.block, len(ground)), dtype=np.uint8)
+        sc, dc, size = census.counts(member)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert census.block == 1344
     assert peak < 12 * 2**20
     for row in range(3):
-        mask = int.from_bytes(masks[row * 256 : (row + 1) * 256], "little")
-        chosen = [e for e in ground if mask >> e & 1]
-        assert (sc[row], dc[row], size[row]) == (*sum_diff_counts(tuple(chosen)), len(chosen))
+        chosen = tuple(np.flatnonzero(member[row]).tolist())
+        assert (sc[row], dc[row], size[row]) == (*sum_diff_counts(chosen), len(chosen))
 
 
 def test_bits_kernel_respects_capacity():
