@@ -272,7 +272,7 @@ def _cmd_append(args, cfg):
 
 def _cmd_bound(args, cfg):
     s = IntSet(args.set, diameter_cap=None)
-    report = verify_difference_bound(s, args.x, args.r)
+    report = verify_difference_bound(s, args.x, args.r, diameter_cap=cfg["diameter_cap"])
     _emit(report.to_dict(), cfg["format"])
     return 0
 

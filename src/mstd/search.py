@@ -20,23 +20,24 @@ the hit cap and the first-hit stop to the hit positions.  With more
 than one worker the blocks are classified in a process pool and merged
 in block order, so a report does not depend on the worker count.
 
-A lattice block is at most 2048 index rows over one scan ground (the
-search's ground, or a minimality level's elements), drawn by
-``np.fromiter`` from ``itertools.combinations`` in the order above.
-Candidates below the diameter floor count as examined but are not
-classified.  Under the min-max objective each cardinality of a level
-stops at its first candidate below the floor, a position ``_level``
-computes from binomial counts; levels stream lazily in ascending
-objective order.  A Monte Carlo block is a chunk of 2^16 samples, drawn
-as random bytes from the chunk's own seed stream.
+A lattice block is a rank descriptor, (scan ground, size, rank of its
+first candidate), for at most 2048 candidates in the order above; the
+classifier unranks them by the combinatorial number system.  Candidates
+below the diameter floor count as examined but are not classified.
+Under the min-max objective each cardinality of a level stops at its
+first candidate below the floor, a position ``_level`` computes from
+binomial counts; levels stream lazily in ascending objective order.  A
+Monte Carlo block is a chunk of 2^16 samples, drawn as random bytes from
+the chunk's own seed stream.
 
 Both feed membership rows to ``sets.PairCensus``, one bit-sliced pair
-form for every ground, and decode its hits in ``_census_scan``; lattice
-grounds of more than 64 elements, and small lattice blocks, cost less
-row by row.  The first candidate of every census block and every hit
-are counted again by ``sum_diff_counts``: a census that disagrees raises
-instead of reporting, so engines never report a set they did not
-verify.  The only pruning rule, skipping subsets of diameter below 14,
+form for every ground, and decode its hits in ``_census_scan``; a
+lattice ground of at most 64 elements is unranked one pass per element
+straight into membership rows, and wider grounds and small blocks, which
+cost less row by row, one pass per position into index rows.  The first
+candidate of every census block and every hit are counted again by
+``sum_diff_counts``: a census that disagrees raises instead of
+reporting, so engines never report a set they did not verify.  The only pruning rule, skipping subsets of diameter below 14,
 is itself established at runtime by an exhaustive scan (see
 ``min_mstd_diameter``) before any engine uses it.
 """
@@ -50,13 +51,15 @@ from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import chain, combinations, compress, islice, starmap, takewhile
+from functools import cached_property, lru_cache, partial
+from itertools import combinations, compress, starmap, takewhile
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sets import CONWAY, DEFAULT_DIAMETER_CAP, IntSet, PairCensus, _int_array, sum_diff_counts
+from .sets import (
+    CONWAY, DEFAULT_DIAMETER_CAP, IntSet, PairCensus, _int_array, _check_census_capacity, sum_diff_counts,
+)
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_MONTE_CARLO = "monte-carlo"
@@ -78,6 +81,8 @@ _MC_CHUNK = 1 << 16
 # block does one AND per element pair whatever the subset size.
 _BLOCK = 2048
 _CENSUS_WIDTH = 64
+# Binomial tables are clipped here, so ranks and counts stay int64
+_RANK_CAP = 1 << 62
 # (scale, shift) pairs the minimality probe tests per batch of scales
 _PROBE_PAIRS = 1 << 14
 
@@ -309,12 +314,17 @@ def _pool_size(threads: int, units: int) -> int:
 # -- Lattice engines --------------------------------------------------
 
 class _ScanGround:
-    """The ground of a lattice scan; its candidates are rows of indices
-    into ``elements``.  The census is built when a block first needs it."""
+    """The ground of a lattice scan: its ``lead`` first and ``tail`` last
+    elements are in every candidate, which chooses among the ``k``
+    elements between.  A candidate is (size, rank among that size's
+    choices in lexicographic order).  The census is built when a block
+    first needs it."""
 
-    def __init__(self, elements: tuple[int, ...]):
+    def __init__(self, elements: tuple[int, ...], lead: int = 0, tail: int = 0):
         self.elements = elements
         self.values = _int_array(elements, elements[-1])
+        self.lead, self.tail = lead, tail
+        self.k = len(elements) - lead - tail
 
     @cached_property
     def census(self) -> PairCensus:
@@ -323,56 +333,118 @@ class _ScanGround:
     def subset(self, row: np.ndarray) -> tuple[int, ...]:
         return tuple(map(self.elements.__getitem__, row.tolist()))
 
+    def member_rows(self, size: int, first: int, count: int) -> np.ndarray:
+        """Candidates ``first`` .. ``first + count - 1`` of ``size`` as a
+        (count, n) 0/1 membership matrix, one pass per element.  With
+        ``left`` elements to choose and slack d, a candidate of rank r
+        takes the next element if r is below the C(d + left - 1, left - 1)
+        candidates that do; else r drops by that many and d by one.  As
+        unsigned ints, min(r, r - C) is the next rank either way."""
+        k, lead, slack = self.k, self.lead, self.k - size
+        table, forced = _binomials(slack, size)
+        member = np.zeros((len(self.elements), count), dtype=np.uint8)
+        member[: lead + forced] = member[lead + k :] = 1
+        rank = np.arange(first, first + count, dtype=np.uint64)
+        at = np.full(count, (size - forced) * (slack + 1) + slack, dtype=np.intp)  # [left, d] in the table
+        flat = table.view(np.uint64).ravel()
+        for e in range(forced, k):
+            takers = flat[at]
+            taken = rank < takers
+            member[lead + e] = taken
+            np.minimum(rank, rank - takers, out=rank)
+            at -= 1 + taken * slack
+        return member.T
 
-def _combination_rows(pool: range, size: int, count: int | None = None):
-    """The first ``count`` (default: all) ``size``-combinations of
-    ``pool`` in lexicographic order, as index arrays of at most
-    ``_BLOCK`` rows, in a dtype that holds ``pool.stop``."""
-    if count is None:
-        count = math.comb(len(pool), size)
-    dtype = np.uint8 if pool.stop < 256 else np.intp
-    combos = combinations(pool, size)
-    for start in range(0, count, _BLOCK):
-        rows = min(_BLOCK, count - start)
-        flat = np.fromiter(chain.from_iterable(islice(combos, rows)), dtype=dtype, count=rows * size)
-        yield flat.reshape(rows, size)
+    def index_rows(self, size: int, first: int, count: int, positions: int | None = None) -> np.ndarray:
+        """The same candidates as rows of ground indices, one ``_pick``
+        per position, or only their first ``positions`` columns."""
+        k, lead = self.k, self.lead
+        table, forced = _binomials(k - size, size)
+        rows = np.empty((count, lead + size + self.tail), dtype=np.intp)
+        rows[:, : lead + forced] = np.arange(lead + forced)
+        rows[:, lead + size :] = len(self.elements) - 1
+        rank, slack = np.arange(first, first + count, dtype=np.int64), k - size
+        for p in range(forced, size if positions is None else min(size, positions - lead)):
+            slack, rank = _pick(table, slack, size - p, rank)
+            rows[:, lead + p] = lead + k - size + p - slack
+        return rows[:, :positions]
+
+
+def _pick(table: np.ndarray, slack, s: int, rank: np.ndarray):
+    """(slack, rank) after the next position of candidates of rank
+    ``rank`` with s elements to choose, ``slack`` of those from the
+    least free one on left out.  A candidate takes that element while
+    its rank is below the C(slack + s - 1, s - 1) candidates that do;
+    else, by binary search in C(d + s, s), the element after which d
+    are left out whose candidates start at the largest count not past
+    the rank: C(slack + s, s) - C(d + s, s)."""
+    column = table[s + 1]
+    from_here = column[slack]
+    after = column.searchsorted(from_here - rank)
+    after = np.where(table[s][slack] > rank, slack, after)
+    return after, rank - (from_here - column[after])
+
+
+@lru_cache(maxsize=256)
+def _binomials(slack: int, size: int) -> tuple[np.ndarray, int]:
+    """(table, forced) for choosing size of slack + size elements.  The
+    table's [j, d] is C(d + j - 1, j - 1) for d <= slack, clipped at
+    ``_RANK_CAP``, and row 0 is 0; row j + 1 is the running sum of row
+    j, exact up to its first value at or past the clip.  Rows stop once
+    column ``slack`` reaches the clip: every rank below it takes the
+    ``forced`` first elements.  Ranks below 2^62 / (slack + size) meet
+    only exact counts, and a table holds at most about 66 (slack + size
+    + 2) words."""
+    rows = [np.zeros(slack + 1, dtype=np.uint64), np.ones(slack + 1, dtype=np.uint64)]
+    while len(rows) < size + 2 and rows[-1][-1] < _RANK_CAP:
+        run = np.cumsum(rows[-1])
+        rows.append(np.where(np.logical_or.accumulate(run >= _RANK_CAP), np.uint64(_RANK_CAP), run))
+    return np.array(rows, dtype=np.int64), size + 2 - len(rows)
+
+
+def _rank_blocks(ground: _ScanGround, size: int, count: int):
+    """(count, (ground, size, first rank)) for the first ``count``
+    candidates of ``size``, at most ``_BLOCK`` per block."""
+    return ((min(_BLOCK, count - first), (ground, size, first)) for first in range(0, count, _BLOCK))
 
 
 def _lattice_block(special: bool, hit_cap: int, block, take: int):
     """The classifier ``_scan`` runs on lattice blocks.
 
-    ``block`` is (ground, rows): candidates as rows of indices into a
-    ``_ScanGround``.  Rows of diameter below the floor are not
-    classified.  Grounds of at most ``_CENSUS_WIDTH`` elements classify
-    a block by census, as membership rows, when it has more rows than
-    the ground has elements (a smaller block costs less row by row);
-    other rows are counted one at a time.
+    ``block`` is a ``_rank_blocks`` descriptor.  Candidates of diameter
+    below the floor, such as every candidate of fewer than two
+    elements, are not classified.  Grounds of at most ``_CENSUS_WIDTH``
+    elements classify a block by census, as membership rows, when it
+    has more candidates than the ground has elements (a smaller block
+    costs less row by row); other blocks are counted one set at a time.
     """
-    ground, rows = block
-    rows = rows[:take]
-    at, found = np.zeros(0, dtype=np.intp), []
-    if rows.shape[1]:
-        values = ground.values
-        wide = np.flatnonzero(values[rows[:, -1]] - values[rows[:, 0]] >= min_mstd_diameter())
-        n = len(ground.elements)
-        if n > _CENSUS_WIDTH or len(wide) <= n:
-            at = wide[_counted_hits([ground.subset(rows[r]) for r in wide.tolist()], special)]
-            found = [ground.subset(rows[r]) for r in at[:hit_cap].tolist()]
-        else:
-            census = ground.census
-            member = np.zeros((len(wide), n), dtype=np.uint8)
-            member[np.arange(len(wide))[:, None], rows[wide]] = 1
-            blocks = (member[a : a + census.block] for a in range(0, len(wide), census.block))
-            hit, found = _census_scan(census, blocks, special, hit_cap)
-            at = wide[hit]
-    return take, at, found
+    ground, size, first = block
+    n = len(ground.elements)
+    floor = min_mstd_diameter()
+    if size + ground.lead + ground.tail < 2:
+        return take, np.zeros(0, dtype=np.intp), []
+    if n > _CENSUS_WIDTH or take <= n:
+        rows = ground.index_rows(size, first, take)
+        wide = np.flatnonzero(ground.values[rows[:, -1]] - ground.values[rows[:, 0]] >= floor)
+        at = wide[_counted_hits([ground.subset(rows[r]) for r in wide.tolist()], special)]
+        return take, at, [ground.subset(rows[r]) for r in at[:hit_cap].tolist()]
+    member = ground.member_rows(size, first, take)
+    low = ground.index_rows(size, first, take, positions=1)[:, 0]
+    high = n - 1 if ground.tail else n - 1 - member[:, ::-1].argmax(axis=1)
+    wide = np.flatnonzero(ground.values[high] - ground.values[low] >= floor)
+    if len(wide) < take:
+        member = member[wide]
+    census = ground.census
+    blocks = (member[a : a + census.block] for a in range(0, len(wide), census.block))
+    hit, found = _census_scan(census, blocks, special, hit_cap)
+    return take, wide[hit], found
 
 
 def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     elems = cfg.ground.elements
     sizes = range(cfg.min_size, (len(elems) if cfg.max_size is None else min(cfg.max_size, len(elems))) + 1)
     ground = _ScanGround(elems)
-    blocks = ((len(rows), (ground, rows)) for k in sizes for rows in _combination_rows(range(len(elems)), k))
+    blocks = (b for k in sizes for b in _rank_blocks(ground, k, math.comb(len(elems), k)))
     # every size is at least one block, so the first few sizes settle the pool
     counted = sizes[: _pool_size(cfg.threads, len(sizes))]
     workers = _pool_size(cfg.threads, sum(-(-math.comb(len(elems), k) // _BLOCK) for k in counted))
@@ -473,6 +545,7 @@ def monte_carlo_density(
         raise DomainError("n must be >= 0")
     if n > DEFAULT_DIAMETER_CAP:  # before the ground's n + 1 ints are built
         raise CapacityError(f"diameter {n} exceeds cap {DEFAULT_DIAMETER_CAP}")
+    _check_census_capacity(n + 1, 3 * n + 2)  # {0..n}: 2n + 1 sums, n + 1 differences
     cfg = SearchConfig(
         ground=IntSet(range(n + 1)),
         mode=MODE_MONTE_CARLO,
@@ -542,7 +615,7 @@ def minimal_mstd_in(
 
         levels = heapq.merge(*(from_left(i) for i in range(len(elems))))
     below_bound = takewhile(lambda level: bound is None or level[0] < bound, levels)
-    stream = chain.from_iterable(_level(elems, objective, w, floor) for value, w in below_bound if value >= floor)
+    stream = (b for value, w in below_bound if value >= floor for b in _level(elems, objective, w, floor))
     found, _, examined, complete = _scan(stream, partial(_lattice_block, False, 1), budget, examined, 1, True)
     if found:  # every level below the hit's was exhausted first
         best = found[0]
@@ -603,8 +676,8 @@ def _level(elems, objective, where, floor):
     is elems[m] plus any subset of the elements below it) or both
     endpoints (min-diameter: level (i, j) is elems[i], elems[j] plus any
     subset of the elements between them), and its elements are the
-    scan ground.  Candidates ascend by cardinality, lexicographic
-    within.  Under min-max, a candidate whose least element lies within
+    scan ground, the fixed ones its lead and tail.  Candidates ascend by
+    cardinality, lexicographic within.  Under min-max, a candidate whose least element lies within
     ``floor`` of the top has diameter below the floor, and so has every
     later candidate of its cardinality: the first such candidate is the
     last one streamed (it counts as examined and is not classified).
@@ -614,18 +687,14 @@ def _level(elems, objective, where, floor):
     """
     if objective == OBJECTIVE_MIN_MAX:
         level = elems[: where + 1]
-        lead, k = 0, where
-        t = bisect_right(level, level[-1] - floor, 0, k)
+        ground = _ScanGround(level, tail=1)
+        t = bisect_right(level, level[-1] - floor, 0, ground.k)
     else:
         i, j = where
         level = elems[i : j + 1]
-        lead, k = 1, j - i - 1
-        t = k  # every candidate spans the level's diameter, at least the floor
-    ground = _ScanGround(level)
+        ground = _ScanGround(level, lead=1, tail=1)
+        t = ground.k  # every candidate spans the level's diameter, at least the floor
+    k = ground.k
     for size in range(k + 1):
         near = math.comb(k - t, size)
-        for rows in _combination_rows(range(lead, lead + k), size, math.comb(k, size) - near + (near > 0)):
-            framed = np.zeros((len(rows), lead + size + 1), dtype=rows.dtype)  # column 0: the left end
-            framed[:, lead:-1] = rows
-            framed[:, -1] = len(level) - 1
-            yield len(framed), (ground, framed)
+        yield from _rank_blocks(ground, size, math.comb(k, size) - near + (near > 0))

@@ -391,9 +391,12 @@ class DifferenceBoundReport:
         }
 
 
-def verify_difference_bound(s_prime: IntSet, new_element: int, r: int) -> DifferenceBoundReport:
-    """Check, by ``append_analysis``, that adjoining ``new_element`` to
-    S' creates at least |S|+1 new differences and at most |S|+1 new sums.
+def verify_difference_bound(
+    s_prime: IntSet, new_element: int, r: int, diameter_cap: int | None = DEFAULT_DIAMETER_CAP
+) -> DifferenceBoundReport:
+    """Check, by ``append_analysis`` under ``diameter_cap``, that adjoining
+    ``new_element`` to S' creates at least |S|+1 new differences and at
+    most |S|+1 new sums.
 
     The hypothesis is the growth inequality on the top elements of
     S = S' + {x}: x > s_{k-1} + s_{k-r} (1-indexed, s_k = x).  When it
@@ -411,7 +414,7 @@ def verify_difference_bound(s_prime: IntSet, new_element: int, r: int) -> Differ
     k = len(s_prime) + 1
     if k < 2 * r + 2:
         raise DomainError(f"|S'|+1 = {k} is below the required 2r+2 = {2 * r + 2}")
-    change = append_analysis(s_prime, x)
+    change = append_analysis(s_prime, x, diameter_cap=diameter_cap)
     new_sums, new_diffs = change.new_sums, change.new_diffs
     applies = x > s_prime.elements[k - 2] + s_prime.elements[k - r - 1]  # s_{k-1} + s_{k-r}
     if not applies:

@@ -29,10 +29,12 @@ each left element finds its pairs' rows by binary search as a block is
 counted, so memory does not grow with the number of pairs and one form
 serves every ground, whatever its size, diameter or spacing.
 
-Two capacity rules bound memory.  ``diameter_cap`` bounds the bit vector
+Three capacity rules bound memory.  ``diameter_cap`` bounds the bit vector
 (2 * diameter bits, offset by min(A)); ``auto`` falls back to pairs past
 it, and only an explicit ``bits`` raises CapacityError.  ``SumDiffSets``
-raises CapacityError before its sets could pass ``_PAIR_SETS_BYTES``.
+raises CapacityError before its sets could pass ``_PAIR_SETS_BYTES``,
+and ``_check_census_capacity`` before one census block could pass
+``_CENSUS_BLOCK_BYTES``.
 ``base_expansion`` keeps its own guard on the size of the set it builds.
 """
 
@@ -69,6 +71,9 @@ _PAIR_SETS_BYTES = 3 << 28
 _CENSUS_WORDS = 32
 _CENSUS_TABLE_WORDS = 1 << 17
 _CENSUS_UNPACK_WORDS = 1 << 11
+# Bound on the smallest census block, 64 subsets: 64 membership bytes per
+# element and a word per distinct pair sum and difference ({0..n}: n < 1.53M)
+_CENSUS_BLOCK_BYTES = 1 << 27
 
 VERDICT_MSTD = "mstd"
 VERDICT_BALANCED = "balanced"
@@ -329,6 +334,7 @@ class PairCensus:
         self.elements = tuple(elements)
         self.n = len(self.elements)
         sums, nonneg_diffs = _distinct_sets(self.elements, "auto", DEFAULT_DIAMETER_CAP)
+        _check_census_capacity(self.n, len(sums) + len(nonneg_diffs))
         top = 2 * self.elements[-1]
         self._ground = _int_array(self.elements, top)
         self._sums = _int_array(sums, top)
@@ -363,6 +369,14 @@ class PairCensus:
         )
 
 
+def _check_census_capacity(elements: int, rows: int) -> None:
+    """CapacityError if a 64-subset census block of ``elements`` elements
+    and ``rows`` distinct pair sums and differences passes the bound."""
+    if (need := 64 * elements + 8 * rows) > _CENSUS_BLOCK_BYTES:
+        raise CapacityError(f"a 64-subset census block over {elements} elements needs {need} bytes, "
+                            f"cap is {_CENSUS_BLOCK_BYTES}")
+
+
 def _int_array(values: Sequence[int], top: int) -> np.ndarray:
     """``values`` as int64, or as exact Python ints (an object array)
     when ``top``, the largest value to be computed from them, passes
@@ -381,12 +395,14 @@ def _or_rows(table: np.ndarray, rows: np.ndarray, words: np.ndarray) -> None:
 
 
 def _column_counts(table: np.ndarray) -> np.ndarray:
-    """Set bits in each bit column of a (rows, words) uint64 table."""
+    """Set bits in each bit column of a (rows, words) uint64 table.  A
+    step unpacks at most ``_CENSUS_UNPACK_WORDS`` rows, so its column
+    sums fit uint16."""
     step = max(1, _CENSUS_UNPACK_WORDS // table.shape[1])
     total = np.zeros(64 * table.shape[1], dtype=np.int64)
     for k in range(0, len(table), step):
         unpacked = np.unpackbits(table[k : k + step].view(np.uint8), axis=1, bitorder="little")
-        total += unpacked.sum(axis=0, dtype=np.int64)
+        total += unpacked.sum(axis=0, dtype=np.uint16)
     return total
 
 

@@ -78,6 +78,19 @@ def test_bound_command(capsys):
     assert data["new_diffs"] >= data["set_size"] + 1 >= data["new_sums"]
 
 
+def test_bound_honours_the_diameter_cap(capsys, monkeypatch):
+    # under a cap of 1 the bit kernel cannot hold {0..14}, so the pair
+    # kernel counts it, to the same report
+    from mstd import sets
+
+    honest, built = sets.SumDiffSets, []
+    monkeypatch.setattr(sets, "SumDiffSets", lambda *args: built.append(args) or honest(*args))
+    uncapped = run_json(capsys, "bound", "0..13", "14", "--r", "3")
+    assert not built
+    capped = run_json(capsys, "bound", "0..13", "14", "--r", "3", "--diameter-cap", "1")
+    assert capped == uncapped and built
+
+
 def test_seq_command(capsys):
     data = run_json(capsys, "seq", "--seq", "fibonacci", "--terms", "6")
     assert data["terms"] == [0, 1, 2, 3, 5, 8]
@@ -377,6 +390,18 @@ def test_negative_monte_carlo_seed_exits_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_density_past_the_census_bound_exits_one_before_the_ground(capsys, monkeypatch):
+    from mstd import search
+
+    def no_ground(*args, **kwargs):
+        raise AssertionError("the ground was built")
+
+    monkeypatch.setattr(search, "IntSet", no_ground)
+    code, out, err = run(capsys, "density", "--n", "16777216", "--samples", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error:") and "census block" in err
 
 
 def test_exhaustive_search_echoes_a_negative_seed(capsys):

@@ -13,6 +13,7 @@ import pytest
 
 from mstd import (
     CONWAY,
+    CapacityError,
     DomainError,
     IntSet,
     PrimeSieve,
@@ -30,8 +31,8 @@ from mstd import (
 )
 from mstd import search
 from mstd.search import (
-    _BLOCK, _MC_CHUNK, _census_hits, _combination_rows, _lattice_block, _level, _mc_chunk, _mc_scan, _ordered,
-    _pool_size, _scan, _ScanGround,
+    _BLOCK, _MC_CHUNK, _census_hits, _lattice_block, _level, _mc_chunk, _mc_scan, _ordered, _pool_size,
+    _rank_blocks, _scan, _ScanGround,
 )
 from mstd.sets import PairCensus
 
@@ -340,8 +341,7 @@ def test_lattice_blocks_match_the_tuple_stream(seed):
 
     def blocks():
         ground = _ScanGround(elems)
-        return ((len(rows), (ground, rows)) for k in range(lo, hi + 1)
-                for rows in _combination_rows(range(len(elems)), k))
+        return (b for k in range(lo, hi + 1) for b in _rank_blocks(ground, k, math.comb(len(elems), k)))
 
     for budget in budgets_around(len(stream), full_blocks[:1] + rng.sample(edges, 3) + sorted(pooled), rng):
         for special, run in ((False, exhaustive_search), (True, special_search)):
@@ -413,8 +413,9 @@ def test_minimal_matches_the_reference_search(elems, objective):
         base_expansion(IntSet(CONWAY), 2).elements + (10**4,),  # 65: row by row
         tuple(2 ** (10 * i) for i in range(20)),  # past int64, no MSTD subset
         tuple(2**70 + 2**64 * i for i in CONWAY + tuple(range(15, 27))),  # past int64, with hits
+        tuple(2**i for i in range(70)),  # past int64, 70 elements: unranked by position
     ],
-    ids=["width-64", "width-65", "powers-past-int64", "conway-past-int64"],
+    ids=["width-64", "width-65", "powers-past-int64", "conway-past-int64", "powers-of-two-70"],
 )
 def test_lattice_blocks_on_wide_and_huge_grounds(elems):
     lo, hi = (7, 9) if 2**10 in elems else (8, 8)
@@ -427,6 +428,64 @@ def test_lattice_blocks_on_wide_and_huge_grounds(elems):
                                    budget=budget, objective=objective, hit_cap=hit_cap)
                 expected = reference_scan(stream, budget, 0, special, hit_cap, objective == "first-hit")
                 assert_matches_reference(run(cfg), expected)
+
+
+def frame(lead, interior, tail, n):
+    """Ground-index rows of a scan ground of n elements: the ``lead``
+    first and ``tail`` last elements, and each interior combination."""
+    return [tuple(range(lead)) + tuple(lead + c for c in combo) + tuple(range(n - tail, n)) for combo in interior]
+
+
+@pytest.mark.parametrize("lead, tail", [(0, 0), (0, 1), (1, 1)])
+def test_unranked_rows_match_itertools(monkeypatch, lead, tail):
+    # blocks of 7 put block edges inside every size of k >= 3; each
+    # block's rows, by position and by element, and their first columns
+    # equal the combinations in order, as do blocks from a middle rank
+    monkeypatch.setattr(search, "_BLOCK", 7)
+    rng = random.Random(lead + 2 * tail)
+    for k in range(13):
+        n = lead + k + tail
+        if n == 0:
+            continue
+        ground = _ScanGround(tuple(range(n)), lead, tail)
+        for size in range(k + 1):
+            expected = frame(lead, itertools.combinations(range(k), size), tail, n)
+            starts = [(b[2], count) for count, b in _rank_blocks(ground, size, len(expected))]
+            middle = rng.randrange(len(expected))
+            starts.append((middle, len(expected) - middle))
+            assert [first for first, _ in starts[:-1]] == list(range(0, len(expected), 7))
+            for first, count in starts:
+                want = expected[first : first + count]
+                assert [tuple(r) for r in ground.index_rows(size, first, count).tolist()] == want
+                member = ground.member_rows(size, first, count)
+                assert member.shape == (count, n)
+                assert [tuple(np.flatnonzero(r).tolist()) for r in member] == want
+                if size + lead:
+                    least = ground.index_rows(size, first, count, positions=1)
+                    assert [tuple(r) for r in least.tolist()] == [c[:1] for c in want]
+
+
+def test_unranking_where_the_counts_pass_int64():
+    # C(200, 30) > 2**63: ranks stay int64 because the tables are clipped
+    elems = tuple(range(0, 400, 2))
+    assert math.comb(200, 30) > 2**63
+    stream = list(itertools.islice(itertools.combinations(elems, 30), 3001))  # one past the budget
+    ground = _ScanGround(elems)
+    for first, count in ((0, 3001), (1999, 1002), (2047, 2)):
+        rows = ground.index_rows(30, first, count)
+        assert [ground.subset(r) for r in rows] == stream[first : first + count]
+        member = ground.member_rows(30, first, count)
+        assert [tuple(compress_elems(elems, r)) for r in member] == stream[first : first + count]
+    table, forced = search._binomials(170, 30)
+    assert table.max() <= search._RANK_CAP and forced > 0 and table.size <= 66 * 202
+    for objective in ("count-all", "first-hit"):
+        cfg = SearchConfig(ground=IntSet(elems), min_size=30, max_size=30, budget=3000, objective=objective)
+        assert_matches_reference(exhaustive_search(cfg), reference_scan(stream, 3000, 0, False, 1000,
+                                                                        objective == "first-hit"))
+
+
+def compress_elems(elems, member_row):
+    return itertools.compress(elems, member_row.tolist())
 
 
 def test_census_blocks_are_spot_checked(monkeypatch):
@@ -615,16 +674,16 @@ def test_lattice_block_in_many_census_blocks_matches_row_by_row(monkeypatch, hit
     # 9 and 10 of {0..17} into up to 32, and one block's hits lie in at
     # least five 64-row stretches; whole and budget-cut blocks give the
     # row-by-row positions and hits
-    blocks = [rows for size in (9, 10) for rows in itertools.islice(_combination_rows(range(18), size), 3)]
     ground = _ScanGround(tuple(range(18)))
+    blocks = [b for size in (9, 10) for _, b in itertools.islice(_rank_blocks(ground, size, math.comb(18, size)), 3)]
     ground.census.block = 64
 
     def classify():
         return [
             (take, at.tolist(), found)
             for special in (False, True)
-            for rows in blocks
-            for take, at, found in (_lattice_block(special, hit_cap, (ground, rows), t) for t in (len(rows), 1000))
+            for block in blocks
+            for take, at, found in (_lattice_block(special, hit_cap, block, t) for t in (_BLOCK, 1000))
         ]
 
     split = classify()
@@ -632,6 +691,28 @@ def test_lattice_block_in_many_census_blocks_matches_row_by_row(monkeypatch, hit
     assert classify() == split
     assert max(len({p // 64 for p in at}) for _, at, _ in split) >= 5
     assert max(len(found) for _, _, found in split) == hit_cap
+
+
+def test_monte_carlo_ground_guard_acts_before_the_ground(monkeypatch):
+    # {0..n} has n + 1 elements, 2n + 1 sums and n + 1 nonnegative
+    # differences; a 64-subset block holds 64 bytes per element and 8
+    # per sum or difference.  Past the bound the ground is never built;
+    # at the edge it is (and the stand-in ground stops the run there).
+    from mstd import sets
+
+    class Built(Exception):
+        pass
+
+    def ground(*args, **kwargs):
+        raise Built
+
+    edge = max(n for n in range(1_500_000, 1_600_000) if 64 * (n + 1) + 8 * (3 * n + 2) <= sets._CENSUS_BLOCK_BYTES)
+    monkeypatch.setattr(search, "IntSet", ground)
+    with pytest.raises(Built):
+        monte_carlo_density(edge, 1)
+    for n in (edge + 1, 16_777_216):
+        with pytest.raises(CapacityError, match="census block"):
+            monte_carlo_density(n, 1)
 
 
 def test_monte_carlo_memory_independent_of_diameter():

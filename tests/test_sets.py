@@ -506,3 +506,14 @@ def test_base_expansion_capacity():
     with pytest.raises(CapacityError):
         base_expansion(CONWAY_SET, 6)  # diameter 14*(29^6-1)/28 > 2^24
     assert len(base_expansion(CONWAY_SET, 6, diameter_cap=None)) == 8**6
+
+
+def test_pair_census_refuses_a_ground_past_its_block_bound(monkeypatch):
+    # {0..9}: one 64-subset block holds 64 * 10 membership bytes and 8
+    # bytes for each of its 19 sums and 10 nonnegative differences
+    need = 64 * 10 + 8 * (19 + 10)
+    monkeypatch.setattr(sets, "_CENSUS_BLOCK_BYTES", need)
+    assert PairCensus(range(10)).n == 10
+    monkeypatch.setattr(sets, "_CENSUS_BLOCK_BYTES", need - 1)
+    with pytest.raises(CapacityError, match="census block"):
+        PairCensus(range(10))
