@@ -352,7 +352,7 @@ class _ScanGround:
             taken = rank < takers
             member[lead + e] = taken
             np.minimum(rank, rank - takers, out=rank)
-            at -= 1 + taken * slack
+            at -= 1 + taken * np.intp(slack)
         return member.T
 
     def index_rows(self, size: int, first: int, count: int, positions: int | None = None) -> np.ndarray:

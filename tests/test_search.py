@@ -475,17 +475,13 @@ def test_unranking_where_the_counts_pass_int64():
         rows = ground.index_rows(30, first, count)
         assert [ground.subset(r) for r in rows] == stream[first : first + count]
         member = ground.member_rows(30, first, count)
-        assert [tuple(compress_elems(elems, r)) for r in member] == stream[first : first + count]
+        assert [tuple(itertools.compress(elems, r.tolist())) for r in member] == stream[first : first + count]
     table, forced = search._binomials(170, 30)
     assert table.max() <= search._RANK_CAP and forced > 0 and table.size <= 66 * 202
     for objective in ("count-all", "first-hit"):
         cfg = SearchConfig(ground=IntSet(elems), min_size=30, max_size=30, budget=3000, objective=objective)
         assert_matches_reference(exhaustive_search(cfg), reference_scan(stream, 3000, 0, False, 1000,
                                                                         objective == "first-hit"))
-
-
-def compress_elems(elems, member_row):
-    return itertools.compress(elems, member_row.tolist())
 
 
 def test_census_blocks_are_spot_checked(monkeypatch):
