@@ -360,14 +360,15 @@ class _ScanGround:
         per position, or only their first ``positions`` columns."""
         k, lead = self.k, self.lead
         table, forced = _binomials(k - size, size)
-        rows = np.empty((count, lead + size + self.tail), dtype=np.intp)
-        rows[:, : lead + forced] = np.arange(lead + forced)
+        width = lead + size + self.tail if positions is None else positions
+        rows = np.empty((count, width), dtype=np.intp)
+        rows[:, : lead + forced] = np.arange(width)[: lead + forced]
         rows[:, lead + size :] = len(self.elements) - 1
         rank, slack = np.arange(first, first + count, dtype=np.int64), k - size
-        for p in range(forced, size if positions is None else min(size, positions - lead)):
+        for p in range(forced, min(size, width - lead)):
             slack, rank = _pick(table, slack, size - p, rank)
             rows[:, lead + p] = lead + k - size + p - slack
-        return rows[:, :positions]
+        return rows
 
 
 def _pick(table: np.ndarray, slack, s: int, rank: np.ndarray):
@@ -399,7 +400,9 @@ def _binomials(slack: int, size: int) -> tuple[np.ndarray, int]:
     while len(rows) < size + 2 and rows[-1][-1] < _RANK_CAP:
         run = np.cumsum(rows[-1])
         rows.append(np.where(np.logical_or.accumulate(run >= _RANK_CAP), np.uint64(_RANK_CAP), run))
-    return np.array(rows, dtype=np.int64), size + 2 - len(rows)
+    table = np.array(rows, dtype=np.int64)
+    table.flags.writeable = False  # one table serves every caller
+    return table, size + 2 - len(rows)
 
 
 def _rank_blocks(ground: _ScanGround, size: int, count: int):
