@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import CapacityError, DomainError
@@ -124,14 +125,27 @@ def _seq_spec(text: str) -> SequenceSpec:
 
 
 def _integral(text: str) -> int:
-    """Integer, also in scientific notation like 1e7; ValueError unless integral."""
+    """Integer, also in scientific notation like 1e23, read exactly.
+
+    ValueError unless the value is integral and a finite float: nan,
+    inf, 1e400, 2.5 and 1e-3 are refused.
+    """
     try:
         return int(text)
     except ValueError:
-        value = float(text)
-        if not value.is_integer():  # also rejects nan and inf
-            raise ValueError(f"not an integer: {text!r}")
-        return int(value)
+        pass
+    if not math.isfinite(float(text)):
+        raise ValueError(f"not a finite number: {text!r}")
+    # Fraction forms 10**exponent; a finite float never needs one this long
+    _, _, exponent = text.lower().partition("e")
+    if exponent and abs(int(exponent)) > 400:
+        raise ValueError(f"exponent out of range: {text!r}")
+    from fractions import Fraction  # only scientific notation pays its import
+
+    value = Fraction(text)
+    if value.denominator != 1:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(value)
 
 
 def _count(text: str) -> int:

@@ -14,7 +14,10 @@ beyond that a midpoint-rule integral taken by Gauss-Legendre
 quadrature on geometric panels (relative error about 1e-10).
 
 Every prime list in this module comes from one sieve, ``PrimeSieve``,
-which also enforces the one memory cap on sieve limits.
+which also enforces the one memory cap on sieve limits.  The tuple scan
+needs no table of its own: it streams cache-sized windows through the
+sieve's marking routine, ``_cross_off``, so its memory does not grow
+with x.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ from .sets import CONWAY, IntSet
 # np.bool_ flags: 1 byte per integer; 2**27 is 128 MiB, a sane guard.
 _SIEVE_LIMIT_CAP = 1 << 27
 
+# The sieve table is marked, and the tuple scan walks its shifts, one
+# segment of this many integers at a time (1 MiB of flags).
+_SEGMENT = 1 << 20
+
 _MATCH_CAP = 1000
 
 # The prediction sums n <= _HEAD_N term by term and integrates the rest
@@ -43,11 +50,13 @@ class PrimeSieve:
     """Boolean prime table on [0, limit] with O(1) membership.
 
     The only sieve in the package: admissibility moduli, singular-series
-    factors, AP primorials and its own base primes all come from one.
-    Marking walks the table in cache-sized segments, crossing off the
-    primes up to sqrt(limit) that a smaller PrimeSieve supplies.  A
-    limit below 2 yields an empty (but valid) sieve rather than an
-    error; a limit above the cap raises CapacityError.
+    factors, AP primorials, its own base primes and the tuple scan's base
+    primes all come from one.  Marking walks the table in segments of
+    _SEGMENT integers, crossing off (by ``_cross_off``, which the tuple
+    scan's windows share) the primes up to sqrt(limit) that a smaller
+    PrimeSieve supplies.  A limit below 2 yields an empty (but valid)
+    sieve rather than an error; a limit above the cap raises
+    CapacityError.
     """
 
     __slots__ = ("limit", "flags")
@@ -60,14 +69,9 @@ class PrimeSieve:
         flags = np.zeros(max(limit + 1, 0), dtype=bool)
         if limit >= 2:
             flags[2:] = True
-            base = PrimeSieve(math.isqrt(limit)).primes().tolist()
-            segment = 1 << 20
-            for lo in range(2, limit + 1, segment):
-                hi = min(lo + segment, limit + 1)
-                for p in base:
-                    start = max(p * p, ((lo + p - 1) // p) * p)
-                    if start < hi:
-                        flags[start:hi:p] = False
+            base = PrimeSieve(math.isqrt(limit)).primes()
+            for lo in range(0, limit + 1, _SEGMENT):
+                _cross_off(flags[lo : lo + _SEGMENT], lo, base)
         self.flags = flags
 
     def __contains__(self, n) -> bool:
@@ -79,6 +83,19 @@ class PrimeSieve:
 
     def count(self) -> int:
         return int(self.flags.sum())
+
+
+def _cross_off(flags: np.ndarray, lo: int, base: np.ndarray) -> None:
+    """Clear the flag of every multiple p*k >= p*p of a base prime p.
+
+    flags[i] stands for the integer lo + i; a base prime itself keeps
+    its flag.  The first multiple in range is found for all base primes
+    in one vector expression, and primes with none are skipped.
+    """
+    starts = np.maximum((-lo) % base, base * base - lo)
+    live = starts < flags.size
+    for p, start in zip(base[live].tolist(), starts[live].tolist()):
+        flags[start::p] = False
 
 
 @dataclass(frozen=True)
@@ -256,9 +273,17 @@ def match_tuple(
 ) -> MatchReport:
     """Count shifts n <= x with n + b prime for every offset b.
 
-    The scan ANDs shifted views of one sieve table, so cost is a few
-    vector passes over x booleans.  Shifts n, not primes, are counted;
-    with b_1 normalized to 0 every match n is itself prime.
+    The scan streams windows of _SEGMENT shifts (Bays & Hudson 1977).
+    Each window holds its shifts and ``spread`` more integers; the
+    multiples of the base primes up to sqrt(x + spread), which one
+    PrimeSieve supplies, are crossed off in it, and its shifted views
+    are ANDed and counted.  Memory is one window, _SEGMENT + spread
+    flags, however large x is.  The spread is below the sieve cap,
+    because the singular series, computed first, sieves to spread + 1.
+    So only the base sieve bounds x: sqrt(x + spread) <= 2^27, past
+    which CapacityError is raised before the scan allocates anything.
+    Shifts n, not primes, are counted; with b_1 normalized to 0 every
+    match n is itself prime.
     """
     x = int(x)
     if match_cap < 0:
@@ -266,19 +291,44 @@ def match_tuple(
     series = singular_series(t, rel_tol)
     if x < 2:
         return MatchReport(x=x, count=0, matches=(), predicted=0.0, ratio=None, series=series)
-    table = PrimeSieve(x + t.spread)
-    flags = table.flags
-    acc = flags[1 : x + 1].copy()
-    for b in t.offsets[1:]:
-        acc &= flags[1 + b : x + 1 + b]
-    count = int(acc.sum())
-    matches = tuple(int(n) for n in (np.flatnonzero(acc) + 1)[:match_cap])
+    top = (_SIEVE_LIMIT_CAP + 1) ** 2 - 1  # the largest x + spread whose base sieve fits
+    if x + t.spread > top:
+        raise CapacityError(
+            f"scan limit x + spread = {x + t.spread} exceeds {top}; "
+            f"x may be at most {top - t.spread}"
+        )
+    count, matches = _scan(t.offsets, x, match_cap)
     # a zero series (inadmissible tuple) needs no sum over its offsets
     predicted = series.value * _hardy_littlewood_sum(t.offsets, x) if series.value else 0.0
     ratio = count / predicted if predicted > 0 else None
     return MatchReport(
         x=x, count=count, matches=matches, predicted=predicted, ratio=ratio, series=series
     )
+
+
+def _scan(offsets: tuple[int, ...], x: int, match_cap: int) -> tuple[int, tuple[int, ...]]:
+    """The count and the first match_cap of the shifts 1 <= n <= x that match."""
+    spread = offsets[-1]
+    base = PrimeSieve(math.isqrt(x + spread)).primes()
+    # one pair of buffers for every window: fresh arrays cost page faults
+    flags = np.empty(min(_SEGMENT, x) + spread, dtype=bool)
+    ands = np.empty(min(_SEGMENT, x), dtype=bool)
+    count, matches = 0, []
+    for lo in range(1, x + 1, _SEGMENT):
+        n = min(_SEGMENT, x + 1 - lo)
+        window = flags[: n + spread]  # window[i] stands for lo + i
+        window.fill(True)
+        if lo == 1:
+            window[0] = False
+        _cross_off(window, lo, base)
+        hits = ands[:n]
+        np.copyto(hits, window[:n])
+        for b in offsets[1:]:
+            hits &= window[b : b + n]
+        shifts = np.flatnonzero(hits)
+        count += shifts.size
+        matches += (shifts[: match_cap - len(matches)] + lo).tolist()
+    return count, tuple(matches)
 
 
 def dilated_conway(p: int, s: int) -> IntSet:

@@ -58,6 +58,14 @@ MANIFEST = {
         "dilation": 30,
         "expected": {"sum_count": 26, "diff_count": 25, "all_prime": True},
     },
+    "tuple-T-1e9": {
+        "offsets": list(TUPLE_T),
+        "x": 1_000_000_000,
+        # passes when the count is within 2 Poisson s.d. of the
+        # Hardy-Littlewood count, about 207 +- 29; 219 is a REGRESSION
+        # value, the count of the scan when the claim was pinned
+        "expected": {"poisson_sds": 2, "regression_count": 219},
+    },
     "density-4.5e-4": {
         "n": 100,
         "samples": 10_000_000,
@@ -191,6 +199,18 @@ def _claim_p19_prime_mstd(params):
     return passed, measured
 
 
+def _claim_tuple_t_1e9(params):
+    report = match_tuple(PrimeTuple(tuple(params["offsets"])), params["x"])
+    half = params["expected"]["poisson_sds"] * report.predicted**0.5
+    measured = {
+        "count": report.count,
+        "predicted": report.predicted,
+        "ratio": report.ratio,
+        "window": [report.predicted - half, report.predicted + half],
+    }
+    return abs(report.count - report.predicted) <= half, measured
+
+
 def _claim_density(params, samples=None, seed=None, threads=1):
     samples = params["samples"] if samples is None else int(samples)
     seed = params["seed"] if seed is None else int(seed)
@@ -227,6 +247,7 @@ _RUNNERS = {
     "s3-special": _claim_s3_special,
     "tuple-T-admissible": _claim_tuple_t_admissible,
     "p19-prime-mstd": _claim_p19_prime_mstd,
+    "tuple-T-1e9": _claim_tuple_t_1e9,
     "density-4.5e-4": _claim_density,
     "hl-twin-ratio": _claim_hl_twin_ratio,
 }

@@ -258,6 +258,32 @@ def test_primes_match(capsys):
     assert data["matches"] == [3, 5, 11, 17, 29, 41, 59, 71]
 
 
+def test_scientific_notation_is_read_exactly(capsys):
+    # through a float, 1e23 would be 99999999999999991611392
+    code, out, err = run(capsys, "primes", "sieve", "--upto", "1e23")
+    assert (code, out) == (1, "")
+    assert f"sieve limit {10**23} exceeds" in err
+    assert run_json(capsys, "primes", "match", "0,2", "--upto", "2.5e3")["x"] == 2500
+
+
+@pytest.mark.parametrize("value", ["1.5", "1e-3", "nan", "inf", "0e999999999", "1e-999999999"])
+def test_non_integral_upto_exits_two(capsys, value):
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["primes", "match", "0,2", "--upto", value])
+    assert exc.value.code == 2
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--upto" in err
+
+
+def test_scan_past_the_base_sieve_exits_one(capsys):
+    code, out, err = run(capsys, "primes", "match", "0,2", "--upto", "1e40")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert f"x + spread = {10**40 + 2} exceeds" in err
+
+
 def test_primes_ap(capsys):
     data = run_json(capsys, "primes", "ap", "--length", "10", "--bound", "1000")
     assert data == {"found": True, "first": 199, "difference": 210, "length": 10}
@@ -304,6 +330,20 @@ def test_reproduce_density_with_overridden_samples(capsys):
     assert data["measured"]["samples"] == 100_000
     assert data["measured"]["seed"] == 1  # pinned seed survives the override
     assert data["params"]["samples"] == 100_000
+
+
+def test_tuple_t_claim_window_is_two_poisson_sds(capsys, monkeypatch):
+    # the pinned x = 1e9 takes seconds; the pass rule is the same at 1e6
+    from mstd import reproduce
+
+    monkeypatch.setitem(reproduce.MANIFEST["tuple-T-1e9"], "x", 10**6)
+    data = run_json(capsys, "reproduce", "tuple-T-1e9")
+    measured = data["measured"]
+    lo, hi = measured["window"]
+    sd = measured["predicted"] ** 0.5
+    assert (lo, hi) == pytest.approx((measured["predicted"] - 2 * sd, measured["predicted"] + 2 * sd))
+    assert data["passed"] is (lo <= measured["count"] <= hi)
+    assert data["expected"] == {"poisson_sds": 2, "regression_count": 219}
 
 
 def test_reproduce_unknown_claim_is_usage_error(capsys):

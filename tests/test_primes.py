@@ -1,10 +1,13 @@
 """Sieve, admissibility, singular series, tuple matching, prime APs."""
 
+import functools
 import math
 import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -265,6 +268,99 @@ def test_tuple_t_ratio_at_1e8():
     report = match_tuple(TUPLE_T, 10**8)
     assert report.count == 57
     assert 0.75 <= report.ratio <= 1.25, report.ratio
+
+
+# -- the segmented scan ---------------------------------------------------
+
+ORACLE_X = 10**5
+
+
+def bytearray_sieve(limit):
+    """Plain sieve of Eratosthenes over one bytearray: flags[n] == 1 iff n prime."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return flags
+
+
+@functools.lru_cache(maxsize=None)
+def all_oracle_matches(offsets):
+    flags = bytearray_sieve(ORACLE_X + offsets[-1])
+    return [n for n in range(1, ORACLE_X + 1) if all(flags[n + b] for b in offsets)]
+
+
+def oracle_matches(offsets, x):
+    """Every shift 1 <= n <= x (at most ORACLE_X) with all n + b prime."""
+    return [n for n in all_oracle_matches(offsets) if n <= x]
+
+
+SCAN_TUPLES = {
+    "twin": TWIN,
+    "cousin": PrimeTuple((0, 4)),
+    "T": TUPLE_T,
+    "parity": PrimeTuple((0, 1)),  # its one match, n = 2, sits in the first window
+    "single": PrimeTuple((0,)),
+    "inadmissible": PrimeTuple((0, 2, 4)),
+    "wide": PrimeTuple((0, 5000)),  # the spread is wider than every window
+}
+
+
+@pytest.mark.parametrize("window", [7, 64, 1000])
+@pytest.mark.parametrize("name", list(SCAN_TUPLES))
+def test_window_edges_cut_no_match(monkeypatch, window, name):
+    t = SCAN_TUPLES[name]
+    monkeypatch.setattr(mstd.primes, "_SEGMENT", window)
+    for x in (2, window - 1, window, window + 1, 3 * window + 2, ORACLE_X):
+        expected = oracle_matches(t.offsets, x)
+        report = match_tuple(t, x, match_cap=10**6)
+        assert (report.count, list(report.matches)) == (len(expected), expected), (name, x)
+        for n in report.matches:
+            assert all(trial_division_is_prime(n + b) for b in t.offsets), (name, n)
+
+
+@pytest.mark.parametrize("window", [7, 64, 1000])
+def test_match_cap_across_windows(monkeypatch, window):
+    monkeypatch.setattr(mstd.primes, "_SEGMENT", window)
+    x = 20_000
+    expected = oracle_matches(TWIN.offsets, x)
+    # the cap-th match lies mid-window: the first match past 2.5 windows in
+    middle = next(i for i, n in enumerate(expected) if n > 5 * window // 2)
+    for cap in (0, 1, middle, middle + 1, len(expected), len(expected) + 1):
+        report = match_tuple(TWIN, x, match_cap=cap)
+        assert report.count == len(expected), cap
+        assert list(report.matches) == expected[:cap], cap
+
+
+def test_scan_memory_is_one_window():
+    # a whole table of 10^7 flags would alone be 9.5 MiB
+    match_tuple(TUPLE_T, 10**5)  # the first call builds numpy's lazy state
+    tracemalloc.start()
+    try:
+        match_tuple(TUPLE_T, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
+def test_scan_past_the_base_sieve_raises_at_once():
+    started = time.perf_counter()
+    with pytest.raises(CapacityError, match="x may be at most"):
+        match_tuple(TWIN, 10**40)
+    assert time.perf_counter() - started < 1
+
+
+def test_scan_limit_edge(monkeypatch):
+    # with a cap of 100 base primes reach sqrt(x + spread) <= 100, so
+    # x + spread <= 101^2 - 1 = 10200, and twins allow x <= 10198
+    monkeypatch.setattr(mstd.primes, "_SIEVE_LIMIT_CAP", 100)
+    report = match_tuple(TWIN, 10_198, rel_tol=0.1)
+    assert report.count == len(oracle_matches(TWIN.offsets, 10_198))
+    message = r"x \+ spread = 10201 exceeds 10200; x may be at most 10198"
+    with pytest.raises(CapacityError, match=message):
+        match_tuple(TWIN, 10_199, rel_tol=0.1)
 
 
 def test_cli_import_leaves_scipy_unloaded():
