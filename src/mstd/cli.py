@@ -140,7 +140,7 @@ def _integral(text: str) -> int:
     _, _, exponent = text.lower().partition("e")
     if exponent and abs(int(exponent)) > 400:
         raise ValueError(f"exponent out of range: {text!r}")
-    from fractions import Fraction  # only scientific notation pays its import
+    from fractions import Fraction  # plain integers never pay for its import
 
     value = Fraction(text)
     if value.denominator != 1:

@@ -52,11 +52,11 @@ class PrimeSieve:
     The only sieve in the package: admissibility moduli, singular-series
     factors, AP primorials, its own base primes and the tuple scan's base
     primes all come from one.  Marking walks the table in segments of
-    _SEGMENT integers, crossing off (by ``_cross_off``, which the tuple
-    scan's windows share) the primes up to sqrt(limit) that a smaller
-    PrimeSieve supplies.  A limit below 2 yields an empty (but valid)
-    sieve rather than an error; a limit above the cap raises
-    CapacityError.
+    _SEGMENT integers and crosses off, with the ``_cross_off`` routine
+    that the tuple scan's windows share, the multiples of the primes up
+    to sqrt(limit) that a smaller PrimeSieve supplies.  A limit below 2
+    yields an empty (but valid) sieve rather than an error; a limit
+    above the cap raises CapacityError.
     """
 
     __slots__ = ("limit", "flags")
@@ -297,7 +297,7 @@ def match_tuple(
             f"scan limit x + spread = {x + t.spread} exceeds {top}; "
             f"x may be at most {top - t.spread}"
         )
-    count, matches = _scan(t.offsets, x, match_cap)
+    count, matches = _scan_windows(t.offsets, x, match_cap)
     # a zero series (inadmissible tuple) needs no sum over its offsets
     predicted = series.value * _hardy_littlewood_sum(t.offsets, x) if series.value else 0.0
     ratio = count / predicted if predicted > 0 else None
@@ -306,7 +306,9 @@ def match_tuple(
     )
 
 
-def _scan(offsets: tuple[int, ...], x: int, match_cap: int) -> tuple[int, tuple[int, ...]]:
+def _scan_windows(
+    offsets: tuple[int, ...], x: int, match_cap: int
+) -> tuple[int, tuple[int, ...]]:
     """The count and the first match_cap of the shifts 1 <= n <= x that match."""
     spread = offsets[-1]
     base = PrimeSieve(math.isqrt(x + spread)).primes()
@@ -319,7 +321,7 @@ def _scan(offsets: tuple[int, ...], x: int, match_cap: int) -> tuple[int, tuple[
         window = flags[: n + spread]  # window[i] stands for lo + i
         window.fill(True)
         if lo == 1:
-            window[0] = False
+            window[0] = False  # 1 is not prime, and no base prime crosses it off
         _cross_off(window, lo, base)
         hits = ands[:n]
         np.copyto(hits, window[:n])
