@@ -29,6 +29,7 @@ from .primes import (
     is_admissible,
     match_tuple,
     mstd_in_ap,
+    prime_count,
     singular_series,
 )
 from .reproduce import CLAIM_IDS, TUPLE_T, run_claim
@@ -387,11 +388,8 @@ def _cmd_primes_ap(args, cfg):
 
 
 def _cmd_primes_sieve(args, cfg):
-    table = PrimeSieve(args.upto)
-    primes = table.primes()
-    payload = {"limit": table.limit, "count": table.count()}
-    payload["primes"] = [int(p) for p in primes[: args.cap]]
-    _emit(payload, cfg["format"])
+    count, primes = prime_count(args.upto, args.cap)
+    _emit({"limit": args.upto, "count": count, "primes": list(primes)}, cfg["format"])
     return 0
 
 

@@ -15,9 +15,9 @@ quadrature on geometric panels (relative error about 1e-10).
 
 Every prime list in this module comes from one sieve, ``PrimeSieve``,
 which also enforces the one memory cap on sieve limits.  The tuple scan
-needs no table of its own: it streams cache-sized windows through the
-sieve's marking routine, ``_cross_off``, so its memory does not grow
-with x.
+and ``prime_count`` need no table of their own: they stream cache-sized
+windows through the sieve's marking routine, ``_cross_off``, so their
+memory does not grow with x.
 """
 
 from __future__ import annotations
@@ -304,6 +304,16 @@ def match_tuple(
     return MatchReport(
         x=x, count=count, matches=matches, predicted=predicted, ratio=ratio, series=series
     )
+
+
+def prime_count(limit: int, cap: int) -> tuple[int, tuple[int, ...]]:
+    """(the number of primes <= limit, the first ``cap`` of them), streamed
+    through the tuple scan's windows, so memory is one window however
+    large the limit.  The limit is capped as PrimeSieve's is."""
+    limit = int(limit)
+    if limit > _SIEVE_LIMIT_CAP:
+        raise CapacityError(f"sieve limit {limit} exceeds cap {_SIEVE_LIMIT_CAP}")
+    return _scan_windows((0,), limit, cap) if limit >= 2 else (0, ())
 
 
 def _scan_windows(

@@ -21,8 +21,9 @@ than one worker the blocks are classified in a process pool and merged
 in block order, so a report does not depend on the worker count.
 
 A lattice block is a rank descriptor, (scan ground, size, rank of its
-first candidate), for at most 2048 candidates in the order above; the
-classifier unranks them by the combinatorial number system.  Candidates
+first candidate), for one census block of candidates in the order above
+(2048 on grounds classified row by row); the classifier unranks them by
+the combinatorial number system.  Candidates
 below the diameter floor count as examined but are not classified.
 Under the min-max objective each cardinality of a level stops at its
 first candidate below the floor, a position ``_level`` computes from
@@ -32,12 +33,13 @@ the chunk's own seed stream.
 
 Both feed membership rows to ``sets.PairCensus``, one bit-sliced pair
 form for every ground, and decode its hits in ``_census_scan``; a
-lattice ground of at most 64 elements is unranked one pass per element
-straight into membership rows, and wider grounds and small blocks, which
-cost less row by row, one pass per position into index rows.  The first
-candidate of every census block and every hit are counted again by
-``sum_diff_counts``: a census that disagrees raises instead of
-reporting, so engines never report a set they did not verify.  The only pruning rule, skipping subsets of diameter below 14,
+lattice ground of at most 2^16 element pairs (361 elements) is unranked
+one pass per element straight into membership rows, and wider grounds
+and small blocks, which cost less row by row, one pass per position
+into index rows.  The first candidate of every census block and every
+hit are counted again by ``sum_diff_counts``: a census that disagrees
+raises instead of reporting, so engines never report a set they did not
+verify.  The only pruning rule, skipping subsets of diameter below 14,
 is itself established at runtime by an exhaustive scan (see
 ``min_mstd_diameter``) before any engine uses it.
 """
@@ -76,11 +78,12 @@ DEFAULT_HIT_CAP = 1000
 
 _MC_CHUNK = 1 << 16
 
-# Lattice candidates per block: at most one census block.  Grounds of
-# more than _CENSUS_WIDTH elements classify row by row, for cost: a census
-# block does one AND per element pair whatever the subset size.
+# Lattice candidates per block on grounds classified row by row; census
+# grounds take blocks of ``census.block`` candidates.
 _BLOCK = 2048
-_CENSUS_WIDTH = 64
+# Grounds of more element pairs (j >= i) classify row by row, for cost
+# (see ``_ScanGround.by_census``)
+_CENSUS_PAIRS = 1 << 16
 # Binomial tables are clipped here, so ranks and counts stay int64
 _RANK_CAP = 1 << 62
 # (scale, shift) pairs the minimality probe tests per batch of scales
@@ -317,8 +320,8 @@ class _ScanGround:
     """The ground of a lattice scan: its ``lead`` first and ``tail`` last
     elements are in every candidate, which chooses among the ``k``
     elements between.  A candidate is (size, rank among that size's
-    choices in lexicographic order).  The census is built when a block
-    first needs it."""
+    choices in lexicographic order).  The census is built when the block
+    length or a block first needs it."""
 
     def __init__(self, elements: tuple[int, ...], lead: int = 0, tail: int = 0):
         self.elements = elements
@@ -329,6 +332,26 @@ class _ScanGround:
     @cached_property
     def census(self) -> PairCensus:
         return PairCensus(self.elements)
+
+    @property
+    def by_census(self) -> bool:
+        """Whether blocks of more candidates than elements are classified
+        by census.  A census block costs about one AND and one OR per
+        element pair and word of 64 subsets, whatever the subset size;
+        row by row a subset costs ``sum_diff_counts`` (size 8: ~5 µs).
+        Size 8 to a budget of 200,000, census against row by row (2-core
+        Xeon): 0.25 vs 1.73 s on the first 65 primes, 0.51 vs 1.34 s on
+        100 primes, 1.94 vs 2.27 s on 2^0..2^99 (object arrays); on 1000
+        primes at a budget of 4096, 0.125 vs 0.04 s.  So the census runs
+        while the pairs stay within ``_CENSUS_PAIRS``."""
+        n = len(self.elements)
+        return n * (n + 1) // 2 <= _CENSUS_PAIRS
+
+    @cached_property
+    def block(self) -> int:
+        """Candidates per lattice block: one census block on census
+        grounds, else ``_BLOCK``."""
+        return self.census.block if self.by_census else _BLOCK
 
     def subset(self, row: np.ndarray) -> tuple[int, ...]:
         return tuple(map(self.elements.__getitem__, row.tolist()))
@@ -407,8 +430,9 @@ def _binomials(slack: int, size: int) -> tuple[np.ndarray, int]:
 
 def _rank_blocks(ground: _ScanGround, size: int, count: int):
     """(count, (ground, size, first rank)) for the first ``count``
-    candidates of ``size``, at most ``_BLOCK`` per block."""
-    return ((min(_BLOCK, count - first), (ground, size, first)) for first in range(0, count, _BLOCK))
+    candidates of ``size``, at most ``ground.block`` per block."""
+    step = ground.block
+    return ((min(step, count - first), (ground, size, first)) for first in range(0, count, step))
 
 
 def _lattice_block(special: bool, hit_cap: int, block, take: int):
@@ -416,17 +440,17 @@ def _lattice_block(special: bool, hit_cap: int, block, take: int):
 
     ``block`` is a ``_rank_blocks`` descriptor.  Candidates of diameter
     below the floor, such as every candidate of fewer than two
-    elements, are not classified.  Grounds of at most ``_CENSUS_WIDTH``
-    elements classify a block by census, as membership rows, when it
-    has more candidates than the ground has elements (a smaller block
-    costs less row by row); other blocks are counted one set at a time.
+    elements, are not classified.  Census grounds (``by_census``)
+    classify a block by census, as membership rows, when it has more
+    candidates than the ground has elements (a smaller block costs less
+    row by row); other blocks are counted one set at a time.
     """
     ground, size, first = block
     n = len(ground.elements)
     floor = min_mstd_diameter()
     if size + ground.lead + ground.tail < 2:
         return take, np.zeros(0, dtype=np.intp), []
-    if n > _CENSUS_WIDTH or take <= n:
+    if not ground.by_census or take <= n:
         rows = ground.index_rows(size, first, take)
         wide = np.flatnonzero(ground.values[rows[:, -1]] - ground.values[rows[:, 0]] >= floor)
         at = wide[_counted_hits([ground.subset(rows[r]) for r in wide.tolist()], special)]
@@ -450,7 +474,7 @@ def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     blocks = (b for k in sizes for b in _rank_blocks(ground, k, math.comb(len(elems), k)))
     # every size is at least one block, so the first few sizes settle the pool
     counted = sizes[: _pool_size(cfg.threads, len(sizes))]
-    workers = _pool_size(cfg.threads, sum(-(-math.comb(len(elems), k) // _BLOCK) for k in counted))
+    workers = _pool_size(cfg.threads, sum(-(-math.comb(len(elems), k) // ground.block) for k in counted))
     pruning = (f"skip diameter < {min_mstd_diameter()}",)
     hits, hit_count, examined, complete = _scan(
         blocks, partial(_lattice_block, special, cfg.hit_cap), cfg.budget, 0, cfg.hit_cap,

@@ -24,10 +24,13 @@ it bit-sliced (Biham 1997, "A fast new DES implementation in software")
 so that one uint64 word holds one element across 64 subsets, and runs
 the pair enumeration on those words: one AND per pair of ground
 elements marks that pair's sum and difference in 64 subsets.
-Its rows are keyed by the ground's distinct pair sums and differences;
-each left element finds its pairs' rows by binary search as a block is
-counted, so memory does not grow with the number of pairs and one form
-serves every ground, whatever its size, diameter or spacing.
+Its rows are keyed by the ground's distinct pair sums and differences.
+Each left element's pairs find their rows by binary search once per
+ground, kept as int32 indices, or as a slice when they are consecutive
+(every row of an arithmetic progression), while the ground's element
+pairs fit ``_CENSUS_ROW_PAIRS``; past it they are found again for each
+block, so one form serves every ground, whatever its size, diameter or
+spacing.
 
 Three capacity rules bound memory.  ``diameter_cap`` bounds the bit vector
 (2 * diameter bits, offset by min(A)); ``auto`` falls back to pairs past
@@ -64,13 +67,19 @@ _AUTO_BITS_PER_ELEMENT = 512
 _SET_ENTRY_BYTES = 112
 _PAIR_SETS_BYTES = 3 << 28
 
-# PairCensus memory: blocks of at most 2**11 subsets, fewer when the
-# tables would pass 2**17 words (1 MB); tables unpacked one byte per bit
-# for counting, at most 2**11 words (128 KiB) at a time, which keeps a
-# lattice block's peak memory near its tables' size.
-_CENSUS_WORDS = 32
-_CENSUS_TABLE_WORDS = 1 << 17
+# PairCensus memory.  A block of 64 * w subsets holds 128 * w bytes per
+# element (the membership rows and their transposed copy) and w words
+# per distinct pair sum and difference.  w is the larger of two rules:
+# at most 32 words while the tables stay within 2**17 words (1 MiB), or
+# as many as keep the whole block within 2**19 bytes; so narrow grounds
+# get longer blocks, which pay the per-element loop less often, and
+# wide ones never shorter.  Tables are unpacked one byte per bit for
+# counting, at most 2**11 words (128 KiB) at a time, which keeps a
+# lattice block's peak memory near its tables' size.  Row indices are
+# kept while the ground's element pairs (j >= i) fit 2**22, at most
+# 32 MiB of int32 indices.
 _CENSUS_UNPACK_WORDS = 1 << 11
+_CENSUS_ROW_PAIRS = 1 << 22
 # Bound on the smallest census block, 64 subsets: 64 membership bytes per
 # element and a word per distinct pair sum and difference ({0..n}: n < 1.53M)
 _CENSUS_BLOCK_BYTES = 1 << 27
@@ -326,21 +335,29 @@ class PairCensus:
     Subsets arrive as rows of a membership matrix: column j of a row is
     1 when ground element j is in the subset, else 0.  ``counts`` takes
     up to ``block`` rows at a time.  Memory is the ground's distinct
-    pair sums and differences and one block's tables, never a table of
-    its element pairs.
+    pair sums and differences, one block's tables, and the row indices
+    of its element pairs while they fit ``_CENSUS_ROW_PAIRS``.
     """
 
     def __init__(self, elements: Sequence[int]):
         self.elements = tuple(elements)
-        self.n = len(self.elements)
+        self.n = n = len(self.elements)
         sums, nonneg_diffs = _distinct_sets(self.elements, "auto", DEFAULT_DIAMETER_CAP)
-        _check_census_capacity(self.n, len(sums) + len(nonneg_diffs))
+        rows = len(sums) + len(nonneg_diffs)
+        _check_census_capacity(n, rows)
         top = 2 * self.elements[-1]
         self._ground = _int_array(self.elements, top)
         self._sums = _int_array(sums, top)
         self._diffs = _int_array(nonneg_diffs, top)
-        words = _CENSUS_TABLE_WORDS // (len(sums) + len(nonneg_diffs))
-        self.block = 64 * max(1, min(_CENSUS_WORDS, words))
+        self.block = 64 * max(1, min(32, (1 << 17) // rows), (1 << 19) // (128 * n + 8 * rows))
+        self._rows = list(map(self._pair_rows, range(n))) if n * (n + 1) // 2 <= _CENSUS_ROW_PAIRS else None
+
+    def _pair_rows(self, i: int) -> tuple:
+        """The sum rows and the difference rows of the pairs (i, j), j >= i.
+        Both ascend strictly, so each row is updated at most once."""
+        ground = self._ground
+        return (_row_index(self._sums.searchsorted(ground[i:] + ground[i])),
+                _row_index(self._diffs.searchsorted(ground[i:] - ground[i])))
 
     def counts(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sum counts, difference counts, sizes), one entry per row of
@@ -353,13 +370,11 @@ class PairCensus:
         x = np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
         sums = np.zeros((len(self._sums), words), dtype=np.uint64)
         diffs = np.zeros((len(self._diffs), words), dtype=np.uint64)
-        ground = self._ground
-        for i in range(self.n):
-            # the pairs (i, j), j >= i: their sums and their differences
-            # each ascend strictly, so every row is updated at most once
-            both = x[i] & x[i:]
-            _or_rows(sums, self._sums.searchsorted(ground[i:] + ground[i]), both)
-            _or_rows(diffs, self._diffs.searchsorted(ground[i:] - ground[i]), both)
+        pair_rows = self._rows if self._rows is not None else map(self._pair_rows, range(self.n))
+        for i, (sum_rows, diff_rows) in enumerate(pair_rows):
+            both = x[i] & x[i:]  # the pairs (i, j), j >= i
+            sums[sum_rows] |= both
+            diffs[diff_rows] |= both
         # A-A is the nonnegative differences, mirrored about 0
         nonneg = _column_counts(diffs)[:count]
         return (
@@ -384,14 +399,12 @@ def _int_array(values: Sequence[int], top: int) -> np.ndarray:
     return np.array(values, dtype=np.int64 if top < 1 << 63 else object)
 
 
-def _or_rows(table: np.ndarray, rows: np.ndarray, words: np.ndarray) -> None:
-    """``table[rows] |= words`` for distinct ascending ``rows``; a run of
-    consecutive rows (every row of an arithmetic progression) is OR-ed
-    in place as a slice."""
+def _row_index(rows: np.ndarray):
+    """Distinct ascending table rows as an index: a slice when they are
+    consecutive, else int32 (a census has fewer than 2**31 rows)."""
     if rows[-1] - rows[0] == len(rows) - 1:
-        table[rows[0] : rows[-1] + 1] |= words
-    else:
-        table[rows] |= words
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows.astype(np.int32)
 
 
 def _column_counts(table: np.ndarray) -> np.ndarray:

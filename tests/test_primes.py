@@ -26,7 +26,7 @@ from mstd import (
     mstd_in_ap,
     singular_series,
 )
-from mstd.primes import PrimeTuple
+from mstd.primes import PrimeTuple, prime_count
 
 TUPLE_T = PrimeTuple((0, 60, 90, 120, 210, 330, 360, 420))
 TWIN = PrimeTuple((0, 2))
@@ -342,6 +342,43 @@ def test_scan_memory_is_one_window():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
+@pytest.mark.parametrize("x", [-5, 0, 1, 2, 3, 10, 97, 10**6, 1234567])
+def test_prime_count_matches_the_sieve(x):
+    table = PrimeSieve(x)
+    for cap in (0, 1, 1000):
+        assert prime_count(x, cap) == (table.count(), tuple(table.primes()[:cap].tolist()))
+
+
+def test_prime_count_across_windows(monkeypatch):
+    monkeypatch.setattr(mstd.primes, "_SEGMENT", 64)
+    flags = bytearray_sieve(ORACLE_X)
+    expected = [n for n in range(ORACLE_X + 1) if flags[n]]
+    for x in (63, 64, 65, 1000, ORACLE_X):
+        want = [p for p in expected if p <= x]
+        assert prime_count(x, 50) == (len(want), tuple(want[:50]))
+
+
+def test_prime_count_is_capped_like_the_sieve(monkeypatch):
+    monkeypatch.setattr(mstd.primes, "_SIEVE_LIMIT_CAP", 1000)
+    assert prime_count(1000, 1)[0] == PrimeSieve(1000).count() == 168
+    with pytest.raises(CapacityError, match="sieve limit 1001 exceeds cap 1000"):
+        prime_count(1001, 1)
+
+
+def test_prime_count_memory_is_one_window():
+    # a whole table of 10^7 flags would alone be 9.5 MiB, and its 664579
+    # primes 5 MiB more
+    prime_count(10**5, 10)
+    tracemalloc.start()
+    try:
+        count, first = prime_count(10**7, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (count, len(first)) == (664579, 1000)
     assert peak < 4 << 20, peak
 
 

@@ -321,7 +321,11 @@ def scan_lattice(blocks, budget, special, hit_cap, first_hit, workers):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_lattice_blocks_match_the_tuple_stream(seed):
+def test_lattice_blocks_match_the_tuple_stream(monkeypatch, seed):
+    # blocks of _BLOCK candidates, as on a ground classified row by row,
+    # put block edges inside sizes 7 and 8 of this 15-element census
+    # ground, whose own census blocks hold every size whole
+    monkeypatch.setattr(_ScanGround, "block", _BLOCK)
     rng = random.Random(seed)
     elems = conway_ground(rng, 7, 30)
     lo, hi = [(0, len(elems)), (7, 9), (8, 8)][seed]
@@ -356,7 +360,8 @@ def test_lattice_blocks_match_the_tuple_stream(seed):
 
 
 @pytest.mark.parametrize("objective", [MIN_MAX, MIN_DIAMETER])
-def test_level_blocks_match_the_tuple_stream(objective):
+def test_level_blocks_match_the_tuple_stream(monkeypatch, objective):
+    monkeypatch.setattr(_ScanGround, "block", _BLOCK)  # block edges inside the levels
     rng = random.Random(5)
     elems = conway_ground(rng, 7, 30)
     if objective == MIN_MAX:
@@ -441,7 +446,7 @@ def test_unranked_rows_match_itertools(monkeypatch, lead, tail):
     # blocks of 7 put block edges inside every size of k >= 3; each
     # block's rows, by position and by element, and their first columns
     # equal the combinations in order, as do blocks from a middle rank
-    monkeypatch.setattr(search, "_BLOCK", 7)
+    monkeypatch.setattr(_ScanGround, "block", 7)
     rng = random.Random(lead + 2 * tail)
     for k in range(13):
         n = lead + k + tail
@@ -666,12 +671,13 @@ def test_census_of_every_subset_matches_lattice_count(n):
 
 @pytest.mark.parametrize("hit_cap", [1, 2, 5])
 def test_lattice_block_in_many_census_blocks_matches_row_by_row(monkeypatch, hit_cap):
-    # census blocks of 64 rows cut each 2048-row lattice block of sizes
-    # 9 and 10 of {0..17} into up to 32, and one block's hits lie in at
-    # least five 64-row stretches; whole and budget-cut blocks give the
-    # row-by-row positions and hits
+    # census blocks of 64 rows cut the first 12288-row lattice block of
+    # sizes 9 and 10 of {0..17} into up to 192, and one block's hits lie
+    # in at least five 64-row stretches; whole and budget-cut blocks give
+    # the row-by-row positions and hits
     ground = _ScanGround(tuple(range(18)))
-    blocks = [b for size in (9, 10) for _, b in itertools.islice(_rank_blocks(ground, size, math.comb(18, size)), 3)]
+    blocks = [b for size in (9, 10) for _, b in itertools.islice(_rank_blocks(ground, size, math.comb(18, size)), 1)]
+    assert ground.block == 12288
     ground.census.block = 64
 
     def classify():
@@ -679,14 +685,31 @@ def test_lattice_block_in_many_census_blocks_matches_row_by_row(monkeypatch, hit
             (take, at.tolist(), found)
             for special in (False, True)
             for block in blocks
-            for take, at, found in (_lattice_block(special, hit_cap, block, t) for t in (_BLOCK, 1000))
+            for take, at, found in (_lattice_block(special, hit_cap, block, t) for t in (ground.block, 1000))
         ]
 
     split = classify()
-    monkeypatch.setattr(search, "_CENSUS_WIDTH", 0)
+    monkeypatch.setattr(search, "_CENSUS_PAIRS", 0)
     assert classify() == split
     assert max(len({p // 64 for p in at}) for _, at, _ in split) >= 5
     assert max(len(found) for _, _, found in split) == hit_cap
+
+
+def test_lattice_blocks_are_census_blocks_on_census_grounds():
+    # a census ground's lattice blocks are its census blocks; a ground
+    # past _CENSUS_PAIRS element pairs takes _BLOCK candidates per block
+    # and never builds a census
+    narrow = _ScanGround(tuple(range(18)))  # 35 sums, 18 differences
+    assert narrow.by_census and narrow.block == narrow.census.block == 64 * (2**19 // (128 * 18 + 8 * 53))
+    counts = [count for count, _ in _rank_blocks(narrow, 9, math.comb(18, 9))]
+    assert counts == [12288] * 3 + [math.comb(18, 9) - 3 * 12288]
+    edge = max(n for n in range(400) if n * (n + 1) // 2 <= search._CENSUS_PAIRS)
+    primes = tuple(PrimeSieve(3000).primes().tolist())
+    assert _ScanGround(primes[:edge]).by_census
+    wide = _ScanGround(primes[: edge + 1])
+    assert not wide.by_census and wide.block == _BLOCK
+    assert [count for count, _ in _rank_blocks(wide, 2, 5000)] == [2048, 2048, 904]
+    assert "census" not in vars(wide)
 
 
 def test_monte_carlo_ground_guard_acts_before_the_ground(monkeypatch):

@@ -197,17 +197,21 @@ def test_pair_census_matches_naive_counts():
 
 
 def test_pair_census_bounds_its_memory():
-    # at most 2**11 subsets per block; a ground with many distinct pair
-    # sums and differences gets narrower blocks, never none
-    assert PairCensus(tuple(range(101))).block == 2048
-    assert PairCensus(tuple(range(1000))).block == 2048
-    assert PairCensus(tuple(2**k for k in range(101))).block == 768  # 10202 rows
+    # a block of 64 w subsets: w <= 32 while its tables stay within 2**17
+    # words, or more while the whole block (128 w bytes per element, w
+    # words per row) stays within 2**19 bytes; never none
+    assert PairCensus(tuple(range(101))).block == 2176  # 302 rows: 2**19 // (128 * 101 + 8 * 302) = 34
+    primes_73 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+    assert PairCensus(primes_73).block == 8640  # 91 sums, 56 differences: 2**19 // (128 * 21 + 8 * 147) = 135
+    assert PairCensus(tuple(range(1000))).block == 2048  # 2999 rows: 32 words
+    assert PairCensus(tuple(2**k for k in range(101))).block == 768  # 10202 rows: 2**17 // 10202 = 12
     sparse = sorted(random.Random(5).sample(range(10**9), 600))
     assert PairCensus(sparse).block == 64  # ~360000 rows
-    # {0..2047} has 2**21 element pairs; no per-pair state is kept, so a
-    # full block's memory follows its 6143 distinct sums and differences
-    # (one 16-byte index per pair would be 32 MiB); the block's own
-    # 1344 x 2048 membership matrix is built inside the traced region
+    # {0..2047} has 2**21 element pairs, each pair's rows consecutive, so
+    # its row cache is slices and a full block's memory follows its 6143
+    # distinct sums and differences (one 16-byte index per pair would be
+    # 32 MiB); the block's own 1344 x 2048 membership matrix is built
+    # inside the traced region
     ground = tuple(range(2048))
     tracemalloc.start()
     try:
@@ -517,3 +521,51 @@ def test_pair_census_refuses_a_ground_past_its_block_bound(monkeypatch):
     monkeypatch.setattr(sets, "_CENSUS_BLOCK_BYTES", need - 1)
     with pytest.raises(CapacityError, match="census block"):
         PairCensus(range(10))
+
+
+def test_pair_census_row_cache_matches_the_per_block_rows(monkeypatch):
+    # an AP ground (slices), a prime ground (int32 rows) and a ground past
+    # int64 (object arrays) count the same with the row cache as with
+    # rows found again for each block, past a cache bound of 0
+    rng = np.random.default_rng(13)
+    primes = [p for p in range(2, 400) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    for ground in (tuple(range(0, 300, 3)), tuple(primes), tuple(2**k for k in range(70))):
+        cached = PairCensus(ground)
+        assert cached._rows is not None
+        member = rng.integers(0, 2, size=(cached.block + 65, len(ground)), dtype=np.uint8)
+        with monkeypatch.context() as patch:
+            patch.setattr(sets, "_CENSUS_ROW_PAIRS", 0)
+            per_block = PairCensus(ground)
+        assert per_block._rows is None
+        for a in range(0, len(member), cached.block):
+            block = member[a : a + cached.block]
+            assert all(np.array_equal(c, p) for c, p in zip(cached.counts(block), per_block.counts(block)))
+        for row in range(3):
+            chosen = tuple(e for e, bit in zip(ground, member[row].tolist()) if bit)
+            assert cached.counts(member[row : row + 1])[:2] == tuple(np.array([v]) for v in sum_diff_counts(chosen))
+
+
+def test_pair_census_row_cache_at_its_bound():
+    # {0..n-2, n}: no element pair's sum or difference rows are all
+    # consecutive, so the cache holds 8 bytes per pair (j >= i); at the
+    # largest n within _CENSUS_ROW_PAIRS it is kept and takes at most
+    # 8 bytes per pair and 4 MiB more, one element past it is not kept
+    bound = sets._CENSUS_ROW_PAIRS
+    edge = max(n for n in range(2800, 3000) if n * (n + 1) // 2 <= bound)
+    for n, kept in ((edge, True), (edge + 1, False)):
+        ground = tuple(range(n - 1)) + (n,)
+        tracemalloc.start()
+        try:
+            census = PairCensus(ground)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (census._rows is not None) is kept
+        if kept:
+            assert all(not isinstance(r, slice) for rows in census._rows[:-2] for r in rows)
+            assert peak < 8 * bound + (4 << 20), peak
+        else:
+            assert peak < 4 << 20, peak
+    member = np.zeros((1, len(ground)), dtype=np.uint8)
+    member[0, [0, 1, 3, -1]] = 1
+    assert [int(v[0]) for v in census.counts(member)] == [*sum_diff_counts((0, 1, 3, edge + 1)), 4]
