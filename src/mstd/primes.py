@@ -378,10 +378,8 @@ def find_prime_ap(
         raise DomainError(f"AP length must be >= 1, got {length}")
     if bound < 2:
         return None
-    if length == 1:
-        table = PrimeSieve(bound)
-        first = next((int(p) for p in table.primes()), None)
-        return None if first is None else (first, 0)
+    if length == 1:  # 2 is the least prime, whatever the bound
+        return (2, 0)
     small = PrimeSieve(length).primes().tolist()
     primorial = math.prod(small)
     if max_diff is None:

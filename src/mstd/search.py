@@ -23,13 +23,14 @@ in block order, so a report does not depend on the worker count.
 A lattice block is a rank descriptor, (scan ground, size, rank of its
 first candidate), for one census block of candidates in the order above
 (2048 on grounds classified row by row); the classifier unranks them by
-the combinatorial number system.  Candidates
-below the diameter floor count as examined but are not classified.
-Under the min-max objective each cardinality of a level stops at its
-first candidate below the floor, a position ``_level`` computes from
-binomial counts; levels stream lazily in ascending objective order.  A
-Monte Carlo block is a chunk of 2^16 samples, drawn as random bytes from
-the chunk's own seed stream.
+the combinatorial number system.  Candidates below the diameter floor
+count as examined: row by row they are not classified, and a census
+block counts them with the rest, though none can be a hit.  Under the
+min-max objective each cardinality of a level stops at its first
+candidate below the floor, a position ``_level`` computes from binomial
+counts; levels stream lazily in ascending objective order.  A Monte
+Carlo block is a chunk of 2^16 samples, drawn as random bytes from the
+chunk's own seed stream.
 
 Both feed membership rows to ``sets.PairCensus``, one bit-sliced pair
 form for every ground, and decode its hits in ``_census_scan``; a
@@ -378,17 +379,16 @@ class _ScanGround:
             at -= 1 + taken * np.intp(slack)
         return member.T
 
-    def index_rows(self, size: int, first: int, count: int, positions: int | None = None) -> np.ndarray:
+    def index_rows(self, size: int, first: int, count: int) -> np.ndarray:
         """The same candidates as rows of ground indices, one ``_pick``
-        per position, or only their first ``positions`` columns."""
+        per position."""
         k, lead = self.k, self.lead
         table, forced = _binomials(k - size, size)
-        width = lead + size + self.tail if positions is None else positions
-        rows = np.empty((count, width), dtype=np.intp)
-        rows[:, : lead + forced] = np.arange(width)[: lead + forced]
+        rows = np.empty((count, lead + size + self.tail), dtype=np.intp)
+        rows[:, : lead + forced] = np.arange(lead + forced)
         rows[:, lead + size :] = len(self.elements) - 1
         rank, slack = np.arange(first, first + count, dtype=np.int64), k - size
-        for p in range(forced, min(size, width - lead)):
+        for p in range(forced, size):
             slack, rank = _pick(table, slack, size - p, rank)
             rows[:, lead + p] = lead + k - size + p - slack
         return rows
@@ -438,33 +438,24 @@ def _rank_blocks(ground: _ScanGround, size: int, count: int):
 def _lattice_block(special: bool, hit_cap: int, block, take: int):
     """The classifier ``_scan`` runs on lattice blocks.
 
-    ``block`` is a ``_rank_blocks`` descriptor.  Candidates of diameter
-    below the floor, such as every candidate of fewer than two
-    elements, are not classified.  Census grounds (``by_census``)
-    classify a block by census, as membership rows, when it has more
-    candidates than the ground has elements (a smaller block costs less
-    row by row); other blocks are counted one set at a time.
+    ``block`` is a ``_rank_blocks`` descriptor.  Census grounds
+    (``by_census``) send a block of more candidates than the ground has
+    elements to the census whole, as membership rows; rows of diameter
+    below the floor are counted with the rest and can never be hits.
+    Smaller blocks, which cost less row by row, and other grounds'
+    blocks are counted one set at a time, skipping candidates of
+    diameter below the floor.  Candidates of fewer than two elements are
+    classified on neither path.
     """
     ground, size, first = block
-    n = len(ground.elements)
-    floor = min_mstd_diameter()
     if size + ground.lead + ground.tail < 2:
         return take, np.zeros(0, dtype=np.intp), []
-    if not ground.by_census or take <= n:
-        rows = ground.index_rows(size, first, take)
-        wide = np.flatnonzero(ground.values[rows[:, -1]] - ground.values[rows[:, 0]] >= floor)
-        at = wide[_counted_hits([ground.subset(rows[r]) for r in wide.tolist()], special)]
-        return take, at, [ground.subset(rows[r]) for r in at[:hit_cap].tolist()]
-    member = ground.member_rows(size, first, take)
-    low = ground.index_rows(size, first, take, positions=1)[:, 0]
-    high = n - 1 if ground.tail else n - 1 - member[:, ::-1].argmax(axis=1)
-    wide = np.flatnonzero(ground.values[high] - ground.values[low] >= floor)
-    if len(wide) < take:
-        member = member[wide]
-    census = ground.census
-    blocks = (member[a : a + census.block] for a in range(0, len(wide), census.block))
-    hit, found = _census_scan(census, blocks, special, hit_cap)
-    return take, wide[hit], found
+    if ground.by_census and take > len(ground.elements):
+        return (take, *_census_scan(ground.census, [ground.member_rows(size, first, take)], special, hit_cap))
+    rows = ground.index_rows(size, first, take)
+    wide = np.flatnonzero(ground.values[rows[:, -1]] - ground.values[rows[:, 0]] >= min_mstd_diameter())
+    at = wide[_counted_hits([ground.subset(rows[r]) for r in wide.tolist()], special)]
+    return take, at, [ground.subset(rows[r]) for r in at[:hit_cap].tolist()]
 
 
 def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:

@@ -289,6 +289,9 @@ def test_primes_ap(capsys):
     assert data == {"found": True, "first": 199, "difference": 210, "length": 10}
     data = run_json(capsys, "primes", "ap", "--length", "10", "--bound", "100")
     assert data["found"] is False
+    # one term is the least prime: no sieve, so no cap on the bound
+    data = run_json(capsys, "primes", "ap", "--length", "1", "--bound", "2e8")
+    assert data == {"found": True, "first": 2, "difference": 0, "length": 1}
 
 
 def test_primes_sieve_dilate_apset(capsys):

@@ -443,7 +443,11 @@ def test_three_term_prime_ap():
 
 
 def test_single_term_ap_is_first_prime():
-    assert find_prime_ap(1, 2) == (2, 0)
+    # no table is built, so a bound past the sieve cap is no error
+    for bound in (0, 1):
+        assert find_prime_ap(1, bound) is None
+    for bound in (2, 3, 10**6, 2**27 + 1, 10**40):
+        assert find_prime_ap(1, bound) == (2, 0)
 
 
 def test_ap_absent_within_bound():

@@ -444,8 +444,8 @@ def frame(lead, interior, tail, n):
 @pytest.mark.parametrize("lead, tail", [(0, 0), (0, 1), (1, 1)])
 def test_unranked_rows_match_itertools(monkeypatch, lead, tail):
     # blocks of 7 put block edges inside every size of k >= 3; each
-    # block's rows, by position and by element, and their first columns
-    # equal the combinations in order, as do blocks from a middle rank
+    # block's rows, by position and by element, equal the combinations
+    # in order, as do blocks from a middle rank
     monkeypatch.setattr(_ScanGround, "block", 7)
     rng = random.Random(lead + 2 * tail)
     for k in range(13):
@@ -465,9 +465,6 @@ def test_unranked_rows_match_itertools(monkeypatch, lead, tail):
                 member = ground.member_rows(size, first, count)
                 assert member.shape == (count, n)
                 assert [tuple(np.flatnonzero(r).tolist()) for r in member] == want
-                if size + lead:
-                    least = ground.index_rows(size, first, count, positions=1)
-                    assert [tuple(r) for r in least.tolist()] == [c[:1] for c in want]
 
 
 def test_unranking_where_the_counts_pass_int64():
@@ -670,15 +667,14 @@ def test_census_of_every_subset_matches_lattice_count(n):
 
 
 @pytest.mark.parametrize("hit_cap", [1, 2, 5])
-def test_lattice_block_in_many_census_blocks_matches_row_by_row(monkeypatch, hit_cap):
-    # census blocks of 64 rows cut the first 12288-row lattice block of
-    # sizes 9 and 10 of {0..17} into up to 192, and one block's hits lie
-    # in at least five 64-row stretches; whole and budget-cut blocks give
-    # the row-by-row positions and hits
+def test_lattice_census_block_matches_row_by_row(monkeypatch, hit_cap):
+    # the first 12288-candidate lattice block of sizes 9 and 10 of
+    # {0..17} goes to the census whole; whole and budget-cut blocks
+    # give the row-by-row positions and hits (hits merged across census
+    # blocks: test_monte_carlo_matches_naive_recount)
     ground = _ScanGround(tuple(range(18)))
     blocks = [b for size in (9, 10) for _, b in itertools.islice(_rank_blocks(ground, size, math.comb(18, size)), 1)]
-    assert ground.block == 12288
-    ground.census.block = 64
+    assert ground.by_census and ground.block == 12288
 
     def classify():
         return [
@@ -688,11 +684,41 @@ def test_lattice_block_in_many_census_blocks_matches_row_by_row(monkeypatch, hit
             for take, at, found in (_lattice_block(special, hit_cap, block, t) for t in (ground.block, 1000))
         ]
 
-    split = classify()
+    census = classify()
     monkeypatch.setattr(search, "_CENSUS_PAIRS", 0)
-    assert classify() == split
-    assert max(len({p // 64 for p in at}) for _, at, _ in split) >= 5
-    assert max(len(found) for _, _, found in split) == hit_cap
+    assert classify() == census
+    assert max(len(found) for _, _, found in census) == hit_cap
+
+
+def test_census_blocks_below_the_floor_match_row_by_row(monkeypatch):
+    # the census counts rows of diameter below the floor, which row by
+    # row skips; none can be a hit, so (take, positions, hits) agree:
+    # the last block of sizes 2-6 of {0..30}, most of whose rows lie
+    # below the floor, and the min-max levels 14 and 15 of {0..30},
+    # which hold the first hits, whole and budget-cut
+    ground = _ScanGround(tuple(range(31)))
+    tails = [list(_rank_blocks(ground, size, math.comb(31, size)))[-1] for size in range(2, 7)]
+    below = 0
+    for count, (_, size, first) in tails:
+        rows = ground.index_rows(size, first, count)
+        below += int(np.count_nonzero(rows[:, -1] - rows[:, 0] < FLOOR))
+    assert 2 * below > sum(count for count, _ in tails)
+    levels = [b for m in (14, 15) for b in _level(ground.elements, MIN_MAX, m, FLOOR)]
+    blocks = tails + levels
+    assert all(b.by_census for _, (b, _, _) in blocks)
+
+    def classify():
+        return [
+            (take, at.tolist(), found)
+            for special in (False, True)
+            for count, block in blocks
+            for take, at, found in (_lattice_block(special, 2, block, t) for t in (count, count // 2 + 1))
+        ]
+
+    census = classify()
+    monkeypatch.setattr(search, "_CENSUS_PAIRS", 0)
+    assert classify() == census
+    assert sum(len(at) for _, at, _ in census) > 0
 
 
 def test_lattice_blocks_are_census_blocks_on_census_grounds():
@@ -710,6 +736,25 @@ def test_lattice_blocks_are_census_blocks_on_census_grounds():
     assert not wide.by_census and wide.block == _BLOCK
     assert [count for count, _ in _rank_blocks(wide, 2, 5000)] == [2048, 2048, 904]
     assert "census" not in vars(wide)
+
+
+def test_census_lattice_block_peak_memory():
+    # one whole census block on a narrow ground, whose blocks are the
+    # longest: about 110 and 93 bytes per subset (sets.py, PairCensus
+    # memory) keep it under 1 MiB
+    primes = tuple(PrimeSieve(73).primes().tolist())
+    for ground, count in ((_ScanGround(primes, tail=1), 8640), (_ScanGround(tuple(range(21))), 10496)):
+        assert ground.block == count
+        block = next(b for _, b in _rank_blocks(ground, 10, math.comb(ground.k, 10)))
+        ground.census  # built once per ground, not per block
+        _lattice_block(False, search.DEFAULT_HIT_CAP, block, count)
+        tracemalloc.start()
+        try:
+            _lattice_block(False, search.DEFAULT_HIT_CAP, block, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_monte_carlo_ground_guard_acts_before_the_ground(monkeypatch):
