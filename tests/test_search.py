@@ -746,8 +746,7 @@ def test_census_lattice_block_peak_memory():
     for ground, count in ((_ScanGround(primes, tail=1), 8640), (_ScanGround(tuple(range(21))), 10496)):
         assert ground.block == count
         block = next(b for _, b in _rank_blocks(ground, 10, math.comb(ground.k, 10)))
-        ground.census  # built once per ground, not per block
-        _lattice_block(False, search.DEFAULT_HIT_CAP, block, count)
+        _lattice_block(False, search.DEFAULT_HIT_CAP, block, count)  # builds the census, once per ground
         tracemalloc.start()
         try:
             _lattice_block(False, search.DEFAULT_HIT_CAP, block, count)
