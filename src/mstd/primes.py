@@ -17,7 +17,9 @@ Every prime list in this module comes from one sieve, ``PrimeSieve``,
 which also enforces the one memory cap on sieve limits.  The tuple scan
 and ``prime_count`` need no table of their own: they stream cache-sized
 windows through the sieve's marking routine, ``_cross_off``, so their
-memory does not grow with x.
+memory does not grow with x.  Marking works on odd integers only: a
+window holds odd shifts alone, and the one even shift that can match,
+n = 2, is checked on its own.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .sets import CONWAY, IntSet
 _SIEVE_LIMIT_CAP = 1 << 27
 
 # The sieve table is marked, and the tuple scan walks its shifts, one
-# segment of this many integers at a time (1 MiB of flags).
+# segment of this many odd integers at a time (1 MiB of flags); a scan
+# window holds odd shifts only, so it covers 2^21 integers.
 _SEGMENT = 1 << 20
 
 _MATCH_CAP = 1000
@@ -51,12 +54,14 @@ class PrimeSieve:
 
     The only sieve in the package: admissibility moduli, singular-series
     factors, AP primorials, its own base primes and the tuple scan's base
-    primes all come from one.  Marking walks the table in segments of
-    _SEGMENT integers and crosses off, with the ``_cross_off`` routine
-    that the tuple scan's windows share, the multiples of the primes up
-    to sqrt(limit) that a smaller PrimeSieve supplies.  A limit below 2
-    yields an empty (but valid) sieve rather than an error; a limit
-    above the cap raises CapacityError.
+    primes all come from one.  The table holds every integer, but only
+    its odd half is marked: 2 is set directly, and the view of the odd
+    integers from 3 is walked in segments of _SEGMENT flags, in which
+    the ``_cross_off`` routine that the tuple scan's windows share
+    crosses off the odd multiples of the odd primes up to sqrt(limit)
+    that a smaller PrimeSieve supplies.  A limit below 2 yields an empty
+    (but valid) sieve rather than an error; a limit above the cap raises
+    CapacityError.
     """
 
     __slots__ = ("limit", "flags")
@@ -68,10 +73,12 @@ class PrimeSieve:
         self.limit = limit
         flags = np.zeros(max(limit + 1, 0), dtype=bool)
         if limit >= 2:
-            flags[2:] = True
-            base = PrimeSieve(math.isqrt(limit)).primes()
-            for lo in range(0, limit + 1, _SEGMENT):
-                _cross_off(flags[lo : lo + _SEGMENT], lo, base)
+            flags[2] = True
+            odd = flags[3::2]  # odd[i] stands for 3 + 2i
+            odd.fill(True)
+            base = PrimeSieve(math.isqrt(limit)).primes()[1:]
+            for i in range(0, odd.size, _SEGMENT):
+                _cross_off(odd[i : i + _SEGMENT], 3 + 2 * i, base)
         self.flags = flags
 
     def __contains__(self, n) -> bool:
@@ -86,13 +93,16 @@ class PrimeSieve:
 
 
 def _cross_off(flags: np.ndarray, lo: int, base: np.ndarray) -> None:
-    """Clear the flag of every multiple p*k >= p*p of a base prime p.
+    """Clear the flag of every odd multiple p*k >= p*p of an odd base prime p.
 
-    flags[i] stands for the integer lo + i; a base prime itself keeps
-    its flag.  The first multiple in range is found for all base primes
-    in one vector expression, and primes with none are skipped.
+    flags[i] stands for the odd integer lo + 2i; a base prime itself
+    keeps its flag.  The first odd multiple in range sits at index
+    (-lo) * (p+1)/2 mod p, (p+1)/2 being the inverse of 2 mod p, or at
+    p*p's index if that is later; the next ones follow every p flags.
+    The starts are found for all base primes in one vector expression,
+    and primes with none are skipped.
     """
-    starts = np.maximum((-lo) % base, base * base - lo)
+    starts = np.maximum((-lo) % base * ((base + 1) // 2) % base, (base * base - lo) // 2)
     live = starts < flags.size
     for p, start in zip(base[live].tolist(), starts[live].tolist()):
         flags[start::p] = False
@@ -273,12 +283,15 @@ def match_tuple(
 ) -> MatchReport:
     """Count shifts n <= x with n + b prime for every offset b.
 
-    The scan streams windows of _SEGMENT shifts (Bays & Hudson 1977).
-    Each window holds its shifts and ``spread`` more integers; the
-    multiples of the base primes up to sqrt(x + spread), which one
-    PrimeSieve supplies, are crossed off in it, and its shifted views
-    are ANDed and counted.  Memory is one window, _SEGMENT + spread
-    flags, however large x is.  The spread is below the sieve cap,
+    The scan streams windows of _SEGMENT odd shifts (Bays & Hudson
+    1977).  Each window holds its shifts and spread/2 more odd integers;
+    the odd multiples of the odd base primes up to sqrt(x + spread),
+    which one PrimeSieve supplies, are crossed off in it, and its
+    shifted views are ANDed and counted.  Parity does the rest: n = 2
+    is checked on its own, and an odd offset leaves no other shift that
+    can match, so the windows are scanned only when every offset is
+    even.  Memory is one window, _SEGMENT + spread/2 flags, however
+    large x is.  The spread is below the sieve cap,
     because the singular series, computed first, sieves to spread + 1.
     So only the base sieve bounds x: sqrt(x + spread) <= 2^27, past
     which CapacityError is raised before the scan allocates anything.
@@ -319,28 +332,45 @@ def prime_count(limit: int, cap: int) -> tuple[int, tuple[int, ...]]:
 def _scan_windows(
     offsets: tuple[int, ...], x: int, match_cap: int
 ) -> tuple[int, tuple[int, ...]]:
-    """The count and the first match_cap of the shifts 1 <= n <= x that match."""
+    """The count and the first match_cap of the shifts 1 <= n <= x that match.
+
+    n = 2 matches when every 2 + b is prime, so every other offset must
+    be odd; it is tested by trial division with the base primes.  An odd
+    n >= 3 needs every offset even (n + b for an odd b is even and > 2),
+    and an even n > 2 is not prime, so the windows of odd shifts are
+    walked only when no offset is odd.
+    """
     spread = offsets[-1]
-    base = PrimeSieve(math.isqrt(x + spread)).primes()
+    base = PrimeSieve(math.isqrt(x + spread)).primes()[1:]  # odd base primes
+    two = all(b % 2 and _odd_is_prime(2 + b, base) for b in offsets[1:])
+    count, matches = int(two), [2] if two and match_cap else []
+    if any(b % 2 for b in offsets):
+        return count, tuple(matches)
+    shifts = (x - 1) // 2  # the odd shifts 3, 5, ..., <= x
     # one pair of buffers for every window: fresh arrays cost page faults
-    flags = np.empty(min(_SEGMENT, x) + spread, dtype=bool)
-    ands = np.empty(min(_SEGMENT, x), dtype=bool)
-    count, matches = 0, []
-    for lo in range(1, x + 1, _SEGMENT):
-        n = min(_SEGMENT, x + 1 - lo)
-        window = flags[: n + spread]  # window[i] stands for lo + i
+    flags = np.empty(min(_SEGMENT, shifts) + spread // 2, dtype=bool)
+    ands = np.empty(min(_SEGMENT, shifts), dtype=bool)
+    for first in range(0, shifts, _SEGMENT):
+        lo = 3 + 2 * first
+        n = min(_SEGMENT, shifts - first)
+        window = flags[: n + spread // 2]  # window[i] stands for lo + 2i
         window.fill(True)
-        if lo == 1:
-            window[0] = False  # 1 is not prime, and no base prime crosses it off
         _cross_off(window, lo, base)
         hits = ands[:n]
         np.copyto(hits, window[:n])
         for b in offsets[1:]:
-            hits &= window[b : b + n]
-        shifts = np.flatnonzero(hits)
-        count += shifts.size
-        matches += (shifts[: match_cap - len(matches)] + lo).tolist()
+            hits &= window[b // 2 : b // 2 + n]
+        found = int(np.count_nonzero(hits))
+        count += found
+        if found and len(matches) < match_cap:  # decode only what the cap lists
+            matches += (2 * np.flatnonzero(hits)[: match_cap - len(matches)] + lo).tolist()
     return count, tuple(matches)
+
+
+def _odd_is_prime(m: int, base: np.ndarray) -> bool:
+    """Is the odd m >= 3 prime?  base holds every odd prime <= sqrt(m)."""
+    root = base[: np.searchsorted(base, math.isqrt(m), side="right")]
+    return not np.any(m % root == 0)
 
 
 def dilated_conway(p: int, s: int) -> IntSet:
@@ -371,6 +401,14 @@ def find_prime_ap(
     such starts are skipped.  Every candidate is still verified against
     the sieve; the modulus rule only narrows the search.  Returns None
     when no AP exists within the bounds (a normal outcome).
+
+    First terms are searched up to a bound b that starts at
+    max(2^16, (length - 1) * max_diff) and doubles until an AP turns up
+    or b reaches start_bound, each step sieving to b + (length - 1) *
+    max_diff and trying only its new first terms.  So memory follows the
+    answer, not start_bound, and the smallest first term still comes
+    first, with its smallest difference.  First terms are tested by all
+    their differences at once, a block of them at a time.
     """
     length = int(length)
     bound = int(start_bound)
@@ -380,27 +418,53 @@ def find_prime_ap(
         return None
     if length == 1:  # 2 is the least prime, whatever the bound
         return (2, 0)
-    small = PrimeSieve(length).primes().tolist()
-    primorial = math.prod(small)
+    primorial = math.prod(PrimeSieve(length).primes().tolist())
     if max_diff is None:
         headroom = (_SIEVE_LIMIT_CAP - bound) // (length - 1)
         max_diff = max(min(100 * primorial, headroom), primorial)
     max_diff = int(max_diff)
-    limit = bound + (length - 1) * max_diff
-    table = PrimeSieve(limit)  # capacity-checked by the sieve itself
-    flags = table.flags
-    for p in table.primes():
-        p = int(p)
-        if p > bound:
-            break
-        if p < length:
-            continue
-        modulus = math.prod(q for q in small if q != p)
-        for d in range(modulus, max_diff + 1, modulus):
-            if p + (length - 1) * d > limit:
-                break
-            if all(flags[p + k * d] for k in range(1, length)):
-                return (p, d)
+    reach = (length - 1) * max_diff
+    low, high = 1, min(bound, max(1 << 16, reach))
+    while True:
+        flags = PrimeSieve(high + reach).flags  # capacity-checked by the sieve itself
+        firsts = np.flatnonzero(flags[low + 1 : high + 1]) + low + 1
+        firsts = firsts[firsts >= length]
+        # a first term p <= length leaves p out of the modulus: only p = length can
+        own = int(firsts.size > 0 and firsts[0] == length)
+        for group, modulus in ((firsts[:own], primorial // length), (firsts[own:], primorial)):
+            found = _first_prime_ap(flags, group, length, modulus, max_diff)
+            if found:
+                return found
+        if high == bound:
+            return None
+        low, high = high, min(bound, 2 * high)
+
+
+def _first_prime_ap(
+    flags: np.ndarray, firsts: np.ndarray, length: int, modulus: int, max_diff: int
+) -> tuple[int, int] | None:
+    """The first p in ``firsts`` and the smallest d, a multiple of modulus
+    up to max_diff, with every p + k*d prime (k < length), or None.
+
+    Each first term is tested by all its differences at once; a block
+    holds as many first terms as keep it near 2^16 candidate terms, and
+    a first term with more differences than that is tested in pieces.
+    """
+    steps = np.arange(1, length)[:, None]
+    count = max_diff // modulus  # differences per first term
+    if count < 1:
+        return None
+    width = min(count, max(1, (1 << 16) // (length - 1)))
+    rows = max(1, (1 << 16) // ((length - 1) * width))  # rows > 1 only if width == count
+    for i in range(0, firsts.size, rows):
+        block = firsts[i : i + rows, None, None]
+        for j in range(0, count, width):
+            d = modulus * np.arange(j + 1, min(count, j + width) + 1)
+            ok = flags[block + steps * d].all(axis=1)  # ok[r, c]: block[r] with d[c]
+            hit = ok.any(axis=1)
+            if hit.any():
+                r = int(hit.argmax())
+                return int(block[r, 0, 0]), int(d[ok[r].argmax()])
     return None
 
 

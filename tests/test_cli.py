@@ -294,6 +294,13 @@ def test_primes_ap(capsys):
     assert data == {"found": True, "first": 2, "difference": 0, "length": 1}
 
 
+def test_primes_ap_bound_past_the_sieve_cap(capsys):
+    # the first terms are searched in doubling steps, so a small answer
+    # needs no sieve to the bound
+    data = run_json(capsys, "primes", "ap", "--length", "2", "--bound", "2e8")
+    assert data == {"found": True, "first": 2, "difference": 1, "length": 2}
+
+
 def test_primes_sieve_dilate_apset(capsys):
     data = run_json(capsys, "primes", "sieve", "--upto", "20")
     assert data["primes"] == [2, 3, 5, 7, 11, 13, 17, 19]

@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mstd
@@ -78,6 +79,44 @@ def test_membership_matches_trial_division():
 def test_sieve_capacity_cap():
     with pytest.raises(CapacityError):
         PrimeSieve((1 << 27) + 1)
+
+
+def test_every_table_to_2000_matches_a_plain_sieve():
+    for n in range(2001):
+        # the plain sieve's table is never shorter than 2 flags
+        assert PrimeSieve(n).flags.tobytes() == bytes(bytearray_sieve(n))[: n + 1], n
+
+
+@pytest.mark.parametrize("segment", [7, 64])
+def test_sieve_segment_edges(monkeypatch, segment):
+    # segment k of the odd view starts at the integer 3 + 2*k*segment
+    monkeypatch.setattr(mstd.primes, "_SEGMENT", segment)
+    edges = [3 + 2 * k * segment for k in range(1, 4)]
+    for n in sorted({e + d for e in edges for d in (-2, -1, 0, 1, 2)} | {5000}):
+        assert PrimeSieve(n).flags.tobytes() == bytes(bytearray_sieve(n)), n
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_cross_off_clears_odd_multiples_from_p_squared(p):
+    # flags[i] stands for lo + 2i: windows start below, at and above p^2
+    q = p * p
+    for lo in sorted({3, p, q - 2 * p, q - 2, q, q + 2, 3 * q + 2 * p, 10**12 + 1}):
+        for size in (1, p, 3 * p + 5):
+            flags = np.ones(size, dtype=bool)
+            mstd.primes._cross_off(flags, lo, np.array([p]))
+            expected = [not (v % p == 0 and v >= q) for v in range(lo, lo + 2 * size, 2)]
+            assert flags.tolist() == expected, (lo, size)
+
+
+def test_cross_off_with_every_base_prime():
+    base = np.array([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    for lo in (3, 5, 41, 961, 963, 12_345_679):
+        flags = np.ones(500, dtype=bool)
+        mstd.primes._cross_off(flags, lo, base)
+        expected = [
+            all(v % p or v < p * p for p in base.tolist()) for v in range(lo, lo + 1000, 2)
+        ]
+        assert flags.tolist() == expected, lo
 
 
 # -- admissibility -------------------------------------------------------
@@ -304,6 +343,11 @@ SCAN_TUPLES = {
     "single": PrimeTuple((0,)),
     "inadmissible": PrimeTuple((0, 2, 4)),
     "wide": PrimeTuple((0, 5000)),  # the spread is wider than every window
+    # an odd offset leaves n = 2 as the only shift that can match
+    "odd-3": PrimeTuple((0, 3)),
+    "odd-1-3": PrimeTuple((0, 1, 3)),
+    "odd-1-5": PrimeTuple((0, 1, 5)),
+    "odd-7": PrimeTuple((0, 7)),  # no match: 9 is not prime
 }
 
 
@@ -331,6 +375,24 @@ def test_match_cap_across_windows(monkeypatch, window):
         report = match_tuple(TWIN, x, match_cap=cap)
         assert report.count == len(expected), cap
         assert list(report.matches) == expected[:cap], cap
+
+
+@pytest.mark.parametrize("window", [7, 64, 1000])
+@pytest.mark.parametrize("name", list(SCAN_TUPLES))
+def test_match_cap_on_every_scan_tuple(monkeypatch, window, name):
+    t = SCAN_TUPLES[name]
+    monkeypatch.setattr(mstd.primes, "_SEGMENT", window)
+    x = 3000
+    expected = oracle_matches(t.offsets, x)
+    for cap in sorted({0, 1, 2, len(expected) // 2, len(expected), len(expected) + 1}):
+        report = match_tuple(t, x, match_cap=cap)
+        assert (report.count, list(report.matches)) == (len(expected), expected[:cap]), cap
+
+
+def test_odd_offsets_match_only_two():
+    for name in ("parity", "odd-3", "odd-1-3", "odd-1-5"):
+        assert match_tuple(SCAN_TUPLES[name], 10**6).matches == (2,), name
+    assert match_tuple(SCAN_TUPLES["odd-7"], 10**6).count == 0
 
 
 def test_scan_memory_is_one_window():
@@ -461,6 +523,67 @@ def test_found_aps_verify_prime():
         first, diff = result
         for k in range(length):
             assert trial_division_is_prime(first + k * diff)
+
+
+@functools.lru_cache(maxsize=None)
+def ap_oracle_sieve():
+    return bytearray_sieve(3_000_000)
+
+
+def oracle_prime_ap(length, bound, max_diff=None):
+    """One plain sieve to bound + (length - 1) * max_diff, first terms in
+    order, then each difference that is a multiple of every prime
+    q <= length other than the first term, smallest first."""
+    small = [q for q in range(2, length + 1) if trial_division_is_prime(q)]
+    primorial = math.prod(small)
+    if max_diff is None:
+        max_diff = max(min(100 * primorial, ((1 << 27) - bound) // (length - 1)), primorial)
+    flags = ap_oracle_sieve()
+    assert bound + (length - 1) * max_diff < len(flags)
+    for p in range(length, bound + 1):
+        if flags[p]:
+            modulus = math.prod(q for q in small if q != p)
+            for d in range(modulus, max_diff + 1, modulus):
+                if all(flags[p + k * d] for k in range(1, length)):
+                    return (p, d)
+    return None
+
+
+def test_prime_ap_grid_matches_a_one_sieve_search():
+    for length in range(2, 13):
+        for bound in (10, 100, 1000, 10**4, 10**5):
+            assert find_prime_ap(length, bound) == oracle_prime_ap(length, bound), (length, bound)
+
+
+@pytest.mark.parametrize(
+    "length, bound, max_diff",
+    # the first two search first terms in five doubling steps and find none
+    [(11, 10**6, 2310), (12, 10**6, 2310), (9, 10**6, 210), (3, 10**6, 2), (5, 10**6, 6)],
+)
+def test_prime_ap_past_the_first_step_matches_a_one_sieve_search(length, bound, max_diff):
+    assert find_prime_ap(length, bound, max_diff) == oracle_prime_ap(length, bound, max_diff)
+
+
+def test_prime_ap_memory_follows_the_answer():
+    # one sieve to 10^8 + 2 * 600 would alone be 95 MiB
+    find_prime_ap(3, 10)
+    tracemalloc.start()
+    try:
+        found = find_prime_ap(3, 10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == (3, 2)
+    assert peak < 2 << 20, peak
+
+
+def test_prime_ap_sieve_cap(monkeypatch):
+    monkeypatch.setattr(mstd.primes, "_SIEVE_LIMIT_CAP", 10**5)
+    # found in the first step, whose sieve fits under the cap
+    assert find_prime_ap(10, 2 * 10**5, max_diff=210) == (199, 210)
+    # none below 2^16, and the next step's sieve, to 2^17 + 11 * 2310, is past the cap
+    with pytest.raises(CapacityError, match="sieve limit 156482 exceeds cap 100000"):
+        find_prime_ap(12, 2 * 10**5, max_diff=2310)
 
 
 def test_mstd_in_ap_identity():
