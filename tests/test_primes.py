@@ -108,17 +108,6 @@ def test_cross_off_clears_odd_multiples_from_p_squared(p):
             assert flags.tolist() == expected, (lo, size)
 
 
-def test_cross_off_with_every_base_prime():
-    base = np.array([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
-    for lo in (3, 5, 41, 961, 963, 12_345_679):
-        flags = np.ones(500, dtype=bool)
-        mstd.primes._cross_off(flags, lo, base)
-        expected = [
-            all(v % p or v < p * p for p in base.tolist()) for v in range(lo, lo + 1000, 2)
-        ]
-        assert flags.tolist() == expected, lo
-
-
 # -- admissibility -------------------------------------------------------
 
 def test_tuple_t_is_admissible():
@@ -387,12 +376,6 @@ def test_match_cap_on_every_scan_tuple(monkeypatch, window, name):
     for cap in sorted({0, 1, 2, len(expected) // 2, len(expected), len(expected) + 1}):
         report = match_tuple(t, x, match_cap=cap)
         assert (report.count, list(report.matches)) == (len(expected), expected[:cap]), cap
-
-
-def test_odd_offsets_match_only_two():
-    for name in ("parity", "odd-3", "odd-1-3", "odd-1-5"):
-        assert match_tuple(SCAN_TUPLES[name], 10**6).matches == (2,), name
-    assert match_tuple(SCAN_TUPLES["odd-7"], 10**6).count == 0
 
 
 def test_scan_memory_is_one_window():
