@@ -1,10 +1,13 @@
 """Command-line surface: every library operation as a subcommand.
 
-Output is machine-readable JSON by default (one object per line) or a
-flat key/value table with --format table.  Exit codes: 0 success, 1
-domain or capacity error (bad values, cap exceeded), 2 usage error
-(unknown command, unparseable arguments).  Stochastic commands echo
-their seed so reports are reproducible artifacts.
+Each handler returns its report: a library result with ``to_dict`` or a
+plain dict.  ``main`` prints it, as machine-readable JSON by default
+(one object per line) or a flat key/value table with --format table,
+and picks the exit code: 0 success, 1 for a claim that failed its
+check (``passed`` false; its report is still printed) or a domain or
+capacity error (bad values, cap exceeded; one stderr line, no report),
+2 usage error (unknown command, unparseable arguments).  Stochastic
+commands echo their seed so reports are reproducible artifacts.
 
 Set inputs are inline comma lists ("0,2,3") or @file references (one
 integer per line).  Sequences use a small grammar:
@@ -233,7 +236,7 @@ def _resolve_globals(args) -> dict:
     return cfg
 
 
-def _ground_from_args(args, cfg) -> IntSet:
+def _ground_from_args(args) -> IntSet:
     if args.ground is not None:
         return IntSet(args.ground, diameter_cap=None)
     if args.seq is not None:
@@ -250,55 +253,40 @@ def _budget(cfg, keyword="budget") -> dict:
     return {} if cfg["budget"] is None else {keyword: cfg["budget"]}
 
 
-# -- handlers ----------------------------------------------------------
+# -- handlers: each returns its report, which main prints ---------------
 
 def _cmd_classify(args, cfg):
-    s = IntSet(args.set, diameter_cap=None)
-    _emit(classify(s, diameter_cap=cfg["diameter_cap"]).to_dict(), cfg["format"])
-    return 0
+    return classify(IntSet(args.set, diameter_cap=None), diameter_cap=cfg["diameter_cap"])
 
 
 def _cmd_sumset(args, cfg):
-    s = IntSet(args.set, diameter_cap=None)
-    result = sumset(s, diameter_cap=cfg["diameter_cap"])
-    _emit({"elements": list(result.elements)}, cfg["format"])
-    return 0
+    return sumset(IntSet(args.set, diameter_cap=None), diameter_cap=cfg["diameter_cap"])
 
 
 def _cmd_diffset(args, cfg):
     s = IntSet(args.set, diameter_cap=None)
-    _emit({"elements": list(diffset(s, diameter_cap=cfg["diameter_cap"]))}, cfg["format"])
-    return 0
+    return {"elements": list(diffset(s, diameter_cap=cfg["diameter_cap"]))}
 
 
 def _cmd_expand(args, cfg):
-    s = IntSet(args.set, diameter_cap=None)
-    result = base_expansion(s, args.k, diameter_cap=cfg["diameter_cap"])
-    _emit({"elements": list(result.elements)}, cfg["format"])
-    return 0
+    return base_expansion(IntSet(args.set, diameter_cap=None), args.k, diameter_cap=cfg["diameter_cap"])
 
 
 def _cmd_append(args, cfg):
-    s = IntSet(args.set, diameter_cap=None)
-    analysis = append_analysis(s, args.x, diameter_cap=cfg["diameter_cap"])
-    _emit(analysis.to_dict(), cfg["format"])
-    return 0
+    return append_analysis(IntSet(args.set, diameter_cap=None), args.x, diameter_cap=cfg["diameter_cap"])
 
 
 def _cmd_bound(args, cfg):
     s = IntSet(args.set, diameter_cap=None)
-    report = verify_difference_bound(s, args.x, args.r, diameter_cap=cfg["diameter_cap"])
-    _emit(report.to_dict(), cfg["format"])
-    return 0
+    return verify_difference_bound(s, args.x, args.r, diameter_cap=cfg["diameter_cap"])
 
 
 def _cmd_seq(args, cfg):
-    _emit({"terms": materialize(args.seq, args.terms)}, cfg["format"])
-    return 0
+    return {"terms": materialize(args.seq, args.terms)}
 
 
 def _cmd_search(args, cfg):
-    ground = _ground_from_args(args, cfg)
+    ground = _ground_from_args(args)
     mode = args.mode
     if mode == MODE_MONTE_CARLO and not args.special:
         raise DomainError("monte-carlo search needs --special (plain density: the density command)")
@@ -314,66 +302,49 @@ def _cmd_search(args, cfg):
         threads=cfg["threads"],
         **_budget(cfg),
     )
-    report = special_search(config) if args.special else exhaustive_search(config)
-    _emit(report.to_dict(), cfg["format"])
-    return 0
+    return special_search(config) if args.special else exhaustive_search(config)
 
 
 def _cmd_density(args, cfg):
-    report = monte_carlo_density(
+    return monte_carlo_density(
         args.n,
         args.samples,
         seed=cfg["seed"],
         threads=cfg["threads"],
         hit_cap=args.hit_cap,
     )
-    _emit(report.to_dict(), cfg["format"])
-    return 0
 
 
 def _cmd_minimal(args, cfg):
-    ground = _ground_from_args(args, cfg)
-    report = minimal_mstd_in(ground, objective=args.objective, **_budget(cfg))
-    _emit(report.to_dict(), cfg["format"])
-    return 0
+    return minimal_mstd_in(_ground_from_args(args), objective=args.objective, **_budget(cfg))
 
 
 def _cmd_certify(args, cfg):
-    cert = certify_no_mstd(args.seq, r=args.r, upto=args.upto, **_budget(cfg))
-    _emit(cert.to_dict(), cfg["format"])
-    return 0
+    return certify_no_mstd(args.seq, r=args.r, upto=args.upto, **_budget(cfg))
 
 
 def _cmd_certify_finite(args, cfg):
-    cert = certify_finitely_many(
+    return certify_finitely_many(
         args.seq, start=args.start, upto=args.upto, **_budget(cfg, "special_search_budget")
     )
-    _emit(cert.to_dict(), cfg["format"])
-    return 0
 
 
 def _cmd_growth(args, cfg):
-    cert = check_growth(args.seq, r=args.r, upto=args.upto, start=args.start)
-    _emit(cert.to_dict(), cfg["format"])
-    return 0
+    return check_growth(args.seq, r=args.r, upto=args.upto, start=args.start)
 
 
 def _cmd_primes_admissible(args, cfg):
-    _emit(is_admissible(PrimeTuple(tuple(args.offsets))).to_dict(), cfg["format"])
-    return 0
+    return is_admissible(PrimeTuple(tuple(args.offsets)))
 
 
 def _cmd_primes_series(args, cfg):
-    _emit(singular_series(PrimeTuple(tuple(args.offsets)), rel_tol=args.tol).to_dict(), cfg["format"])
-    return 0
+    return singular_series(PrimeTuple(tuple(args.offsets)), rel_tol=args.tol)
 
 
 def _cmd_primes_match(args, cfg):
-    report = match_tuple(
+    return match_tuple(
         PrimeTuple(tuple(args.offsets)), args.upto, rel_tol=args.tol, match_cap=args.cap
     )
-    _emit(report.to_dict(), cfg["format"])
-    return 0
 
 
 def _cmd_primes_ap(args, cfg):
@@ -383,53 +354,42 @@ def _cmd_primes_ap(args, cfg):
     else:
         payload = {"found": True, "first": result[0], "difference": result[1]}
     payload["length"] = args.length
-    _emit(payload, cfg["format"])
-    return 0
+    return payload
 
 
 def _cmd_primes_sieve(args, cfg):
     count, primes = prime_count(args.upto, args.cap)
-    _emit({"limit": args.upto, "count": count, "primes": list(primes)}, cfg["format"])
-    return 0
+    return {"limit": args.upto, "count": count, "primes": list(primes)}
 
 
 def _cmd_primes_dilate(args, cfg):
     hit = dilated_conway(args.shift, args.scale)
-    _emit({"elements": list(hit.elements), **classify(hit).to_dict()}, cfg["format"])
-    return 0
+    return {**hit.to_dict(), **classify(hit).to_dict()}
 
 
 def _cmd_primes_apset(args, cfg):
     hit = mstd_in_ap((args.first, args.diff, args.length))
-    _emit({"elements": list(hit.elements), **classify(hit).to_dict()}, cfg["format"])
-    return 0
+    return {**hit.to_dict(), **classify(hit).to_dict()}
 
 
 def _cmd_primes_mstd(args, cfg):
     report = match_tuple(PrimeTuple(TUPLE_T), args.upto, match_cap=args.cap)
-    sets = [list(dilated_conway(n, 30).elements) for n in report.matches[: args.cap]]
-    _emit(
-        {
-            "x": report.x,
-            "count": report.count,
-            "matches": list(report.matches),
-            "sets": sets,
-        },
-        cfg["format"],
-    )
-    return 0
+    return {
+        "x": report.x,
+        "count": report.count,
+        "matches": list(report.matches),
+        "sets": [list(dilated_conway(n, 30).elements) for n in report.matches],
+    }
 
 
 def _cmd_reproduce(args, cfg):
     # only an explicit --seed unpins a claim's recorded seed
-    report = run_claim(
+    return run_claim(
         args.claim,
         samples=args.samples,
         seed=args.seed,
         threads=cfg["threads"],
     )
-    _emit(report, cfg["format"])
-    return 0 if report["passed"] else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -603,10 +563,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_globals(args)
-        return args.handler(args, cfg)
+        report = args.handler(args, cfg)
     except (DomainError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    payload = report if isinstance(report, dict) else report.to_dict()
+    _emit(payload, cfg["format"])
+    # a claim that fails its check still prints its report
+    return 0 if payload.get("passed", True) else 1
 
 
 if __name__ == "__main__":

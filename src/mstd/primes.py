@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sets import CONWAY, IntSet
+from .sets import CONWAY, IntSet, Report
 
 # np.bool_ flags: 1 byte per integer; 2**27 is 128 MiB, a sane guard.
 _SIEVE_LIMIT_CAP = 1 << 27
@@ -134,17 +134,22 @@ class PrimeTuple:
 
 
 @dataclass(frozen=True)
-class AdmissibilityResult:
+class AdmissibilityResult(Report):
     admissible: bool
     witness_modulus: int | None
     checked_moduli: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "witness_modulus": self.witness_modulus,
-            "checked_moduli": list(self.checked_moduli),
-        }
+
+def _residue_counts(t: PrimeTuple) -> dict[int, int]:
+    """{p: v(p)}, v(p) the number of distinct offset residues mod p, for
+    the primes p <= m in ascending order, up to and including the first
+    prime the offsets cover (v(p) = p)."""
+    counts = {}
+    for p in PrimeSieve(t.m).primes().tolist():
+        counts[p] = v = len({b % p for b in t.offsets})
+        if v == p:
+            break
+    return counts
 
 
 def is_admissible(t: PrimeTuple) -> AdmissibilityResult:
@@ -154,16 +159,13 @@ def is_admissible(t: PrimeTuple) -> AdmissibilityResult:
     covered only if each of its prime factors is, and m offsets occupy
     at most m classes, so any p > m has a free class automatically.
     """
-    checked = []
-    for p in PrimeSieve(t.m).primes().tolist():
-        checked.append(p)
-        if len({b % p for b in t.offsets}) == p:
-            return AdmissibilityResult(False, p, tuple(checked))
-    return AdmissibilityResult(True, None, tuple(checked))
+    counts = _residue_counts(t)
+    witness = next((p for p, v in counts.items() if v == p), None)
+    return AdmissibilityResult(witness is None, witness, tuple(counts))
 
 
 @dataclass(frozen=True)
-class SingularSeries:
+class SingularSeries(Report):
     """Truncated product over primes of (p/(p-1))^(m-1) * (p-v)/(p-1).
 
     v = v(p) is the number of distinct offset residues mod p.  Beyond
@@ -176,14 +178,6 @@ class SingularSeries:
     truncation_prime: int
     tail_bound: float
     per_prime_v: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "truncation_prime": self.truncation_prime,
-            "tail_bound": self.tail_bound,
-            "per_prime_v": {str(p): v for p, v in self.per_prime_v.items()},
-        }
 
 
 def singular_series(t: PrimeTuple, rel_tol: float = 1e-3) -> SingularSeries:
@@ -198,12 +192,10 @@ def singular_series(t: PrimeTuple, rel_tol: float = 1e-3) -> SingularSeries:
     if not 0 < rel_tol <= 0.1:
         raise DomainError(f"rel_tol must be in (0, 0.1], got {rel_tol}")
     m = t.m
-    per_prime_v = {}
-    for p in PrimeSieve(m).primes().tolist():
-        v = len({b % p for b in t.offsets})
-        per_prime_v[p] = v
-        if v == p:
-            return SingularSeries(0.0, p, 0.0, per_prime_v)
+    per_prime_v = _residue_counts(t)
+    covered = next((p for p, v in per_prime_v.items() if v == p), None)
+    if covered is not None:
+        return SingularSeries(0.0, covered, 0.0, per_prime_v)
     if m == 1:
         return SingularSeries(1.0, 2, 0.0, per_prime_v)
     cutoff = max(t.spread + 1, 2 * m + 2, int(m * m / rel_tol) + 2)

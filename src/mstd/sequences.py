@@ -30,7 +30,7 @@ from itertools import count, islice
 
 from .errors import CapacityError, DomainError
 from .search import SearchConfig, _census_hits, _scan, exhaustive_search, special_search
-from .sets import DEFAULT_DIAMETER_CAP, IntSet, SumDiffSets, append_analysis, sum_diff_counts
+from .sets import DEFAULT_DIAMETER_CAP, IntSet, Report, SumDiffSets, append_analysis, sum_diff_counts
 
 KIND_FIBONACCI = "fibonacci"
 KIND_SHIFTED_GEOMETRIC = "shifted_geometric"
@@ -181,7 +181,7 @@ def materialize(spec: SequenceSpec, n: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class GrowthCertificate:
+class GrowthCertificate(Report):
     """Window check of a_k > a_{k-1} + a_{k-r}.
 
     holds covers k in [start, checked_upto].  symbolic additionally
@@ -196,16 +196,6 @@ class GrowthCertificate:
     holds: bool
     first_violation: tuple[int, int, int, int] | None
     symbolic: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "start": self.start,
-            "checked_upto": self.checked_upto,
-            "holds": self.holds,
-            "first_violation": list(self.first_violation) if self.first_violation else None,
-            "symbolic": self.symbolic,
-        }
 
 
 def _symbolic_growth(spec: SequenceSpec, r: int, start: int) -> bool:
@@ -262,7 +252,7 @@ def check_growth(spec: SequenceSpec, r: int, upto: int, start: int | None = None
 
 
 @dataclass(frozen=True)
-class NoMstdCertificate:
+class NoMstdCertificate(Report):
     """Outcome of certify_no_mstd.
 
     route records how the small-subset condition was settled:
@@ -279,17 +269,6 @@ class NoMstdCertificate:
     verdict: str
     route: str
     examined: int
-
-    def to_dict(self) -> dict:
-        return {
-            "growth": self.growth.to_dict(),
-            "small_subset_bound": self.small_subset_bound,
-            "small_search_exhausted": self.small_search_exhausted,
-            "mstd_witness": list(self.mstd_witness.elements) if self.mstd_witness else None,
-            "verdict": self.verdict,
-            "route": self.route,
-            "examined": self.examined,
-        }
 
 
 def certify_no_mstd(
@@ -361,7 +340,7 @@ def certify_no_mstd(
 
 
 @dataclass(frozen=True)
-class DifferenceBoundReport:
+class DifferenceBoundReport(Report):
     """Exact new-sum/new-difference census for one adjoined element.
 
     t is the pair-count parameter floor((k+2)/2) used by the counting
@@ -377,18 +356,6 @@ class DifferenceBoundReport:
     gap_change: int
     hypothesis_applies: bool
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "set_size": self.set_size,
-            "r": self.r,
-            "t": self.t,
-            "new_sums": self.new_sums,
-            "new_diffs": self.new_diffs,
-            "gap_change": self.gap_change,
-            "hypothesis_applies": self.hypothesis_applies,
-            "verdict": self.verdict,
-        }
 
 
 def verify_difference_bound(
@@ -436,7 +403,7 @@ def verify_difference_bound(
 
 
 @dataclass(frozen=True)
-class FinitenessCertificate:
+class FinitenessCertificate(Report):
     """Outcome of certify_finitely_many.
 
     The verdict covers only the special-subset search: refuted means a
@@ -451,16 +418,6 @@ class FinitenessCertificate:
     examined: int
     searched_window: int
     search_exhausted: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "growth": self.growth.to_dict(),
-            "special_witness": list(self.special_witness.elements) if self.special_witness else None,
-            "verdict": self.verdict,
-            "examined": self.examined,
-            "searched_window": self.searched_window,
-            "search_exhausted": self.search_exhausted,
-        }
 
 
 def certify_finitely_many(

@@ -39,12 +39,17 @@ raises CapacityError before its sets could pass ``_PAIR_SETS_BYTES``,
 and ``_check_census_capacity`` before one census block could pass
 ``_CENSUS_BLOCK_BYTES``.
 ``base_expansion`` keeps its own guard on the size of the set it builds.
+
+Results come back as dataclasses derived from ``Report``, whose
+``to_dict`` is the one rule that turns a report into JSON: field by
+field in declaration order, a nested report becomes its dict, an IntSet
+its element list, a tuple a list, and dict keys become strings.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -164,8 +169,35 @@ class IntSet:
         return {"elements": list(self.elements)}
 
 
+class Report:
+    """Base of the report dataclasses: ``to_dict`` is the JSON object the
+    CLI prints.
+
+    Each field, in declaration order, becomes one key: a nested report
+    becomes its dict, an IntSet its element list, a tuple a list, and a
+    dict's keys become strings; other values are kept as they are.
+    SearchReport, MatchReport and SequenceSpec write their own to_dict
+    instead, because their JSON renames or leaves out fields.
+    """
+
+    def to_dict(self) -> dict:
+        return {field.name: _json_value(getattr(self, field.name)) for field in fields(self)}
+
+
+def _json_value(value):
+    if isinstance(value, Report):
+        return value.to_dict()
+    if isinstance(value, IntSet):
+        return list(value.elements)
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return {str(key): item for key, item in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
-class Classification:
+class Classification(Report):
     """Sum/difference census of one set."""
 
     sum_count: int
@@ -191,18 +223,9 @@ class Classification:
             special=gap >= size,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "sum_count": self.sum_count,
-            "diff_count": self.diff_count,
-            "verdict": self.verdict,
-            "gap": self.gap,
-            "special": self.special,
-        }
-
 
 @dataclass(frozen=True)
-class AppendAnalysis:
+class AppendAnalysis(Report):
     """Effect of adjoining one element to a set."""
 
     new_sums: int
@@ -210,15 +233,6 @@ class AppendAnalysis:
     threshold_met: bool
     before: Classification
     after: Classification
-
-    def to_dict(self) -> dict:
-        return {
-            "new_sums": self.new_sums,
-            "new_diffs": self.new_diffs,
-            "threshold_met": self.threshold_met,
-            "before": self.before.to_dict(),
-            "after": self.after.to_dict(),
-        }
 
 
 def _shift_or(base: int) -> tuple[int, int]:

@@ -26,6 +26,90 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+# -- every subcommand through one report path ----------------------------
+
+# One small, fast case per subcommand, keyed by its name as typed.
+SUBCOMMANDS = {
+    "classify": ["classify", "0,2,3,4,7,11,12,14"],
+    "sumset": ["sumset", "0,1,3"],
+    "diffset": ["diffset", "0,1,3"],
+    "expand": ["expand", "0,1", "2"],
+    "append": ["append", "0,2,3,4,7,11,12,14", "100"],
+    "bound": ["bound", "1,2,4,8,16,32,64,128,256,512", "2000", "--r", "3"],
+    "seq": ["seq", "--seq", "fibonacci", "--terms", "10"],
+    "search": ["search", "--ground", "0..15", "--min-size", "8", "--max-size", "8"],
+    "density": ["density", "--n", "20", "--samples", "1000", "--seed", "1"],
+    "minimal": ["minimal", "--ground", "0..15"],
+    "certify": ["certify", "--seq", "explicit:0..14", "--r", "3", "--upto", "15"],
+    "certify-finite": ["certify-finite", "--seq", "fibonacci", "--start", "4", "--upto", "20", "--budget", "1000"],
+    "growth": ["growth", "--seq", "fibonacci", "--r", "2", "--upto", "20"],
+    "primes admissible": ["primes", "admissible", "0,60,90,120,210,330,360,420"],
+    "primes series": ["primes", "series", "0,2,6"],
+    "primes match": ["primes", "match", "0,2", "--upto", "1000"],
+    "primes ap": ["primes", "ap", "--length", "3", "--bound", "100"],
+    "primes sieve": ["primes", "sieve", "--upto", "100"],
+    "primes dilate": ["primes", "dilate", "--shift", "19", "--scale", "30"],
+    "primes apset": ["primes", "apset", "--first", "7", "--diff", "30", "--length", "15"],
+    "primes mstd": ["primes", "mstd", "--upto", "1e4"],
+    "reproduce": ["reproduce", "conway-counts"],
+}
+
+
+def _subcommand_names(parser, prefix=""):
+    for action in parser._subparsers._group_actions:
+        for name, sub in action.choices.items():
+            if sub._subparsers is None:
+                yield prefix + name
+            else:
+                yield from _subcommand_names(sub, f"{prefix}{name} ")
+
+
+def test_subcommand_table_lists_every_subcommand():
+    assert sorted(_subcommand_names(cli.build_parser())) == sorted(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", list(SUBCOMMANDS.values()), ids=list(SUBCOMMANDS))
+def test_every_subcommand_prints_one_report_in_both_formats(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert isinstance(report, dict) and report
+    code, out, err = run(capsys, *argv, "--format", "table")
+    assert (code, err) == (0, "")
+    top = [line for line in out.splitlines() if not line.startswith(" ")]
+    assert [line.partition(":")[0] for line in top] == list(report)
+    assert all(line.startswith(f"{key}:") for line, key in zip(top, report))
+
+
+def test_every_report_class_survives_a_json_round_trip():
+    # the table printer shows only lists through json.dumps, so a tuple
+    # or an int key left in a report would change the table silently
+    from mstd import (
+        CONWAY, IntSet, PrimeTuple, SequenceSpec, append_analysis, base_expansion, certify_finitely_many,
+        certify_no_mstd, check_growth, classify, is_admissible, singular_series, verify_difference_bound,
+    )
+    from mstd.sets import Report
+
+    s3 = list(base_expansion(IntSet(CONWAY), 3).elements)
+    reports = [
+        classify(IntSet(CONWAY)),
+        append_analysis(IntSet(CONWAY), 100),
+        is_admissible(PrimeTuple((0, 2, 4))),
+        singular_series(PrimeTuple((0, 2, 6))),
+        check_growth(SequenceSpec.fibonacci(), 2, 20),
+        certify_no_mstd(SequenceSpec.explicit(list(range(15))), 3, 15),
+        verify_difference_bound(IntSet([2**k for k in range(10)]), 2000, 3),
+        certify_finitely_many(SequenceSpec.explicit(s3), 4, 512),
+    ]
+    assert {type(r) for r in reports} == set(Report.__subclasses__())
+    for report in reports:
+        data = report.to_dict()
+        assert list(data) == list(report.__dataclass_fields__)
+        assert json.loads(json.dumps(data)) == data, type(report).__name__
+
+
 # -- basic commands ------------------------------------------------------
 
 def test_classify_conway(capsys):
@@ -354,6 +438,21 @@ def test_tuple_t_claim_window_is_two_poisson_sds(capsys, monkeypatch):
     assert (lo, hi) == pytest.approx((measured["predicted"] - 2 * sd, measured["predicted"] + 2 * sd))
     assert data["passed"] is (lo <= measured["count"] <= hi)
     assert data["expected"] == {"poisson_sds": 2, "regression_count": 219}
+
+
+def test_failed_claim_prints_its_report_and_exits_one(capsys):
+    # no count k of 1000 samples has k/1000 in the claim's window, so
+    # the claim fails whatever the sampler draws
+    from mstd.reproduce import MANIFEST
+
+    lo, hi = MANIFEST["density-4.5e-4"]["window"]
+    assert not any(lo <= k / 1000 <= hi for k in range(1001))
+    code, out, err = run(capsys, "reproduce", "density-4.5e-4", "--samples", "1000")
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["passed"] is False
 
 
 def test_reproduce_unknown_claim_is_usage_error(capsys):
