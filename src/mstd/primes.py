@@ -42,6 +42,12 @@ _SEGMENT = 1 << 20
 
 _MATCH_CAP = 1000
 
+# The tuple scan's stated time limit on x + spread, about 1.4e11.  The scan
+# takes 3.2-3.5 s per 10^9 shifts (twins and T at 1e10, 2-core Xeon,
+# CPython 3.11, numpy 2.4), so the limit is about 8 minutes of scanning;
+# the base sieve alone would admit x near 1.8e16, years of it.
+_SCAN_LIMIT = 1 << 37
+
 # The prediction sums n <= _HEAD_N term by term and integrates the rest
 # over _TAIL_PANELS geometric panels of _GAUSS_NODES points each.
 _HEAD_N = 1 << 12
@@ -285,8 +291,10 @@ def match_tuple(
     even.  Memory is one window, _SEGMENT + spread/2 flags, however
     large x is.  The spread is below the sieve cap,
     because the singular series, computed first, sieves to spread + 1.
-    So only the base sieve bounds x: sqrt(x + spread) <= 2^27, past
-    which CapacityError is raised before the scan allocates anything.
+    Time grows with x, so x + spread is held to _SCAN_LIMIT (about 8
+    minutes of scanning), and to the base sieve's reach, sqrt(x +
+    spread) <= 2^27; past either, CapacityError is raised before the
+    scan allocates anything.
     Shifts n, not primes, are counted; with b_1 normalized to 0 every
     match n is itself prime.
     """
@@ -296,7 +304,8 @@ def match_tuple(
     series = singular_series(t, rel_tol)
     if x < 2:
         return MatchReport(x=x, count=0, matches=(), predicted=0.0, ratio=None, series=series)
-    top = (_SIEVE_LIMIT_CAP + 1) ** 2 - 1  # the largest x + spread whose base sieve fits
+    # the largest x + spread in the stated time whose base sieve fits
+    top = min((_SIEVE_LIMIT_CAP + 1) ** 2 - 1, _SCAN_LIMIT)
     if x + t.spread > top:
         raise CapacityError(
             f"scan limit x + spread = {x + t.spread} exceeds {top}; "

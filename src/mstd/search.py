@@ -28,20 +28,27 @@ count as examined: row by row they are not classified, and a census
 block counts them with the rest, though none can be a hit.  Under the
 min-max objective each cardinality of a level stops at its first
 candidate below the floor, a position ``_level`` computes from binomial
-counts; levels stream lazily in ascending objective order.  A Monte
-Carlo block is a chunk of 2^16 samples, drawn as random bytes from the
-chunk's own seed stream.
+counts; levels stream lazily in ascending objective order.  A level of
+at most ``_MASK_K`` interior elements is one block instead, a
+``_MaskLevel``: all 2^k interior masks are classified in mask order,
+and each hit is put back at its place in the stream, so budget and
+first-hit stops fall where rank order puts them.  A Monte Carlo block
+is a chunk of 2^16 samples, drawn as random bytes from the chunk's own
+seed stream.
 
-Both feed membership rows to ``sets.PairCensus``, one bit-sliced pair
-form for every ground, and decode its hits in ``_census_scan``; a
-lattice ground of at most 2^16 element pairs (361 elements) is unranked
-one pass per element straight into membership rows, and wider grounds
-and small blocks, which cost less row by row, one pass per position
-into index rows.  The first candidate of every census block and every
-hit are counted again by ``sum_diff_counts``: a census that disagrees
-raises instead of reporting, so engines never report a set they did not
-verify.  The only pruning rule, skipping subsets of diameter below 14,
-is itself established at runtime by an exhaustive scan (see
+All of them reach ``sets.PairCensus``, one bit-sliced pair form for
+every ground, as bit-sliced words through ``_census_scan``, which
+decodes the hits.  Monte Carlo chunks and rank blocks are membership
+rows first (``sets.bit_slices`` transposes them): a lattice ground of at
+most 2^16 element pairs (361 elements) is unranked one pass per element
+straight into membership rows, and wider grounds and small blocks,
+which cost less row by row, one pass per position into index rows.
+Mask levels build their words in closed form.  The first candidate of
+every census block and every hit are counted again by
+``sum_diff_counts``: a census that disagrees raises instead of
+reporting, so engines never report a set they did not verify.  The only
+pruning rule, skipping subsets of diameter below 14, is itself
+established at runtime by an exhaustive scan (see
 ``min_mstd_diameter``) before any engine uses it.
 """
 
@@ -61,7 +68,8 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .sets import (
-    CONWAY, DEFAULT_DIAMETER_CAP, IntSet, PairCensus, _int_array, _check_census_capacity, sum_diff_counts,
+    CONWAY, DEFAULT_DIAMETER_CAP, IntSet, PairCensus, _int_array, _check_census_capacity, bit_slices,
+    sum_diff_counts,
 )
 
 MODE_EXHAUSTIVE = "exhaustive"
@@ -89,6 +97,17 @@ _CENSUS_PAIRS = 1 << 16
 _RANK_CAP = 1 << 62
 # (scale, shift) pairs the minimality probe tests per batch of scales
 _PROBE_PAIRS = 1 << 14
+# Minimality levels of at most this many interior elements are one block,
+# classified in mask order (``_MaskLevel``); larger levels keep rank
+# blocks.  A level cut by the budget or a hit still classifies all its 2^k
+# masks.  Whole min-max levels of the primes, per mask against per
+# candidate in rank order: 0.12-0.15 vs 0.55-0.61 us at k = 14, 0.17 vs
+# 0.28-0.31 at k = 20, 0.30-0.34 vs 0.25-0.33 at k = 22 (2-core Xeon,
+# CPython 3.11, numpy 2.4).  So a cut level wastes at most about 0.18 s.
+_MASK_K = 20
+# Word w of interior element e < 6 in mask order: bit b is bit e of b
+_LOW_MASK_WORDS = np.array([sum(1 << b for b in range(64) if b >> e & 1) for e in range(6)], dtype=np.uint64)
+_ONES = np.uint64(2**64 - 1)
 
 _diameter_floor_verified = False
 
@@ -96,15 +115,18 @@ _diameter_floor_verified = False
 def min_mstd_diameter() -> int:
     """Smallest diameter any MSTD set can have, verified by scan.
 
-    A set of diameter below 14 shifts into {0..13}, so one pass over
-    the 2^14 subsets of {0..13} suffices to establish the floor.  The
-    scan runs once per process and is cached; engines call this before
-    enabling diameter pruning so the rule is never assumed.
+    A set of diameter below 14, less its least element, is exactly one
+    subset of {0..13} that contains 0, and MSTD is translation
+    invariant; so one pass over those 2^13 subsets (8191 of two or more
+    elements) establishes the floor.  The scan runs once per process
+    and is cached; engines call this before enabling diameter pruning so
+    the rule is never assumed.
     """
     global _diameter_floor_verified
     if not _diameter_floor_verified:
-        for size in range(2, 15):
-            for combo in combinations(range(14), size):
+        for size in range(1, 14):
+            for rest in combinations(range(1, 14), size):
+                combo = (0, *rest)
                 sc, dc = sum_diff_counts(combo)
                 if sc > dc:
                     raise RuntimeError(f"diameter floor refuted by {combo}; pruning unsound")
@@ -222,25 +244,34 @@ def _counted_hits(subsets: list[tuple[int, ...]], special: bool) -> np.ndarray:
     return _census_hits(counts[:, 0], counts[:, 1], np.array([len(s) for s in subsets], dtype=np.int64), special)
 
 
-def _census_scan(census: PairCensus, blocks, special: bool, hit_cap: int):
-    """(hit positions, ascending, and the first ``hit_cap`` hits as
-    tuples of ground elements) among the subsets that ``blocks`` yields
-    as membership matrices of at most ``census.block`` rows, the one
-    decoder of census hits.  The first subset of every block (unless
-    empty) and every hit are counted again by ``sum_diff_counts``,
-    looked up when called; a census it disagrees with raises."""
+def _census_scan(census: PairCensus, blocks, special: bool):
+    """(hit positions, ascending, and every hit as a tuple of ground
+    elements) among the subsets that ``blocks`` yields as (x, count):
+    ``count`` subsets, at most ``census.block``, bit-sliced as
+    ``PairCensus.word_counts`` takes them.  The first subset of every
+    block (unless empty) and every hit are counted again by
+    ``sum_diff_counts``, looked up when called; a census it disagrees
+    with raises."""
     found, hits, start = [np.zeros(0, dtype=np.intp)], [], 0
-    for member in blocks:
-        sc, dc, size = census.counts(member)
+    for x, count in blocks:
+        sc, dc, size = census.word_counts(x, count)
         at = np.flatnonzero(_census_hits(sc, dc, size, special))
-        chosen = {r: tuple(compress(census.elements, member[r].tolist())) for r in sorted({0, *at.tolist()})}
-        for r, subset in chosen.items():
+        rows = np.concatenate(([0], at))
+        subsets = _decode(census.elements, x, rows)
+        for r, subset in zip(rows.tolist(), subsets):
             if subset and sum_diff_counts(subset) != (int(sc[r]), int(dc[r])):
                 raise RuntimeError(f"batched census disagrees with sum_diff_counts on {subset}")
-        hits += [chosen[r] for r in at[: hit_cap - len(hits)].tolist()]
+        hits += subsets[len(rows) - len(at) :]
         found.append(start + at)
-        start += len(member)
+        start += count
     return np.concatenate(found), hits
+
+
+def _decode(elements: tuple, x: np.ndarray, rows: np.ndarray) -> list[tuple]:
+    """The subsets at ``rows`` of the bit-sliced words ``x``, as tuples of
+    ``elements``: the one decoder of census hits."""
+    bits = x[:, rows >> 6] >> (rows & 63).astype(np.uint64) & np.uint64(1)
+    return [tuple(compress(elements, column)) for column in bits.T.tolist()]
 
 
 def _ordered(fn, work, workers: int):
@@ -379,6 +410,24 @@ class _ScanGround:
             at -= 1 + taken * np.intp(slack)
         return member.T
 
+    def mask_words(self, first: int, count: int) -> np.ndarray:
+        """Candidates ``first`` .. ``first + count - 1`` in mask order
+        (``first`` a multiple of 64), bit-sliced for
+        ``PairCensus.word_counts``: the candidate of mask m holds interior
+        element e when bit e of m is set, and the lead and tail always.
+        Word w holds masks first + 64 w + b, b < 64, so its word for
+        interior element e < 6 is the constant whose bit b is bit e of
+        b, and for e >= 6 all ones or all zeros by bit e - 6 of
+        first / 64 + w."""
+        lead, k = self.lead, self.k
+        words, low = (count + 63) // 64, min(k, 6)
+        x = np.empty((len(self.elements), words), dtype=np.uint64)
+        x[:lead] = x[lead + k :] = _ONES
+        x[lead : lead + low] = _LOW_MASK_WORDS[:low, None]
+        index = np.arange(first >> 6, (first >> 6) + words, dtype=np.uint64)
+        x[lead + low : lead + k] = (index >> np.arange(k - low, dtype=np.uint64)[:, None] & np.uint64(1)) * _ONES
+        return x
+
     def index_rows(self, size: int, first: int, count: int) -> np.ndarray:
         """The same candidates as rows of ground indices, one ``_pick``
         per position."""
@@ -428,6 +477,64 @@ def _binomials(slack: int, size: int) -> tuple[np.ndarray, int]:
     return table, size + 2 - len(rows)
 
 
+@lru_cache(maxsize=64)
+def _pascal(k: int) -> np.ndarray:
+    """C(n, i) at [n, i] for n, i <= k, as int64 (k <= ``_MASK_K``)."""
+    return np.array([[math.comb(n, i) for i in range(k + 1)] for n in range(k + 1)], dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class _MaskLevel:
+    """A minimality level as one block, classified in mask order: all 2^k
+    interior masks (``_ScanGround.mask_words``), whose hits are put back
+    in stream order.  ``streamed[s]`` is how many candidates of interior
+    size s the stream holds, each size a prefix of its lexicographic
+    order, as ``_level`` cuts it."""
+
+    ground: _ScanGround
+    streamed: tuple[int, ...]
+
+    def positions(self, masks: np.ndarray) -> np.ndarray:
+        """The stream position of each mask's candidate, or the level's
+        count where its size's stream ends before it.  A position is the
+        count streamed of the smaller sizes plus the lexicographic rank
+        within its size, by the combinatorial number system: with the
+        mask's s elements e_1 > ... > e_s, C(k, s) - 1 - sum_i
+        C(k - 1 - e_i, i), the reflected set's colexicographic rank
+        counted from the end."""
+        k = self.ground.k
+        pascal = _pascal(k)
+        size = np.zeros(len(masks), dtype=np.intp)
+        colex = np.zeros(len(masks), dtype=np.int64)
+        for e in range(k - 1, -1, -1):
+            bit = masks >> e & 1
+            size += bit
+            colex += bit * pascal[k - 1 - e, size]
+        rank = pascal[k, size] - 1 - colex
+        streamed = np.array(self.streamed, dtype=np.int64)
+        start = np.concatenate(([0], np.cumsum(streamed)))
+        return np.where(rank < streamed[size], start[size] + rank, start[-1])
+
+
+def _mask_level(special: bool, hit_cap: int, level: _MaskLevel, take: int):
+    """``_lattice_block`` on a ``_MaskLevel``: every mask is classified,
+    one census block at a time, and the hits among the level's first
+    ``take`` stream positions are returned in stream order."""
+    ground = level.ground
+    total, step = 1 << ground.k, ground.census.block
+    blocks = (
+        (ground.mask_words(first, min(step, total - first)), min(step, total - first))
+        for first in range(0, total, step)
+    )
+    masks, found = _census_scan(ground.census, blocks, special)
+    if not found:  # most levels: no ranks to compute
+        return take, masks, []
+    position = level.positions(masks)
+    order = np.argsort(position)
+    order = order[position[order] < take]
+    return take, position[order], [found[i] for i in order[:hit_cap].tolist()]
+
+
 def _rank_blocks(ground: _ScanGround, size: int, count: int):
     """(count, (ground, size, first rank)) for the first ``count``
     candidates of ``size``, at most ``ground.block`` per block."""
@@ -438,7 +545,8 @@ def _rank_blocks(ground: _ScanGround, size: int, count: int):
 def _lattice_block(special: bool, hit_cap: int, block, take: int):
     """The classifier ``_scan`` runs on lattice blocks.
 
-    ``block`` is a ``_rank_blocks`` descriptor.  Census grounds
+    ``block`` is a ``_MaskLevel``, classified by ``_mask_level``, or a
+    ``_rank_blocks`` descriptor.  Census grounds
     (``by_census``) send a block of more candidates than the ground has
     elements to the census whole, as membership rows; rows of diameter
     below the floor are counted with the rest and can never be hits.
@@ -447,11 +555,14 @@ def _lattice_block(special: bool, hit_cap: int, block, take: int):
     diameter below the floor.  Candidates of fewer than two elements are
     classified on neither path.
     """
+    if isinstance(block, _MaskLevel):
+        return _mask_level(special, hit_cap, block, take)
     ground, size, first = block
     if size + ground.lead + ground.tail < 2:
         return take, np.zeros(0, dtype=np.intp), []
     if ground.by_census and take > len(ground.elements):
-        return (take, *_census_scan(ground.census, [ground.member_rows(size, first, take)], special, hit_cap))
+        at, found = _census_scan(ground.census, [(bit_slices(ground.member_rows(size, first, take)), take)], special)
+        return take, at, found[:hit_cap]
     rows = ground.index_rows(size, first, take)
     wide = np.flatnonzero(ground.values[rows[:, -1]] - ground.values[rows[:, 0]] >= min_mstd_diameter())
     at = wide[_counted_hits([ground.subset(rows[r]) for r in wide.tolist()], special)]
@@ -520,10 +631,12 @@ def _mc_chunk(census: PairCensus, seed: int, special: bool, hit_cap: int, index:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
     raw = np.frombuffer(rng.bytes((census.n + 7) // 8 * take), dtype=np.uint8).reshape(take, -1)
     blocks = (
-        np.unpackbits(raw[a : a + census.block], axis=1, count=census.n, bitorder="little")
+        (bit_slices(np.unpackbits(raw[a : a + census.block], axis=1, count=census.n, bitorder="little")),
+         min(census.block, take - a))
         for a in range(0, take, census.block)
     )
-    return (take, *_census_scan(census, blocks, special, hit_cap))
+    at, found = _census_scan(census, blocks, special)
+    return take, at, found[:hit_cap]
 
 
 def _mc_scan(cfg: SearchConfig, special: bool) -> SearchReport:
@@ -593,10 +706,14 @@ def minimal_mstd_in(
     objective).  The levels below the probe's bound stream lazily in
     ascending objective order (pairs come from a merge of one ascending
     run per left end, so memory stays linear in the ground), and the
-    scan stops at the first hit.  ``optimal`` certifies that every level
-    strictly below the returned bound was exhausted; levels whose
-    objective value makes any MSTD subset impossible (below the
-    verified diameter floor) are skipped soundly without enumeration.
+    scan stops at the first hit.  Levels of at most ``_MASK_K``
+    interior elements are classified whole in mask order, larger ones
+    in rank blocks; either way ``examined`` and the hit are those of
+    the candidate stream in ascending size, lexicographic within.
+    ``optimal`` certifies that every level strictly below the returned
+    bound was exhausted; levels whose objective value makes any MSTD
+    subset impossible (below the verified diameter floor) are skipped
+    soundly without enumeration.
     """
     if objective not in _MINIMAL_OBJECTIVES:
         raise DomainError(f"minimality search needs a minimize-* objective, got {objective!r}")
@@ -688,7 +805,8 @@ def _probe(elems, floor, budget):
 
 
 def _level(elems, objective, where, floor):
-    """Blocks of one minimality level, in scan order.
+    """Blocks of one minimality level, in scan order: one ``_MaskLevel``
+    when it has at most ``_MASK_K`` interior elements, else rank blocks.
 
     A level fixes the subset's max element (min-max objective: level m
     is elems[m] plus any subset of the elements below it) or both
@@ -701,7 +819,8 @@ def _level(elems, objective, where, floor):
     last one streamed (it counts as examined and is not classified).
     Counted in bulk, that is C(k, s) - C(k - t, s) candidates of size s,
     plus one when C(k - t, s) > 0, for k interior elements of which the
-    first t lie at least ``floor`` below the top.
+    first t lie at least ``floor`` below the top.  A mask level counts
+    the same candidates, and maps its hits to the same positions.
     """
     if objective == OBJECTIVE_MIN_MAX:
         level = elems[: where + 1]
@@ -713,6 +832,10 @@ def _level(elems, objective, where, floor):
         ground = _ScanGround(level, lead=1, tail=1)
         t = ground.k  # every candidate spans the level's diameter, at least the floor
     k = ground.k
-    for size in range(k + 1):
-        near = math.comb(k - t, size)
-        yield from _rank_blocks(ground, size, math.comb(k, size) - near + (near > 0))
+    near = [math.comb(k - t, size) for size in range(k + 1)]
+    streamed = [math.comb(k, size) - n + (n > 0) for size, n in enumerate(near)]
+    if k <= _MASK_K:
+        yield sum(streamed), _MaskLevel(ground, tuple(streamed))
+        return
+    for size, count in enumerate(streamed):
+        yield from _rank_blocks(ground, size, count)

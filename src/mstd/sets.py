@@ -18,12 +18,15 @@ other and against a naive quadratic reference:
   Cost: k**2, independent of the diameter, so it wins on sparse sets.
 
 ``PairCensus`` counts many subsets of one ground at once, for the Monte
-Carlo and lattice engines.  It takes a membership matrix (one row of 0/1
-bytes per subset, one column per ground element), transposes a block of
-it bit-sliced (Biham 1997, "A fast new DES implementation in software")
-so that one uint64 word holds one element across 64 subsets, and runs
-the pair enumeration on those words: one AND per pair of ground
-elements marks that pair's sum and difference in 64 subsets.
+Carlo and lattice engines.  Its one kernel, ``word_counts``, takes a
+block of subsets bit-sliced (Biham 1997, "A fast new DES implementation
+in software"): one uint64 word holds one ground element across 64
+subsets.  It runs the pair enumeration on those words, one AND per pair
+of ground elements marking that pair's sum and difference in 64 subsets,
+and counts each subset's bits.  ``counts`` takes a membership matrix
+(one row of 0/1 bytes per subset, one column per ground element) and
+transposes it into words with ``bit_slices`` first; the minimality
+levels of ``search`` build their words in closed form.
 Its rows are keyed by the ground's distinct pair sums and differences.
 Each left element's pairs find their rows by binary search once per
 ground, kept as int32 indices, or as a slice when they are consecutive
@@ -349,9 +352,10 @@ def _distinct_sets(elems: tuple[int, ...], kernel: str, diameter_cap: int | None
 class PairCensus:
     """|A+A|, |A-A| and |A| for many subsets A of one ground at once.
 
-    Subsets arrive as rows of a membership matrix: column j of a row is
-    1 when ground element j is in the subset, else 0.  ``counts`` takes
-    up to ``block`` rows at a time.  Memory is the ground's distinct
+    Subsets arrive as rows of a membership matrix (``counts``): column j
+    of a row is 1 when ground element j is in the subset, else 0; or as
+    bit-sliced words (``word_counts``).  Either takes up to ``block``
+    subsets at a time.  Memory is the ground's distinct
     pair sums and differences, one block's tables, and the row indices
     of its element pairs while they fit ``_CENSUS_ROW_PAIRS``.
     """
@@ -378,13 +382,14 @@ class PairCensus:
 
     def counts(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sum counts, difference counts, sizes), one entry per row of
-        the (subsets, n) 0/1 matrix ``member``."""
-        count = len(member)
-        words = (count + 63) // 64
-        flags = np.zeros((self.n, 64 * words), dtype=np.uint8)
-        flags[:, :count] = member.T
-        # x[j, w] bit b: element j is in subset 64 * w + b
-        x = np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
+        the (subsets, n) 0/1 matrix ``member``, through ``word_counts``."""
+        return self.word_counts(bit_slices(member), len(member))
+
+    def word_counts(self, x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sum counts, difference counts, sizes) of the first ``count``
+        subsets held in ``x``, an (n, words) uint64 array in which bit b
+        of x[j, w] means element j is in subset 64 * w + b."""
+        words = x.shape[1]
         sums = np.zeros((len(self._sums), words), dtype=np.uint64)
         diffs = np.zeros((len(self._diffs), words), dtype=np.uint64)
         pair_rows = self._rows if self._rows is not None else map(self._pair_rows, range(self.n))
@@ -394,11 +399,17 @@ class PairCensus:
             diffs[diff_rows] |= both
         # A-A is the nonnegative differences, mirrored about 0
         nonneg = _column_counts(diffs)[:count]
-        return (
-            _column_counts(sums)[:count],
-            np.maximum(2 * nonneg - 1, 0),
-            member.sum(axis=1, dtype=np.int64),
-        )
+        return _column_counts(sums)[:count], np.maximum(2 * nonneg - 1, 0), _column_counts(x)[:count]
+
+
+def bit_slices(member: np.ndarray) -> np.ndarray:
+    """The rows of a (subsets, n) 0/1 matrix bit-sliced for
+    ``PairCensus.word_counts``: x[j, w] bit b is member[64 * w + b, j],
+    and bits past the last row are 0."""
+    count = len(member)
+    flags = np.zeros((member.shape[1], 64 * ((count + 63) // 64)), dtype=np.uint8)
+    flags[:, :count] = member.T
+    return np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
 
 
 def _check_census_capacity(elements: int, rows: int) -> None:

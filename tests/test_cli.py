@@ -368,6 +368,15 @@ def test_scan_past_the_base_sieve_exits_one(capsys):
     assert f"x + spread = {10**40 + 2} exceeds" in err
 
 
+def test_scan_past_the_time_limit_exits_one(capsys):
+    # 2e11 fits the base sieve, but would scan for about 11 minutes
+    started = time.perf_counter()
+    code, out, err = run(capsys, "primes", "match", "0,2", "--upto", "2e11")
+    assert (code, out) == (1, "")
+    assert time.perf_counter() - started < 1
+    assert err.count("\n") == 1 and f"exceeds {2**37}; x may be at most {2**37 - 2}" in err
+
+
 def test_primes_ap(capsys):
     data = run_json(capsys, "primes", "ap", "--length", "10", "--bound", "1000")
     assert data == {"found": True, "first": 199, "difference": 210, "length": 10}

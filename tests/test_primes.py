@@ -445,6 +445,18 @@ def test_scan_limit_edge(monkeypatch):
         match_tuple(TWIN, 10_199, rel_tol=0.1)
 
 
+def test_scan_time_limit_edge(monkeypatch):
+    # x + spread may reach 2^37; the stand-in scan stops the run at the
+    # edge, so no shift is scanned
+    scanned = []
+    monkeypatch.setattr(mstd.primes, "_scan_windows", lambda offsets, x, cap: scanned.append(x) or (0, ()))
+    assert match_tuple(TWIN, 2**37 - 2).count == 0 and scanned == [2**37 - 2]
+    message = rf"x \+ spread = {2**37 + 1} exceeds {2**37}; x may be at most {2**37 - 2}"
+    with pytest.raises(CapacityError, match=message):
+        match_tuple(TWIN, 2**37 - 1)
+    assert scanned == [2**37 - 2]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(mstd.__file__).resolve().parents[1])
     out = subprocess.run(

@@ -31,8 +31,8 @@ from mstd import (
 )
 from mstd import search
 from mstd.search import (
-    _BLOCK, _MC_CHUNK, _census_hits, _lattice_block, _level, _mc_chunk, _mc_scan, _ordered, _pool_size,
-    _rank_blocks, _scan, _ScanGround,
+    _BLOCK, _MASK_K, _MC_CHUNK, _census_hits, _lattice_block, _level, _MaskLevel, _mc_chunk, _mc_scan, _ordered,
+    _pool_size, _rank_blocks, _scan, _ScanGround,
 )
 from mstd.sets import PairCensus
 
@@ -47,6 +47,23 @@ def naive_mstd(elements):
 
 def test_minimal_diameter_is_fourteen():
     assert min_mstd_diameter() == 14
+
+
+def test_floor_scan_counts_the_sets_that_contain_zero(monkeypatch):
+    # every set of diameter below 14 shifts onto one subset of {0..13}
+    # that holds 0: 2^13 - 1 of two or more elements, each counted
+    # through the module's sum_diff_counts, so a fault in it is seen
+    seen = []
+    honest = search.sum_diff_counts
+    monkeypatch.setattr(search, "_diameter_floor_verified", False)
+    monkeypatch.setattr(search, "sum_diff_counts", lambda e, *a, **k: seen.append(e) or honest(e))
+    assert min_mstd_diameter() == 14
+    assert len(seen) == len(set(seen)) == 2**13 - 1
+    assert all(e[0] == 0 and len(e) >= 2 and e[-1] <= 13 for e in seen)
+    monkeypatch.setattr(search, "_diameter_floor_verified", False)
+    monkeypatch.setattr(search, "sum_diff_counts", lambda e, *a, **k: (99, 0) if e == (0, 5, 13) else honest(e))
+    with pytest.raises(RuntimeError, match="floor refuted"):
+        min_mstd_diameter()
 
 
 # -- exhaustive engine -------------------------------------------------
@@ -359,9 +376,19 @@ def test_lattice_blocks_match_the_tuple_stream(monkeypatch, seed):
                     assert scan_lattice(blocks(), budget, special, hit_cap, first_hit, 2) == expected
 
 
-@pytest.mark.parametrize("objective", [MIN_MAX, MIN_DIAMETER])
-def test_level_blocks_match_the_tuple_stream(monkeypatch, objective):
+# (objective, levels of at most this many interior elements in mask
+# order): the default, and 0, which puts every level on rank blocks
+OBJECTIVE_BY_MASK_K = pytest.mark.parametrize(
+    "objective, mask_k",
+    [(MIN_MAX, _MASK_K), (MIN_DIAMETER, _MASK_K), (MIN_MAX, 0), (MIN_DIAMETER, 0)],
+    ids=[MIN_MAX, MIN_DIAMETER, f"rank-{MIN_MAX}", f"rank-{MIN_DIAMETER}"],
+)
+
+
+@OBJECTIVE_BY_MASK_K
+def test_level_blocks_match_the_tuple_stream(monkeypatch, objective, mask_k):
     monkeypatch.setattr(_ScanGround, "block", _BLOCK)  # block edges inside the levels
+    monkeypatch.setattr(search, "_MASK_K", mask_k)
     rng = random.Random(5)
     elems = conway_ground(rng, 7, 30)
     if objective == MIN_MAX:
@@ -373,11 +400,18 @@ def test_level_blocks_match_the_tuple_stream(monkeypatch, objective):
     floor_breaks = [p + 1 for p, c in enumerate(stream) if c[-1] - c[0] < FLOOR]
     assert floor_breaks or objective == MIN_DIAMETER
     sizes = [count for w in levels for count, _ in _level(elems, objective, w, FLOOR)]
-    assert sum(sizes) == len(stream) and (max(sizes) == _BLOCK or objective == MIN_DIAMETER)
+    assert sum(sizes) == len(stream)
+    if mask_k:  # every level is one block
+        assert len(sizes) == len(levels)
+    else:
+        assert max(sizes) == _BLOCK or objective == MIN_DIAMETER
     ends = list(itertools.accumulate(sizes))
     largest = ends[sizes.index(max(sizes))]  # the end of the largest block
     first = next(p for p, c in enumerate(stream) if c[-1] - c[0] >= FLOOR and naive_hit(c, False))
-    assert first >= ends[0]  # the first hit lies in a later block
+    if mask_k:  # the first hit cuts the first level inside it
+        assert 0 < first < ends[0] - 1
+    else:
+        assert first >= ends[0]  # the first hit lies in a later block
     pooled = {first + 1, len(stream)}
     marks = rng.sample(floor_breaks, min(4, len(floor_breaks))) + [largest, *sorted(pooled)]
     for budget in budgets_around(len(stream), marks, rng):
@@ -398,8 +432,9 @@ def test_level_blocks_match_the_tuple_stream(monkeypatch, objective):
     ],
     ids=["dense", "sparse", "fibonacci", "past-int64"],
 )
-@pytest.mark.parametrize("objective", [MIN_MAX, MIN_DIAMETER])
-def test_minimal_matches_the_reference_search(elems, objective):
+@OBJECTIVE_BY_MASK_K
+def test_minimal_matches_the_reference_search(monkeypatch, elems, objective, mask_k):
+    monkeypatch.setattr(search, "_MASK_K", mask_k)
     most = 50_000
     full = reference_minimal(elems, objective, most)
     for budget in sorted({1, 2, 17, 600, full[1] - 1, full[1], most} - {0}):
@@ -409,6 +444,122 @@ def test_minimal_matches_the_reference_search(elems, objective):
         assert (report.examined, report.exhausted, report.objective_value) == (examined, exhausted, value)
     if len(elems) <= 16:
         assert report.exhausted and report.objective_value == _brute_optimum(elems, objective)
+
+
+def rank_order(blocks, take, hit_cap):
+    """(take, hit positions, first hits) of rank blocks that hold one
+    level, cut at ``take`` and merged in stream order."""
+    at, found, start = [], [], 0
+    for count, block in blocks:
+        if start >= take:
+            break
+        _, positions, hits = _lattice_block(False, hit_cap, block, min(count, take - start))
+        at += (start + positions).tolist()
+        found += hits[: hit_cap - len(found)]
+        start += count
+    return take, at, found
+
+
+@pytest.mark.parametrize("objective", [MIN_MAX, MIN_DIAMETER])
+@pytest.mark.parametrize("seed", range(2))
+def test_mask_order_matches_rank_order_on_every_level(monkeypatch, objective, seed):
+    # every level of a small ground, classified whole in mask order and
+    # block by block in rank order, cut everywhere in levels of at most
+    # 64 candidates; in larger ones at the first and last candidate, on
+    # and after each hit, at both sides of each size's start and at
+    # random points inside it
+    rng = random.Random(seed)
+    elems = conway_ground(rng, 6, 26 + 4 * seed)
+    if objective == MIN_MAX:
+        levels = [m for m, e in enumerate(elems) if e >= FLOOR]
+    else:
+        levels = [(i, j) for i, a in enumerate(elems) for j, b in enumerate(elems) if b - a >= FLOOR]
+    cuts = hits = 0
+    for where in levels:
+        (count, level), = _level(elems, objective, where, FLOOR)
+        assert isinstance(level, _MaskLevel) and count == sum(level.streamed)
+        monkeypatch.setattr(search, "_MASK_K", 0)
+        rank = list(_level(elems, objective, where, FLOOR))
+        monkeypatch.undo()
+        _, hits_at, _ = rank_order(rank, count, 1)
+        starts = list(itertools.accumulate(level.streamed))
+        takes = {1, count, *(p + d for p in hits_at for d in (0, 1, 2)), *(s + d for s in starts for d in (0, 1))}
+        takes |= {rng.randrange(1, count + 1) for _ in range(4)} | set(range(1, 65) if count <= 64 else ())
+        hits += len(hits_at)
+        for take in sorted(t for t in takes if 1 <= t <= count):
+            for hit_cap in (1, 3):
+                mask = _lattice_block(False, hit_cap, level, take)
+                assert (mask[0], mask[1].tolist(), mask[2]) == rank_order(rank, take, hit_cap)
+                cuts += 1
+    assert cuts > 10 * len(levels) and hits > 0
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "floor-cut"])
+@pytest.mark.parametrize("lead, tail", [(0, 1), (1, 1)])
+def test_mask_positions_are_combinations_stream_indices(lead, tail, cut):
+    # the stream built here size by size from itertools.combinations of
+    # the interior, each size cut after its first candidate below the
+    # floor when ``cut``; elements 3 apart put the floor inside the
+    # interior once k >= 5
+    for k in range(13):
+        n = lead + k + tail
+        elems = tuple(range(0, 3 * n, 3))
+        stream, streamed = {}, []
+        for size in range(k + 1):
+            before = len(stream)
+            for combo in itertools.combinations(range(lead, lead + k), size):
+                cand = tuple(range(lead)) + combo + tuple(range(n - tail, n))
+                stream[cand] = len(stream)
+                if cut and elems[cand[-1]] - elems[cand[0]] < FLOOR:
+                    break
+            streamed.append(len(stream) - before)
+        level = _MaskLevel(_ScanGround(elems, lead, tail), tuple(streamed))
+        # _level's own cut: min-max levels always, diameter levels at or past the floor
+        if cut and (lead, tail) == (0, 1):
+            assert next(_level(elems, MIN_MAX, n - 1, FLOOR))[1].streamed == tuple(streamed)
+        if not cut and (lead, tail) == (1, 1) and elems[-1] >= FLOOR:
+            assert next(_level(elems, MIN_DIAMETER, (0, n - 1), FLOOR))[1].streamed == tuple(streamed)
+        masks = np.arange(1 << k)
+        expected = [
+            stream.get(tuple(range(lead)) + tuple(lead + e for e in range(k) if m >> e & 1)
+                       + tuple(range(n - tail, n)), len(stream))
+            for m in range(1 << k)
+        ]
+        assert level.positions(masks).tolist() == expected
+        assert sorted(p for p in expected if p < len(stream)) == list(range(len(stream)))
+
+
+def test_mask_level_peak_memory():
+    # one whole level of _MASK_K interior elements: the census blocks
+    # come one at a time, and only hits are kept, so no array is sized
+    # 2^k; the primes hold few hits, {0..K} hundreds
+    primes = tuple(PrimeSieve(1000).primes()[: _MASK_K + 1].tolist())
+    for elems in (primes, tuple(range(_MASK_K + 1))):
+        (count, level), = _level(elems, MIN_MAX, _MASK_K, FLOOR)
+        assert level.ground.k == _MASK_K and count > 2**19
+        first = _lattice_block(False, search.DEFAULT_HIT_CAP, level, count)  # builds the census
+        tracemalloc.start()
+        try:
+            again = _lattice_block(False, search.DEFAULT_HIT_CAP, level, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again[1].tolist() == first[1].tolist() and len(first[1]) > 0
+        assert peak < 2**20
+
+
+def test_mask_levels_are_spot_checked(monkeypatch):
+    # a kernel fault that no hit shows: the recount of each census
+    # block's first mask still sees it
+    elems = tuple(range(0, 60, 5))  # an AP: no MSTD subset
+    min_mstd_diameter()
+    (count, level), = _level(elems, MIN_MAX, len(elems) - 1, FLOOR)
+    honest = search.sum_diff_counts
+    monkeypatch.setattr(search, "sum_diff_counts", lambda e, *a, **k: (honest(e)[0], honest(e)[1] + 1))
+    with pytest.raises(RuntimeError, match="disagrees with sum_diff_counts"):
+        _lattice_block(False, 1, level, count)
+    monkeypatch.undo()
+    assert _lattice_block(False, 1, level, count)[1].tolist() == []
 
 
 @pytest.mark.parametrize(
@@ -703,7 +854,9 @@ def test_census_blocks_below_the_floor_match_row_by_row(monkeypatch):
         rows = ground.index_rows(size, first, count)
         below += int(np.count_nonzero(rows[:, -1] - rows[:, 0] < FLOOR))
     assert 2 * below > sum(count for count, _ in tails)
+    monkeypatch.setattr(search, "_MASK_K", 0)  # the levels as rank blocks
     levels = [b for m in (14, 15) for b in _level(ground.elements, MIN_MAX, m, FLOOR)]
+    monkeypatch.undo()
     blocks = tails + levels
     assert all(b.by_census for _, (b, _, _) in blocks)
 
