@@ -261,7 +261,7 @@ def _census_scan(census: PairCensus, blocks, special: bool):
         for r, subset in zip(rows.tolist(), subsets):
             if subset and sum_diff_counts(subset) != (int(sc[r]), int(dc[r])):
                 raise RuntimeError(f"batched census disagrees with sum_diff_counts on {subset}")
-        hits += subsets[len(rows) - len(at) :]
+        hits += subsets[1:]
         found.append(start + at)
         start += count
     return np.concatenate(found), hits
@@ -480,7 +480,9 @@ def _binomials(slack: int, size: int) -> tuple[np.ndarray, int]:
 @lru_cache(maxsize=64)
 def _pascal(k: int) -> np.ndarray:
     """C(n, i) at [n, i] for n, i <= k, as int64 (k <= ``_MASK_K``)."""
-    return np.array([[math.comb(n, i) for i in range(k + 1)] for n in range(k + 1)], dtype=np.int64)
+    table = np.array([[math.comb(n, i) for i in range(k + 1)] for n in range(k + 1)], dtype=np.int64)
+    table.flags.writeable = False  # one table serves every caller
+    return table
 
 
 @dataclass(frozen=True)

@@ -355,9 +355,9 @@ class PairCensus:
     Subsets arrive as rows of a membership matrix (``counts``): column j
     of a row is 1 when ground element j is in the subset, else 0; or as
     bit-sliced words (``word_counts``).  Either takes up to ``block``
-    subsets at a time.  Memory is the ground's distinct
-    pair sums and differences, one block's tables, and the row indices
-    of its element pairs while they fit ``_CENSUS_ROW_PAIRS``.
+    subsets at a time.  Memory is the ground's distinct pair sums and
+    differences, one block's tables, and the row indices of its element
+    pairs while they fit ``_CENSUS_ROW_PAIRS``.
     """
 
     def __init__(self, elements: Sequence[int]):
