@@ -17,8 +17,9 @@ of ``sequences.certify_finitely_many``.  It takes blocks of candidates
 and a classifier, cuts a block at the budget before it is classified
 (so a budget stop leaves ``examined`` equal to the budget), and applies
 the hit cap and the first-hit stop to the hit positions.  With more
-than one worker the blocks are classified in a process pool and merged
-in block order, so a report does not depend on the worker count.
+than one thread and more than one block past the budget cut, the blocks
+are classified in a process pool and merged in block order, so a report
+does not depend on the thread count.
 
 A lattice block is a rank descriptor, (scan ground, size, rank of its
 first candidate), for one census block of candidates in the order above
@@ -41,8 +42,9 @@ every ground, as bit-sliced words through ``_census_scan``, which
 decodes the hits.  Monte Carlo chunks and rank blocks are membership
 rows first (``sets.bit_slices`` transposes them): a lattice ground of at
 most 2^16 element pairs (361 elements) is unranked one pass per element
-straight into membership rows, and wider grounds and small blocks,
-which cost less row by row, one pass per position into index rows.
+straight into membership rows; wider grounds, which cost less row by
+row, are unranked one pass per position into index rows and counted one
+set at a time.
 Mask levels build their words in closed form.  The first candidate of
 every census block and every hit are counted again by
 ``sum_diff_counts``: a census that disagrees raises instead of
@@ -61,16 +63,13 @@ from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from itertools import combinations, compress, starmap, takewhile
+from functools import cache, cached_property, lru_cache, partial
+from itertools import chain, combinations, compress, islice, starmap, takewhile
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
-from .sets import (
-    CONWAY, DEFAULT_DIAMETER_CAP, IntSet, PairCensus, _int_array, _check_census_capacity, bit_slices,
-    sum_diff_counts,
-)
+from .errors import DomainError
+from .sets import CONWAY, IntSet, PairCensus, _int_array, _check_census_capacity, bit_slices, sum_diff_counts
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_MONTE_CARLO = "monte-carlo"
@@ -109,9 +108,8 @@ _MASK_K = 20
 _LOW_MASK_WORDS = np.array([sum(1 << b for b in range(64) if b >> e & 1) for e in range(6)], dtype=np.uint64)
 _ONES = np.uint64(2**64 - 1)
 
-_diameter_floor_verified = False
 
-
+@cache
 def min_mstd_diameter() -> int:
     """Smallest diameter any MSTD set can have, verified by scan.
 
@@ -122,15 +120,12 @@ def min_mstd_diameter() -> int:
     and is cached; engines call this before enabling diameter pruning so
     the rule is never assumed.
     """
-    global _diameter_floor_verified
-    if not _diameter_floor_verified:
-        for size in range(1, 14):
-            for rest in combinations(range(1, 14), size):
-                combo = (0, *rest)
-                sc, dc = sum_diff_counts(combo)
-                if sc > dc:
-                    raise RuntimeError(f"diameter floor refuted by {combo}; pruning unsound")
-        _diameter_floor_verified = True
+    for size in range(1, 14):
+        for rest in combinations(range(1, 14), size):
+            combo = (0, *rest)
+            sc, dc = sum_diff_counts(combo)
+            if sc > dc:
+                raise RuntimeError(f"diameter floor refuted by {combo}; pruning unsound")
     return 14
 
 
@@ -146,7 +141,7 @@ class SearchConfig:
     first-hit, and first-hit needs exhaustive mode; the minimize-*
     objectives are minimal_mstd_in's and are rejected here.  threads
     caps the worker processes that classify blocks, in either mode (see
-    ``_pool_size``); it never changes a report.  minimal_mstd_in and the
+    ``_ordered``); it never changes a report.  minimal_mstd_in and the
     ``sequences`` certifiers take no thread count and run serially.
     """
 
@@ -274,13 +269,19 @@ def _decode(elements: tuple, x: np.ndarray, rows: np.ndarray) -> list[tuple]:
     return [tuple(compress(elements, column)) for column in bits.T.tolist()]
 
 
-def _ordered(fn, work, workers: int):
-    """``fn(*args)`` for every ``args`` of ``work``, in order.  With more
-    than one worker a process pool holds at most 2 * workers calls in
-    flight, so ``work`` is read as it is used; closing the generator
-    cancels the calls not yet started and waits for the running ones,
-    so no worker outlives it."""
-    if workers == 1:
+def _ordered(fn, work, threads: int):
+    """``fn(*args)`` for every ``args`` of ``work``, in order.  The first
+    min(threads, CPUs) items are read before any call: if that is one
+    item, every call runs here, else a process pool starts one worker
+    per item read (a pool forks all its workers at once, so more would
+    be waste).  The pool holds at most 2 * workers calls in flight, so
+    ``work`` is read as it is used; closing the generator cancels the
+    calls not yet started and waits for the running ones, so no worker
+    outlives it."""
+    work = iter(work)
+    head = list(islice(work, min(threads, os.cpu_count() or 1)))
+    work, workers = chain(head, work), len(head)
+    if workers <= 1:
         yield from starmap(fn, work)
         return
     pool = ProcessPoolExecutor(max_workers=workers)
@@ -296,7 +297,7 @@ def _ordered(fn, work, workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _scan(blocks, classify, budget, examined, hit_cap, first_hit, workers=1):
+def _scan(blocks, classify, budget, examined, hit_cap, first_hit, threads=1):
     """The one budgeted driver behind every engine.
 
     ``blocks`` yields (count, block) pairs in scan order, ``block``
@@ -307,7 +308,7 @@ def _scan(blocks, classify, budget, examined, hit_cap, first_hit, workers=1):
     blocks must pickle.  ``examined`` is the count carried in from
     earlier scans, and a block is cut at the budget before it is
     classified.  The hit cap and a first-hit stop apply by position, in
-    block order, so the result does not depend on ``workers``.  Returns
+    block order, so the result does not depend on ``threads``.  Returns
     (hits, hit_count, examined, complete), where complete means the
     stream ran dry: False after a budget stop or a first-hit stop.
     """
@@ -326,7 +327,7 @@ def _scan(blocks, classify, budget, examined, hit_cap, first_hit, workers=1):
 
     hits: list[IntSet] = []
     hit_count = 0
-    results = _ordered(classify, cut(budget - examined), workers)
+    results = _ordered(classify, cut(budget - examined), threads)
     try:
         for take, at, found in results:
             if first_hit and len(at):
@@ -337,13 +338,6 @@ def _scan(blocks, classify, budget, examined, hit_cap, first_hit, workers=1):
     finally:
         results.close()
     return hits, hit_count, examined, ran_dry
-
-
-def _pool_size(threads: int, units: int) -> int:
-    """Worker processes for a ``_scan`` over ``units`` blocks.  A pool
-    forks all its workers at once, so more than one per block or CPU is
-    waste; blocks merge in order, so the report does not depend on this."""
-    return max(1, min(threads, units, os.cpu_count() or 1))
 
 
 # -- Lattice engines --------------------------------------------------
@@ -367,15 +361,15 @@ class _ScanGround:
 
     @property
     def by_census(self) -> bool:
-        """Whether blocks of more candidates than elements are classified
-        by census.  A census block costs about one AND and one OR per
-        element pair and word of 64 subsets, whatever the subset size;
-        row by row a subset costs ``sum_diff_counts`` (size 8: ~5 µs).
-        Size 8 to a budget of 200,000, census against row by row (2-core
-        Xeon): 0.25 vs 1.73 s on the first 65 primes, 0.51 vs 1.34 s on
-        100 primes, 1.94 vs 2.27 s on 2^0..2^99 (object arrays); on 1000
-        primes at a budget of 4096, 0.125 vs 0.04 s.  So the census runs
-        while the pairs stay within ``_CENSUS_PAIRS``."""
+        """Whether rank blocks are classified by census.  A census block
+        costs about one AND and one OR per element pair and word of 64
+        subsets, whatever the subset size; row by row a subset costs
+        ``sum_diff_counts`` (size 8: ~5 µs).  Size 8 to a budget of
+        200,000, census against row by row (2-core Xeon): 0.25 vs 1.73 s
+        on the first 65 primes, 0.51 vs 1.34 s on 100 primes, 1.94 vs
+        2.27 s on 2^0..2^99 (object arrays); on 1000 primes at a budget
+        of 4096, 0.125 vs 0.04 s.  So the census runs while the pairs
+        stay within ``_CENSUS_PAIRS``."""
         n = len(self.elements)
         return n * (n + 1) // 2 <= _CENSUS_PAIRS
 
@@ -477,14 +471,6 @@ def _binomials(slack: int, size: int) -> tuple[np.ndarray, int]:
     return table, size + 2 - len(rows)
 
 
-@lru_cache(maxsize=64)
-def _pascal(k: int) -> np.ndarray:
-    """C(n, i) at [n, i] for n, i <= k, as int64 (k <= ``_MASK_K``)."""
-    table = np.array([[math.comb(n, i) for i in range(k + 1)] for n in range(k + 1)], dtype=np.int64)
-    table.flags.writeable = False  # one table serves every caller
-    return table
-
-
 @dataclass(frozen=True)
 class _MaskLevel:
     """A minimality level as one block, classified in mask order: all 2^k
@@ -496,8 +482,8 @@ class _MaskLevel:
     ground: _ScanGround
     streamed: tuple[int, ...]
 
-    def positions(self, masks: np.ndarray) -> np.ndarray:
-        """The stream position of each mask's candidate, or the level's
+    def position(self, mask: int) -> int:
+        """The stream position of the candidate of ``mask``, or the level's
         count where its size's stream ends before it.  A position is the
         count streamed of the smaller sizes plus the lexicographic rank
         within its size, by the combinatorial number system: with the
@@ -505,23 +491,19 @@ class _MaskLevel:
         C(k - 1 - e_i, i), the reflected set's colexicographic rank
         counted from the end."""
         k = self.ground.k
-        pascal = _pascal(k)
-        size = np.zeros(len(masks), dtype=np.intp)
-        colex = np.zeros(len(masks), dtype=np.int64)
-        for e in range(k - 1, -1, -1):
-            bit = masks >> e & 1
-            size += bit
-            colex += bit * pascal[k - 1 - e, size]
-        rank = pascal[k, size] - 1 - colex
-        streamed = np.array(self.streamed, dtype=np.int64)
-        start = np.concatenate(([0], np.cumsum(streamed)))
-        return np.where(rank < streamed[size], start[size] + rank, start[-1])
+        elements = [e for e in range(k - 1, -1, -1) if mask >> e & 1]
+        size = len(elements)
+        rank = math.comb(k, size) - 1 - sum(math.comb(k - 1 - e, i) for i, e in enumerate(elements, 1))
+        if rank < self.streamed[size]:
+            return sum(self.streamed[:size]) + rank
+        return sum(self.streamed)
 
 
 def _mask_level(special: bool, hit_cap: int, level: _MaskLevel, take: int):
     """``_lattice_block`` on a ``_MaskLevel``: every mask is classified,
     one census block at a time, and the hits among the level's first
-    ``take`` stream positions are returned in stream order."""
+    ``take`` stream positions are returned in stream order, each put
+    there by ``_MaskLevel.position``."""
     ground = level.ground
     total, step = 1 << ground.k, ground.census.block
     blocks = (
@@ -529,12 +511,8 @@ def _mask_level(special: bool, hit_cap: int, level: _MaskLevel, take: int):
         for first in range(0, total, step)
     )
     masks, found = _census_scan(ground.census, blocks, special)
-    if not found:  # most levels: no ranks to compute
-        return take, masks, []
-    position = level.positions(masks)
-    order = np.argsort(position)
-    order = order[position[order] < take]
-    return take, position[order], [found[i] for i in order[:hit_cap].tolist()]
+    position = sorted((p, i) for i, p in enumerate(map(level.position, masks.tolist())) if p < take)
+    return take, np.array([p for p, _ in position], dtype=np.intp), [found[i] for _, i in position[:hit_cap]]
 
 
 def _rank_blocks(ground: _ScanGround, size: int, count: int):
@@ -548,21 +526,19 @@ def _lattice_block(special: bool, hit_cap: int, block, take: int):
     """The classifier ``_scan`` runs on lattice blocks.
 
     ``block`` is a ``_MaskLevel``, classified by ``_mask_level``, or a
-    ``_rank_blocks`` descriptor.  Census grounds
-    (``by_census``) send a block of more candidates than the ground has
-    elements to the census whole, as membership rows; rows of diameter
-    below the floor are counted with the rest and can never be hits.
-    Smaller blocks, which cost less row by row, and other grounds'
-    blocks are counted one set at a time, skipping candidates of
-    diameter below the floor.  Candidates of fewer than two elements are
-    classified on neither path.
+    ``_rank_blocks`` descriptor.  Census grounds (``by_census``) send a
+    rank block to the census whole, as membership rows; rows of
+    diameter below the floor are counted with the rest and can never be
+    hits.  Other grounds' blocks are counted one set at a time, skipping
+    candidates of diameter below the floor.  Candidates of fewer than
+    two elements are classified on neither path.
     """
     if isinstance(block, _MaskLevel):
         return _mask_level(special, hit_cap, block, take)
     ground, size, first = block
     if size + ground.lead + ground.tail < 2:
         return take, np.zeros(0, dtype=np.intp), []
-    if ground.by_census and take > len(ground.elements):
+    if ground.by_census:
         at, found = _census_scan(ground.census, [(bit_slices(ground.member_rows(size, first, take)), take)], special)
         return take, at, found[:hit_cap]
     rows = ground.index_rows(size, first, take)
@@ -576,13 +552,10 @@ def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     sizes = range(cfg.min_size, (len(elems) if cfg.max_size is None else min(cfg.max_size, len(elems))) + 1)
     ground = _ScanGround(elems)
     blocks = (b for k in sizes for b in _rank_blocks(ground, k, math.comb(len(elems), k)))
-    # every size is at least one block, so the first few sizes settle the pool
-    counted = sizes[: _pool_size(cfg.threads, len(sizes))]
-    workers = _pool_size(cfg.threads, sum(-(-math.comb(len(elems), k) // ground.block) for k in counted))
     pruning = (f"skip diameter < {min_mstd_diameter()}",)
     hits, hit_count, examined, complete = _scan(
         blocks, partial(_lattice_block, special, cfg.hit_cap), cfg.budget, 0, cfg.hit_cap,
-        cfg.objective == OBJECTIVE_FIRST_HIT, workers,
+        cfg.objective == OBJECTIVE_FIRST_HIT, cfg.threads,
     )
     return SearchReport(
         hits=tuple(hits),
@@ -645,8 +618,7 @@ def _mc_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     samples = cfg.samples
     chunks = ((min(_MC_CHUNK, samples - start), start // _MC_CHUNK) for start in range(0, samples, _MC_CHUNK))
     classify = partial(_mc_chunk, PairCensus(cfg.ground.elements), cfg.seed, special, cfg.hit_cap)
-    workers = _pool_size(cfg.threads, -(-samples // _MC_CHUNK))
-    hits, hit_count, _, _ = _scan(chunks, classify, samples, 0, cfg.hit_cap, False, workers)
+    hits, hit_count, _, _ = _scan(chunks, classify, samples, 0, cfg.hit_cap, False, cfg.threads)
     density = hit_count / samples
     stderr = math.sqrt(density * (1.0 - density) / samples)
     return SearchReport(
@@ -676,9 +648,8 @@ def monte_carlo_density(
     n = int(n)
     if n < 0:
         raise DomainError("n must be >= 0")
-    if n > DEFAULT_DIAMETER_CAP:  # before the ground's n + 1 ints are built
-        raise CapacityError(f"diameter {n} exceeds cap {DEFAULT_DIAMETER_CAP}")
-    _check_census_capacity(n + 1, 3 * n + 2)  # {0..n}: 2n + 1 sums, n + 1 differences
+    # before the ground's n + 1 ints are built; {0..n}: 2n + 1 sums, n + 1 differences
+    _check_census_capacity(n + 1, 3 * n + 2)
     cfg = SearchConfig(
         ground=IntSet(range(n + 1)),
         mode=MODE_MONTE_CARLO,
@@ -696,7 +667,6 @@ def minimal_mstd_in(
     ground: IntSet,
     objective: str = OBJECTIVE_MIN_MAX,
     budget: int = DEFAULT_BUDGET,
-    hit_cap: int = DEFAULT_HIT_CAP,
 ) -> SearchReport:
     """Best MSTD subset of ``ground`` under the objective.
 
@@ -721,8 +691,6 @@ def minimal_mstd_in(
         raise DomainError(f"minimality search needs a minimize-* objective, got {objective!r}")
     if budget < 1:
         raise DomainError("budget must be >= 1")
-    if hit_cap < 1:
-        raise DomainError("hit_cap must be >= 1")
     elems = ground.elements
     floor = min_mstd_diameter()
     pruning = (f"skip diameter < {floor}", "dilated minimal-pattern probe")
@@ -738,7 +706,7 @@ def minimal_mstd_in(
     examined, images = _probe(elems, floor, budget)
     for cand in compress(images, _counted_hits(images, special=False)):
         hit = IntSet(cand, diameter_cap=None)
-        if len(hits) < hit_cap:
+        if len(hits) < DEFAULT_HIT_CAP:
             hits.append(hit)
         if best is None or value_of(cand) < value_of(best.elements):
             best = hit
@@ -756,7 +724,7 @@ def minimal_mstd_in(
     found, _, examined, complete = _scan(stream, partial(_lattice_block, False, 1), budget, examined, 1, True)
     if found:  # every level below the hit's was exhausted first
         best = found[0]
-        if len(hits) < hit_cap:
+        if len(hits) < DEFAULT_HIT_CAP:
             hits.append(best)
     ran_out = not found and not complete
 

@@ -225,6 +225,12 @@ def check_growth(spec: SequenceSpec, r: int, upto: int, start: int | None = None
     explicit larger start checks the tail-window variant.  Closed-form
     kinds also report whether the inequality holds for all k (symbolic).
     """
+    return _growth(spec, r, upto, start)[0]
+
+
+def _growth(spec: SequenceSpec, r: int, upto: int, start: int | None) -> tuple[GrowthCertificate, list[int]]:
+    """(``check_growth``'s certificate, the terms a_1..a_upto it checked),
+    so a certifier materializes its prefix once."""
     r = int(r)
     upto = int(upto)
     if r < 1:
@@ -248,7 +254,7 @@ def check_growth(spec: SequenceSpec, r: int, upto: int, start: int | None = None
         holds=holds,
         first_violation=violation,
         symbolic=holds and _symbolic_growth(spec, r, start),
-    )
+    ), terms
 
 
 @dataclass(frozen=True)
@@ -288,10 +294,8 @@ def certify_no_mstd(
     known on the window; refuted with a witness; inconclusive when the
     budget ran out or growth failed without a witness found.
     """
-    upto = int(upto)
-    growth = check_growth(spec, r, upto)
+    growth, terms = _growth(spec, r, upto, None)
     bound = 2 * int(r) + 1
-    terms = materialize(spec, upto)
     ground = IntSet(terms, diameter_cap=None)
 
     if growth.holds and bound <= 7:
@@ -437,8 +441,7 @@ def certify_finitely_many(
     lattice of the longest leading window the budget allows.
     """
     upto = int(upto)
-    terms = materialize(spec, upto)
-    growth = check_growth(spec, 3, upto, start=start)
+    growth, terms = _growth(spec, 3, upto, start)
 
     found, _, examined, _ = _scan([(upto - 1, terms)], _prefix_block, special_search_budget, 0, 1, True)
     witness = found[0] if found else None

@@ -23,10 +23,10 @@ block of subsets bit-sliced (Biham 1997, "A fast new DES implementation
 in software"): one uint64 word holds one ground element across 64
 subsets.  It runs the pair enumeration on those words, one AND per pair
 of ground elements marking that pair's sum and difference in 64 subsets,
-and counts each subset's bits.  ``counts`` takes a membership matrix
-(one row of 0/1 bytes per subset, one column per ground element) and
-transposes it into words with ``bit_slices`` first; the minimality
-levels of ``search`` build their words in closed form.
+and counts each subset's bits.  ``bit_slices`` transposes a membership
+matrix (one row of 0/1 bytes per subset, one column per ground element)
+into those words; the minimality levels of ``search`` build their words
+in closed form.
 Its rows are keyed by the ground's distinct pair sums and differences.
 Each left element's pairs find their rows by binary search once per
 ground, kept as int32 indices, or as a slice when they are consecutive
@@ -352,12 +352,11 @@ def _distinct_sets(elems: tuple[int, ...], kernel: str, diameter_cap: int | None
 class PairCensus:
     """|A+A|, |A-A| and |A| for many subsets A of one ground at once.
 
-    Subsets arrive as rows of a membership matrix (``counts``): column j
-    of a row is 1 when ground element j is in the subset, else 0; or as
-    bit-sliced words (``word_counts``).  Either takes up to ``block``
-    subsets at a time.  Memory is the ground's distinct pair sums and
-    differences, one block's tables, and the row indices of its element
-    pairs while they fit ``_CENSUS_ROW_PAIRS``.
+    Subsets arrive as bit-sliced words (``word_counts``, which
+    ``bit_slices`` makes of membership rows), up to ``block`` subsets at
+    a time.  Memory is the ground's distinct pair sums and differences,
+    one block's tables, and the row indices of its element pairs while
+    they fit ``_CENSUS_ROW_PAIRS``.
     """
 
     def __init__(self, elements: Sequence[int]):
@@ -379,11 +378,6 @@ class PairCensus:
         ground = self._ground
         return (_row_index(self._sums.searchsorted(ground[i:] + ground[i])),
                 _row_index(self._diffs.searchsorted(ground[i:] - ground[i])))
-
-    def counts(self, member: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sum counts, difference counts, sizes), one entry per row of
-        the (subsets, n) 0/1 matrix ``member``, through ``word_counts``."""
-        return self.word_counts(bit_slices(member), len(member))
 
     def word_counts(self, x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sum counts, difference counts, sizes) of the first ``count``

@@ -557,9 +557,11 @@ def test_density_past_the_census_bound_exits_one_before_the_ground(capsys, monke
         raise AssertionError("the ground was built")
 
     monkeypatch.setattr(search, "IntSet", no_ground)
-    code, out, err = run(capsys, "density", "--n", "16777216", "--samples", "1")
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and err.startswith("error:") and "census block" in err
+    # the census bound is the one rule, also past the 2^24 diameter cap
+    for n in ("16777216", "16777217"):
+        code, out, err = run(capsys, "density", "--n", n, "--samples", "1")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:") and "census block" in err
 
 
 def test_exhaustive_search_echoes_a_negative_seed(capsys):

@@ -7,6 +7,8 @@ import multiprocessing
 import os
 import random
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,9 +34,9 @@ from mstd import (
 from mstd import search
 from mstd.search import (
     _BLOCK, _MASK_K, _MC_CHUNK, _census_hits, _lattice_block, _level, _MaskLevel, _mc_chunk, _mc_scan, _ordered,
-    _pool_size, _rank_blocks, _scan, _ScanGround,
+    _rank_blocks, _scan, _ScanGround,
 )
-from mstd.sets import PairCensus
+from mstd.sets import PairCensus, bit_slices
 
 GROUND_15 = IntSet(range(15))
 
@@ -55,15 +57,18 @@ def test_floor_scan_counts_the_sets_that_contain_zero(monkeypatch):
     # through the module's sum_diff_counts, so a fault in it is seen
     seen = []
     honest = search.sum_diff_counts
-    monkeypatch.setattr(search, "_diameter_floor_verified", False)
+    min_mstd_diameter.cache_clear()
     monkeypatch.setattr(search, "sum_diff_counts", lambda e, *a, **k: seen.append(e) or honest(e))
     assert min_mstd_diameter() == 14
     assert len(seen) == len(set(seen)) == 2**13 - 1
     assert all(e[0] == 0 and len(e) >= 2 and e[-1] <= 13 for e in seen)
-    monkeypatch.setattr(search, "_diameter_floor_verified", False)
+    min_mstd_diameter.cache_clear()
     monkeypatch.setattr(search, "sum_diff_counts", lambda e, *a, **k: (99, 0) if e == (0, 5, 13) else honest(e))
     with pytest.raises(RuntimeError, match="floor refuted"):
         min_mstd_diameter()
+    # a refuted scan is not cached: the next call scans again
+    monkeypatch.undo()
+    assert min_mstd_diameter() == 14
 
 
 # -- exhaustive engine -------------------------------------------------
@@ -519,13 +524,12 @@ def test_mask_positions_are_combinations_stream_indices(lead, tail, cut):
             assert next(_level(elems, MIN_MAX, n - 1, FLOOR))[1].streamed == tuple(streamed)
         if not cut and (lead, tail) == (1, 1) and elems[-1] >= FLOOR:
             assert next(_level(elems, MIN_DIAMETER, (0, n - 1), FLOOR))[1].streamed == tuple(streamed)
-        masks = np.arange(1 << k)
         expected = [
             stream.get(tuple(range(lead)) + tuple(lead + e for e in range(k) if m >> e & 1)
                        + tuple(range(n - tail, n)), len(stream))
             for m in range(1 << k)
         ]
-        assert level.positions(masks).tolist() == expected
+        assert [level.position(m) for m in range(1 << k)] == expected
         assert sorted(p for p in expected if p < len(stream)) == list(range(len(stream)))
 
 
@@ -674,13 +678,38 @@ def test_density_independent_of_worker_count():
     assert serial.to_dict() == pooled.to_dict()
 
 
-def test_pool_size_clamped_to_chunks_and_cpus():
-    # pure function: no pool is started, whatever ``threads`` asks for
-    cpus = os.cpu_count() or 1
-    assert _pool_size(10**6, 10**6) == cpus
-    assert _pool_size(10**6, 3) == min(3, cpus)
-    assert _pool_size(1, 50) == 1
-    assert _pool_size(8, 1) == 1
+def test_ordered_starts_one_worker_per_call_read(monkeypatch):
+    # _ordered reads min(threads, CPUs) calls before it runs any: one
+    # call runs in this process, more start a pool of one worker per
+    # call read; a thread pool stands in for the process pool to record
+    # the starts
+    started = []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Recorder)
+    for cpus in (1, 2, 3, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        for threads in (1, 2, 3, 5):
+            for calls in (0, 1, 2, 3, 7):
+                started.clear()
+                assert list(_ordered(pow, [(c, 2) for c in range(calls)], threads)) == [c * c for c in range(calls)]
+                workers = min(threads, cpus, calls)
+                assert started == ([workers] if workers > 1 else [])
+    # through an engine: a budget that lets one lattice block through
+    # starts no pool, whatever the thread count; one more candidate does
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ground = IntSet(range(31))
+    block = _ScanGround(ground.elements).block
+    for budget, pools in ((1000, []), (block, []), (block + 1, [2])):
+        started.clear()
+        cfg = SearchConfig(ground=ground, min_size=8, max_size=8, budget=budget, threads=2)
+        report = exhaustive_search(cfg)
+        assert started == pools
+        assert report.to_dict() == exhaustive_search(replace(cfg, threads=1)).to_dict()
 
 
 def test_monte_carlo_hits_reclassify_mstd():
@@ -805,7 +834,8 @@ def test_census_of_every_subset_matches_lattice_count(n):
     for start in range(0, 1 << n, census.block):
         # row k: the bits of start + k, element j at bit j
         index = np.arange(start, min(start + census.block, 1 << n))
-        sc, dc, _ = census.counts((index[:, None] >> np.arange(n) & 1).astype(np.uint8))
+        member = (index[:, None] >> np.arange(n) & 1).astype(np.uint8)
+        sc, dc, _ = census.word_counts(bit_slices(member), len(member))
         mstd_count += int(np.count_nonzero(sc > dc))
     scalar = 0
     for k in range(1, n + 1):
@@ -872,6 +902,37 @@ def test_census_blocks_below_the_floor_match_row_by_row(monkeypatch):
     monkeypatch.setattr(search, "_CENSUS_PAIRS", 0)
     assert classify() == census
     assert sum(len(at) for _, at, _ in census) > 0
+
+
+def test_census_ground_blocks_of_few_candidates_go_to_the_census(monkeypatch):
+    # a census ground classifies every rank block by census, also one of
+    # no more candidates than the ground has elements: sizes 8 and 9 of
+    # CONWAY and four more elements in blocks of at most 12, and its
+    # min-diameter level from 0 to 14, which holds CONWAY, in rank blocks
+    # of at most the level's 10 elements, against naive classification
+    elems = tuple(sorted(CONWAY + (5, 9, 17, 20)))
+    monkeypatch.setattr(search, "_MASK_K", 0)  # the level as rank blocks
+    level = list(_level(elems, MIN_DIAMETER, (0, len(elems) - 3), FLOOR))
+    monkeypatch.setattr(search, "_counted_hits", lambda *a: pytest.fail("counted row by row"))
+    ground = _ScanGround(elems)
+    blocks = [(ground, size, math.comb(len(elems), size)) for size in (8, 9)]
+    blocks += [(g, size, count) for count, (g, size, first) in level if first == 0]
+    hits = 0
+    for g, size, count in blocks:
+        n = len(g.elements)
+        assert g.by_census and n <= len(elems)
+        interior = g.elements[g.lead : n - g.tail]
+        stream = [g.elements[: g.lead] + c + g.elements[n - g.tail :] for c in itertools.combinations(interior, size)]
+        assert len(stream) == count
+        for special in (False, True):
+            for first in range(0, count, n):
+                take = min(n, count - first)
+                cands = stream[first : first + take]
+                expected = [i for i, c in enumerate(cands) if naive_hit(c, special)]
+                took, at, found = _lattice_block(special, 2, (g, size, first), take)
+                assert (took, at.tolist(), found) == (take, expected, [cands[i] for i in expected[:2]])
+                hits += len(expected)
+    assert hits > 0
 
 
 def test_lattice_blocks_are_census_blocks_on_census_grounds():
@@ -1142,12 +1203,11 @@ def test_minimal_diameter_levels_ascend_across_left_ends():
     assert report.optimal and report.objective_value == 14
 
 
-def test_minimal_rejects_empty_budget_and_hit_cap():
-    # with hit_cap=0 an optimum would be claimed with no witness in hits
-    for kwargs in ({"budget": 0}, {"budget": -5}, {"hit_cap": 0}, {"hit_cap": -1}):
+def test_minimal_rejects_empty_budget():
+    for budget in (0, -5):
         for objective in ("minimize-max-element", "minimize-diameter"):
             with pytest.raises(DomainError):
-                minimal_mstd_in(IntSet(range(20)), objective=objective, **kwargs)
+                minimal_mstd_in(IntSet(range(20)), objective=objective, budget=budget)
 
 
 def test_minimal_diameter_levels_stream_in_linear_memory():
