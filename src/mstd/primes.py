@@ -17,13 +17,16 @@ Every prime list in this module comes from one sieve, ``PrimeSieve``,
 which also enforces the one memory cap on sieve limits.  The tuple scan
 and ``prime_count`` need no table of their own: they stream cache-sized
 windows through the sieve's marking routine, ``_cross_off``, so their
-memory does not grow with x.  Marking works on odd integers only: a
-window holds odd shifts alone, and the one even shift that can match,
-n = 2, is checked on its own.
+memory does not grow with x.  The sieve marks odd integers only, and
+the scan walks shifts on a mod-30 wheel: only the residue classes in
+which every n + b is prime to 30 get flags, and the shifts n <= 5 that
+the wheel leaves out are checked by trial division.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,17 +38,31 @@ from .sets import CONWAY, IntSet, Report
 # np.bool_ flags: 1 byte per integer; 2**27 is 128 MiB, a sane guard.
 _SIEVE_LIMIT_CAP = 1 << 27
 
-# The sieve table is marked, and the tuple scan walks its shifts, one
-# segment of this many odd integers at a time (1 MiB of flags); a scan
-# window holds odd shifts only, so it covers 2^21 integers.
+# The sieve table is marked one segment of this many odd integers at a
+# time (1 MiB of flags).  The tuple scan walks each wheel class in windows
+# of this many class steps, divided among the class's flag arrays, so a
+# window is 1 MiB of flags too, and covers up to 30 * 2^20 integers.
 _SEGMENT = 1 << 20
+
+# The tuple scan's wheel: a shift n >= 7 can match only in a class
+# r mod _WHEEL with every r + b prime to _WHEEL.
+_WHEEL = 30
+
+# A base prime with fewer multiples than this in a window costs more in
+# its own slice call than in its writes, so those primes are crossed off
+# together through one index array.  At the scan limit, with base primes
+# to 3.7e5, that took T from about 7 to about 2.5 s per 10^9 shifts and
+# the two-residue tuple 0,6 from about 15 to about 4 (one window of 2^20
+# class steps timed per class and scaled; 2-core Xeon).
+_SLICE_MIN = 16
 
 _MATCH_CAP = 1000
 
-# The tuple scan's stated time limit on x + spread, about 1.4e11.  The scan
-# takes 3.2-3.5 s per 10^9 shifts (twins and T at 1e10, 2-core Xeon,
-# CPython 3.11, numpy 2.4), so the limit is about 8 minutes of scanning;
-# the base sieve alone would admit x near 1.8e16, years of it.
+# The tuple scan's stated time limit on x + spread, about 1.4e11.  Its
+# time per 10^9 shifts grows with x, as the base primes do: at 1e10 T took
+# 1.4 s per 10^9 and 0,6 (the most flag arrays) 2.3 s, and the whole scan
+# to the limit 5.2 and 10.6 minutes (2-core Xeon, CPython 3.11, numpy
+# 2.4); the base sieve alone would admit x near 1.8e16, years of it.
 _SCAN_LIMIT = 1 << 37
 
 # The prediction sums n <= _HEAD_N term by term and integrates the rest
@@ -63,11 +80,11 @@ class PrimeSieve:
     primes all come from one.  The table holds every integer, but only
     its odd half is marked: 2 is set directly, and the view of the odd
     integers from 3 is walked in segments of _SEGMENT flags, in which
-    the ``_cross_off`` routine that the tuple scan's windows share
-    crosses off the odd multiples of the odd primes up to sqrt(limit)
-    that a smaller PrimeSieve supplies.  A limit below 2 yields an empty
-    (but valid) sieve rather than an error; a limit above the cap raises
-    CapacityError.
+    ``_cross_off`` (step 2; the tuple scan's wheel windows use it with
+    step 30) crosses off the multiples of the odd primes up to
+    sqrt(limit) that a smaller PrimeSieve supplies.  A limit below 2
+    yields an empty (but valid) sieve rather than an error; a limit above
+    the cap raises CapacityError.
     """
 
     __slots__ = ("limit", "flags")
@@ -84,7 +101,7 @@ class PrimeSieve:
             odd.fill(True)
             base = PrimeSieve(math.isqrt(limit)).primes()[1:]
             for i in range(0, odd.size, _SEGMENT):
-                _cross_off(odd[i : i + _SEGMENT], 3 + 2 * i, base)
+                _cross_off(odd[i : i + _SEGMENT], 3 + 2 * i, 2, base)
         self.flags = flags
 
     def __contains__(self, n) -> bool:
@@ -98,20 +115,42 @@ class PrimeSieve:
         return int(self.flags.sum())
 
 
-def _cross_off(flags: np.ndarray, lo: int, base: np.ndarray) -> None:
-    """Clear the flag of every odd multiple p*k >= p*p of an odd base prime p.
+def _cross_off(flags: np.ndarray, lo: int, step: int, base: np.ndarray) -> None:
+    """Clear the flag of every multiple p*k >= p*p of a base prime p.
 
-    flags[i] stands for the odd integer lo + 2i; a base prime itself
-    keeps its flag.  The first odd multiple in range sits at index
-    (-lo) * (p+1)/2 mod p, (p+1)/2 being the inverse of 2 mod p, or at
-    p*p's index if that is later; the next ones follow every p flags.
-    The starts are found for all base primes in one vector expression,
-    and primes with none are skipped.
+    flags[i] stands for lo + step*i, every base prime is prime to step,
+    and a base prime itself keeps its flag.  The multiples of p in range
+    sit at the indices i = (-lo) * s mod p, s = (1 + p*t)/step being the
+    inverse of step mod p for t = -1/p mod step (looked up by p mod
+    step); the first of them at or past p*p's place is the start, and
+    the next ones follow every p flags.  The starts are found for all
+    base primes in one vector expression, and primes with none are
+    skipped.  A prime with at least _SLICE_MIN multiples in range clears
+    them with one slice assignment; the others' indices are built
+    together and cleared at once.
     """
-    starts = np.maximum((-lo) % base * ((base + 1) // 2) % base, (base * base - lo) // 2)
+    inverse = (1 + base * _negated_inverses(step)[base % step]) // step
+    square = np.maximum(-((lo - base * base) // step), 0)  # the first index at or past p*p
+    starts = square + ((-lo) % base * inverse - square) % base
     live = starts < flags.size
-    for p, start in zip(base[live].tolist(), starts[live].tolist()):
+    sliced = live & (base * _SLICE_MIN < flags.size)
+    for p, start in zip(base[sliced].tolist(), starts[sliced].tolist()):
         flags[start::p] = False
+    few = live & ~sliced
+    if few.any():
+        p, start = base[few], starts[few]
+        hits = (flags.size - 1 - start) // p + 1
+        first = np.cumsum(hits) - hits  # where each prime's run of indices begins
+        index = np.repeat(p, hits)
+        index *= np.arange(index.size)
+        index += np.repeat(start - p * first, hits)
+        flags[index] = False
+
+
+@functools.cache
+def _negated_inverses(step: int) -> np.ndarray:
+    """t[a] = -1/a mod step for each a prime to step (0 elsewhere)."""
+    return np.array([-pow(a, -1, step) % step if math.gcd(a, step) == 1 else 0 for a in range(step)])
 
 
 @dataclass(frozen=True)
@@ -281,17 +320,21 @@ def match_tuple(
 ) -> MatchReport:
     """Count shifts n <= x with n + b prime for every offset b.
 
-    The scan streams windows of _SEGMENT odd shifts (Bays & Hudson
-    1977).  Each window holds its shifts and spread/2 more odd integers;
-    the odd multiples of the odd base primes up to sqrt(x + spread),
-    which one PrimeSieve supplies, are crossed off in it, and its
-    shifted views are ANDed and counted.  Parity does the rest: n = 2
-    is checked on its own, and an odd offset leaves no other shift that
-    can match, so the windows are scanned only when every offset is
-    even.  Memory is one window, _SEGMENT + spread/2 flags, however
-    large x is.  The spread is below the sieve cap,
-    because the singular series, computed first, sieves to spread + 1.
-    Time grows with x, so x + spread is held to _SCAN_LIMIT (about 8
+    The scan streams windows over a mod-30 wheel (Bays & Hudson 1977;
+    Pritchard 1981).  A shift n >= 7 can match only in a class r mod 30
+    with every r + b prime to 30, so only those classes get flags: per
+    30 integers T needs 8 flags and no tuple more than 12, against 15
+    for odd shifts.  Each class is walked in windows of class steps with
+    one flag array per residue of r + b mod 30, in which the multiples
+    of the base primes from 7 to sqrt(x + spread), which one PrimeSieve
+    supplies, are crossed off; the offsets' views are ANDed and counted.
+    The shifts n <= 5 are checked by trial division.  Memory is one
+    window, _SEGMENT flags plus the spread/30 more each flag array
+    reaches, however large x is (near the scan limit, the primes with
+    few multiples in a window add an index array of about 1.4 MB).  The
+    spread is below the sieve cap, because the singular series, computed
+    first, sieves to spread + 1.
+    Time grows with x, so x + spread is held to _SCAN_LIMIT (5 to 11
     minutes of scanning), and to the base sieve's reach, sqrt(x +
     spread) <= 2^27; past either, CapacityError is raised before the
     scan allocates anything.
@@ -335,43 +378,87 @@ def _scan_windows(
 ) -> tuple[int, tuple[int, ...]]:
     """The count and the first match_cap of the shifts 1 <= n <= x that match.
 
-    n = 2 matches when every 2 + b is prime, so every other offset must
-    be odd; it is tested by trial division with the base primes.  An odd
-    n >= 3 needs every offset even (n + b for an odd b is even and > 2),
-    and an even n > 2 is not prime, so the windows of odd shifts are
-    walked only when no offset is odd.
+    The shifts n <= 5 are tested by trial division.  A shift n >= 7 has
+    every n + b >= 7, so it can match only in a class r mod 30 (a
+    ``_wheel_classes`` entry) with every r + b prime to 30: 8 classes
+    for T, none for a tuple with an odd offset or one that covers the
+    residues mod 3 or mod 5 (and 6 is not prime).  Each class is walked
+    in windows of _SEGMENT // d class steps, d the number of its flag
+    arrays: one per residue c of r + b mod 30, holding the integers
+    30k + c that its offsets reach.  The multiples of the base primes
+    from 7 to sqrt(x + spread) are crossed off in each array, and the
+    offsets' views are ANDed and counted.  Each class lists its first
+    match_cap matches, so the first match_cap of all the lists are the
+    first overall.
     """
     spread = offsets[-1]
-    base = PrimeSieve(math.isqrt(x + spread)).primes()[1:]  # odd base primes
-    two = all(b % 2 and _odd_is_prime(2 + b, base) for b in offsets[1:])
-    count, matches = int(two), [2] if two and match_cap else []
-    if any(b % 2 for b in offsets):
-        return count, tuple(matches)
-    shifts = (x - 1) // 2  # the odd shifts 3, 5, ..., <= x
-    # one pair of buffers for every window: fresh arrays cost page faults
-    flags = np.empty(min(_SEGMENT, shifts) + spread // 2, dtype=bool)
-    ands = np.empty(min(_SEGMENT, shifts), dtype=bool)
-    for first in range(0, shifts, _SEGMENT):
-        lo = 3 + 2 * first
-        n = min(_SEGMENT, shifts - first)
-        window = flags[: n + spread // 2]  # window[i] stands for lo + 2i
-        window.fill(True)
-        _cross_off(window, lo, base)
+    small = PrimeSieve(math.isqrt(x + spread)).primes()
+    found = [n for n in range(1, min(x, 5) + 1) if all(_is_prime(n + b, small) for b in offsets)]
+    count, lists = len(found), [found[:match_cap]]
+    for r, residues in _wheel_classes(offsets):
+        found, listed = _scan_class(r, residues, x, small[3:], match_cap)  # base primes from 7
+        count += found
+        lists.append(listed)
+    return count, tuple(sorted(itertools.chain(*lists))[:match_cap])
+
+
+def _scan_class(
+    r: int, residues: dict[int, list[int]], x: int, base: np.ndarray, match_cap: int
+) -> tuple[int, list[int]]:
+    """The count and the first match_cap of the matching shifts 30k + r in
+    [7, x], one ``_wheel_classes`` entry's windows crossed off by ``base``."""
+    first = int(r < 7)  # n = 1, the integer 1 in class 1 at k = 0, crossed off by no prime
+    steps = (x - r) // _WHEEL + 1 - first  # the shifts 30k + r <= x, k >= first
+    if steps < 1:
+        return 0, []
+    size = min(max(_SEGMENT // len(residues), 1), steps)
+    # one buffer per flag array, and one for the AND, for every window:
+    # fresh arrays cost page faults; array c holds 30(k + q) + c for its
+    # offsets' carries q = (r + b) // 30
+    arrays = [(c, q, np.empty(size + q[-1] - q[0], dtype=bool)) for c, q in residues.items()]
+    ands = np.empty(size, dtype=bool)
+    count, listed = 0, []
+    for k in range(first, first + steps, size):
+        n = min(size, first + steps - k)
+        views = []
+        for c, q, buffer in arrays:
+            window = buffer[: n + q[-1] - q[0]]  # window[i] stands for 30(k + q[0] + i) + c
+            window.fill(True)
+            _cross_off(window, _WHEEL * (k + q[0]) + c, _WHEEL, base)
+            views += [window[j - q[0] : j - q[0] + n] for j in q]
         hits = ands[:n]
-        np.copyto(hits, window[:n])
-        for b in offsets[1:]:
-            hits &= window[b // 2 : b // 2 + n]
+        np.copyto(hits, views[0])
+        for view in views[1:]:
+            hits &= view
         found = int(np.count_nonzero(hits))
         count += found
-        if found and len(matches) < match_cap:  # decode only what the cap lists
-            matches += (2 * np.flatnonzero(hits)[: match_cap - len(matches)] + lo).tolist()
-    return count, tuple(matches)
+        if found and len(listed) < match_cap:  # decode only what the cap lists
+            listed += (_WHEEL * (k + np.flatnonzero(hits)[: match_cap - len(listed)]) + r).tolist()
+    return count, listed
 
 
-def _odd_is_prime(m: int, base: np.ndarray) -> bool:
-    """Is the odd m >= 3 prime?  base holds every odd prime <= sqrt(m)."""
-    root = base[: np.searchsorted(base, math.isqrt(m), side="right")]
-    return not np.any(m % root == 0)
+def _wheel_classes(offsets: tuple[int, ...]) -> list[tuple[int, dict[int, list[int]]]]:
+    """(r, {c: carries}) for each class r mod 30 with every r + b prime
+    to 30: c runs over the distinct residues (r + b) mod 30, and its
+    carries are the (r + b) // 30 of its offsets, ascending.
+
+    The flags per 30 integers, the sum of the dicts' sizes, are at most
+    12 for any tuple (0 and 6: six classes of two residues), against 15
+    for windows of odd shifts; T needs 8.
+    """
+    classes = []
+    for r in range(_WHEEL):
+        if all(math.gcd(r + b, _WHEEL) == 1 for b in offsets):
+            residues: dict[int, list[int]] = {}
+            for b in offsets:
+                residues.setdefault((r + b) % _WHEEL, []).append((r + b) // _WHEEL)
+            classes.append((r, residues))
+    return classes
+
+
+def _is_prime(m: int, primes: np.ndarray) -> bool:
+    """Is m prime?  primes holds every prime <= sqrt(m)."""
+    return m >= 2 and not np.any(m % primes[: np.searchsorted(primes, math.isqrt(m), side="right")] == 0)
 
 
 def dilated_conway(p: int, s: int) -> IntSet:

@@ -40,7 +40,8 @@ Three capacity rules bound memory.  ``diameter_cap`` bounds the bit vector
 it, and only an explicit ``bits`` raises CapacityError.  ``SumDiffSets``
 raises CapacityError before its sets could pass ``_PAIR_SETS_BYTES``,
 and ``_check_census_capacity`` before one census block could pass
-``_CENSUS_BLOCK_BYTES``.
+``_CENSUS_BLOCK_BYTES`` or, which bounds its time, ``_CENSUS_BLOCK_PAIRS``
+element pairs.
 ``base_expansion`` keeps its own guard on the size of the set it builds.
 
 Results come back as dataclasses derived from ``Report``, whose
@@ -92,8 +93,12 @@ _PAIR_SETS_BYTES = 3 << 28
 _CENSUS_UNPACK_WORDS = 1 << 11
 _CENSUS_ROW_PAIRS = 1 << 22
 # Bound on the smallest census block, 64 subsets: 64 membership bytes per
-# element and a word per distinct pair sum and difference ({0..n}: n < 1.53M)
+# element and a word per distinct pair sum and difference ({0..n}: n < 1.53M);
+# and on its time, one AND per element pair (j >= i): 2^25 pairs, so
+# {0..n} up to n = 8190, where `mstd density --n 8190 --samples 1` takes
+# about 2 s in all (2-core Xeon, CPython 3.11, numpy 2.4).
 _CENSUS_BLOCK_BYTES = 1 << 27
+_CENSUS_BLOCK_PAIRS = 1 << 25
 
 VERDICT_MSTD = "mstd"
 VERDICT_BALANCED = "balanced"
@@ -408,10 +413,12 @@ def bit_slices(member: np.ndarray) -> np.ndarray:
 
 def _check_census_capacity(elements: int, rows: int) -> None:
     """CapacityError if a 64-subset census block of ``elements`` elements
-    and ``rows`` distinct pair sums and differences passes the bound."""
-    if (need := 64 * elements + 8 * rows) > _CENSUS_BLOCK_BYTES:
-        raise CapacityError(f"a 64-subset census block over {elements} elements needs {need} bytes, "
-                            f"cap is {_CENSUS_BLOCK_BYTES}")
+    and ``rows`` distinct pair sums and differences passes the bound on
+    its bytes or on its element pairs."""
+    need, pairs = 64 * elements + 8 * rows, elements * (elements + 1) // 2
+    if need > _CENSUS_BLOCK_BYTES or pairs > _CENSUS_BLOCK_PAIRS:
+        raise CapacityError(f"a 64-subset census block over {elements} elements needs {need} bytes and "
+                            f"{pairs} element pairs, cap is {_CENSUS_BLOCK_BYTES} bytes and {_CENSUS_BLOCK_PAIRS} pairs")
 
 
 def _int_array(values: Sequence[int], top: int) -> np.ndarray:

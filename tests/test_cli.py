@@ -557,8 +557,9 @@ def test_density_past_the_census_bound_exits_one_before_the_ground(capsys, monke
         raise AssertionError("the ground was built")
 
     monkeypatch.setattr(search, "IntSet", no_ground)
-    # the census bound is the one rule, also past the 2^24 diameter cap
-    for n in ("16777216", "16777217"):
+    # the census bound is the one rule: its element pairs from n = 8191,
+    # its bytes too past the 2^24 diameter cap
+    for n in ("8191", "16777216", "16777217"):
         code, out, err = run(capsys, "density", "--n", n, "--samples", "1")
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("error:") and "census block" in err

@@ -98,14 +98,63 @@ def test_sieve_segment_edges(monkeypatch, segment):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_cross_off_clears_odd_multiples_from_p_squared(p):
-    # flags[i] stands for lo + 2i: windows start below, at and above p^2
+    # flags[i] stands for lo + 2i: windows start below, at and above p^2;
+    # a window of 20p flags holds enough multiples for a slice of its own
     q = p * p
     for lo in sorted({3, p, q - 2 * p, q - 2, q, q + 2, 3 * q + 2 * p, 10**12 + 1}):
-        for size in (1, p, 3 * p + 5):
+        for size in (1, p, 3 * p + 5, 20 * p):
             flags = np.ones(size, dtype=bool)
-            mstd.primes._cross_off(flags, lo, np.array([p]))
+            mstd.primes._cross_off(flags, lo, 2, np.array([p]))
             expected = [not (v % p == 0 and v >= q) for v in range(lo, lo + 2 * size, 2)]
             assert flags.tolist() == expected, (lo, size)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 31])
+def test_cross_off_on_the_wheel_clears_multiples_from_p_squared(p):
+    # flags[i] stands for lo + 30i, lo in every class prime to 30: windows
+    # start below, at (the class of p^2) and above p^2
+    q = p * p
+    for c in (1, 7, 11, 13, 17, 19, 23, 29):
+        for lo in sorted({c, c + 30, q - (q - c) % 30 - 60, q - (q - c) % 30, q + (c - q) % 30, 10**12 + c}):
+            for size in (1, p, 3 * p + 5, 20 * p):
+                flags = np.ones(size, dtype=bool)
+                mstd.primes._cross_off(flags, lo, 30, np.array([p]))
+                expected = [not (v % p == 0 and v >= q) for v in range(lo, lo + 30 * size, 30)]
+                assert flags.tolist() == expected, (lo, size)
+
+
+def test_cross_off_on_the_wheel_with_many_primes():
+    # the starts of all base primes are found at once, and the primes below
+    # 500/16 get slices of their own: every flag is cleared iff some base
+    # prime divides its integer past its square
+    base = np.array([p for p in range(7, 200) if trial_division_is_prime(p)])
+    for lo in (1, 7, 49, 121, 10**6 + 13, 2**37 + 19):
+        flags = np.ones(500, dtype=bool)
+        mstd.primes._cross_off(flags, lo, 30, base)
+        expected = [not any(v % p == 0 and v >= p * p for p in base.tolist()) for v in range(lo, lo + 30 * 500, 30)]
+        assert flags.tolist() == expected, lo
+
+
+def test_wheel_flags_per_thirty_integers_are_at_most_twelve():
+    # every pattern of even residues mod 30 that holds 0: the classes
+    # picked are those in which r + b is prime to 30 for each b, and their
+    # flag arrays number at most 12 (0 and 6 reach it); odd shifts took 15
+    most = 0
+    for mask in range(1 << 14):
+        offsets = (0,) + tuple(2 * (i + 1) for i in range(14) if mask >> i & 1)
+        classes = mstd.primes._wheel_classes(offsets)
+        assert [r for r, _ in classes] == [
+            r for r in range(30) if all((r + b) % 2 and (r + b) % 3 and (r + b) % 5 for b in offsets)
+        ], offsets
+        for r, residues in classes:
+            arrays = sorted((30 * q + c - r, c) for c, carries in residues.items() for q in carries)
+            assert [b for b, _ in arrays] == list(offsets), (offsets, r)
+        flags = sum(len(residues) for _, residues in classes)
+        assert flags <= 12, offsets
+        most = max(most, flags)
+    assert most == 12
+    assert sum(map(len, dict(mstd.primes._wheel_classes((0, 6))).values())) == 12
+    assert sum(map(len, dict(mstd.primes._wheel_classes(TUPLE_T.offsets)).values())) == 8
 
 
 # -- admissibility -------------------------------------------------------
@@ -337,7 +386,25 @@ SCAN_TUPLES = {
     "odd-1-3": PrimeTuple((0, 1, 3)),
     "odd-1-5": PrimeTuple((0, 1, 5)),
     "odd-7": PrimeTuple((0, 7)),  # no match: 9 is not prime
+    # six wheel classes of two residues each, the most flags any tuple needs
+    "zero-six": PrimeTuple((0, 6)),
+    "small-shift": PrimeTuple((0, 2, 6)),  # matches at n = 5, below the wheel
+    "covered-mod-5": PrimeTuple((0, 6, 12, 18, 24)),  # no wheel class: n = 5 only
+    "six-offsets": PrimeTuple((0, 4, 6, 10, 12, 16)),
 }
+
+
+def class_window_edges(offsets, window):
+    """The shifts at which the windows of each wheel class start: class r
+    (every r + b prime to 30) takes its shifts 30k + r from k = 1 if r < 7,
+    else from k = 0, in windows of window // d class steps, d the number
+    of distinct residues r + b mod 30."""
+    edges = set()
+    for r in range(30):
+        if all((r + b) % 2 and (r + b) % 3 and (r + b) % 5 for b in offsets):
+            steps = max(window // len({(r + b) % 30 for b in offsets}), 1)
+            edges |= {30 * (int(r < 7) + j * steps) + r for j in (0, 1, 2)}
+    return edges
 
 
 @pytest.mark.parametrize("window", [7, 64, 1000])
@@ -351,6 +418,30 @@ def test_window_edges_cut_no_match(monkeypatch, window, name):
         assert (report.count, list(report.matches)) == (len(expected), expected), (name, x)
         for n in report.matches:
             assert all(trial_division_is_prime(n + b) for b in t.offsets), (name, n)
+
+
+@pytest.mark.parametrize("window", [7, 64, 1000])
+@pytest.mark.parametrize("name", list(SCAN_TUPLES))
+def test_class_window_edges_cut_no_match(monkeypatch, window, name):
+    offsets = SCAN_TUPLES[name].offsets
+    monkeypatch.setattr(mstd.primes, "_SEGMENT", window)
+    edges = class_window_edges(offsets, window)
+    for x in sorted({e + d for e in edges for d in (-1, 0, 1)} | {2, 3, 4, 5, 6, 7}):
+        expected = oracle_matches(offsets, x)
+        assert mstd.primes._scan_windows(offsets, x, 10**6) == (len(expected), tuple(expected)), (name, x)
+
+
+@pytest.mark.parametrize("window", [7, 64, 1000])
+@pytest.mark.parametrize("name", list(SCAN_TUPLES))
+def test_every_match_cap_cut(monkeypatch, window, name):
+    # each class lists its first cap matches; a cut falls inside a class's
+    # list whenever another class has a match below it
+    offsets = SCAN_TUPLES[name].offsets
+    monkeypatch.setattr(mstd.primes, "_SEGMENT", window)
+    x = 3000
+    expected = oracle_matches(offsets, x)
+    for cap in range(0, len(expected) + 2, max(1, len(expected) // 40)):
+        assert mstd.primes._scan_windows(offsets, x, cap) == (len(expected), tuple(expected[:cap])), cap
 
 
 @pytest.mark.parametrize("window", [7, 64, 1000])

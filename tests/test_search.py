@@ -971,10 +971,11 @@ def test_census_lattice_block_peak_memory():
 
 
 def test_monte_carlo_ground_guard_acts_before_the_ground(monkeypatch):
-    # {0..n} has n + 1 elements, 2n + 1 sums and n + 1 nonnegative
-    # differences; a 64-subset block holds 64 bytes per element and 8
-    # per sum or difference.  Past the bound the ground is never built;
-    # at the edge it is (and the stand-in ground stops the run there).
+    # {0..n} has n + 1 elements, (n + 1)(n + 2)/2 element pairs, 2n + 1
+    # sums and n + 1 nonnegative differences; a 64-subset block holds 64
+    # bytes per element and 8 per sum or difference, and ANDs each pair
+    # once.  Past the bound the ground is never built; at the edge it is
+    # (and the stand-in ground stops the run there).
     from mstd import sets
 
     class Built(Exception):
@@ -983,7 +984,9 @@ def test_monte_carlo_ground_guard_acts_before_the_ground(monkeypatch):
     def ground(*args, **kwargs):
         raise Built
 
-    edge = max(n for n in range(1_500_000, 1_600_000) if 64 * (n + 1) + 8 * (3 * n + 2) <= sets._CENSUS_BLOCK_BYTES)
+    edge = max(n for n in range(1_600_000) if 64 * (n + 1) + 8 * (3 * n + 2) <= sets._CENSUS_BLOCK_BYTES
+               and (n + 1) * (n + 2) // 2 <= sets._CENSUS_BLOCK_PAIRS)
+    assert edge == 8190  # the pair bound binds first
     monkeypatch.setattr(search, "IntSet", ground)
     with pytest.raises(Built):
         monte_carlo_density(edge, 1)

@@ -529,6 +529,15 @@ def test_pair_census_refuses_a_ground_past_its_block_bound(monkeypatch):
         PairCensus(range(10))
 
 
+def test_pair_census_refuses_a_ground_past_its_pair_bound(monkeypatch):
+    # {0..9} has 10 * 11 / 2 = 55 element pairs (j >= i), one AND each per block
+    monkeypatch.setattr(sets, "_CENSUS_BLOCK_PAIRS", 55)
+    assert PairCensus(range(10)).n == 10
+    monkeypatch.setattr(sets, "_CENSUS_BLOCK_PAIRS", 54)
+    with pytest.raises(CapacityError, match="55 element pairs"):
+        PairCensus(range(10))
+
+
 def test_pair_census_row_cache_matches_the_per_block_rows(monkeypatch):
     # an AP ground (slices), a prime ground (int32 rows) and a ground past
     # int64 (object arrays) count the same with the row cache as with
