@@ -393,8 +393,8 @@ def _scan_windows(
     """
     spread = offsets[-1]
     small = PrimeSieve(math.isqrt(x + spread)).primes()
-    found = [n for n in range(1, min(x, 5) + 1) if all(_is_prime(n + b, small) for b in offsets)]
-    count, lists = len(found), [found[:match_cap]]
+    shifts = [n for n in range(1, min(x, 5) + 1) if all(_is_prime(n + b, small) for b in offsets)]
+    count, lists = len(shifts), [shifts[:match_cap]]
     for r, residues in _wheel_classes(offsets):
         found, listed = _scan_class(r, residues, x, small[3:], match_cap)  # base primes from 7
         count += found

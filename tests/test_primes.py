@@ -418,30 +418,13 @@ def test_window_edges_cut_no_match(monkeypatch, window, name):
         assert (report.count, list(report.matches)) == (len(expected), expected), (name, x)
         for n in report.matches:
             assert all(trial_division_is_prime(n + b) for b in t.offsets), (name, n)
-
-
-@pytest.mark.parametrize("window", [7, 64, 1000])
-@pytest.mark.parametrize("name", list(SCAN_TUPLES))
-def test_class_window_edges_cut_no_match(monkeypatch, window, name):
-    offsets = SCAN_TUPLES[name].offsets
-    monkeypatch.setattr(mstd.primes, "_SEGMENT", window)
-    edges = class_window_edges(offsets, window)
-    for x in sorted({e + d for e in edges for d in (-1, 0, 1)} | {2, 3, 4, 5, 6, 7}):
-        expected = oracle_matches(offsets, x)
-        assert mstd.primes._scan_windows(offsets, x, 10**6) == (len(expected), tuple(expected)), (name, x)
-
-
-@pytest.mark.parametrize("window", [7, 64, 1000])
-@pytest.mark.parametrize("name", list(SCAN_TUPLES))
-def test_every_match_cap_cut(monkeypatch, window, name):
-    # each class lists its first cap matches; a cut falls inside a class's
-    # list whenever another class has a match below it
-    offsets = SCAN_TUPLES[name].offsets
-    monkeypatch.setattr(mstd.primes, "_SEGMENT", window)
-    x = 3000
-    expected = oracle_matches(offsets, x)
-    for cap in range(0, len(expected) + 2, max(1, len(expected) // 40)):
-        assert mstd.primes._scan_windows(offsets, x, cap) == (len(expected), tuple(expected[:cap])), cap
+    # each wheel class's windows start at shifts of their own, and the small
+    # shifts end at 5; these go to the scan alone, since match_tuple's series
+    # would sieve in segments of `window` flags at every x
+    edges = {e + d for e in class_window_edges(t.offsets, window) for d in (-1, 0, 1)}
+    for x in sorted({3, 4, 5, 6, 7} | edges):
+        expected = oracle_matches(t.offsets, x)
+        assert mstd.primes._scan_windows(t.offsets, x, 10**6) == (len(expected), tuple(expected)), (name, x)
 
 
 @pytest.mark.parametrize("window", [7, 64, 1000])
@@ -467,6 +450,10 @@ def test_match_cap_on_every_scan_tuple(monkeypatch, window, name):
     for cap in sorted({0, 1, 2, len(expected) // 2, len(expected), len(expected) + 1}):
         report = match_tuple(t, x, match_cap=cap)
         assert (report.count, list(report.matches)) == (len(expected), expected[:cap]), cap
+    # each wheel class lists its first cap matches; a cut falls inside a
+    # class's list whenever another class has a match below it
+    for cap in range(0, len(expected), max(1, len(expected) // 40)):
+        assert mstd.primes._scan_windows(t.offsets, x, cap) == (len(expected), tuple(expected[:cap])), cap
 
 
 def test_scan_memory_is_one_window():

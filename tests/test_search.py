@@ -984,7 +984,7 @@ def test_monte_carlo_ground_guard_acts_before_the_ground(monkeypatch):
     def ground(*args, **kwargs):
         raise Built
 
-    edge = max(n for n in range(1_600_000) if 64 * (n + 1) + 8 * (3 * n + 2) <= sets._CENSUS_BLOCK_BYTES
+    edge = max(n for n in range(1 << 15) if 64 * (n + 1) + 8 * (3 * n + 2) <= sets._CENSUS_BLOCK_BYTES
                and (n + 1) * (n + 2) // 2 <= sets._CENSUS_BLOCK_PAIRS)
     assert edge == 8190  # the pair bound binds first
     monkeypatch.setattr(search, "IntSet", ground)
