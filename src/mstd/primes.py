@@ -13,14 +13,17 @@ offset, so the summand is smooth; the sum is exact for n <= 2^12 and
 beyond that a midpoint-rule integral taken by Gauss-Legendre
 quadrature on geometric panels (relative error about 1e-10).
 
-Every prime list in this module comes from one sieve, ``PrimeSieve``,
-which also enforces the one memory cap on sieve limits.  The tuple scan
-and ``prime_count`` need no table of their own: they stream cache-sized
-windows through the sieve's marking routine, ``_cross_off``, so their
-memory does not grow with x.  The sieve marks odd integers only, and
-the scan walks shifts on a mod-30 wheel: only the residue classes in
+Every prime table and the singular series come from one window
+producer, ``_odd_windows``, which marks odd integers a window at a time.
+``PrimeSieve`` has it mark its table in place; the singular series takes
+its primes one window at a time and keeps only each window's sum, so its
+memory does not grow with the cutoff.  The tuple scan and
+``prime_count`` stream cache-sized windows through the same marking
+routine, ``_cross_off``, on a mod-30 wheel: only the residue classes in
 which every n + b is prime to 30 get flags, and the shifts n <= 5 that
-the wheel leaves out are checked by trial division.
+the wheel leaves out are checked by trial division.  One cap on sieve
+limits, ``_capped``, holds for the table, the series cutoff and
+``prime_count``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,21 @@ _SLICE_MIN = 16
 
 _MATCH_CAP = 1000
 
+# The singular series sums its log factors over windows of this many odd
+# integers (512 Ki integers).  For T at rel_tol 1e-5 (cutoff 6.4e6) windows
+# of 2^15 to 2^19 flags took 25.7 / 19.7 / 17.3 / 16.4 / 19.5 ms at best
+# and at 1e-6 311 / 247 / 196 / 159 / 186 ms, against 37 and 350 ms for
+# the whole table; at 2^18 its traced peak is 2.1 MiB, against 23.5 MiB.
+# It also keeps every cutoff up to 524289, and so rel_tol 1e-3 for up to
+# 22 offsets, in one window (2-core Xeon, CPython 3.11, numpy 2.4).
+_SERIES_SEGMENT = 1 << 18
+
+# v(p) for the primes below the spread is found from blocks of this many
+# offset residues (rows x m; 512 KiB of int64).  The 40 primes 47..251
+# with 24999983, 1.6M primes below the spread, took 0.78 s at rel_tol 0.1,
+# and blocks of 2^14 or 2^18 cells were no faster.
+_RESIDUE_CELLS = 1 << 16
+
 # The tuple scan's stated time limit on x + spread, about 1.4e11.  Its
 # time per 10^9 shifts grows with x, as the base primes do: at 1e10 T took
 # 1.4 s per 10^9 and 0,6 (the most flag arrays) 2.3 s, and the whole scan
@@ -75,14 +93,12 @@ _GAUSS_NODES = 8
 class PrimeSieve:
     """Boolean prime table on [0, limit] with O(1) membership.
 
-    The only sieve in the package: admissibility moduli, singular-series
-    factors, AP primorials, its own base primes and the tuple scan's base
-    primes all come from one.  The table holds every integer, but only
-    its odd half is marked: 2 is set directly, and the view of the odd
-    integers from 3 is walked in segments of _SEGMENT flags, in which
-    ``_cross_off`` (step 2; the tuple scan's wheel windows use it with
-    step 30) crosses off the multiples of the odd primes up to
-    sqrt(limit) that a smaller PrimeSieve supplies.  A limit below 2
+    The package's one prime table: admissibility moduli, AP primorials
+    and every base-prime list (its own, the series windows' and the tuple
+    scan's) come from one.  The table holds every integer, but only its
+    odd half is marked: 2 is set directly, and ``_odd_windows`` marks the
+    view of the odd integers from 3 in place, in segments of _SEGMENT
+    flags, the windows the singular series streams.  A limit below 2
     yields an empty (but valid) sieve rather than an error; a limit above
     the cap raises CapacityError.
     """
@@ -90,19 +106,11 @@ class PrimeSieve:
     __slots__ = ("limit", "flags")
 
     def __init__(self, limit: int):
-        limit = int(limit)
-        if limit > _SIEVE_LIMIT_CAP:
-            raise CapacityError(f"sieve limit {limit} exceeds cap {_SIEVE_LIMIT_CAP}")
-        self.limit = limit
-        flags = np.zeros(max(limit + 1, 0), dtype=bool)
-        if limit >= 2:
-            flags[2] = True
-            odd = flags[3::2]  # odd[i] stands for 3 + 2i
-            odd.fill(True)
-            base = PrimeSieve(math.isqrt(limit)).primes()[1:]
-            for i in range(0, odd.size, _SEGMENT):
-                _cross_off(odd[i : i + _SEGMENT], 3 + 2 * i, 2, base)
-        self.flags = flags
+        self.limit = limit = _capped(limit)
+        self.flags = flags = np.zeros(max(limit + 1, 0), dtype=bool)
+        flags[2:3] = True
+        for _ in _odd_windows(limit, _SEGMENT, flags[3::2]):  # marks the odd view in place
+            pass
 
     def __contains__(self, n) -> bool:
         n = int(n)
@@ -113,6 +121,39 @@ class PrimeSieve:
 
     def count(self) -> int:
         return int(self.flags.sum())
+
+
+def _capped(limit) -> int:
+    """The sieve limit as an int, or CapacityError past the cap."""
+    limit = int(limit)
+    if limit > _SIEVE_LIMIT_CAP:
+        raise CapacityError(f"sieve limit {limit} exceeds cap {_SIEVE_LIMIT_CAP}")
+    return limit
+
+
+def _odd_windows(limit: int, size: int, odd: np.ndarray | None = None):
+    """Yield (lo, flags) over the odd integers 3 <= n <= limit, size at a
+    time: flags[i] stands for lo + 2i and is set iff that integer is prime.
+
+    The multiples of the odd primes up to sqrt(limit), which a smaller
+    PrimeSieve supplies, are crossed off each window by ``_cross_off``
+    with step 2 (Bays & Hudson 1977).  The windows are views of ``odd``
+    (odd[i] standing for 3 + 2i) when it is given, so a whole table is
+    marked in place; otherwise they share one buffer, so each is valid
+    only until the next is asked for.
+    """
+    total = max((limit - 1) // 2, 0)  # the odd integers 3..limit
+    if not total:
+        return
+    base = PrimeSieve(math.isqrt(limit)).primes()[1:]
+    shared = odd is None
+    if shared:
+        odd = np.empty(min(size, total), dtype=bool)
+    for i in range(0, total, size):
+        flags = odd[: min(size, total - i)] if shared else odd[i : i + size]
+        flags.fill(True)
+        _cross_off(flags, 3 + 2 * i, 2, base)
+        yield 3 + 2 * i, flags
 
 
 def _cross_off(flags: np.ndarray, lo: int, step: int, base: np.ndarray) -> None:
@@ -232,7 +273,10 @@ def singular_series(t: PrimeTuple, rel_tol: float = 1e-3) -> SingularSeries:
     p <= m is fully covered, which is checked first and short-circuits.
     The product is truncated at max(spread + 1, m^2/rel_tol), and a
     truncation point beyond the sieve cap raises the sieve's
-    CapacityError.
+    CapacityError.  The primes up to it are taken one window of
+    _SERIES_SEGMENT odd integers at a time, and each window adds one
+    partial sum of logs, so memory stays one window whatever the cutoff;
+    the cap now bounds time (about 0.3 s at 1e8).
     """
     if not 0 < rel_tol <= 0.1:
         raise DomainError(f"rel_tol must be in (0, 0.1], got {rel_tol}")
@@ -244,17 +288,48 @@ def singular_series(t: PrimeTuple, rel_tol: float = 1e-3) -> SingularSeries:
     if m == 1:
         return SingularSeries(1.0, 2, 0.0, per_prime_v)
     cutoff = max(t.spread + 1, 2 * m + 2, int(m * m / rel_tol) + 2)
-    primes = PrimeSieve(cutoff).primes()  # raises CapacityError past the cap
-    # v = m beyond the spread; below it, count distinct sorted residues
-    near = primes[primes <= t.spread]
-    residues = np.sort(np.array(t.offsets)[None, :] % near[:, None], axis=1)
-    v = np.full(primes.size, m)
-    v[: near.size] = 1 + np.count_nonzero(np.diff(residues, axis=1), axis=1)
-    p = primes.astype(np.float64)
-    # log of (p/(p-1))^(m-1) * (p-v)/(p-1), summed instead of multiplied
-    logs = -(m - 1) * np.log1p(-1 / p) + np.log1p((1 - v) / (p - 1))
-    value = math.exp(logs.sum())
+    offsets = np.array(t.offsets)
+    partials = []
+    for lo, flags in _odd_windows(_capped(cutoff), _SERIES_SEGMENT):
+        primes = np.flatnonzero(flags)
+        primes *= 2
+        primes += lo
+        if lo == 3:
+            primes = np.concatenate(([2], primes))
+        partials.append(_log_factors(primes, offsets, t.spread))
+    # fsum adds the windows' partial sums exactly, and returns a lone one as is
+    value = math.exp(math.fsum(partials))
     return SingularSeries(value, cutoff, m * m / (cutoff - 1), per_prime_v)
+
+
+def _log_factors(primes: np.ndarray, offsets: np.ndarray, spread: int) -> float:
+    """The sum over ``primes`` (ascending) of the log of the series factor
+    (p/(p-1))^(m-1) * (p-v)/(p-1).
+
+    v = m beyond the spread; below it, v counts the distinct sorted
+    residues of the offsets, for _RESIDUE_CELLS residues at a time.  The
+    factors are those of one whole-array expression, op for op, and are
+    summed by one np.sum, so a cutoff within one window gives the value
+    a single table of primes gives.
+    """
+    m = offsets.size
+    v = np.full(primes.size, m, dtype=np.float64)
+    near = int(np.searchsorted(primes, spread, side="right"))
+    rows = max(_RESIDUE_CELLS // m, 1)
+    for i in range(0, near, rows):
+        residues = offsets % primes[i : min(i + rows, near), None]
+        residues.sort(axis=1)
+        v[i : i + len(residues)] = np.count_nonzero(residues[:, 1:] != residues[:, :-1], axis=1) + 1
+    p = primes.astype(np.float64)
+    logs = np.divide(-1, p)
+    np.log1p(logs, out=logs)
+    logs *= -(m - 1)  # (m - 1) * log(p/(p-1))
+    p -= 1
+    np.subtract(1, v, out=v)
+    v /= p
+    np.log1p(v, out=v)  # log((p-v)/(p-1))
+    logs += v
+    return logs.sum()
 
 
 def _inverse_log_product(u: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -333,7 +408,7 @@ def match_tuple(
     reaches, however large x is (near the scan limit, the primes with
     few multiples in a window add an index array of about 1.4 MB).  The
     spread is below the sieve cap, because the singular series, computed
-    first, sieves to spread + 1.
+    first, is cut off at spread + 1 or later, under that cap.
     Time grows with x, so x + spread is held to _SCAN_LIMIT (5 to 11
     minutes of scanning), and to the base sieve's reach, sqrt(x +
     spread) <= 2^27; past either, CapacityError is raised before the
@@ -367,9 +442,7 @@ def prime_count(limit: int, cap: int) -> tuple[int, tuple[int, ...]]:
     """(the number of primes <= limit, the first ``cap`` of them), streamed
     through the tuple scan's windows, so memory is one window however
     large the limit.  The limit is capped as PrimeSieve's is."""
-    limit = int(limit)
-    if limit > _SIEVE_LIMIT_CAP:
-        raise CapacityError(f"sieve limit {limit} exceeds cap {_SIEVE_LIMIT_CAP}")
+    limit = _capped(limit)
     return _scan_windows((0,), limit, cap) if limit >= 2 else (0, ())
 
 

@@ -1,6 +1,7 @@
 """CLI surface: parsing, output formats, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -746,6 +747,33 @@ def test_fibonacci_finiteness_at_1600_terms_fits_a_memory_limit():
     done = run_limited(["certify-finite", "--seq", "fibonacci", "--start", "4", "--upto", "1600"])
     assert done.returncode == 0, done.stderr[-2000:]
     assert json.loads(done.stdout)["verdict"] == "consistent-within-budget"
+
+
+# the 40 primes 47..251 and the prime 24999983: 41 offsets with a spread
+# of 24999936, so 1.6M primes lie below the spread
+WIDE_OFFSETS = [p for p in range(47, 252) if all(p % d for d in range(2, p))] + [24999983]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["primes", "series", "{wide}", "--tol", "0.1"], ["primes", "match", "{wide}", "--upto", "1000"]],
+    ids=["series", "match"],
+)
+def test_wide_tuple_series_fits_a_memory_limit(argv):
+    # one residue table over the primes below the spread took 490 MiB here
+    wide = ",".join(map(str, WIDE_OFFSETS))
+    done = run_limited([a.replace("{wide}", wide) for a in argv])
+    assert done.returncode == 0, done.stderr[-2000:]
+    report = json.loads(done.stdout)
+    offsets = [b - WIDE_OFFSETS[0] for b in WIDE_OFFSETS]
+    if argv[1] == "series":
+        assert len(WIDE_OFFSETS) == 41 and report["value"] > 0
+        small = [p for p in range(2, 42) if all(p % d for d in range(2, p))]
+        assert report["per_prime_v"] == {str(p): len({b % p for b in offsets}) for p in small}
+    else:
+        prime = lambda n: n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        matches = [n for n in range(1, 1001) if all(prime(n + b) for b in offsets)]
+        assert (report["count"], report["matches"]) == (len(matches), matches)
 
 
 def test_malformed_set_exits_two(capsys):

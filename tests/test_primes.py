@@ -236,13 +236,98 @@ def test_series_matches_plain_product():
         series = singular_series(t, rel_tol=1e-3)
         if series.value == 0.0:
             continue
-        m = t.m
-        logs = []
-        for p in range(2, series.truncation_prime + 1):
-            if trial_division_is_prime(p):
-                v = len({b % p for b in t.offsets})
-                logs.append((m - 1) * math.log(p / (p - 1)) + math.log((p - v) / (p - 1)))
-        assert series.value == pytest.approx(math.exp(math.fsum(logs)), rel=1e-9), t
+        assert series.value == pytest.approx(plain_series(t, series.truncation_prime), rel=1e-9), t
+
+
+def plain_series(t, cutoff):
+    """The product over the primes p <= cutoff, found by trial division, as
+    exp of the math.fsum of each factor's log."""
+    m = t.m
+    logs = []
+    for p in range(2, cutoff + 1):
+        if trial_division_is_prime(p):
+            v = len({b % p for b in t.offsets})
+            logs.append((m - 1) * math.log(p / (p - 1)) + math.log((p - v) / (p - 1)))
+    return math.exp(math.fsum(logs))
+
+
+def whole_array_series(t, cutoff):
+    """The product over one array of every prime <= cutoff, summed by one
+    np.sum: the series' summation order when its cutoff fits one window."""
+    m = t.m
+    primes = np.flatnonzero(np.frombuffer(bytes(bytearray_sieve(cutoff)), dtype=np.uint8))
+    near = primes[primes <= t.spread]
+    residues = np.sort(np.array(t.offsets)[None, :] % near[:, None], axis=1)
+    v = np.full(primes.size, m)
+    v[: near.size] = 1 + np.count_nonzero(np.diff(residues, axis=1), axis=1)
+    p = primes.astype(np.float64)
+    logs = -(m - 1) * np.log1p(-1 / p) + np.log1p((1 - v) / (p - 1))
+    return math.exp(logs.sum())
+
+
+def window_edge_cases(window):
+    """(tuple, rel_tol, cutoff) with the cutoff at and next to the first
+    integers of three series windows, each past 100: an odd cutoff c is
+    the spread + 1 of (0, 6, c - 1), an even one m^2/rel_tol + 2 of
+    (0, 2, 6)."""
+    k0 = max(1, -(-100 // (2 * window)))
+    cases = []
+    for k in range(k0, k0 + 3):
+        first = 3 + 2 * k * window  # window k's first odd integer
+        for c in range(first - 3, first + 3):
+            if c % 2:
+                cases.append((PrimeTuple((0, 6, c - 1)), 0.1, c))
+            else:
+                cases.append((PrimeTuple((0, 2, 6)), 9 / (c - 1.5), c))
+    return cases
+
+
+@pytest.mark.parametrize("window", [7, 64, 1000])
+def test_series_across_windows_matches_trial_division(monkeypatch, window):
+    # windows of 7 odd integers hold 14 integers; residue blocks of 16
+    # cells split the primes below every spread here into many blocks
+    monkeypatch.setattr(mstd.primes, "_SERIES_SEGMENT", window)
+    monkeypatch.setattr(mstd.primes, "_RESIDUE_CELLS", 16)
+    cases = [(TWIN, 0.1), (TWIN, 0.01), (TUPLE_T, 0.1), (TUPLE_T, 0.01)]
+    cases += [(PrimeTuple((0, 2, 6, 8, 12, 18, 20, 26)), 0.1), (PrimeTuple((0, 6, 30, 36, 2310, 4206)), 0.1)]
+    cases += [(t, tol) for t, tol, _ in window_edge_cases(window)]
+    one_window = 3 + 2 * (window - 1)  # the last integer of the first window
+    for t, tol in cases:
+        series = singular_series(t, rel_tol=tol)
+        cutoff = series.truncation_prime
+        assert series.value > 0, t
+        assert series.value == pytest.approx(plain_series(t, cutoff), rel=1e-12), (t, tol)
+        if cutoff <= one_window:
+            assert series.value == whole_array_series(t, cutoff), (t, tol)
+
+
+@pytest.mark.parametrize("window", [7, 64, 1000])
+def test_series_cutoffs_sit_on_window_edges(monkeypatch, window):
+    monkeypatch.setattr(mstd.primes, "_SERIES_SEGMENT", window)
+    for t, tol, cutoff in window_edge_cases(window):
+        assert singular_series(t, rel_tol=tol).truncation_prime == cutoff, (t, tol)
+
+
+@pytest.mark.parametrize("t", [TWIN, TUPLE_T, PrimeTuple((0, 2, 6, 8, 12, 18, 20, 26, 30, 32))])
+def test_series_in_one_window_is_the_whole_array_sum(t):
+    # the default --tol 1e-3 cuts these off within the first window
+    series = singular_series(t)
+    assert series.truncation_prime <= 3 + 2 * (mstd.primes._SERIES_SEGMENT - 1)
+    assert series.value == whole_array_series(t, series.truncation_prime)
+
+
+def test_series_memory_is_one_window():
+    # the whole table of 6.4M flags, its primes and their float arrays
+    # took about 23.5 MiB
+    singular_series(TUPLE_T, 1e-3)  # the first call builds numpy's lazy state
+    tracemalloc.start()
+    try:
+        series = singular_series(TUPLE_T, 1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert series.truncation_prime == 6_400_001  # 64/1e-5 rounds down to 6399999
+    assert peak < 4 << 20, peak
 
 
 def test_series_tolerance_validated():
