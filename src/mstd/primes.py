@@ -63,9 +63,9 @@ _MATCH_CAP = 1000
 
 # The singular series sums its log factors over windows of this many odd
 # integers (512 Ki integers).  For T at rel_tol 1e-5 (cutoff 6.4e6) windows
-# of 2^15 to 2^19 flags took 25.7 / 19.7 / 17.3 / 16.4 / 19.5 ms at best
-# and at 1e-6 311 / 247 / 196 / 159 / 186 ms, against 37 and 350 ms for
-# the whole table; at 2^18 its traced peak is 2.1 MiB, against 23.5 MiB.
+# of 2^15 to 2^19 flags took 23 / 18 / 15 / 14.5 / 18 ms at best, and at
+# 1e-6 334 / 263 / 216 / 161 / 180 ms, against 37 and 350 ms for the whole
+# table; at 2^18 its traced peak is 1.6 MiB, against 23.5 MiB.
 # It also keeps every cutoff up to 524289, and so rel_tol 1e-3 for up to
 # 22 offsets, in one window (2-core Xeon, CPython 3.11, numpy 2.4).
 _SERIES_SEGMENT = 1 << 18
@@ -96,11 +96,11 @@ class PrimeSieve:
     The package's one prime table: admissibility moduli, AP primorials
     and every base-prime list (its own, the series windows' and the tuple
     scan's) come from one.  The table holds every integer, but only its
-    odd half is marked: 2 is set directly, and ``_odd_windows`` marks the
-    view of the odd integers from 3 in place, in segments of _SEGMENT
-    flags, the windows the singular series streams.  A limit below 2
-    yields an empty (but valid) sieve rather than an error; a limit above
-    the cap raises CapacityError.
+    odd half is marked: 2 is set directly, and ``_odd_windows``, the
+    producer whose shorter windows the singular series streams, marks the
+    view of the odd integers from 3 in place, _SEGMENT flags at a time.
+    A limit below 2 yields an empty (but valid) sieve rather than an
+    error; a limit above the cap raises CapacityError.
     """
 
     __slots__ = ("limit", "flags")

@@ -754,6 +754,10 @@ def test_fibonacci_finiteness_at_1600_terms_fits_a_memory_limit():
 WIDE_OFFSETS = [p for p in range(47, 252) if all(p % d for d in range(2, p))] + [24999983]
 
 
+def is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 @pytest.mark.parametrize(
     "argv",
     [["primes", "series", "{wide}", "--tol", "0.1"], ["primes", "match", "{wide}", "--upto", "1000"]],
@@ -771,8 +775,7 @@ def test_wide_tuple_series_fits_a_memory_limit(argv):
         small = [p for p in range(2, 42) if all(p % d for d in range(2, p))]
         assert report["per_prime_v"] == {str(p): len({b % p for b in offsets}) for p in small}
     else:
-        prime = lambda n: n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
-        matches = [n for n in range(1, 1001) if all(prime(n + b) for b in offsets)]
+        matches = [n for n in range(1, 1001) if all(is_prime(n + b) for b in offsets)]
         assert (report["count"], report["matches"]) == (len(matches), matches)
 
 

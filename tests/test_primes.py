@@ -288,24 +288,17 @@ def test_series_across_windows_matches_trial_division(monkeypatch, window):
     # cells split the primes below every spread here into many blocks
     monkeypatch.setattr(mstd.primes, "_SERIES_SEGMENT", window)
     monkeypatch.setattr(mstd.primes, "_RESIDUE_CELLS", 16)
-    cases = [(TWIN, 0.1), (TWIN, 0.01), (TUPLE_T, 0.1), (TUPLE_T, 0.01)]
-    cases += [(PrimeTuple((0, 2, 6, 8, 12, 18, 20, 26)), 0.1), (PrimeTuple((0, 6, 30, 36, 2310, 4206)), 0.1)]
-    cases += [(t, tol) for t, tol, _ in window_edge_cases(window)]
+    cases = [(TWIN, 0.1, None), (TWIN, 0.01, None), (TUPLE_T, 0.1, None), (TUPLE_T, 0.01, None)]
+    cases += [(PrimeTuple((0, 2, 6, 8, 12, 18, 20, 26)), 0.1, None), (PrimeTuple((0, 6, 30, 36, 2310, 4206)), 0.1, None)]
+    cases += window_edge_cases(window)
     one_window = 3 + 2 * (window - 1)  # the last integer of the first window
-    for t, tol in cases:
+    for t, tol, edge in cases:
         series = singular_series(t, rel_tol=tol)
         cutoff = series.truncation_prime
-        assert series.value > 0, t
+        assert edge in (None, cutoff) and series.value > 0, (t, tol)
         assert series.value == pytest.approx(plain_series(t, cutoff), rel=1e-12), (t, tol)
         if cutoff <= one_window:
             assert series.value == whole_array_series(t, cutoff), (t, tol)
-
-
-@pytest.mark.parametrize("window", [7, 64, 1000])
-def test_series_cutoffs_sit_on_window_edges(monkeypatch, window):
-    monkeypatch.setattr(mstd.primes, "_SERIES_SEGMENT", window)
-    for t, tol, cutoff in window_edge_cases(window):
-        assert singular_series(t, rel_tol=tol).truncation_prime == cutoff, (t, tol)
 
 
 @pytest.mark.parametrize("t", [TWIN, TUPLE_T, PrimeTuple((0, 2, 6, 8, 12, 18, 20, 26, 30, 32))])
