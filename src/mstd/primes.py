@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,9 @@ _WHEEL = 30
 _SLICE_MIN = 16
 
 _MATCH_CAP = 1000
+
+# The largest natural log whose exp is a finite float, about 709.78.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # The singular series sums its log factors over windows of this many odd
 # integers (512 Ki integers).  For T at rel_tol 1e-5 (cutoff 6.4e6) windows
@@ -276,7 +280,9 @@ def singular_series(t: PrimeTuple, rel_tol: float = 1e-3) -> SingularSeries:
     CapacityError.  The primes up to it are taken one window of
     _SERIES_SEGMENT odd integers at a time, and each window adds one
     partial sum of logs, so memory stays one window whatever the cutoff;
-    the cap now bounds time (about 0.3 s at 1e8).
+    the cap now bounds time (about 0.3 s at 1e8).  A value past the
+    float range, a natural log above about 709.78 (450 offsets can reach
+    it), raises CapacityError too.
     """
     if not 0 < rel_tol <= 0.1:
         raise DomainError(f"rel_tol must be in (0, 0.1], got {rel_tol}")
@@ -298,8 +304,12 @@ def singular_series(t: PrimeTuple, rel_tol: float = 1e-3) -> SingularSeries:
             primes = np.concatenate(([2], primes))
         partials.append(_log_factors(primes, offsets, t.spread))
     # fsum adds the windows' partial sums exactly, and returns a lone one as is
-    value = math.exp(math.fsum(partials))
-    return SingularSeries(value, cutoff, m * m / (cutoff - 1), per_prime_v)
+    log_value = math.fsum(partials)
+    if log_value > _LOG_FLOAT_MAX:
+        raise CapacityError(
+            f"singular series is exp({log_value:.6g}), past the float range (at most exp({_LOG_FLOAT_MAX:.6g}))"
+        )
+    return SingularSeries(math.exp(log_value), cutoff, m * m / (cutoff - 1), per_prime_v)
 
 
 def _log_factors(primes: np.ndarray, offsets: np.ndarray, spread: int) -> float:
@@ -569,12 +579,20 @@ def find_prime_ap(
     max_diff and trying only its new first terms.  So memory follows the
     answer, not start_bound, and the smallest first term still comes
     first, with its smallest difference.  First terms are tested by all
-    their differences at once, a block of them at a time.
+    their differences at once, a block of them at a time.  Memory does
+    not follow the answer past max_diff: the first step already sieves
+    to b + (length - 1) * max_diff, so an explicit large max_diff pays
+    for that sieve before any first term is tried (length 2, bound 10,
+    max_diff 1e8 took 0.5-0.7 s and a 130 MB peak RSS to find (2, 1)).
+    A negative max_diff raises DomainError; 0 leaves only the one-term
+    AP (2, 0).
     """
     length = int(length)
     bound = int(start_bound)
     if length < 1:
         raise DomainError(f"AP length must be >= 1, got {length}")
+    if max_diff is not None and max_diff < 0:
+        raise DomainError(f"AP max_diff must be >= 0, got {max_diff}")
     if bound < 2:
         return None
     if length == 1:  # 2 is the least prime, whatever the bound

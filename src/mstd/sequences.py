@@ -105,28 +105,6 @@ class SequenceSpec:
     def explicit(cls, elements) -> "SequenceSpec":
         return cls(kind=KIND_EXPLICIT, elements=tuple(elements))
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for key in ("c", "r", "d"):
-            if getattr(self, key) is not None:
-                out[key] = getattr(self, key)
-        for key in ("coeffs", "seeds", "elements"):
-            if getattr(self, key) is not None:
-                out[key] = list(getattr(self, key))
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SequenceSpec":
-        return cls(
-            kind=data.get("kind", ""),
-            c=data.get("c"),
-            r=data.get("r"),
-            d=data.get("d"),
-            coeffs=tuple(data["coeffs"]) if "coeffs" in data else None,
-            seeds=tuple(data["seeds"]) if "seeds" in data else None,
-            elements=tuple(data["elements"]) if "elements" in data else None,
-        )
-
 
 def _terms(spec: SequenceSpec):
     """The terms of ``spec``, endlessly (explicit: as many as stored)."""
@@ -296,37 +274,28 @@ def certify_no_mstd(
     """
     growth, terms = _growth(spec, r, upto, None)
     bound = 2 * int(r) + 1
-    ground = IntSet(terms, diameter_cap=None)
-
     if growth.holds and bound <= 7:
         # every MSTD set has at least 8 elements, so the small-subset
-        # window [1, 2r+1] cannot contain one
-        verdict = VERDICT_CERTIFIED if growth.symbolic else VERDICT_CONSISTENT
-        return NoMstdCertificate(
-            growth=growth,
-            small_subset_bound=bound,
-            small_search_exhausted=True,
-            mstd_witness=None,
-            verdict=verdict,
-            route="min-size-8",
-            examined=0,
+        # window [1, 2r+1] cannot contain one: nothing to search
+        route, witness, exhausted, examined = "min-size-8", None, True, 0
+    else:
+        # the window 8..2r+1; without growth there is nothing to certify,
+        # so hunt a counterexample of any size
+        route = "small-subset-search" if growth.holds else "refutation-search"
+        rep = exhaustive_search(
+            SearchConfig(
+                ground=IntSet(terms, diameter_cap=None),
+                min_size=8,
+                max_size=bound if growth.holds else len(terms),
+                budget=budget,
+                objective="first-hit",
+            )
         )
-
-    # without growth there is nothing to certify: hunt a counterexample of any size
-    refuting = not growth.holds
-    rep = exhaustive_search(
-        SearchConfig(
-            ground=ground,
-            min_size=8,
-            max_size=len(terms) if refuting else bound,
-            budget=budget,
-            objective="first-hit",
-        )
-    )
-    witness = rep.hits[0] if rep.hits else None
+        witness = rep.hits[0] if rep.hits else None
+        exhausted, examined = rep.exhausted, rep.examined
     if witness is not None:
         verdict = VERDICT_REFUTED
-    elif refuting or not rep.exhausted:
+    elif not growth.holds or not exhausted:
         verdict = VERDICT_INCONCLUSIVE
     elif growth.symbolic:
         verdict = VERDICT_CERTIFIED
@@ -335,11 +304,11 @@ def certify_no_mstd(
     return NoMstdCertificate(
         growth=growth,
         small_subset_bound=bound,
-        small_search_exhausted=rep.exhausted,
+        small_search_exhausted=exhausted,
         mstd_witness=witness,
         verdict=verdict,
-        route="refutation-search" if refuting else "small-subset-search",
-        examined=rep.examined,
+        route=route,
+        examined=examined,
     )
 
 

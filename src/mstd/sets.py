@@ -4,9 +4,11 @@ The objects here are small enough to hold in memory, so every answer is
 exact: sumsets A+A, difference sets A-A, and the classification of a set
 as sum-dominated (MSTD), balanced, or difference-dominated.
 
-Two interchangeable kernels compute |A+A| and |A-A|; ``auto`` picks one
-from the density of the set, and tests cross-check both against each
-other and against a naive quadratic reference:
+Two interchangeable kernels compute |A+A| and |A-A|.  The auto rule in
+``_bit_vector`` picks one from the density of the set for every operation
+here; only ``sum_diff_counts`` lets a caller force one, which is how
+tests cross-check both against each other and against a naive quadratic
+reference:
 
 * ``bits``  -- a dense bit-vector over [min, max] held in a Python int.
   Shifting the membership mask by each element and OR-ing accumulates
@@ -36,12 +38,12 @@ block, so one form serves every ground, whatever its size, diameter or
 spacing.
 
 Three capacity rules bound memory.  ``diameter_cap`` bounds the bit vector
-(2 * diameter bits, offset by min(A)); ``auto`` falls back to pairs past
-it, and only an explicit ``bits`` raises CapacityError.  ``SumDiffSets``
-raises CapacityError before its sets could pass ``_PAIR_SETS_BYTES``,
-and ``_check_census_capacity`` before one census block could pass
-``_CENSUS_BLOCK_BYTES`` or, which bounds its time, ``_CENSUS_BLOCK_PAIRS``
-element pairs.
+(2 * diameter bits, offset by min(A)); the auto rule falls back to pairs
+past it, and only ``bits`` forced on ``sum_diff_counts`` raises
+CapacityError.  ``SumDiffSets`` raises CapacityError before its sets
+could pass ``_PAIR_SETS_BYTES``, and ``_check_census_capacity`` before
+one census block could pass ``_CENSUS_BLOCK_BYTES`` or, which bounds
+its time, ``_CENSUS_BLOCK_PAIRS`` element pairs.
 ``base_expansion`` keeps its own guard on the size of the set it builds.
 
 Results come back as dataclasses derived from ``Report``, whose
@@ -184,8 +186,8 @@ class Report:
     Each field, in declaration order, becomes one key: a nested report
     becomes its dict, an IntSet its element list, a tuple a list, and a
     dict's keys become strings; other values are kept as they are.
-    SearchReport, MatchReport and SequenceSpec write their own to_dict
-    instead, because their JSON renames or leaves out fields.
+    SearchReport and MatchReport write their own to_dict instead,
+    because their JSON renames or leaves out fields.
     """
 
     def to_dict(self) -> dict:
@@ -338,10 +340,10 @@ class SumDiffSets:
         return len(self.sums), 2 * len(self.diffs) - 1
 
 
-def _distinct_sets(elems: tuple[int, ...], kernel: str, diameter_cap: int | None) -> tuple[tuple, tuple]:
+def _distinct_sets(elems: tuple[int, ...], diameter_cap: int | None) -> tuple[tuple, tuple]:
     """A+A and the nonnegative half of A-A as sorted tuples, by the
-    kernel ``_bit_vector`` picks."""
-    base = _bit_vector(elems, kernel, diameter_cap)
+    kernel the auto rule picks."""
+    base = _bit_vector(elems, "auto", diameter_cap)
     if base is None:
         census = SumDiffSets(elems)
         return tuple(sorted(census.sums)), tuple(sorted(census.diffs))
@@ -367,7 +369,7 @@ class PairCensus:
     def __init__(self, elements: Sequence[int]):
         self.elements = tuple(elements)
         self.n = n = len(self.elements)
-        sums, nonneg_diffs = _distinct_sets(self.elements, "auto", DEFAULT_DIAMETER_CAP)
+        sums, nonneg_diffs = _distinct_sets(self.elements, DEFAULT_DIAMETER_CAP)
         rows = len(sums) + len(nonneg_diffs)
         _check_census_capacity(n, rows)
         top = 2 * self.elements[-1]
@@ -455,9 +457,10 @@ def sum_diff_counts(
 ) -> tuple[int, int]:
     """Return (|A+A|, |A-A|) for a sorted tuple of distinct integers.
 
-    ``kernel`` is one of "auto", "bits", "pairs".  Auto falls back to
-    the pair kernel when the bit vector would exceed the cap, so it
-    raises CapacityError only past the pair kernel's memory cap.
+    ``kernel`` is one of "auto", "bits", "pairs"; this is the one call
+    that can force a kernel.  Auto falls back to the pair kernel when the
+    bit vector would exceed the cap, so it raises CapacityError only past
+    the pair kernel's memory cap.
     """
     base = _bit_vector(elements, kernel, diameter_cap)
     if base is None:
@@ -466,32 +469,28 @@ def sum_diff_counts(
     return smask.bit_count(), dmask.bit_count()
 
 
-def sumset(s: IntSet, kernel: str = "auto", diameter_cap: int | None = DEFAULT_DIAMETER_CAP) -> IntSet:
-    """A+A as an IntSet.  ``kernel`` and ``diameter_cap`` act as in
-    ``sum_diff_counts``: the cap bounds only the bit vector (2 * diameter
-    bits, offset by min), so only an explicit "bits" fails on it."""
-    return IntSet(_distinct_sets(s.elements, kernel, diameter_cap)[0], diameter_cap=None)
+def sumset(s: IntSet, diameter_cap: int | None = DEFAULT_DIAMETER_CAP) -> IntSet:
+    """A+A as an IntSet, by the kernel the auto rule picks.  The cap
+    bounds only the bit vector (2 * diameter bits, offset by min); past
+    it the pairs kernel runs."""
+    return IntSet(_distinct_sets(s.elements, diameter_cap)[0], diameter_cap=None)
 
 
-def diffset(s: IntSet, kernel: str = "auto", diameter_cap: int | None = DEFAULT_DIAMETER_CAP) -> tuple[int, ...]:
+def diffset(s: IntSet, diameter_cap: int | None = DEFAULT_DIAMETER_CAP) -> tuple[int, ...]:
     """A-A as a sorted tuple (differences can be negative, so not an
-    IntSet).  ``kernel`` and ``diameter_cap`` act as in ``sumset``."""
-    nonneg = _distinct_sets(s.elements, kernel, diameter_cap)[1]
+    IntSet).  ``diameter_cap`` acts as in ``sumset``."""
+    nonneg = _distinct_sets(s.elements, diameter_cap)[1]
     return tuple(-d for d in reversed(nonneg[1:])) + nonneg
 
 
-def classify(
-    s: IntSet,
-    kernel: str = "auto",
-    diameter_cap: int | None = DEFAULT_DIAMETER_CAP,
-) -> Classification:
+def classify(s: IntSet, diameter_cap: int | None = DEFAULT_DIAMETER_CAP) -> Classification:
     """Census of A+A versus A-A.
 
     verdict is "mstd" when |A+A| > |A-A|, "balanced" on equality, else
     "diff_dominated".  ``special`` records gap >= |A|, the margin needed
     to keep the verdict stable under one far-out adjoined element.
     """
-    sc, dc = sum_diff_counts(s.elements, kernel=kernel, diameter_cap=diameter_cap)
+    sc, dc = sum_diff_counts(s.elements, diameter_cap=diameter_cap)
     return Classification.from_counts(sc, dc, len(s))
 
 

@@ -506,6 +506,14 @@ def test_unknown_config_key_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "classify", "0..5", "--config", str(cfg))
     assert code == 1
     assert "verbosity" in err
+    # a line without "=", an unreadable path and an unknown format end the same way
+    for text, word in (("seed 3\n", "key=value"), (None, "cannot read"), ("format=xml\n", "xml")):
+        path = tmp_path / "missing.conf" if text is None else cfg
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run(capsys, "classify", "0..5", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:") and word in err
 
 
 # -- exit codes ----------------------------------------------------------
@@ -514,6 +522,25 @@ def test_domain_error_exits_one(capsys):
     code, _, err = run(capsys, "classify", "1,1,2")
     assert code == 1
     assert err.startswith("error:")
+    for argv, word in (
+        (["search", "--seq", "fibonacci"], "--terms"),
+        (["primes", "ap", "--length", "2", "--bound", "10", "--max-diff", "-5"], "max_diff"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:") and word in err
+
+
+def test_series_past_the_float_range_exits_one(capsys):
+    # the first 450 primes past 450 as offsets: the series' log passes
+    # log(max float); match computes the series first
+    offsets = ",".join(map(str, [p for p in range(451, 4000) if all(p % d for d in range(2, p))][:450]))
+    for argv in (["primes", "series", offsets], ["primes", "match", offsets, "--upto", "1000"]):
+        code, out, err = run(capsys, *argv, "--tol", "0.1")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:") and "float range" in err
+        log_value = float(err.partition("exp(")[2].partition(")")[0])
+        assert log_value > math.log(sys.float_info.max)
 
 
 def test_capacity_error_exits_one(capsys):
@@ -783,6 +810,12 @@ def test_malformed_set_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "zero,two"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "5..3"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.count("\n") == 1 and "empty range" in err
 
 
 def test_unknown_subcommand_exits_two(capsys):

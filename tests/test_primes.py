@@ -200,6 +200,8 @@ def test_tuple_normalization_and_validation():
     assert PrimeTuple((13, 11)).offsets == (0, 2)
     with pytest.raises(DomainError):
         PrimeTuple((3, 3))
+    with pytest.raises(DomainError):
+        PrimeTuple(())
 
 
 # -- singular series -----------------------------------------------------
@@ -337,6 +339,42 @@ def test_series_sieve_is_capped():
     # a wide spread forces the truncation point past the cap at any tolerance
     with pytest.raises(CapacityError):
         singular_series(PrimeTuple((0, 1_000_000_000_000)))
+
+
+# the first 450 primes past 450, as offsets: the series' log passes
+# log(max float) = 709.78 at rel_tol 0.1, while the first 400 stay below it
+WIDE_PRIMES = [p for p in range(451, 4000) if trial_division_is_prime(p)][:450]
+
+
+def sieve_log_series(t, cutoff):
+    """math.fsum of each factor's log over the primes p <= cutoff of a
+    plain sieve; v(p) = m past the spread."""
+    m, flags = t.m, bytearray_sieve(cutoff)
+    return math.fsum(
+        (m - 1) * math.log(p / (p - 1))
+        + math.log((p - (len({b % p for b in t.offsets}) if p <= t.spread else m)) / (p - 1))
+        for p in range(2, cutoff + 1)
+        if flags[p]
+    )
+
+
+def test_series_past_the_float_range_raises_before_the_scan(monkeypatch):
+    wide = PrimeTuple(tuple(WIDE_PRIMES))
+    log_value = sieve_log_series(wide, int(450 * 450 / 0.1) + 2)  # the cutoff m^2/rel_tol + 2
+    assert log_value > math.log(sys.float_info.max)
+    with pytest.raises(CapacityError, match=rf"exp\({log_value:.6g}\)"):
+        singular_series(wide, rel_tol=0.1)
+
+    def no_scan(*args):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(mstd.primes, "_scan_windows", no_scan)
+    with pytest.raises(CapacityError, match="float range"):
+        match_tuple(wide, 1000, rel_tol=0.1)
+    # 400 of the offsets keep their value
+    narrow = PrimeTuple(tuple(WIDE_PRIMES[:400]))
+    series = singular_series(narrow, rel_tol=0.1)
+    assert series.value == pytest.approx(math.exp(sieve_log_series(narrow, series.truncation_prime)), rel=1e-9)
 
 
 # -- match_tuple ---------------------------------------------------------
@@ -661,10 +699,14 @@ def test_single_term_ap_is_first_prime():
         assert find_prime_ap(1, bound) is None
     for bound in (2, 3, 10**6, 2**27 + 1, 10**40):
         assert find_prime_ap(1, bound) == (2, 0)
+    assert find_prime_ap(1, 10, max_diff=0) == (2, 0)
 
 
 def test_ap_absent_within_bound():
     assert find_prime_ap(10, 100) is None
+    # max_diff 0 leaves only the one-term AP
+    for length in (2, 3, 5):
+        assert find_prime_ap(length, 100, max_diff=0) is None
 
 
 def test_found_aps_verify_prime():
@@ -735,6 +777,29 @@ def test_prime_ap_sieve_cap(monkeypatch):
     # none below 2^16, and the next step's sieve, to 2^17 + 11 * 2310, is past the cap
     with pytest.raises(CapacityError, match="sieve limit 156482 exceeds cap 100000"):
         find_prime_ap(12, 2 * 10**5, max_diff=2310)
+
+
+def _no_sieve(limit):
+    raise AssertionError(f"sieve to {limit} built")
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (find_prime_ap, (0, 10)),
+        (find_prime_ap, (2, 10, -5)),
+        (find_prime_ap, (1, 10, -1)),
+        (find_prime_ap, (12, 10**6, -2310)),
+        (mstd_in_ap, ((-1, 1, 15),)),
+        (mstd_in_ap, ((0, 0, 15),)),
+    ],
+    ids=["length-0", "negative-max-diff", "one-term-negative-max-diff", "long-negative-max-diff",
+         "negative-first", "zero-difference"],
+)
+def test_ap_input_rejected_before_any_sieve(monkeypatch, call, args):
+    monkeypatch.setattr(mstd.primes, "PrimeSieve", _no_sieve)
+    with pytest.raises(DomainError):
+        call(*args)
 
 
 def test_mstd_in_ap_identity():

@@ -165,6 +165,11 @@ def test_config_validation():
         SearchConfig(ground=GROUND_15, budget=0)
     with pytest.raises(DomainError, match="max_size"):
         SearchConfig(ground=GROUND_15, max_size=-1)
+    for bad in ({"min_size": -1}, {"hit_cap": 0}, {"threads": 0}):
+        with pytest.raises(DomainError, match=next(iter(bad))):
+            SearchConfig(ground=GROUND_15, **bad)
+    with pytest.raises(DomainError):
+        monte_carlo_density(-1, 10)
     with pytest.raises(DomainError):
         SearchConfig(ground=GROUND_15, mode="monte-carlo")  # samples missing
     # objectives no search engine honours are refused, not run as count-all

@@ -91,16 +91,25 @@ def test_geometric_parameters_validated():
         SequenceSpec.shifted_geometric(0, 3, 1)  # c = 0
     with pytest.raises(DomainError):
         SequenceSpec.shifted_geometric(1, 1, 0)  # ratio 1 never grows
+    with pytest.raises(DomainError):
+        SequenceSpec.shifted_geometric(1, 2, -1)  # d < 0
 
 
-def test_spec_json_round_trip():
-    for spec in (
-        FIB,
-        SequenceSpec.shifted_geometric(2, 3, 5),
-        SequenceSpec.linear_recurrence([2, 1], [1, 3]),
-        SequenceSpec.explicit([0, 4, 9]),
-    ):
-        assert SequenceSpec.from_dict(spec.to_dict()) == spec
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SequenceSpec(kind="nope"),
+        lambda: SequenceSpec.linear_recurrence([0, 0], [1, 2]),  # all coefficients zero
+        lambda: SequenceSpec.linear_recurrence([1, 1], [1]),  # fewer seeds than coefficients
+        lambda: SequenceSpec.explicit([]),
+        lambda: materialize(SequenceSpec.explicit([-1, 2]), 2),
+        lambda: check_growth(FIB, 0, 10),  # window r = 0
+    ],
+    ids=["kind", "zero-coeffs", "few-seeds", "empty-explicit", "negative-term", "window-zero"],
+)
+def test_invalid_sequence_input_rejected(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 # -- check_growth ------------------------------------------------------
