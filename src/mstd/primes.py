@@ -62,8 +62,9 @@ _SLICE_MIN = 16
 
 _MATCH_CAP = 1000
 
-# The largest natural log whose exp is a finite float, about 709.78.
+# The logs of the largest float, about 709.78, and of the smallest normal one
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 # The singular series sums its log factors over windows of this many odd
 # integers (512 Ki integers).  For T at rel_tol 1e-5 (cutoff 6.4e6) windows
@@ -342,29 +343,34 @@ def _log_factors(primes: np.ndarray, offsets: np.ndarray, spread: int) -> float:
     return logs.sum()
 
 
-def _inverse_log_product(u: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """prod_i 1/log(u + b_i) at every point of u, as exp of -sum log log."""
-    return np.exp(-np.log(np.log(u[..., None] + offsets)).sum(axis=-1))
+def _log_summand(u: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """log prod_i 1/log(u + b_i) = -sum_i log log(u + b_i) at every point of u."""
+    return -np.log(np.log(u[..., None] + offsets)).sum(axis=-1)
 
 
-def _hardy_littlewood_sum(offsets: tuple[int, ...], x: int) -> float:
-    """sum over 2 <= n <= x of prod_i 1/log(n + b_i).
+def _hardy_littlewood_sum(offsets: tuple[int, ...], x: int) -> tuple[float, float]:
+    """(total, shift): the sum over 2 <= n <= x of prod_i 1/log(n + b_i)
+    is total * exp(shift).
 
-    Terms n <= _HEAD_N are added exactly.  The rest is the midpoint
-    rule's integral of the summand from _HEAD_N + 1/2 to x + 1/2; its
-    error, about f'(_HEAD_N)/24, kept T's sum within 4e-10 of the exact
-    sum for x from 1e4 to 1e8.
+    The summand falls with n.  When its value at n = 2 is below the
+    smallest normal float (the first 371 primes above 450 as offsets
+    reach it), shift is its log and the terms are summed divided by it,
+    so none is subnormal; else shift is 0.  Terms n <= _HEAD_N are added
+    exactly.  The rest is the midpoint rule's integral of the summand
+    from _HEAD_N + 1/2 to x + 1/2; its error, about f'(_HEAD_N)/24, kept
+    T's sum within 4e-10 of the exact sum for x from 1e4 to 1e8.
     """
     b = np.array(offsets, dtype=np.float64)
-    head = np.arange(2, min(x, _HEAD_N) + 1, dtype=np.float64)
-    total = _inverse_log_product(head, b).sum()
+    head = _log_summand(np.arange(2, min(x, _HEAD_N) + 1, dtype=np.float64), b)
+    shift = float(head[0]) if head[0] < _LOG_FLOAT_MIN else 0.0
+    total = np.exp(head - shift).sum()
     if x > _HEAD_N:
         edges = np.geomspace(_HEAD_N + 0.5, x + 0.5, _TAIL_PANELS + 1)
         mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
         nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
         u = mid[:, None] + half[:, None] * nodes
-        total += (half[:, None] * weights * _inverse_log_product(u, b)).sum()
-    return float(total)
+        total += (half[:, None] * weights * np.exp(_log_summand(u, b) - shift)).sum()
+    return float(total), shift
 
 
 @dataclass(frozen=True)
@@ -441,7 +447,8 @@ def match_tuple(
         )
     count, matches = _scan_windows(t.offsets, x, match_cap)
     # a zero series (inadmissible tuple) needs no sum over its offsets
-    predicted = series.value * _hardy_littlewood_sum(t.offsets, x) if series.value else 0.0
+    total, shift = _hardy_littlewood_sum(t.offsets, x) if series.value else (0.0, 0.0)
+    predicted = math.exp(math.log(series.value) + shift + math.log(total)) if shift else series.value * total
     ratio = count / predicted if predicted > 0 else None
     return MatchReport(
         x=x, count=count, matches=matches, predicted=predicted, ratio=ratio, series=series

@@ -37,16 +37,30 @@ first-hit stops fall where rank order puts them.  A Monte Carlo block
 is a chunk of 2^16 samples, drawn as random bytes from the chunk's own
 seed stream.
 
-All of them reach ``sets.PairCensus``, one bit-sliced pair form for
-every ground, as bit-sliced words through ``_census_scan``, which
-decodes the hits.  Monte Carlo chunks and rank blocks are membership
-rows first (``sets.bit_slices`` transposes them): a lattice ground of at
-most 2^16 element pairs (361 elements) is unranked one pass per element
-straight into membership rows; wider grounds, which cost less row by
-row, are unranked one pass per position into index rows and counted one
-set at a time.
-Mask levels build their words in closed form.  The first candidate of
-every census block and every hit are counted again by
+All of them reach ``PairCensus``, one bit-sliced pair form for every
+ground, through ``_census_scan``, which decodes the hits.  Its one
+kernel, ``word_counts``, takes a block of subsets bit-sliced (Biham
+1997, "A fast new DES implementation in software"): one uint64 word
+holds one ground element across 64 subsets, one AND per pair of ground
+elements marks that pair's sum and difference in 64 subsets, and each
+subset's bits are counted.  Its rows are keyed by the ground's distinct
+pair sums and differences.  Each left element's pairs find their rows
+by binary search once per ground, kept as int32 indices, or as a slice
+when they are consecutive (every row of an arithmetic progression),
+while the ground's element pairs fit ``_CENSUS_ROW_PAIRS``; past it
+they are found again for each block, so one form serves every ground,
+whatever its size, diameter or spacing.  ``_check_census_capacity``
+raises CapacityError before one census block could pass
+``_CENSUS_BLOCK_BYTES`` or, which bounds its time,
+``_CENSUS_BLOCK_PAIRS`` element pairs.
+
+Monte Carlo chunks and rank blocks are membership rows first
+(``bit_slices`` transposes them): a lattice ground of at most 2^16
+element pairs (361 elements) is unranked one pass per element straight
+into membership rows; wider grounds, which cost less row by row, are
+unranked one pass per position into index rows and counted one set at
+a time.  Mask levels build their words in closed form.  The first
+candidate of every census block and every hit are counted again by
 ``sum_diff_counts``: a census that disagrees raises instead of
 reporting, so engines never report a set they did not verify.  The only
 pruning rule, skipping subsets of diameter below 14, is itself
@@ -61,15 +75,15 @@ import math
 import os
 from bisect import bisect_right
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 from itertools import chain, combinations, compress, islice, starmap, takewhile
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
-from .sets import CONWAY, IntSet, PairCensus, _int_array, _check_census_capacity, bit_slices, sum_diff_counts
+from .errors import CapacityError, DomainError
+from .sets import CONWAY, DEFAULT_DIAMETER_CAP, IntSet, _distinct_sets, sum_diff_counts
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_MONTE_CARLO = "monte-carlo"
@@ -92,6 +106,29 @@ _BLOCK = 2048
 # Grounds of more element pairs (j >= i) classify row by row, for cost
 # (see ``_ScanGround.by_census``)
 _CENSUS_PAIRS = 1 << 16
+# PairCensus memory.  A block of 64 * w subsets holds 128 * w bytes per
+# element (the membership rows and their transposed copy) and w words
+# per distinct pair sum and difference.  w is the larger of two rules:
+# at most 32 words while the tables stay within 2**17 words (1 MiB), or
+# as many as keep rows and tables within 2**19 bytes; so narrow grounds
+# get longer blocks, which pay the per-element loop less often, and
+# wide ones never shorter.  Tables are unpacked one byte per bit for
+# counting, at most 2**11 words (128 KiB) at a time.  The rule leaves
+# out the int64 results and the unranking arrays, so a whole lattice
+# block peaks higher on narrow grounds: under tracemalloc, 110 bytes per
+# subset (928 KiB) on the 8640-subset blocks of the 21 primes up to 73
+# (tail 1), 93 (955 KiB) on the 10496-subset blocks of {0..20}.  Row
+# indices are kept while the ground's element pairs (j >= i) fit 2**22,
+# at most 32 MiB of int32 indices.
+_CENSUS_UNPACK_WORDS = 1 << 11
+_CENSUS_ROW_PAIRS = 1 << 22
+# Bound on the smallest census block, 64 subsets: 64 membership bytes per
+# element and a word per distinct pair sum and difference ({0..n}: n < 1.53M);
+# and on its time, one AND per element pair (j >= i): 2^25 pairs, so
+# {0..n} up to n = 8190, where `mstd density --n 8190 --samples 1` takes
+# about 2 s in all (2-core Xeon, CPython 3.11, numpy 2.4).
+_CENSUS_BLOCK_BYTES = 1 << 27
+_CENSUS_BLOCK_PAIRS = 1 << 25
 # Binomial tables are clipped here, so ranks and counts stay int64
 _RANK_CAP = 1 << 62
 # (scale, shift) pairs the minimality probe tests per batch of scales
@@ -223,6 +260,98 @@ class SearchReport:
         return out
 
 
+class PairCensus:
+    """|A+A|, |A-A| and |A| for many subsets A of one ground at once,
+    which arrive as bit-sliced words (``word_counts``, which
+    ``bit_slices`` makes of membership rows), up to ``block`` at a time.
+    Memory is the ground's distinct pair sums and differences, one
+    block's tables, and the element pairs' row indices while they fit
+    ``_CENSUS_ROW_PAIRS``."""
+
+    def __init__(self, elements: Sequence[int]):
+        self.elements = tuple(elements)
+        self.n = n = len(self.elements)
+        sums, nonneg_diffs = _distinct_sets(self.elements, DEFAULT_DIAMETER_CAP)
+        rows = len(sums) + len(nonneg_diffs)
+        _check_census_capacity(n, rows)
+        top = 2 * self.elements[-1]
+        self._ground = _int_array(self.elements, top)
+        self._sums = _int_array(sums, top)
+        self._diffs = _int_array(nonneg_diffs, top)
+        self.block = 64 * max(1, min(32, (1 << 17) // rows), (1 << 19) // (128 * n + 8 * rows))
+        self._rows = list(map(self._pair_rows, range(n))) if n * (n + 1) // 2 <= _CENSUS_ROW_PAIRS else None
+
+    def _pair_rows(self, i: int) -> tuple:
+        """The sum rows and the difference rows of the pairs (i, j), j >= i.
+        Both ascend strictly, so each row is updated at most once."""
+        ground = self._ground
+        return (_row_index(self._sums.searchsorted(ground[i:] + ground[i])),
+                _row_index(self._diffs.searchsorted(ground[i:] - ground[i])))
+
+    def word_counts(self, x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sum counts, difference counts, sizes) of the first ``count``
+        subsets held in ``x``, an (n, words) uint64 array in which bit b
+        of x[j, w] means element j is in subset 64 * w + b."""
+        words = x.shape[1]
+        sums = np.zeros((len(self._sums), words), dtype=np.uint64)
+        diffs = np.zeros((len(self._diffs), words), dtype=np.uint64)
+        pair_rows = self._rows if self._rows is not None else map(self._pair_rows, range(self.n))
+        for i, (sum_rows, diff_rows) in enumerate(pair_rows):
+            both = x[i] & x[i:]  # the pairs (i, j), j >= i
+            sums[sum_rows] |= both
+            diffs[diff_rows] |= both
+        # A-A is the nonnegative differences, mirrored about 0
+        nonneg = _column_counts(diffs)[:count]
+        return _column_counts(sums)[:count], np.maximum(2 * nonneg - 1, 0), _column_counts(x)[:count]
+
+
+def bit_slices(member: np.ndarray) -> np.ndarray:
+    """The rows of a (subsets, n) 0/1 matrix bit-sliced for
+    ``PairCensus.word_counts``: x[j, w] bit b is member[64 * w + b, j],
+    and bits past the last row are 0."""
+    count = len(member)
+    flags = np.zeros((member.shape[1], 64 * ((count + 63) // 64)), dtype=np.uint8)
+    flags[:, :count] = member.T
+    return np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
+
+
+def _check_census_capacity(elements: int, rows: int) -> None:
+    """CapacityError if a 64-subset census block of ``elements`` elements
+    and ``rows`` distinct pair sums and differences passes the bound on
+    its bytes or on its element pairs."""
+    need, pairs = 64 * elements + 8 * rows, elements * (elements + 1) // 2
+    if need > _CENSUS_BLOCK_BYTES or pairs > _CENSUS_BLOCK_PAIRS:
+        raise CapacityError(f"a 64-subset census block over {elements} elements needs {need} bytes and "
+                            f"{pairs} element pairs, cap is {_CENSUS_BLOCK_BYTES} bytes and {_CENSUS_BLOCK_PAIRS} pairs")
+
+
+def _int_array(values: Sequence[int], top: int) -> np.ndarray:
+    """``values`` as int64, or as exact Python ints (an object array)
+    when ``top``, the largest value to be computed from them, passes
+    int64."""
+    return np.array(values, dtype=np.int64 if top < 1 << 63 else object)
+
+
+def _row_index(rows: np.ndarray):
+    """Distinct ascending table rows as an index: a slice when they are
+    consecutive, else int32 (a census has fewer than 2**31 rows)."""
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows.astype(np.int32)
+
+
+def _column_counts(table: np.ndarray) -> np.ndarray:
+    """Set bits in each bit column of a (rows, words) uint64 table.  A
+    step unpacks at most ``_CENSUS_UNPACK_WORDS`` rows, so its column
+    sums fit uint16."""
+    step = max(1, _CENSUS_UNPACK_WORDS // table.shape[1])
+    total = np.zeros(64 * table.shape[1], dtype=np.int64)
+    for k in range(0, len(table), step):
+        unpacked = np.unpackbits(table[k : k + step].view(np.uint8), axis=1, bitorder="little")
+        total += unpacked.sum(axis=0, dtype=np.uint16)
+    return total
+
+
 def _census_hits(sum_counts, diff_counts, sizes, special: bool) -> np.ndarray:
     """The hit rule, elementwise: MSTD, and with ``special`` also a gap
     of at least the size."""
@@ -277,13 +406,14 @@ def _ordered(fn, work, threads: int):
     be waste).  The pool holds at most 2 * workers calls in flight, so
     ``work`` is read as it is used; closing the generator cancels the
     calls not yet started and waits for the running ones, so no worker
-    outlives it."""
+    outlives it.  The pool module is imported when the first pool starts."""
     work = iter(work)
     head = list(islice(work, min(threads, os.cpu_count() or 1)))
     work, workers = chain(head, work), len(head)
     if workers <= 1:
         yield from starmap(fn, work)
         return
+    from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         pending: deque = deque()

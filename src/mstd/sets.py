@@ -19,31 +19,11 @@ reference:
   so ``append_analysis`` adjoins x to a sparse set's census.
   Cost: k**2, independent of the diameter, so it wins on sparse sets.
 
-``PairCensus`` counts many subsets of one ground at once, for the Monte
-Carlo and lattice engines.  Its one kernel, ``word_counts``, takes a
-block of subsets bit-sliced (Biham 1997, "A fast new DES implementation
-in software"): one uint64 word holds one ground element across 64
-subsets.  It runs the pair enumeration on those words, one AND per pair
-of ground elements marking that pair's sum and difference in 64 subsets,
-and counts each subset's bits.  ``bit_slices`` transposes a membership
-matrix (one row of 0/1 bytes per subset, one column per ground element)
-into those words; the minimality levels of ``search`` build their words
-in closed form.
-Its rows are keyed by the ground's distinct pair sums and differences.
-Each left element's pairs find their rows by binary search once per
-ground, kept as int32 indices, or as a slice when they are consecutive
-(every row of an arithmetic progression), while the ground's element
-pairs fit ``_CENSUS_ROW_PAIRS``; past it they are found again for each
-block, so one form serves every ground, whatever its size, diameter or
-spacing.
-
-Three capacity rules bound memory.  ``diameter_cap`` bounds the bit vector
+Two capacity rules bound memory.  ``diameter_cap`` bounds the bit vector
 (2 * diameter bits, offset by min(A)); the auto rule falls back to pairs
 past it, and only ``bits`` forced on ``sum_diff_counts`` raises
 CapacityError.  ``SumDiffSets`` raises CapacityError before its sets
-could pass ``_PAIR_SETS_BYTES``, and ``_check_census_capacity`` before
-one census block could pass ``_CENSUS_BLOCK_BYTES`` or, which bounds
-its time, ``_CENSUS_BLOCK_PAIRS`` element pairs.
+could pass ``_PAIR_SETS_BYTES``.
 ``base_expansion`` keeps its own guard on the size of the set it builds.
 
 Results come back as dataclasses derived from ``Report``, whose
@@ -77,30 +57,6 @@ _AUTO_BITS_PER_ELEMENT = 512
 # admits the first 1600 Fibonacci numbers (about 460 MB held).
 _SET_ENTRY_BYTES = 112
 _PAIR_SETS_BYTES = 3 << 28
-
-# PairCensus memory.  A block of 64 * w subsets holds 128 * w bytes per
-# element (the membership rows and their transposed copy) and w words
-# per distinct pair sum and difference.  w is the larger of two rules:
-# at most 32 words while the tables stay within 2**17 words (1 MiB), or
-# as many as keep rows and tables within 2**19 bytes; so narrow grounds
-# get longer blocks, which pay the per-element loop less often, and
-# wide ones never shorter.  Tables are unpacked one byte per bit for
-# counting, at most 2**11 words (128 KiB) at a time.  The rule leaves
-# out the int64 results and the unranking arrays, so a whole lattice
-# block peaks higher on narrow grounds: under tracemalloc, 110 bytes per
-# subset (928 KiB) on the 8640-subset blocks of the 21 primes up to 73
-# (tail 1), 93 (955 KiB) on the 10496-subset blocks of {0..20}.  Row
-# indices are kept while the ground's element pairs (j >= i) fit 2**22,
-# at most 32 MiB of int32 indices.
-_CENSUS_UNPACK_WORDS = 1 << 11
-_CENSUS_ROW_PAIRS = 1 << 22
-# Bound on the smallest census block, 64 subsets: 64 membership bytes per
-# element and a word per distinct pair sum and difference ({0..n}: n < 1.53M);
-# and on its time, one AND per element pair (j >= i): 2^25 pairs, so
-# {0..n} up to n = 8190, where `mstd density --n 8190 --samples 1` takes
-# about 2 s in all (2-core Xeon, CPython 3.11, numpy 2.4).
-_CENSUS_BLOCK_BYTES = 1 << 27
-_CENSUS_BLOCK_PAIRS = 1 << 25
 
 VERDICT_MSTD = "mstd"
 VERDICT_BALANCED = "balanced"
@@ -354,100 +310,6 @@ def _distinct_sets(elems: tuple[int, ...], diameter_cap: int | None) -> tuple[tu
         _select_bits(smask, range(2 * elems[0], 2 * elems[-1] + 1)),
         _select_bits(dmask >> diameter, range(diameter + 1)),
     )
-
-
-class PairCensus:
-    """|A+A|, |A-A| and |A| for many subsets A of one ground at once.
-
-    Subsets arrive as bit-sliced words (``word_counts``, which
-    ``bit_slices`` makes of membership rows), up to ``block`` subsets at
-    a time.  Memory is the ground's distinct pair sums and differences,
-    one block's tables, and the row indices of its element pairs while
-    they fit ``_CENSUS_ROW_PAIRS``.
-    """
-
-    def __init__(self, elements: Sequence[int]):
-        self.elements = tuple(elements)
-        self.n = n = len(self.elements)
-        sums, nonneg_diffs = _distinct_sets(self.elements, DEFAULT_DIAMETER_CAP)
-        rows = len(sums) + len(nonneg_diffs)
-        _check_census_capacity(n, rows)
-        top = 2 * self.elements[-1]
-        self._ground = _int_array(self.elements, top)
-        self._sums = _int_array(sums, top)
-        self._diffs = _int_array(nonneg_diffs, top)
-        self.block = 64 * max(1, min(32, (1 << 17) // rows), (1 << 19) // (128 * n + 8 * rows))
-        self._rows = list(map(self._pair_rows, range(n))) if n * (n + 1) // 2 <= _CENSUS_ROW_PAIRS else None
-
-    def _pair_rows(self, i: int) -> tuple:
-        """The sum rows and the difference rows of the pairs (i, j), j >= i.
-        Both ascend strictly, so each row is updated at most once."""
-        ground = self._ground
-        return (_row_index(self._sums.searchsorted(ground[i:] + ground[i])),
-                _row_index(self._diffs.searchsorted(ground[i:] - ground[i])))
-
-    def word_counts(self, x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sum counts, difference counts, sizes) of the first ``count``
-        subsets held in ``x``, an (n, words) uint64 array in which bit b
-        of x[j, w] means element j is in subset 64 * w + b."""
-        words = x.shape[1]
-        sums = np.zeros((len(self._sums), words), dtype=np.uint64)
-        diffs = np.zeros((len(self._diffs), words), dtype=np.uint64)
-        pair_rows = self._rows if self._rows is not None else map(self._pair_rows, range(self.n))
-        for i, (sum_rows, diff_rows) in enumerate(pair_rows):
-            both = x[i] & x[i:]  # the pairs (i, j), j >= i
-            sums[sum_rows] |= both
-            diffs[diff_rows] |= both
-        # A-A is the nonnegative differences, mirrored about 0
-        nonneg = _column_counts(diffs)[:count]
-        return _column_counts(sums)[:count], np.maximum(2 * nonneg - 1, 0), _column_counts(x)[:count]
-
-
-def bit_slices(member: np.ndarray) -> np.ndarray:
-    """The rows of a (subsets, n) 0/1 matrix bit-sliced for
-    ``PairCensus.word_counts``: x[j, w] bit b is member[64 * w + b, j],
-    and bits past the last row are 0."""
-    count = len(member)
-    flags = np.zeros((member.shape[1], 64 * ((count + 63) // 64)), dtype=np.uint8)
-    flags[:, :count] = member.T
-    return np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
-
-
-def _check_census_capacity(elements: int, rows: int) -> None:
-    """CapacityError if a 64-subset census block of ``elements`` elements
-    and ``rows`` distinct pair sums and differences passes the bound on
-    its bytes or on its element pairs."""
-    need, pairs = 64 * elements + 8 * rows, elements * (elements + 1) // 2
-    if need > _CENSUS_BLOCK_BYTES or pairs > _CENSUS_BLOCK_PAIRS:
-        raise CapacityError(f"a 64-subset census block over {elements} elements needs {need} bytes and "
-                            f"{pairs} element pairs, cap is {_CENSUS_BLOCK_BYTES} bytes and {_CENSUS_BLOCK_PAIRS} pairs")
-
-
-def _int_array(values: Sequence[int], top: int) -> np.ndarray:
-    """``values`` as int64, or as exact Python ints (an object array)
-    when ``top``, the largest value to be computed from them, passes
-    int64."""
-    return np.array(values, dtype=np.int64 if top < 1 << 63 else object)
-
-
-def _row_index(rows: np.ndarray):
-    """Distinct ascending table rows as an index: a slice when they are
-    consecutive, else int32 (a census has fewer than 2**31 rows)."""
-    if rows[-1] - rows[0] == len(rows) - 1:
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return rows.astype(np.int32)
-
-
-def _column_counts(table: np.ndarray) -> np.ndarray:
-    """Set bits in each bit column of a (rows, words) uint64 table.  A
-    step unpacks at most ``_CENSUS_UNPACK_WORDS`` rows, so its column
-    sums fit uint16."""
-    step = max(1, _CENSUS_UNPACK_WORDS // table.shape[1])
-    total = np.zeros(64 * table.shape[1], dtype=np.int64)
-    for k in range(0, len(table), step):
-        unpacked = np.unpackbits(table[k : k + step].view(np.uint8), axis=1, bitorder="little")
-        total += unpacked.sum(axis=0, dtype=np.uint16)
-    return total
 
 
 def sum_diff_counts(

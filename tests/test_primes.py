@@ -449,6 +449,22 @@ def test_prediction_nondecreasing_in_x():
     assert predicted == sorted(predicted)
 
 
+@pytest.mark.parametrize("k", [300, 380, 400])
+def test_prediction_of_many_offsets_stays_finite(k):
+    # from the first 371 of these offsets on, the summand at n = 2, its
+    # largest value, is below the smallest normal float; the oracle adds
+    # the exact discrete sum (all head terms at x = 1000) in the log
+    # domain, scaled by its largest term, so no term underflows
+    t = PrimeTuple(tuple(WIDE_PRIMES[:k]))
+    report = match_tuple(t, 1000, rel_tol=0.1)
+    logs = [-math.fsum(math.log(math.log(n + b)) for b in t.offsets) for n in range(2, 1001)]
+    top = max(logs)
+    log_sum = top + math.log(math.fsum(math.exp(v - top) for v in logs))
+    expected = math.exp(math.log(report.series.value) + log_sum)
+    assert report.predicted == pytest.approx(expected, rel=1e-12, abs=0)
+    assert report.ratio is not None
+
+
 def test_match_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,14 +1,18 @@
 """Exhaustive enumeration, Monte Carlo density, minimality search."""
 
+import concurrent.futures
 import functools
 import itertools
 import math
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,9 +38,8 @@ from mstd import (
 from mstd import search
 from mstd.search import (
     _BLOCK, _MASK_K, _MC_CHUNK, _census_hits, _lattice_block, _level, _MaskLevel, _mc_chunk, _mc_scan, _ordered,
-    _rank_blocks, _scan, _ScanGround,
+    _rank_blocks, _scan, _ScanGround, PairCensus, bit_slices,
 )
-from mstd.sets import PairCensus, bit_slices
 
 GROUND_15 = IntSet(range(15))
 
@@ -695,7 +698,7 @@ def test_ordered_starts_one_worker_per_call_read(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     for cpus in (1, 2, 3, 8):
         monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
         for threads in (1, 2, 3, 5):
@@ -715,6 +718,32 @@ def test_ordered_starts_one_worker_per_call_read(monkeypatch):
         report = exhaustive_search(cfg)
         assert started == pools
         assert report.to_dict() == exhaustive_search(replace(cfg, threads=1)).to_dict()
+
+
+def test_only_a_run_that_starts_a_pool_imports_one():
+    # serial engines in a fresh interpreter leave the pool module and
+    # multiprocessing unloaded; three Monte Carlo chunks at threads=2 start
+    # a pool (two CPUs stand in for the host's) and report what one
+    # thread reports
+    code = (
+        "import os, sys\n"
+        "import mstd\n"
+        "from mstd import CONWAY, IntSet, SearchConfig, classify, exhaustive_search, monte_carlo_density\n"
+        "classify(IntSet(CONWAY))\n"
+        "exhaustive_search(SearchConfig(ground=IntSet(range(16)), min_size=8, max_size=8))\n"
+        "monte_carlo_density(100, 70000)\n"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
+        "os.cpu_count = lambda: 2\n"
+        "pooled = monte_carlo_density(100, 140000, threads=2).to_dict()\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+        "print(pooled == monte_carlo_density(100, 140000, threads=1).to_dict())\n"
+    )
+    src = str(Path(search.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.split("\n") == ["[]", "True", "True", ""]
 
 
 def test_monte_carlo_hits_reclassify_mstd():
@@ -959,7 +988,7 @@ def test_lattice_blocks_are_census_blocks_on_census_grounds():
 
 def test_census_lattice_block_peak_memory():
     # one whole census block on a narrow ground, whose blocks are the
-    # longest: about 110 and 93 bytes per subset (sets.py, PairCensus
+    # longest: about 110 and 93 bytes per subset (search.py, PairCensus
     # memory) keep it under 1 MiB
     primes = tuple(PrimeSieve(73).primes().tolist())
     for ground, count in ((_ScanGround(primes, tail=1), 8640), (_ScanGround(tuple(range(21))), 10496)):
@@ -981,7 +1010,6 @@ def test_monte_carlo_ground_guard_acts_before_the_ground(monkeypatch):
     # bytes per element and 8 per sum or difference, and ANDs each pair
     # once.  Past the bound the ground is never built; at the edge it is
     # (and the stand-in ground stops the run there).
-    from mstd import sets
 
     class Built(Exception):
         pass
@@ -989,8 +1017,8 @@ def test_monte_carlo_ground_guard_acts_before_the_ground(monkeypatch):
     def ground(*args, **kwargs):
         raise Built
 
-    edge = max(n for n in range(1 << 15) if 64 * (n + 1) + 8 * (3 * n + 2) <= sets._CENSUS_BLOCK_BYTES
-               and (n + 1) * (n + 2) // 2 <= sets._CENSUS_BLOCK_PAIRS)
+    edge = max(n for n in range(1 << 15) if 64 * (n + 1) + 8 * (3 * n + 2) <= search._CENSUS_BLOCK_BYTES
+               and (n + 1) * (n + 2) // 2 <= search._CENSUS_BLOCK_PAIRS)
     assert edge == 8190  # the pair bound binds first
     monkeypatch.setattr(search, "IntSet", ground)
     with pytest.raises(Built):

@@ -18,8 +18,9 @@ from mstd import (
     sum_diff_counts,
     sumset,
 )
-from mstd import sets
-from mstd.sets import PairCensus, SumDiffSets, bit_slices
+from mstd import search, sets
+from mstd.search import PairCensus, bit_slices
+from mstd.sets import SumDiffSets
 
 CONWAY_SET = IntSet(CONWAY)
 
@@ -518,18 +519,18 @@ def test_pair_census_refuses_a_ground_past_its_block_bound(monkeypatch):
     # {0..9}: one 64-subset block holds 64 * 10 membership bytes and 8
     # bytes for each of its 19 sums and 10 nonnegative differences
     need = 64 * 10 + 8 * (19 + 10)
-    monkeypatch.setattr(sets, "_CENSUS_BLOCK_BYTES", need)
+    monkeypatch.setattr(search, "_CENSUS_BLOCK_BYTES", need)
     assert PairCensus(range(10)).n == 10
-    monkeypatch.setattr(sets, "_CENSUS_BLOCK_BYTES", need - 1)
+    monkeypatch.setattr(search, "_CENSUS_BLOCK_BYTES", need - 1)
     with pytest.raises(CapacityError, match="census block"):
         PairCensus(range(10))
 
 
 def test_pair_census_refuses_a_ground_past_its_pair_bound(monkeypatch):
     # {0..9} has 10 * 11 / 2 = 55 element pairs (j >= i), one AND each per block
-    monkeypatch.setattr(sets, "_CENSUS_BLOCK_PAIRS", 55)
+    monkeypatch.setattr(search, "_CENSUS_BLOCK_PAIRS", 55)
     assert PairCensus(range(10)).n == 10
-    monkeypatch.setattr(sets, "_CENSUS_BLOCK_PAIRS", 54)
+    monkeypatch.setattr(search, "_CENSUS_BLOCK_PAIRS", 54)
     with pytest.raises(CapacityError, match="55 element pairs"):
         PairCensus(range(10))
 
@@ -545,7 +546,7 @@ def test_pair_census_row_cache_matches_the_per_block_rows(monkeypatch):
         assert cached._rows is not None
         member = rng.integers(0, 2, size=(cached.block + 65, len(ground)), dtype=np.uint8)
         with monkeypatch.context() as patch:
-            patch.setattr(sets, "_CENSUS_ROW_PAIRS", 0)
+            patch.setattr(search, "_CENSUS_ROW_PAIRS", 0)
             per_block = PairCensus(ground)
         assert per_block._rows is None
         for a in range(0, len(member), cached.block):
@@ -563,7 +564,7 @@ def test_pair_census_row_cache_at_its_bound():
     # consecutive, so the cache holds 8 bytes per pair (j >= i); at the
     # largest n within _CENSUS_ROW_PAIRS it is kept and takes at most
     # 8 bytes per pair and 4 MiB more, one element past it is not kept
-    bound = sets._CENSUS_ROW_PAIRS
+    bound = search._CENSUS_ROW_PAIRS
     edge = max(n for n in range(2800, 3000) if n * (n + 1) // 2 <= bound)
     for n, kept in ((edge, True), (edge + 1, False)):
         ground = tuple(range(n - 1)) + (n,)
