@@ -37,20 +37,21 @@ first-hit stops fall where rank order puts them.  A Monte Carlo block
 is a chunk of 2^16 samples, drawn as random bytes from the chunk's own
 seed stream.
 
-All of them reach ``PairCensus``, one bit-sliced pair form for every
-ground, through ``_census_scan``, which decodes the hits.  Its one
-kernel, ``word_counts``, takes a block of subsets bit-sliced (Biham
-1997, "A fast new DES implementation in software"): one uint64 word
-holds one ground element across 64 subsets, one AND per pair of ground
-elements marks that pair's sum and difference in 64 subsets, and each
-subset's bits are counted.  Its rows are keyed by the ground's distinct
-pair sums and differences.  Each left element's pairs find their rows
-by binary search once per ground, kept as int32 indices, or as a slice
-when they are consecutive (every row of an arithmetic progression),
-while the ground's element pairs fit ``_CENSUS_ROW_PAIRS``; past it
-they are found again for each block, so one form serves every ground,
-whatever its size, diameter or spacing.  ``_check_census_capacity``
-raises CapacityError before one census block could pass
+Monte Carlo chunks and the rank blocks of census grounds reach
+``PairCensus``, one bit-sliced pair form for every ground, through
+``_census_scan``, which decodes the hits.  Its kernel, ``word_counts``,
+takes a block of subsets bit-sliced (Biham 1997, "A fast new DES
+implementation in software"): one uint64 word holds one ground element
+across 64 subsets, one AND per pair of ground elements marks that
+pair's sum and difference in 64 subsets, and each subset's bits are
+counted.  Its rows are keyed by the ground's distinct pair sums and
+differences.  Each left element's pairs find their rows by binary
+search once per ground, kept as int32 indices, or as a slice when they
+are consecutive (every row of an arithmetic progression), while the
+ground's element pairs fit ``_CENSUS_ROW_PAIRS``; past it they are
+found again for each block, so one form serves every ground, whatever
+its size, diameter or spacing.  ``_check_census_capacity`` raises
+CapacityError before one census block could pass
 ``_CENSUS_BLOCK_BYTES`` or, which bounds its time,
 ``_CENSUS_BLOCK_PAIRS`` element pairs.
 
@@ -59,12 +60,15 @@ Monte Carlo chunks and rank blocks are membership rows first
 element pairs (361 elements) is unranked one pass per element straight
 into membership rows; wider grounds, which cost less row by row, are
 unranked one pass per position into index rows and counted one set at
-a time.  Mask levels build their words in closed form.  The first
-candidate of every census block and every hit are counted again by
-``sum_diff_counts``: a census that disagrees raises instead of
-reporting, so engines never report a set they did not verify.  The only
-pruning rule, skipping subsets of diameter below 14, is itself
-established at runtime by an exhaustive scan (see
+a time.  Mask levels are counted subset-major instead
+(``_mask_tiles``): each mask gets one row bitmask over the same rows,
+the OR of its element pairs' bits, built by doubling for 2^c masks at a
+time and counted by a popcount across each mask's words.  The first
+candidate of every census block, the first mask of every tile and every
+hit are counted again by ``sum_diff_counts``: a count that disagrees
+raises instead of reporting, so engines never report a set they did not
+verify.  The only pruning rule, skipping subsets of diameter below 14,
+is itself established at runtime by an exhaustive scan (see
 ``min_mstd_diameter``) before any engine uses it.
 """
 
@@ -136,14 +140,17 @@ _PROBE_PAIRS = 1 << 14
 # Minimality levels of at most this many interior elements are one block,
 # classified in mask order (``_MaskLevel``); larger levels keep rank
 # blocks.  A level cut by the budget or a hit still classifies all its 2^k
-# masks.  Whole min-max levels of the primes, per mask against per
-# candidate in rank order: 0.12-0.15 vs 0.55-0.61 us at k = 14, 0.17 vs
-# 0.28-0.31 at k = 20, 0.30-0.34 vs 0.25-0.33 at k = 22 (2-core Xeon,
-# CPython 3.11, numpy 2.4).  So a cut level wastes at most about 0.18 s.
-_MASK_K = 20
-# Word w of interior element e < 6 in mask order: bit b is bit e of b
-_LOW_MASK_WORDS = np.array([sum(1 << b for b in range(64) if b >> e & 1) for e in range(6)], dtype=np.uint64)
-_ONES = np.uint64(2**64 - 1)
+# masks.  Whole min-max levels of the first k + 1 primes, per mask against
+# per candidate in rank order, two runs: 0.05-0.07 vs 0.36-0.39 us at
+# k = 20, 0.04-0.05 vs 0.36-0.44 at k = 22, 0.05 vs 0.40-0.43 at k = 24
+# (2-core Xeon, CPython 3.11, numpy 2.4).  So a cut level wastes at most
+# about 0.2 s at k = 22; at 24 it would be 0.8-0.9 s, and a whole level
+# of {0..24} keeps about 7000 hits (1 MiB).
+_MASK_K = 22
+# A mask level is counted in tiles of 2^c consecutive masks, c the
+# smaller of k and this: the tile and the table of its low masks are
+# each 2^c masks of at most 10 words (320 KiB) at _MASK_K
+_TILE_BITS = 12
 
 
 @cache
@@ -534,23 +541,12 @@ class _ScanGround:
             at -= 1 + taken * np.intp(slack)
         return member.T
 
-    def mask_words(self, first: int, count: int) -> np.ndarray:
-        """Candidates ``first`` .. ``first + count - 1`` in mask order
-        (``first`` a multiple of 64), bit-sliced for
-        ``PairCensus.word_counts``: the candidate of mask m holds interior
-        element e when bit e of m is set, and the lead and tail always.
-        Word w holds masks first + 64 w + b, b < 64, so its word for
-        interior element e < 6 is the constant whose bit b is bit e of
-        b, and for e >= 6 all ones or all zeros by bit e - 6 of
-        first / 64 + w."""
+    def mask_subset(self, mask: int) -> tuple[int, ...]:
+        """The candidate of interior mask ``mask``: the lead, interior
+        element e when bit e of the mask is set, and the tail."""
         lead, k = self.lead, self.k
-        words, low = (count + 63) // 64, min(k, 6)
-        x = np.empty((len(self.elements), words), dtype=np.uint64)
-        x[:lead] = x[lead + k :] = _ONES
-        x[lead : lead + low] = _LOW_MASK_WORDS[:low, None]
-        index = np.arange(first >> 6, (first >> 6) + words, dtype=np.uint64)
-        x[lead + low : lead + k] = (index >> np.arange(k - low, dtype=np.uint64)[:, None] & np.uint64(1)) * _ONES
-        return x
+        interior = compress(self.elements[lead : lead + k], (mask >> e & 1 for e in range(k)))
+        return (*self.elements[:lead], *interior, *self.elements[lead + k :])
 
     def index_rows(self, size: int, first: int, count: int) -> np.ndarray:
         """The same candidates as rows of ground indices, one ``_pick``
@@ -604,10 +600,10 @@ def _binomials(slack: int, size: int) -> tuple[np.ndarray, int]:
 @dataclass(frozen=True)
 class _MaskLevel:
     """A minimality level as one block, classified in mask order: all 2^k
-    interior masks (``_ScanGround.mask_words``), whose hits are put back
-    in stream order.  ``streamed[s]`` is how many candidates of interior
-    size s the stream holds, each size a prefix of its lexicographic
-    order, as ``_level`` cuts it."""
+    interior masks (``_mask_tiles``), whose hits are put back in stream
+    order.  ``streamed[s]`` is how many candidates of interior size s
+    the stream holds, each size a prefix of its lexicographic order, as
+    ``_level`` cuts it."""
 
     ground: _ScanGround
     streamed: tuple[int, ...]
@@ -629,20 +625,108 @@ class _MaskLevel:
         return sum(self.streamed)
 
 
+def _pair_bits(elements: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """(bits, sum words) for the subset-major count of ``elements``:
+    bits[i, j] is the row bitmask of the element pair (i, j), one bit at
+    its sum's row among the distinct pair sums, in the first ``sum
+    words`` words, and one at its difference's row among the distinct
+    nonnegative differences, in the rest; rows ascend, as the census
+    keys them."""
+    n = len(elements)
+    values = _int_array(elements, 2 * elements[-1])
+    sums, diffs = (np.unique(t.ravel(), return_inverse=True) for t in (values[:, None] + values,
+                                                                       abs(values[:, None] - values)))
+    sum_words = (len(sums[0]) + 63) // 64
+    bits = np.zeros((n * n, sum_words + (len(diffs[0]) + 63) // 64), dtype=np.uint64)
+    for rows in (sums[1], diffs[1] + 64 * sum_words):
+        bits[np.arange(n * n), rows >> 6] = np.uint64(1) << (rows & 63).astype(np.uint64)
+    return bits.reshape(n, n, -1), sum_words
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """The set bits of each uint64 word, as uint8: ``np.bitwise_count``
+    where numpy has it (2.0 on), else a SWAR sum over 2^13 words at a
+    time."""
+    bitwise_count = getattr(np, "bitwise_count", None)
+    if bitwise_count is not None:
+        return bitwise_count(words)
+    out = np.empty(words.shape, dtype=np.uint8)
+    flat, counts = words.reshape(-1), out.reshape(-1)
+    for a in range(0, len(flat), 1 << 13):
+        x = flat[a : a + (1 << 13)]
+        x = x - (x >> np.uint64(1) & np.uint64(0x5555555555555555))  # 2-bit fields
+        x = (x & np.uint64(0x3333333333333333)) + (x >> np.uint64(2) & np.uint64(0x3333333333333333))
+        x = x + (x >> np.uint64(4)) & np.uint64(0x0F0F0F0F0F0F0F0F)  # bytes
+        counts[a : a + (1 << 13)] = x * np.uint64(0x0101010101010101) >> np.uint64(56)  # their sum
+    return out
+
+
+def _mask_tiles(ground: _ScanGround):
+    """(first mask, sum counts, nonnegative difference counts) of each
+    tile of 2^c consecutive masks of a mask level, c = min(k,
+    ``_TILE_BITS``), counted subset-major: each mask gets one row
+    bitmask (``_pair_bits``), held word-major, whose set bits are
+    counted.
+
+    A mask's bitmask is the OR of its element pairs' bits.  The fixed
+    pairs and those of the c low interior elements are one table per
+    level, built by OR-doubling on the low elements: each element
+    doubles the table, and its new half ORs in the element's pairs with
+    the fixed elements, itself and the lower elements present, which
+    are doubled alongside.  A tile's high elements add their own pairs,
+    the same for every mask of the tile, and their pairs with each low
+    element, doubled across the tile on the low elements."""
+    lead, k = ground.lead, ground.k
+    bits, sum_words = _pair_bits(ground.elements)
+    c, inner = min(k, _TILE_BITS), bits[lead : lead + k]
+    fixed = [*range(lead), *range(lead + k, len(bits))]
+    base = np.bitwise_or.reduce(bits[fixed][:, fixed], axis=(0, 1))
+    own = np.bitwise_or.reduce(inner[:, fixed], axis=1) | inner[range(k), range(lead, lead + k)]
+    # low[:, m]: the bits of low mask m and the fixed elements; after e
+    # doublings, pending[f - e][:, m] holds those that element f adds to m
+    low, pending = np.empty((bits.shape[2], 1 << c), dtype=np.uint64), own[:c, :, None]
+    low[:, 0] = base
+    for e in range(c):
+        np.bitwise_or(low[:, : 1 << e], pending[0], out=low[:, 1 << e : 2 << e])
+        pending = np.concatenate((pending[1:], pending[1:] | inner[e, lead + e + 1 : lead + c, :, None]), axis=2)
+    tile = np.empty_like(low)
+    high_own, high_pairs, cross = own[c:], inner[c:, lead + c : lead + k], inner[:c, lead + c : lead + k]
+    for high in range(1 << (k - c)):
+        if high:
+            at = (high >> np.arange(k - c) & 1).astype(bool)
+            start = np.bitwise_or.reduce(high_pairs[at][:, at], axis=(0, 1)) | np.bitwise_or.reduce(high_own[at])
+            # the masks that hold low element b: those below 2^b, ORed with
+            # b's pairs with the tile's high elements
+            tile[:, 0] = start
+            for b, row in enumerate(np.bitwise_or.reduce(cross[:, at], axis=1)):
+                np.bitwise_or(tile[:, : 1 << b], row[:, None], out=tile[:, 1 << b : 2 << b])
+            tile |= low
+        counts = _popcount(tile if high else low)
+        sums, diffs = counts[:sum_words], counts[sum_words:]  # a level has far fewer than 2^15 rows
+        yield high << c, sums.sum(axis=0, dtype=np.int16), diffs.sum(axis=0, dtype=np.int16)
+
+
 def _mask_level(special: bool, hit_cap: int, level: _MaskLevel, take: int):
     """``_lattice_block`` on a ``_MaskLevel``: every mask is classified,
-    one census block at a time, and the hits among the level's first
-    ``take`` stream positions are returned in stream order, each put
-    there by ``_MaskLevel.position``."""
+    one ``_mask_tiles`` tile at a time, and the hits among the level's
+    first ``take`` stream positions are returned in stream order, each
+    put there by ``_MaskLevel.position``.  The first mask of every tile
+    and every hit are counted again by ``sum_diff_counts``, looked up
+    when called; a tile it disagrees with raises."""
     ground = level.ground
-    total, step = 1 << ground.k, ground.census.block
-    blocks = (
-        (ground.mask_words(first, min(step, total - first)), min(step, total - first))
-        for first in range(0, total, step)
-    )
-    masks, found = _census_scan(ground.census, blocks, special)
-    position = sorted((p, i) for i, p in enumerate(map(level.position, masks.tolist())) if p < take)
-    return take, np.array([p for p, _ in position], dtype=np.intp), [found[i] for _, i in position[:hit_cap]]
+    fixed = ground.lead + ground.tail
+    found = []
+    for first, sums, nonneg in _mask_tiles(ground):
+        diffs = 2 * nonneg - 1  # A-A is the nonnegative differences, mirrored about 0
+        sizes = _popcount(np.arange(first, first + len(sums), dtype=np.uint64)) + fixed if special else None
+        at = np.flatnonzero(_census_hits(sums, diffs, sizes, special)).tolist()
+        checked = {r: ground.mask_subset(first + r) for r in (0, *at)}
+        for r, subset in checked.items():
+            if sum_diff_counts(subset) != (int(sums[r]), int(diffs[r])):
+                raise RuntimeError(f"mask level count disagrees with sum_diff_counts on {subset}")
+        found += [(level.position(first + r), checked[r]) for r in at]
+    position = sorted(hit for hit in found if hit[0] < take)
+    return take, np.array([p for p, _ in position], dtype=np.intp), [s for _, s in position[:hit_cap]]
 
 
 def _rank_blocks(ground: _ScanGround, size: int, count: int):

@@ -542,14 +542,14 @@ def test_mask_positions_are_combinations_stream_indices(lead, tail, cut):
 
 
 def test_mask_level_peak_memory():
-    # one whole level of _MASK_K interior elements: the census blocks
-    # come one at a time, and only hits are kept, so no array is sized
-    # 2^k; the primes hold few hits, {0..K} hundreds
+    # one whole level of _MASK_K interior elements: the tiles of 2^c
+    # masks come one at a time, and only hits are kept, so no array is
+    # sized 2^k; the primes hold few hits, {0..K} hundreds
     primes = tuple(PrimeSieve(1000).primes()[: _MASK_K + 1].tolist())
     for elems in (primes, tuple(range(_MASK_K + 1))):
         (count, level), = _level(elems, MIN_MAX, _MASK_K, FLOOR)
         assert level.ground.k == _MASK_K and count > 2**19
-        first = _lattice_block(False, search.DEFAULT_HIT_CAP, level, count)  # builds the census
+        first = _lattice_block(False, search.DEFAULT_HIT_CAP, level, count)  # an untraced first run
         tracemalloc.start()
         try:
             again = _lattice_block(False, search.DEFAULT_HIT_CAP, level, count)
@@ -568,6 +568,88 @@ def test_mask_levels_are_spot_checked(monkeypatch):
     (count, level), = _level(elems, MIN_MAX, len(elems) - 1, FLOOR)
     honest = search.sum_diff_counts
     monkeypatch.setattr(search, "sum_diff_counts", lambda e, *a, **k: (honest(e)[0], honest(e)[1] + 1))
+    with pytest.raises(RuntimeError, match="disagrees with sum_diff_counts"):
+        _lattice_block(False, 1, level, count)
+    monkeypatch.undo()
+    assert _lattice_block(False, 1, level, count)[1].tolist() == []
+
+
+def test_popcount_swar_matches_bit_count(monkeypatch):
+    # numpy 2 counts by np.bitwise_count; numpy 1 takes the SWAR sum,
+    # run here with bitwise_count hidden, over more than one 2^13-word
+    # chunk, with 0 and 2^64 - 1 among the words
+    words = np.frombuffer(random.Random(3).randbytes(8 * 3 * 5000), dtype=np.uint64).reshape(3, 5000).copy()
+    words[0, :2] = 0, 2**64 - 1
+    expected = [[w.bit_count() for w in row] for row in words.tolist()]
+    assert search._popcount(words).tolist() == expected
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    swar = search._popcount(words)
+    assert swar.dtype == np.uint8 and swar.tolist() == expected
+
+
+@pytest.mark.parametrize("tile_bits", [0, 3, search._TILE_BITS])
+def test_mask_tiles_match_pair_enumeration(monkeypatch, tile_bits):
+    # every mask of small levels, counted in tiles of 2^c masks (c = 0
+    # and 3 leave high elements for each tile to add), against |A+A| and
+    # |A-A| enumerated pair by pair; and the level's hits, special or
+    # not, against the same counts, in stream order
+    monkeypatch.setattr(search, "_TILE_BITS", tile_bits)
+    rng = random.Random(7)
+    grounds = [tuple(range(5, 41, 3))]  # an AP
+    for _ in range(2):  # Conway's set and elements inside it
+        shift = rng.randrange(4)
+        image = {c + shift for c in CONWAY}
+        grounds.append(tuple(sorted(image | set(rng.sample(sorted(set(range(shift, shift + 15)) - image), 4)))))
+    grounds.append(tuple(2**64 + e for e in grounds[1]))  # past int64
+    hits = 0
+    for elems in grounds:
+        for lead, tail in ((0, 1), (1, 1)):
+            for k in (0, 1, 2, 3, 5, 8, 10):
+                level_elems = elems[: lead + k] + elems[len(elems) - tail :]
+                ends = level_elems[:lead], level_elems[lead + k :]
+                cands = [ends[0] + tuple(level_elems[lead + e] for e in range(k) if m >> e & 1) + ends[1]
+                         for m in range(1 << k)]
+                counts = [(len({a + b for a in c for b in c}), len({a - b for a in c for b in c})) for c in cands]
+                ground = _ScanGround(level_elems, lead, tail)
+                got = []
+                for first, sums, nonneg in search._mask_tiles(ground):
+                    assert first == len(got) and len(sums) == 1 << min(k, tile_bits)
+                    got += zip(sums.tolist(), (2 * nonneg - 1).tolist())
+                assert got == counts
+                level = _MaskLevel(ground, tuple(math.comb(k, s) for s in range(k + 1)))
+                for special in (False, True):
+                    expected = sorted((level.position(m), c) for m, (c, (sc, dc)) in enumerate(zip(cands, counts))
+                                      if sc > dc and (not special or sc - dc >= len(c)))
+                    take, at, found = _lattice_block(special, 1 << k, level, 1 << k)
+                    assert (at.tolist(), found) == ([p for p, _ in expected], [c for _, c in expected])
+                    hits += len(expected)
+    assert hits > 0
+
+
+def test_mask_tiles_are_recounted_tile_by_tile(monkeypatch):
+    # a kernel fault in one pair's bit: the sum of the tail and the top
+    # interior element, which no other pair has, is dropped.  Only the
+    # masks that hold that element miscount, the first of them in a
+    # later tile, and an AP has no hit to recount, so only the recount
+    # of each tile's first mask can see it
+    elems = tuple(range(0, 60, 5))
+    min_mstd_diameter()
+    (count, level), = _level(elems, MIN_MAX, len(elems) - 1, FLOOR)
+    k = level.ground.k
+    monkeypatch.setattr(search, "_TILE_BITS", 4)
+    honest = list(search._mask_tiles(level.ground))
+    pair_bits = search._pair_bits
+
+    def dropped(elements):
+        bits, sum_words = pair_bits(elements)
+        n = len(elements)
+        bits[n - 2, n - 1, :sum_words] = bits[n - 1, n - 2, :sum_words] = 0
+        return bits, sum_words
+
+    monkeypatch.setattr(search, "_pair_bits", dropped)
+    wrong = [first + r for (first, sums, _), (_, good, _) in zip(search._mask_tiles(level.ground), honest)
+             for r in np.flatnonzero(sums != good).tolist()]
+    assert wrong == [m for m in range(1 << k) if m >> (k - 1) & 1]
     with pytest.raises(RuntimeError, match="disagrees with sum_diff_counts"):
         _lattice_block(False, 1, level, count)
     monkeypatch.undo()
