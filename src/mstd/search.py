@@ -141,11 +141,11 @@ _PROBE_PAIRS = 1 << 14
 # classified in mask order (``_MaskLevel``); larger levels keep rank
 # blocks.  A level cut by the budget or a hit still classifies all its 2^k
 # masks.  Whole min-max levels of the first k + 1 primes, per mask against
-# per candidate in rank order, two runs: 0.05-0.07 vs 0.36-0.39 us at
-# k = 20, 0.04-0.05 vs 0.36-0.44 at k = 22, 0.05 vs 0.40-0.43 at k = 24
-# (2-core Xeon, CPython 3.11, numpy 2.4).  So a cut level wastes at most
-# about 0.2 s at k = 22; at 24 it would be 0.8-0.9 s, and a whole level
-# of {0..24} keeps about 7000 hits (1 MiB).
+# per candidate in rank order, three runs: 0.03-0.07 vs 0.29-0.39 us at
+# k = 20, 0.03-0.05 vs 0.29-0.44 at k = 22, 0.04-0.05 vs 0.31-0.43 at
+# k = 24 (2-core Xeon, CPython 3.11, numpy 2.4).  So a cut level wastes at
+# most about 0.2 s at k = 22; at 24 it would be 0.6-0.9 s, and a whole
+# level of {0..24} keeps about 7000 hits (nearly 1 MiB).
 _MASK_K = 22
 # A mask level is counted in tiles of 2^c consecutive masks, c the
 # smaller of k and this: the tile and the table of its low masks are
@@ -634,8 +634,8 @@ def _pair_bits(elements: tuple[int, ...]) -> tuple[np.ndarray, int]:
     keys them."""
     n = len(elements)
     values = _int_array(elements, 2 * elements[-1])
-    sums, diffs = (np.unique(t.ravel(), return_inverse=True) for t in (values[:, None] + values,
-                                                                       abs(values[:, None] - values)))
+    pairs = (values[:, None] + values, abs(values[:, None] - values))
+    sums, diffs = (np.unique(t.ravel(), return_inverse=True) for t in pairs)
     sum_words = (len(sums[0]) + 63) // 64
     bits = np.zeros((n * n, sum_words + (len(diffs[0]) + 63) // 64), dtype=np.uint64)
     for rows in (sums[1], diffs[1] + 64 * sum_words):
