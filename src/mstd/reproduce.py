@@ -4,8 +4,8 @@ Each claim id maps to a parameter manifest plus a runner; parameters
 live here, checked in, so the same numbers can be regenerated verbatim
 (`mstd reproduce <claim>`).  Runners return a JSON-safe report with the
 measured values, the expected values, and a pass flag.  Only the
-density claim accepts overrides (sample count, seed, threads); every
-other pipeline is fully pinned.
+density claim accepts a sample count and seed; every other pipeline is
+fully pinned, and refuses them with DomainError.
 """
 
 from __future__ import annotations
@@ -263,6 +263,8 @@ def run_claim(
     if claim_id not in _RUNNERS:
         raise DomainError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
     params = MANIFEST[claim_id]
+    if claim_id != "density-4.5e-4" and (samples is not None or seed is not None):
+        raise DomainError(f"claim {claim_id!r} is pinned; only density-4.5e-4 takes a sample count or seed")
     if claim_id == "density-4.5e-4":
         passed, measured = _claim_density(params, samples=samples, seed=seed, threads=threads)
         # report the parameters actually run, not the pinned ones

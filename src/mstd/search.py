@@ -21,21 +21,21 @@ than one thread and more than one block past the budget cut, the blocks
 are classified in a process pool and merged in block order, so a report
 does not depend on the thread count.
 
-A lattice block is a rank descriptor, (scan ground, size, rank of its
-first candidate), for one census block of candidates in the order above
-(2048 on grounds classified row by row); the classifier unranks them by
-the combinatorial number system.  Candidates below the diameter floor
-count as examined: row by row they are not classified, and a census
-block counts them with the rest, though none can be a hit.  Under the
-min-max objective each cardinality of a level stops at its first
-candidate below the floor, a position ``_level`` computes from binomial
-counts; levels stream lazily in ascending objective order.  A level of
-at most ``_MASK_K`` interior elements is one block instead, a
-``_MaskLevel``: all 2^k interior masks are classified in mask order,
-and each hit is put back at its place in the stream, so budget and
-first-hit stops fall where rank order puts them.  A Monte Carlo block
-is a chunk of 2^16 samples, drawn as random bytes from the chunk's own
-seed stream.
+Every lattice engine takes its blocks from ``_blocks``: a scan ground
+of at most ``_MASK_K`` interior elements is one ``_MaskLevel``, whose
+2^k interior masks are classified in mask order and whose hits are put
+back in stream order, so budget and first-hit stops fall where rank
+order puts them (one block never starts a pool); a larger one is rank
+descriptors, (scan ground, size, rank of its first candidate), for one
+census block of candidates (2048 on grounds classified row by row),
+unranked by the combinatorial number system.  Candidates below the
+diameter floor count as examined: row by row they are not classified,
+and census and mask blocks count them with the rest, though none can be
+a hit.  Under the min-max objective each cardinality of a minimality
+level stops at its first candidate below the floor, a position
+``_level`` computes from binomial counts; levels stream lazily in
+ascending objective order.  A Monte Carlo block is a chunk of 2^16
+samples, drawn as random bytes from the chunk's own seed stream.
 
 Monte Carlo chunks and the rank blocks of census grounds reach
 ``PairCensus``, one bit-sliced pair form for every ground, through
@@ -56,15 +56,15 @@ CapacityError before one census block could pass
 ``_CENSUS_BLOCK_PAIRS`` element pairs.
 
 Monte Carlo chunks and rank blocks are membership rows first
-(``bit_slices`` transposes them): a lattice ground of at most 2^16
-element pairs (361 elements) is unranked one pass per element straight
+(``bit_slices`` transposes them): a lattice ground of at most 300
+elements (``_CENSUS_PAIRS``) is unranked one pass per element straight
 into membership rows; wider grounds, which cost less row by row, are
 unranked one pass per position into index rows and counted one set at
 a time.  Mask levels are counted subset-major instead
 (``_mask_tiles``): each mask gets one row bitmask over the same rows,
 the OR of its element pairs' bits, built by doubling for 2^c masks at a
 time and counted by a popcount across each mask's words.  The first
-candidate of every census block, the first mask of every tile and every
+candidate of every census block, the last mask of every tile and every
 hit are counted again by ``sum_diff_counts``: a count that disagrees
 raises instead of reporting, so engines never report a set they did not
 verify.  The only pruning rule, skipping subsets of diameter below 14,
@@ -109,7 +109,7 @@ _MC_CHUNK = 1 << 16
 _BLOCK = 2048
 # Grounds of more element pairs (j >= i) classify row by row, for cost
 # (see ``_ScanGround.by_census``)
-_CENSUS_PAIRS = 1 << 16
+_CENSUS_PAIRS = 300 * 301 // 2
 # PairCensus memory.  A block of 64 * w subsets holds 128 * w bytes per
 # element (the membership rows and their transposed copy) and w words
 # per distinct pair sum and difference.  w is the larger of two rules:
@@ -137,15 +137,15 @@ _CENSUS_BLOCK_PAIRS = 1 << 25
 _RANK_CAP = 1 << 62
 # (scale, shift) pairs the minimality probe tests per batch of scales
 _PROBE_PAIRS = 1 << 14
-# Minimality levels of at most this many interior elements are one block,
-# classified in mask order (``_MaskLevel``); larger levels keep rank
-# blocks.  A level cut by the budget or a hit still classifies all its 2^k
-# masks.  Whole min-max levels of the first k + 1 primes, per mask against
-# per candidate in rank order, three runs: 0.03-0.07 vs 0.29-0.39 us at
-# k = 20, 0.03-0.05 vs 0.29-0.44 at k = 22, 0.04-0.05 vs 0.31-0.43 at
-# k = 24 (2-core Xeon, CPython 3.11, numpy 2.4).  So a cut level wastes at
-# most about 0.2 s at k = 22; at 24 it would be 0.6-0.9 s, and a whole
-# level of {0..24} keeps about 7000 hits (nearly 1 MiB).
+# Scan grounds of at most this many interior elements are one block in
+# mask order (``_blocks``): all 2^k masks, even when the budget, a hit or
+# a narrow window cuts it.  Whole min-max levels of the first k + 1
+# primes, us per mask against per candidate in rank order: 0.03-0.07 vs
+# 0.29-0.39 at k = 20, 0.03-0.05 vs 0.29-0.44 at 22, 0.04-0.05 vs
+# 0.31-0.43 at 24 (2-core Xeon, CPython 3.11, numpy 2.4).  So a cut
+# ground wastes at most about 0.2 s at k = 22 (size 2 of {0..21}: 0.11 to
+# 0.14 s against 0.5-0.8 ms; all sizes: 0.09-0.12 s against 0.70-0.90);
+# at 24, 0.6-0.9 s, and {0..24} keeps about 7000 hits (nearly 1 MiB).
 _MASK_K = 22
 # A mask level is counted in tiles of 2^c consecutive masks, c the
 # smaller of k and this: the tile and the table of its low masks are
@@ -501,12 +501,12 @@ class _ScanGround:
         """Whether rank blocks are classified by census.  A census block
         costs about one AND and one OR per element pair and word of 64
         subsets, whatever the subset size; row by row a subset costs
-        ``sum_diff_counts`` (size 8: ~5 µs).  Size 8 to a budget of
-        200,000, census against row by row (2-core Xeon): 0.25 vs 1.73 s
-        on the first 65 primes, 0.51 vs 1.34 s on 100 primes, 1.94 vs
-        2.27 s on 2^0..2^99 (object arrays); on 1000 primes at a budget
-        of 4096, 0.125 vs 0.04 s.  So the census runs while the pairs
-        stay within ``_CENSUS_PAIRS``."""
+        ``sum_diff_counts``, more the larger it is.  The first n primes,
+        one size to a budget of 200,000, census against row by row, best
+        of 3 (2-core Xeon): size 8, 0.81 vs 2.25 s at n = 150, 1.15-1.43
+        vs 1.50-1.60 at 250-280, 1.85-2.61 vs 1.64-1.77 at 330-361; size
+        3, 0.94 vs 1.29 at 150, rows ahead from 200.  So the census runs
+        to 300 elements, past which both sizes run faster row by row."""
         n = len(self.elements)
         return n * (n + 1) // 2 <= _CENSUS_PAIRS
 
@@ -599,11 +599,11 @@ def _binomials(slack: int, size: int) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class _MaskLevel:
-    """A minimality level as one block, classified in mask order: all 2^k
+    """A scan ground as one block, classified in mask order: all 2^k
     interior masks (``_mask_tiles``), whose hits are put back in stream
     order.  ``streamed[s]`` is how many candidates of interior size s
-    the stream holds, each size a prefix of its lexicographic order, as
-    ``_level`` cuts it."""
+    the stream holds, each a prefix of its lexicographic order: as
+    ``_level`` cuts it, or a search window's sizes whole."""
 
     ground: _ScanGround
     streamed: tuple[int, ...]
@@ -710,42 +710,46 @@ def _mask_level(special: bool, hit_cap: int, level: _MaskLevel, take: int):
     """``_lattice_block`` on a ``_MaskLevel``: every mask is classified,
     one ``_mask_tiles`` tile at a time, and the hits among the level's
     first ``take`` stream positions are returned in stream order, each
-    put there by ``_MaskLevel.position``.  The first mask of every tile
-    and every hit are counted again by ``sum_diff_counts``, looked up
-    when called; a tile it disagrees with raises."""
-    ground = level.ground
+    put there by ``_MaskLevel.position``.  The last mask of every tile,
+    unless empty, and every hit are counted again by ``sum_diff_counts``,
+    looked up when called; a tile it disagrees with raises."""
+    ground, found = level.ground, []
     fixed = ground.lead + ground.tail
-    found = []
     for first, sums, nonneg in _mask_tiles(ground):
-        diffs = 2 * nonneg - 1  # A-A is the nonnegative differences, mirrored about 0
+        diffs = np.maximum(2 * nonneg - 1, 0)  # A-A: nonnegative differences mirrored about 0; none in the empty set
         sizes = _popcount(np.arange(first, first + len(sums), dtype=np.uint64)) + fixed if special else None
         at = np.flatnonzero(_census_hits(sums, diffs, sizes, special)).tolist()
-        checked = {r: ground.mask_subset(first + r) for r in (0, *at)}
+        checked = {r: ground.mask_subset(first + r) for r in (len(sums) - 1, *at)}
         for r, subset in checked.items():
-            if sum_diff_counts(subset) != (int(sums[r]), int(diffs[r])):
+            if subset and sum_diff_counts(subset) != (int(sums[r]), int(diffs[r])):
                 raise RuntimeError(f"mask level count disagrees with sum_diff_counts on {subset}")
         found += [(level.position(first + r), checked[r]) for r in at]
     position = sorted(hit for hit in found if hit[0] < take)
     return take, np.array([p for p, _ in position], dtype=np.intp), [s for _, s in position[:hit_cap]]
 
 
-def _rank_blocks(ground: _ScanGround, size: int, count: int):
-    """(count, (ground, size, first rank)) for the first ``count``
-    candidates of ``size``, at most ``ground.block`` per block."""
-    step = ground.block
-    return ((min(step, count - first), (ground, size, first)) for first in range(0, count, step))
+def _blocks(ground: _ScanGround, streamed):
+    """(count, block) of every lattice engine: the first ``streamed[s]``
+    candidates of interior size s as one ``_MaskLevel`` on a ground of at
+    most ``_MASK_K`` interior elements, else as rank descriptors (ground,
+    size, first rank) of at most ``ground.block`` candidates each."""
+    if ground.k > _MASK_K:
+        for size, count in enumerate(streamed):
+            yield from ((min(ground.block, count - a), (ground, size, a)) for a in range(0, count, ground.block))
+    elif any(streamed := tuple(streamed)):
+        yield sum(streamed), _MaskLevel(ground, streamed)
 
 
 def _lattice_block(special: bool, hit_cap: int, block, take: int):
     """The classifier ``_scan`` runs on lattice blocks.
 
     ``block`` is a ``_MaskLevel``, classified by ``_mask_level``, or a
-    ``_rank_blocks`` descriptor.  Census grounds (``by_census``) send a
-    rank block to the census whole, as membership rows; rows of
-    diameter below the floor are counted with the rest and can never be
-    hits.  Other grounds' blocks are counted one set at a time, skipping
-    candidates of diameter below the floor.  Candidates of fewer than
-    two elements are classified on neither path.
+    rank descriptor.  Census grounds (``by_census``) send a rank block
+    to the census whole, as membership rows; rows of diameter below the
+    floor are counted with the rest and can never be hits.  Other
+    grounds' blocks are counted one set at a time, skipping candidates
+    of diameter below the floor.  Rank blocks of candidates of fewer
+    than two elements are classified on neither path.
     """
     if isinstance(block, _MaskLevel):
         return _mask_level(special, hit_cap, block, take)
@@ -763,9 +767,9 @@ def _lattice_block(special: bool, hit_cap: int, block, take: int):
 
 def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     elems = cfg.ground.elements
-    sizes = range(cfg.min_size, (len(elems) if cfg.max_size is None else min(cfg.max_size, len(elems))) + 1)
-    ground = _ScanGround(elems)
-    blocks = (b for k in sizes for b in _rank_blocks(ground, k, math.comb(len(elems), k)))
+    n, top = len(elems), len(elems) if cfg.max_size is None else cfg.max_size
+    streamed = (math.comb(n, s) if cfg.min_size <= s <= top else 0 for s in range(n + 1))
+    blocks = _blocks(_ScanGround(elems), streamed)
     pruning = (f"skip diameter < {min_mstd_diameter()}",)
     hits, hit_count, examined, complete = _scan(
         blocks, partial(_lattice_block, special, cfg.hit_cap), cfg.budget, 0, cfg.hit_cap,
@@ -892,10 +896,10 @@ def minimal_mstd_in(
     objective).  The levels below the probe's bound stream lazily in
     ascending objective order (pairs come from a merge of one ascending
     run per left end, so memory stays linear in the ground), and the
-    scan stops at the first hit.  Levels of at most ``_MASK_K``
-    interior elements are classified whole in mask order, larger ones
-    in rank blocks; either way ``examined`` and the hit are those of
-    the candidate stream in ascending size, lexicographic within.
+    scan stops at the first hit.  Levels are ``_blocks``, as a search
+    is; in mask order or in rank blocks, ``examined`` and the hit are
+    those of the candidate stream in ascending size, lexicographic
+    within.
     ``optimal`` certifies that every level strictly below the returned
     bound was exhausted; levels whose objective value makes any MSTD
     subset impossible (below the verified diameter floor) are skipped
@@ -989,8 +993,7 @@ def _probe(elems, floor, budget):
 
 
 def _level(elems, objective, where, floor):
-    """Blocks of one minimality level, in scan order: one ``_MaskLevel``
-    when it has at most ``_MASK_K`` interior elements, else rank blocks.
+    """Blocks of one minimality level, in scan order, from ``_blocks``.
 
     A level fixes the subset's max element (min-max objective: level m
     is elems[m] plus any subset of the elements below it) or both
@@ -1016,10 +1019,4 @@ def _level(elems, objective, where, floor):
         ground = _ScanGround(level, lead=1, tail=1)
         t = ground.k  # every candidate spans the level's diameter, at least the floor
     k = ground.k
-    near = [math.comb(k - t, size) for size in range(k + 1)]
-    streamed = [math.comb(k, size) - n + (n > 0) for size, n in enumerate(near)]
-    if k <= _MASK_K:
-        yield sum(streamed), _MaskLevel(ground, tuple(streamed))
-        return
-    for size, count in enumerate(streamed):
-        yield from _rank_blocks(ground, size, count)
+    return _blocks(ground, [math.comb(k, size) - math.comb(k - t, size) + (size <= k - t) for size in range(k + 1)])

@@ -436,6 +436,16 @@ def test_reproduce_density_with_overridden_samples(capsys):
     assert data["params"]["samples"] == 100_000
 
 
+@pytest.mark.parametrize("claim", ["conway-counts", "min-size-8", "tuple-T-1e9"])
+def test_pinned_claims_refuse_overrides(capsys, claim):
+    # only the density claim takes --samples and --seed; any other claim
+    # exits 1 before it runs instead of printing its pinned report
+    for override in (["--samples", "5"], ["--seed", "3"], ["--samples", "5", "--seed", "3"]):
+        code, out, err = run(capsys, "reproduce", claim, *override)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error:") and "pinned" in err
+
+
 def test_tuple_t_claim_window_is_two_poisson_sds(capsys, monkeypatch):
     # the pinned x = 1e9 takes seconds; the pass rule is the same at 1e6
     from mstd import reproduce

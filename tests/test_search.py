@@ -37,8 +37,8 @@ from mstd import (
 )
 from mstd import search
 from mstd.search import (
-    _BLOCK, _MASK_K, _MC_CHUNK, _census_hits, _lattice_block, _level, _MaskLevel, _mc_chunk, _mc_scan, _ordered,
-    _rank_blocks, _scan, _ScanGround, PairCensus, bit_slices,
+    _BLOCK, _MASK_K, _MC_CHUNK, _blocks, _census_hits, _lattice_block, _level, _MaskLevel, _mc_chunk, _mc_scan,
+    _ordered, _scan, _ScanGround, PairCensus, bit_slices,
 )
 
 GROUND_15 = IntSet(range(15))
@@ -342,6 +342,14 @@ def assert_matches_reference(report, expected):
     assert (report.hit_count, report.examined, report.exhausted) == (hit_count, examined, complete)
 
 
+def rank_blocks(ground, size, count):
+    """``_blocks`` of the first ``count`` candidates of ``size`` as rank
+    descriptors, on any ground."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_MASK_K", -1)
+        return list(_blocks(ground, [0] * size + [count]))
+
+
 def scan_lattice(blocks, budget, special, hit_cap, first_hit, workers):
     """``_scan`` over lattice blocks, its hits as tuples."""
     hits, hit_count, examined, complete = _scan(
@@ -350,12 +358,15 @@ def scan_lattice(blocks, budget, special, hit_cap, first_hit, workers):
     return [h.elements for h in hits], hit_count, examined, complete
 
 
+@pytest.mark.parametrize("mask_k", [_MASK_K, 0], ids=["mask", "rank"])
 @pytest.mark.parametrize("seed", range(3))
-def test_lattice_blocks_match_the_tuple_stream(monkeypatch, seed):
-    # blocks of _BLOCK candidates, as on a ground classified row by row,
-    # put block edges inside sizes 7 and 8 of this 15-element census
-    # ground, whose own census blocks hold every size whole
+def test_lattice_blocks_match_the_tuple_stream(monkeypatch, seed, mask_k):
+    # this 15-element ground is one mask level at the default _MASK_K;
+    # at 0 it is rank blocks of _BLOCK candidates, as on a ground
+    # classified row by row, which put block edges inside sizes 7 and 8
+    # (its own census blocks hold every size whole)
     monkeypatch.setattr(_ScanGround, "block", _BLOCK)
+    monkeypatch.setattr(search, "_MASK_K", mask_k)
     rng = random.Random(seed)
     elems = conway_ground(rng, 7, 30)
     lo, hi = [(0, len(elems)), (7, 9), (8, 8)][seed]
@@ -374,8 +385,8 @@ def test_lattice_blocks_match_the_tuple_stream(monkeypatch, seed):
     pooled = {rng.randrange(edges[1] + 1, len(stream)), len(stream)}
 
     def blocks():
-        ground = _ScanGround(elems)
-        return (b for k in range(lo, hi + 1) for b in _rank_blocks(ground, k, math.comb(len(elems), k)))
+        streamed = [math.comb(len(elems), k) if lo <= k <= hi else 0 for k in range(len(elems) + 1)]
+        return _blocks(_ScanGround(elems), streamed)
 
     for budget in budgets_around(len(stream), full_blocks[:1] + rng.sample(edges, 3) + sorted(pooled), rng):
         for special, run in ((False, exhaustive_search), (True, special_search)):
@@ -387,6 +398,51 @@ def test_lattice_blocks_match_the_tuple_stream(monkeypatch, seed):
                 assert_matches_reference(run(cfg), expected)
                 if budget in pooled and (objective, hit_cap) in (("count-all", 5), ("first-hit", 1)):
                     assert scan_lattice(blocks(), budget, special, hit_cap, first_hit, 2) == expected
+
+
+@pytest.mark.parametrize(
+    "elems",
+    [
+        *(tuple(range(n)) for n in (1, 2, 3, 9, 15)),
+        tuple(PrimeSieve(100).primes()[:18].tolist()),
+        tuple(materialize(SequenceSpec.fibonacci(), 14)),
+        tuple(2**64 + 3 * e for e in range(16)),  # past int64
+        tuple(range(22)),
+    ],
+    ids=lambda elems: f"{len(elems)}-from-{elems[0] % 1000}",
+)
+def test_search_reports_match_in_mask_and_rank_order(monkeypatch, elems):
+    # a ground of at most _MASK_K elements is one mask level; at
+    # _MASK_K = 0 the same scan runs in rank blocks.  Both engines give
+    # one report for windows from size 0 (the empty set and singletons)
+    # up, budgets of 1, at and beside the rank blocks' edges and past the
+    # window, both objectives and hit caps 1, 3 and 1000; the rank blocks
+    # of a whole window also in a pool of two.  Every mask level costs
+    # all its 2^n masks, so the 22-element ground runs only its whole
+    # lattice, at budgets around its first edge and past its end
+    n = len(elems)
+    ground = _ScanGround(elems)
+    assert ground.k <= _MASK_K
+    rng = random.Random(n)
+    for lo, hi in [(0, None), (0, 1), (8, 9)] if n < 22 else [(0, None)]:
+        streamed = [math.comb(n, s) if lo <= s <= (n if hi is None else hi) else 0 for s in range(n + 1)]
+        monkeypatch.setattr(search, "_MASK_K", 0)
+        edges = list(itertools.accumulate(count for count, _ in _blocks(ground, streamed)))
+        monkeypatch.undo()
+        count = sum(streamed)
+        inner = rng.sample(edges, min(2, len(edges))) if n < 22 else []
+        marks = {1, count + 1, *(e + d for e in {*edges[:1], *inner} for d in (-1, 0, 1))}
+        for i, budget in enumerate(sorted(b for b in marks if b >= 1)):
+            for special, run in ((False, exhaustive_search), (True, special_search)):
+                for objective, hit_cap in (("count-all", (1, 3, 1000)[i % 3]), ("first-hit", 1)):
+                    cfg = SearchConfig(ground=IntSet(elems, diameter_cap=None), min_size=lo, max_size=hi,
+                                       budget=budget, objective=objective, hit_cap=hit_cap)
+                    mask = run(cfg).to_dict()
+                    monkeypatch.setattr(search, "_MASK_K", 0)
+                    assert run(cfg).to_dict() == mask
+                    if budget > count and objective == "count-all" and len(edges) > 1:
+                        assert run(replace(cfg, threads=2)).to_dict() == mask
+                    monkeypatch.undo()
 
 
 # (objective, levels of at most this many interior elements in mask
@@ -561,8 +617,8 @@ def test_mask_level_peak_memory():
 
 
 def test_mask_levels_are_spot_checked(monkeypatch):
-    # a kernel fault that no hit shows: the recount of each census
-    # block's first mask still sees it
+    # a kernel fault that no hit shows: the recount of each tile's last
+    # mask still sees it
     elems = tuple(range(0, 60, 5))  # an AP: no MSTD subset
     min_mstd_diameter()
     (count, level), = _level(elems, MIN_MAX, len(elems) - 1, FLOOR)
@@ -592,7 +648,8 @@ def test_mask_tiles_match_pair_enumeration(monkeypatch, tile_bits):
     # every mask of small levels, counted in tiles of 2^c masks (c = 0
     # and 3 leave high elements for each tile to add), against |A+A| and
     # |A-A| enumerated pair by pair; and the level's hits, special or
-    # not, against the same counts, in stream order
+    # not, against the same counts, in stream order.  Without fixed
+    # elements the empty mask is a candidate, with no differences
     monkeypatch.setattr(search, "_TILE_BITS", tile_bits)
     rng = random.Random(7)
     grounds = [tuple(range(5, 41, 3))]  # an AP
@@ -603,9 +660,11 @@ def test_mask_tiles_match_pair_enumeration(monkeypatch, tile_bits):
     grounds.append(tuple(2**64 + e for e in grounds[1]))  # past int64
     hits = 0
     for elems in grounds:
-        for lead, tail in ((0, 1), (1, 1)):
+        for lead, tail in ((0, 0), (0, 1), (1, 1)):
             for k in (0, 1, 2, 3, 5, 8, 10):
                 level_elems = elems[: lead + k] + elems[len(elems) - tail :]
+                if not level_elems:
+                    continue
                 ends = level_elems[:lead], level_elems[lead + k :]
                 cands = [ends[0] + tuple(level_elems[lead + e] for e in range(k) if m >> e & 1) + ends[1]
                          for m in range(1 << k)]
@@ -614,7 +673,7 @@ def test_mask_tiles_match_pair_enumeration(monkeypatch, tile_bits):
                 got = []
                 for first, sums, nonneg in search._mask_tiles(ground):
                     assert first == len(got) and len(sums) == 1 << min(k, tile_bits)
-                    got += zip(sums.tolist(), (2 * nonneg - 1).tolist())
+                    got += zip(sums.tolist(), np.maximum(2 * nonneg - 1, 0).tolist())
                 assert got == counts
                 level = _MaskLevel(ground, tuple(math.comb(k, s) for s in range(k + 1)))
                 for special in (False, True):
@@ -631,7 +690,7 @@ def test_mask_tiles_are_recounted_tile_by_tile(monkeypatch):
     # interior element, which no other pair has, is dropped.  Only the
     # masks that hold that element miscount, the first of them in a
     # later tile, and an AP has no hit to recount, so only the recount
-    # of each tile's first mask can see it
+    # of each tile's last mask can see it
     elems = tuple(range(0, 60, 5))
     min_mstd_diameter()
     (count, level), = _level(elems, MIN_MAX, len(elems) - 1, FLOOR)
@@ -700,7 +759,7 @@ def test_unranked_rows_match_itertools(monkeypatch, lead, tail):
         ground = _ScanGround(tuple(range(n)), lead, tail)
         for size in range(k + 1):
             expected = frame(lead, itertools.combinations(range(k), size), tail, n)
-            starts = [(b[2], count) for count, b in _rank_blocks(ground, size, len(expected))]
+            starts = [(b[2], count) for count, b in rank_blocks(ground, size, len(expected))]
             middle = rng.randrange(len(expected))
             starts.append((middle, len(expected) - middle))
             assert [first for first, _ in starts[:-1]] == list(range(0, len(expected), 7))
@@ -734,15 +793,19 @@ def test_unranking_where_the_counts_pass_int64():
 def test_census_blocks_are_spot_checked(monkeypatch):
     # a kernel that counts one sum too many makes every size-6 subset of
     # this ground look balanced or better, and none is MSTD: only the
-    # recount of each block's first row can notice
+    # recount of one candidate per block can notice, the last mask of
+    # each tile of the mask level or, at _MASK_K = 0, the first row of
+    # each rank block
     ground = IntSet((0, 1, 2, 3, 4, 5, 12, 13, 14, 15, 16, 17))
     min_mstd_diameter()  # the floor scan runs before the fault
     honest = search.sum_diff_counts
-    monkeypatch.setattr(search, "sum_diff_counts", lambda elems, *a, **k: (honest(elems)[0] + 1, honest(elems)[1]))
-    with pytest.raises(RuntimeError, match="disagrees with sum_diff_counts"):
-        exhaustive_search(SearchConfig(ground=ground, min_size=6, max_size=6))
-    monkeypatch.undo()
-    assert exhaustive_search(SearchConfig(ground=ground, min_size=6, max_size=6)).hit_count == 0
+    for mask_k in (_MASK_K, 0):
+        monkeypatch.setattr(search, "_MASK_K", mask_k)
+        monkeypatch.setattr(search, "sum_diff_counts", lambda e, *a, **k: (honest(e)[0] + 1, honest(e)[1]))
+        with pytest.raises(RuntimeError, match="disagrees with sum_diff_counts"):
+            exhaustive_search(SearchConfig(ground=ground, min_size=6, max_size=6))
+        monkeypatch.setattr(search, "sum_diff_counts", honest)
+        assert exhaustive_search(SearchConfig(ground=ground, min_size=6, max_size=6)).hit_count == 0
 
 
 # -- monte carlo -------------------------------------------------------
@@ -970,7 +1033,7 @@ def test_lattice_census_block_matches_row_by_row(monkeypatch, hit_cap):
     # give the row-by-row positions and hits (hits merged across census
     # blocks: test_monte_carlo_matches_naive_recount)
     ground = _ScanGround(tuple(range(18)))
-    blocks = [b for size in (9, 10) for _, b in itertools.islice(_rank_blocks(ground, size, math.comb(18, size)), 1)]
+    blocks = [b for size in (9, 10) for _, b in itertools.islice(rank_blocks(ground, size, math.comb(18, size)), 1)]
     assert ground.by_census and ground.block == 12288
 
     def classify():
@@ -994,7 +1057,7 @@ def test_census_blocks_below_the_floor_match_row_by_row(monkeypatch):
     # below the floor, and the min-max levels 14 and 15 of {0..30},
     # which hold the first hits, whole and budget-cut
     ground = _ScanGround(tuple(range(31)))
-    tails = [list(_rank_blocks(ground, size, math.comb(31, size)))[-1] for size in range(2, 7)]
+    tails = [list(rank_blocks(ground, size, math.comb(31, size)))[-1] for size in range(2, 7)]
     below = 0
     for count, (_, size, first) in tails:
         rows = ground.index_rows(size, first, count)
@@ -1057,14 +1120,14 @@ def test_lattice_blocks_are_census_blocks_on_census_grounds():
     # and never builds a census
     narrow = _ScanGround(tuple(range(18)))  # 35 sums, 18 differences
     assert narrow.by_census and narrow.block == narrow.census.block == 64 * (2**19 // (128 * 18 + 8 * 53))
-    counts = [count for count, _ in _rank_blocks(narrow, 9, math.comb(18, 9))]
+    counts = [count for count, _ in rank_blocks(narrow, 9, math.comb(18, 9))]
     assert counts == [12288] * 3 + [math.comb(18, 9) - 3 * 12288]
     edge = max(n for n in range(400) if n * (n + 1) // 2 <= search._CENSUS_PAIRS)
     primes = tuple(PrimeSieve(3000).primes().tolist())
     assert _ScanGround(primes[:edge]).by_census
     wide = _ScanGround(primes[: edge + 1])
     assert not wide.by_census and wide.block == _BLOCK
-    assert [count for count, _ in _rank_blocks(wide, 2, 5000)] == [2048, 2048, 904]
+    assert [count for count, _ in rank_blocks(wide, 2, 5000)] == [2048, 2048, 904]
     assert "census" not in vars(wide)
 
 
@@ -1075,7 +1138,7 @@ def test_census_lattice_block_peak_memory():
     primes = tuple(PrimeSieve(73).primes().tolist())
     for ground, count in ((_ScanGround(primes, tail=1), 8640), (_ScanGround(tuple(range(21))), 10496)):
         assert ground.block == count
-        block = next(b for _, b in _rank_blocks(ground, 10, math.comb(ground.k, 10)))
+        block = next(b for _, b in rank_blocks(ground, 10, math.comb(ground.k, 10)))
         _lattice_block(False, search.DEFAULT_HIT_CAP, block, count)  # builds the census, once per ground
         tracemalloc.start()
         try:
