@@ -503,8 +503,8 @@ class _ScanGround:
         subsets, whatever the subset size; row by row a subset costs
         ``sum_diff_counts``, more the larger it is.  The first n primes,
         one size to a budget of 200,000, census against row by row, best
-        of 3 (2-core Xeon): size 8, 0.81 vs 2.25 s at n = 150, 1.15-1.43
-        vs 1.50-1.60 at 250-280, 1.85-2.61 vs 1.64-1.77 at 330-361; size
+        of 3 (2-core Xeon): size 8, 0.81 vs 2.25 s at n = 150, 1.15-1.66
+        vs 1.47-1.79 at 250-280, 1.85-2.61 vs 1.64-1.77 at 330-361; size
         3, 0.94 vs 1.29 at 150, rows ahead from 200.  So the census runs
         to 300 elements, past which both sizes run faster row by row."""
         n = len(self.elements)
