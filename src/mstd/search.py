@@ -35,7 +35,8 @@ a hit.  Under the min-max objective each cardinality of a minimality
 level stops at its first candidate below the floor, a position
 ``_level`` computes from binomial counts; levels stream lazily in
 ascending objective order.  A Monte Carlo block is a chunk of 2^16
-samples, drawn as random bytes from the chunk's own seed stream.
+samples, drawn as random bytes from the chunk's own seed stream, one
+census block of rows at a time.
 
 Monte Carlo chunks and the rank blocks of census grounds reach
 ``PairCensus``, one bit-sliced pair form for every ground, through
@@ -55,12 +56,12 @@ CapacityError before one census block could pass
 ``_CENSUS_BLOCK_BYTES`` or, which bounds its time,
 ``_CENSUS_BLOCK_PAIRS`` element pairs.
 
-Monte Carlo chunks and rank blocks are membership rows first
-(``bit_slices`` transposes them): a lattice ground of at most 300
-elements (``_CENSUS_PAIRS``) is unranked one pass per element straight
-into membership rows; wider grounds, which cost less row by row, are
-unranked one pass per position into index rows and counted one set at
-a time.  Mask levels are counted subset-major instead
+Monte Carlo rows are bit-sliced from the drawn bytes by 8 x 8 bit
+transposes (``byte_slices``).  A lattice ground of at most 300 elements
+(``_CENSUS_PAIRS``) is unranked one pass per element straight into
+membership rows, element-major, which ``bit_slices`` packs; wider
+grounds, which cost less row by row, are unranked one pass per position
+into index rows and counted one set at a time.  Mask levels are counted subset-major instead
 (``_mask_tiles``): each mask gets one row bitmask over the same rows,
 the OR of its element pairs' bits, built by doubling for 2^c masks at a
 time and counted by a popcount across each mask's words.  The first
@@ -110,20 +111,23 @@ _BLOCK = 2048
 # Grounds of more element pairs (j >= i) classify row by row, for cost
 # (see ``_ScanGround.by_census``)
 _CENSUS_PAIRS = 300 * 301 // 2
-# PairCensus memory.  A block of 64 * w subsets holds 128 * w bytes per
-# element (the membership rows and their transposed copy) and w words
-# per distinct pair sum and difference.  w is the larger of two rules:
-# at most 32 words while the tables stay within 2**17 words (1 MiB), or
-# as many as keep rows and tables within 2**19 bytes; so narrow grounds
-# get longer blocks, which pay the per-element loop less often, and
-# wide ones never shorter.  Tables are unpacked one byte per bit for
-# counting, at most 2**11 words (128 KiB) at a time.  The rule leaves
-# out the int64 results and the unranking arrays, so a whole lattice
-# block peaks higher on narrow grounds: under tracemalloc, 110 bytes per
-# subset (928 KiB) on the 8640-subset blocks of the 21 primes up to 73
-# (tail 1), 93 (955 KiB) on the 10496-subset blocks of {0..20}.  Row
-# indices are kept while the ground's element pairs (j >= i) fit 2**22,
-# at most 32 MiB of int32 indices.
+# PairCensus memory.  A block of 64 * w subsets holds w words per
+# distinct pair sum and difference, plus 128 * w bytes per element in a
+# lattice block (its membership rows take 64 * w) and 320 * w per byte
+# of a drawn row in a Monte Carlo block (the rows, their transposed
+# copy, the swap temporary, the words and the AND buffer).  w is the
+# larger of two rules: at most 32 words while the tables stay within
+# 2**17 words (1 MiB), or as many as keep the block within 2**19 bytes;
+# so narrow grounds get longer blocks, which pay the per-element loop
+# less often, and wide ones never shorter.  Tables are unpacked one byte
+# per bit for counting, at most 2**11 words (128 KiB) at a time.  The
+# rule leaves out the int64 results and the unranking arrays: under
+# tracemalloc a lattice block peaks at 70 bytes per subset (594 KiB) on
+# the 8640-subset blocks of the 21 primes up to 73 (tail 1), 62 (636
+# KiB) on the 10496 of {0..20}; a 2^16-sample chunk at 741 KiB on
+# {0..100} (5056-subset blocks), 2.5 MiB on grounds of a few elements.
+# Row indices are kept while the ground's element pairs (j >= i) fit
+# 2**22, at most 32 MiB of int32 indices.
 _CENSUS_UNPACK_WORDS = 1 << 11
 _CENSUS_ROW_PAIRS = 1 << 22
 # Bound on the smallest census block, 64 subsets: 64 membership bytes per
@@ -269,8 +273,8 @@ class SearchReport:
 
 class PairCensus:
     """|A+A|, |A-A| and |A| for many subsets A of one ground at once,
-    which arrive as bit-sliced words (``word_counts``, which
-    ``bit_slices`` makes of membership rows), up to ``block`` at a time.
+    which arrive as bit-sliced words (``word_counts``): up to ``block``
+    lattice candidates or ``mc_block`` Monte Carlo samples at a time.
     Memory is the ground's distinct pair sums and differences, one
     block's tables, and the element pairs' row indices while they fit
     ``_CENSUS_ROW_PAIRS``."""
@@ -285,7 +289,8 @@ class PairCensus:
         self._ground = _int_array(self.elements, top)
         self._sums = _int_array(sums, top)
         self._diffs = _int_array(nonneg_diffs, top)
-        self.block = 64 * max(1, min(32, (1 << 17) // rows), (1 << 19) // (128 * n + 8 * rows))
+        self.block, self.mc_block = (64 * max(1, min(32, (1 << 17) // rows), (1 << 19) // (per_word + 8 * rows))
+                                     for per_word in (128 * n, 320 * ((n + 7) // 8)))
         self._rows = list(map(self._pair_rows, range(n))) if n * (n + 1) // 2 <= _CENSUS_ROW_PAIRS else None
 
     def _pair_rows(self, i: int) -> tuple:
@@ -295,31 +300,53 @@ class PairCensus:
         return (_row_index(self._sums.searchsorted(ground[i:] + ground[i])),
                 _row_index(self._diffs.searchsorted(ground[i:] - ground[i])))
 
-    def word_counts(self, x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sum counts, difference counts, sizes) of the first ``count``
-        subsets held in ``x``, an (n, words) uint64 array in which bit b
-        of x[j, w] means element j is in subset 64 * w + b."""
+    def word_counts(self, x: np.ndarray, count: int, sizes: bool = True):
+        """(sum counts, difference counts, sizes, or None unless
+        ``sizes``) of the first ``count`` subsets held in ``x``, an (n,
+        words) uint64 array in which bit b of x[j, w] means element j is
+        in subset 64 * w + b."""
         words = x.shape[1]
         sums = np.zeros((len(self._sums), words), dtype=np.uint64)
         diffs = np.zeros((len(self._diffs), words), dtype=np.uint64)
         pair_rows = self._rows if self._rows is not None else map(self._pair_rows, range(self.n))
+        out = np.empty_like(x)
         for i, (sum_rows, diff_rows) in enumerate(pair_rows):
-            both = x[i] & x[i:]  # the pairs (i, j), j >= i
+            both = np.bitwise_and(x[i], x[i:], out=out[: self.n - i])  # the pairs (i, j), j >= i
             sums[sum_rows] |= both
             diffs[diff_rows] |= both
         # A-A is the nonnegative differences, mirrored about 0
         nonneg = _column_counts(diffs)[:count]
-        return _column_counts(sums)[:count], np.maximum(2 * nonneg - 1, 0), _column_counts(x)[:count]
+        return (_column_counts(sums)[:count], np.maximum(2 * nonneg - 1, 0),
+                _column_counts(x)[:count] if sizes else None)
 
 
 def bit_slices(member: np.ndarray) -> np.ndarray:
-    """The rows of a (subsets, n) 0/1 matrix bit-sliced for
-    ``PairCensus.word_counts``: x[j, w] bit b is member[64 * w + b, j],
-    and bits past the last row are 0."""
-    count = len(member)
-    flags = np.zeros((member.shape[1], 64 * ((count + 63) // 64)), dtype=np.uint8)
-    flags[:, :count] = member.T
-    return np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
+    """The rows of an (n, subsets) 0/1 matrix bit-sliced for
+    ``PairCensus.word_counts``: x[j, w] bit b is member[j, 64 * w + b],
+    and bits past the last subset are 0."""
+    packed = np.packbits(member, axis=1, bitorder="little")
+    words = np.zeros((len(member), (packed.shape[1] + 7) // 8 * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view(np.uint64)
+
+
+def byte_slices(raw: bytes, n: int) -> np.ndarray:
+    """Rows of ceil(n / 8) bytes, row k the little-endian bit mask of
+    subset k over n elements, bit-sliced as ``bit_slices`` slices
+    membership rows.  Each 8 x 8 bit block, 8 rows of one byte column,
+    is one uint64 whose bit 8r + e, bit e of row r, a masked-swap
+    transpose (Hacker's Delight 7-3) moves to 8e + r; one byte-level
+    reshape gathers the blocks and one puts them back as words."""
+    width = (n + 7) // 8
+    words = -(-len(raw) // (64 * width))
+    rows = np.frombuffer(raw.ljust(64 * width * words, b"\0"), dtype=np.uint8)
+    x = rows.reshape(words, 8, 8, width).transpose(0, 1, 3, 2).copy().view(np.uint64)  # [w, g, c]: rows 64w + 8g + r
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)):
+        t = (x ^ (x >> np.uint64(shift))) & np.uint64(mask)
+        x ^= t ^ (t << np.uint64(shift))
+    # byte e of x[w, g, c] is byte g of element 8c + e's word w
+    return np.ascontiguousarray(x.view(np.uint8).reshape(words, 8, width, 8).transpose(2, 3, 0, 1)).reshape(
+        8 * width, 8 * words).view(np.uint64)[:n]
 
 
 def _check_census_capacity(elements: int, rows: int) -> None:
@@ -378,14 +405,14 @@ def _counted_hits(subsets: list[tuple[int, ...]], special: bool) -> np.ndarray:
 def _census_scan(census: PairCensus, blocks, special: bool):
     """(hit positions, ascending, and every hit as a tuple of ground
     elements) among the subsets that ``blocks`` yields as (x, count):
-    ``count`` subsets, at most ``census.block``, bit-sliced as
-    ``PairCensus.word_counts`` takes them.  The first subset of every
-    block (unless empty) and every hit are counted again by
+    ``count`` subsets, bit-sliced as ``PairCensus.word_counts`` takes
+    them; sizes are counted only for ``special``.  The first subset of
+    every block (unless empty) and every hit are counted again by
     ``sum_diff_counts``, looked up when called; a census it disagrees
     with raises."""
     found, hits, start = [np.zeros(0, dtype=np.intp)], [], 0
     for x, count in blocks:
-        sc, dc, size = census.word_counts(x, count)
+        sc, dc, size = census.word_counts(x, count, special)
         at = np.flatnonzero(_census_hits(sc, dc, size, special))
         rows = np.concatenate(([0], at))
         subsets = _decode(census.elements, x, rows)
@@ -520,8 +547,8 @@ class _ScanGround:
         return tuple(map(self.elements.__getitem__, row.tolist()))
 
     def member_rows(self, size: int, first: int, count: int) -> np.ndarray:
-        """Candidates ``first`` .. ``first + count - 1`` of ``size`` as a
-        (count, n) 0/1 membership matrix, one pass per element.  With
+        """Candidates ``first`` .. ``first + count - 1`` of ``size`` as an
+        (n, count) 0/1 membership matrix, one pass per element.  With
         ``left`` elements to choose and slack d, a candidate of rank r
         takes the next element if r is below the C(d + left - 1, left - 1)
         candidates that do; else r drops by that many and d by one.  As
@@ -539,7 +566,7 @@ class _ScanGround:
             member[lead + e] = taken
             np.minimum(rank, rank - takers, out=rank)
             at -= 1 + taken * np.intp(slack)
-        return member.T
+        return member
 
     def mask_subset(self, mask: int) -> tuple[int, ...]:
         """The candidate of interior mask ``mask``: the lead, interior
@@ -818,16 +845,13 @@ def _mc_chunk(census: PairCensus, seed: int, special: bool, hit_cap: int, index:
     SeedSequence spawn, so the merged result is independent of how
     chunks are scheduled across workers.  Subset k is the ground
     elements at the set bits of row k of the chunk's ``rng.bytes`` draw,
-    rows of ceil(n / 8) bytes read little-endian, unpacked into
-    membership rows one census block at a time.
-    """
+    rows of ceil(n / 8) bytes read little-endian.  Each census block
+    draws its rows as it starts; ``Generator.bytes`` draws whole uint32
+    words and all blocks but the last hold 64 * w rows, so the draws
+    join up to the chunk's one."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
-    raw = np.frombuffer(rng.bytes((census.n + 7) // 8 * take), dtype=np.uint8).reshape(take, -1)
-    blocks = (
-        (bit_slices(np.unpackbits(raw[a : a + census.block], axis=1, count=census.n, bitorder="little")),
-         min(census.block, take - a))
-        for a in range(0, take, census.block)
-    )
+    counts = (min(census.mc_block, take - a) for a in range(0, take, census.mc_block))
+    blocks = ((byte_slices(rng.bytes((census.n + 7) // 8 * count), census.n), count) for count in counts)
     at, found = _census_scan(census, blocks, special)
     return take, at, found[:hit_cap]
 

@@ -38,7 +38,7 @@ from mstd import (
 from mstd import search
 from mstd.search import (
     _BLOCK, _MASK_K, _MC_CHUNK, _blocks, _census_hits, _lattice_block, _level, _MaskLevel, _mc_chunk, _mc_scan,
-    _ordered, _scan, _ScanGround, PairCensus, bit_slices,
+    _ordered, _scan, _ScanGround, PairCensus, bit_slices, byte_slices,
 )
 
 GROUND_15 = IntSet(range(15))
@@ -767,8 +767,8 @@ def test_unranked_rows_match_itertools(monkeypatch, lead, tail):
                 want = expected[first : first + count]
                 assert [tuple(r) for r in ground.index_rows(size, first, count).tolist()] == want
                 member = ground.member_rows(size, first, count)
-                assert member.shape == (count, n)
-                assert [tuple(np.flatnonzero(r).tolist()) for r in member] == want
+                assert member.shape == (n, count)
+                assert [tuple(np.flatnonzero(r).tolist()) for r in member.T] == want
 
 
 def test_unranking_where_the_counts_pass_int64():
@@ -781,7 +781,7 @@ def test_unranking_where_the_counts_pass_int64():
         rows = ground.index_rows(30, first, count)
         assert [ground.subset(r) for r in rows] == stream[first : first + count]
         member = ground.member_rows(30, first, count)
-        assert [tuple(itertools.compress(elems, r.tolist())) for r in member] == stream[first : first + count]
+        assert [tuple(itertools.compress(elems, r.tolist())) for r in member.T] == stream[first : first + count]
     table, forced = search._binomials(170, 30)
     assert table.max() <= search._RANK_CAP and forced > 0 and table.size <= 66 * 202
     for objective in ("count-all", "first-hit"):
@@ -1014,7 +1014,7 @@ def test_census_of_every_subset_matches_lattice_count(n):
         # row k: the bits of start + k, element j at bit j
         index = np.arange(start, min(start + census.block, 1 << n))
         member = (index[:, None] >> np.arange(n) & 1).astype(np.uint8)
-        sc, dc, _ = census.word_counts(bit_slices(member), len(member))
+        sc, dc, _ = census.word_counts(bit_slices(member.T), len(member))
         mstd_count += int(np.count_nonzero(sc > dc))
     scalar = 0
     for k in range(1, n + 1):
@@ -1185,6 +1185,62 @@ def test_monte_carlo_memory_independent_of_diameter():
         tracemalloc.stop()
     assert (report.hit_count, report.examined) == (0, 10)
     assert peak < 4 * 2**20
+
+
+def test_monte_carlo_block_draws_join_to_the_chunk_stream(monkeypatch):
+    # each census block draws its own rows as it starts; Generator.bytes
+    # draws whole uint32 words, and every block but a chunk's last holds
+    # a multiple of 64 rows, so the draws joined are the chunk's one draw
+    # of its documented stream, for rows of 1 to 13 bytes and chunks that
+    # end mid-block
+    drawn = []
+
+    def slices(raw, n):
+        drawn.append(raw)
+        return byte_slices(raw, n)
+
+    monkeypatch.setattr(search, "byte_slices", slices)
+    for width in range(1, 14):
+        census = PairCensus(tuple(range(8 * width - width % 3)))  # n of 8w - 2 .. 8w
+        for index, take in ((0, 2 * census.mc_block + 37), (3, _MC_CHUNK), (1, 1000)):
+            drawn.clear()
+            _mc_chunk(census, 5, False, 10, index, take)
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5, spawn_key=(index,))))
+            assert len(drawn) == -(-take // census.mc_block)
+            assert b"".join(drawn) == rng.bytes(width * take)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 101])
+def test_byte_slices_match_an_independent_decode(n):
+    # subset k of a draw is row k of ceil(n / 8) bytes, read as one
+    # little-endian int: element j is in it when bit j is set; the rows
+    # past the last, up to a multiple of 64, are empty
+    width = (n + 7) // 8
+    rng = np.random.default_rng(n)
+    for count in (1, 63, 64, 65, 4097):
+        raw = rng.bytes(width * count)
+        x = byte_slices(raw, n)
+        assert x.shape == (n, -(-count // 64)) and x.dtype == np.uint64
+        bits = [[int(word) >> b & 1 for word in row for b in range(64)] for row in x.tolist()]
+        for k in range(64 * x.shape[1]):
+            mask = int.from_bytes(raw[k * width : (k + 1) * width], "little") if k < count else 0
+            assert [row[k] for row in bits] == [mask >> j & 1 for j in range(n)]
+
+
+def test_monte_carlo_chunk_peak_memory():
+    # a whole 2^16-sample chunk of {0..100} draws its rows one census
+    # block at a time, never the chunk's 832 KiB at once
+    census = PairCensus(tuple(range(101)))
+    assert census.mc_block == 5056
+    _mc_chunk(census, 3, False, search.DEFAULT_HIT_CAP, 0, _MC_CHUNK)
+    tracemalloc.start()
+    try:
+        take, at, _ = _mc_chunk(census, 3, False, search.DEFAULT_HIT_CAP, 1, _MC_CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert take == _MC_CHUNK and len(at) > 0
+    assert peak < 2**20
 
 
 def test_monte_carlo_chunks_are_lazy(monkeypatch):

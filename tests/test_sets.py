@@ -184,9 +184,9 @@ def census_grounds():
 
 
 def member_counts(census, member):
-    """(sum counts, difference counts, sizes) of the rows of a 0/1
-    membership matrix."""
-    return census.word_counts(bit_slices(member), len(member))
+    """(sum counts, difference counts, sizes) of the rows of a (count, n)
+    0/1 membership matrix; ``bit_slices`` takes it element-major."""
+    return census.word_counts(bit_slices(member.T), len(member))
 
 
 def test_pair_census_matches_naive_counts():
@@ -213,6 +213,14 @@ def test_pair_census_bounds_its_memory():
     assert PairCensus(tuple(2**k for k in range(101))).block == 768  # 10202 rows: 2**17 // 10202 = 12
     sparse = sorted(random.Random(5).sample(range(10**9), 600))
     assert PairCensus(sparse).block == 64  # ~360000 rows
+    # Monte Carlo blocks hold 320 w bytes per byte of a drawn row (the
+    # rows, their transposed copy, the swap temporary, the words and the
+    # AND buffer), so they are longer where the tables leave room
+    assert PairCensus(tuple(range(101))).mc_block == 5056  # 2**19 // (320 * 13 + 8 * 302) = 79
+    primes_200 = tuple(p for p in range(2, 200) if all(p % q for q in range(2, p)))
+    assert PairCensus(primes_200).mc_block == 6656  # 46 elements, 386 rows: 2**19 // (320 * 6 + 8 * 386) = 104
+    assert PairCensus(tuple(range(1000))).mc_block == 2048  # 32 words, as above
+    assert PairCensus(tuple(2**k for k in range(101))).mc_block == 768
     # {0..2047} has 2**21 element pairs, each pair's rows consecutive, so
     # its row cache is slices and a full block's memory follows its 6143
     # distinct sums and differences (one 16-byte index per pair would be
