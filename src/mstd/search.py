@@ -61,15 +61,16 @@ transposes (``byte_slices``).  A lattice ground of at most 300 elements
 (``_CENSUS_PAIRS``) is unranked one pass per element straight into
 membership rows, element-major, which ``bit_slices`` packs; wider
 grounds, which cost less row by row, are unranked one pass per position
-into index rows and counted one set at a time.  Mask levels are counted subset-major instead
-(``_mask_tiles``): each mask gets one row bitmask over the same rows,
-the OR of its element pairs' bits, built by doubling for 2^c masks at a
-time and counted by a popcount across each mask's words.  The first
-candidate of every census block, the last mask of every tile and every
-hit are counted again by ``sum_diff_counts``: a count that disagrees
-raises instead of reporting, so engines never report a set they did not
-verify.  The only pruning rule, skipping subsets of diameter below 14,
-is itself established at runtime by an exhaustive scan (see
+into index rows and counted one set at a time.  Mask levels are counted
+subset-major instead (``_mask_tiles``): each mask gets one row bitmask
+over the same rows, the OR of its element pairs' bits, built by
+doubling for 2^c masks at a time and counted by a popcount across each
+mask's words.  The first candidate of every census block, the last
+mask of every tile and every hit are counted again by
+``sum_diff_counts``: a count that disagrees raises instead of
+reporting, so engines never report a set they did not verify.  The only
+pruning rule, skipping subsets of diameter below 14, is itself
+established at runtime by an exhaustive scan (see
 ``min_mstd_diameter``) before any engine uses it.
 """
 
@@ -301,10 +302,9 @@ class PairCensus:
                 _row_index(self._diffs.searchsorted(ground[i:] - ground[i])))
 
     def word_counts(self, x: np.ndarray, count: int, sizes: bool = True):
-        """(sum counts, difference counts, sizes, or None unless
-        ``sizes``) of the first ``count`` subsets held in ``x``, an (n,
-        words) uint64 array in which bit b of x[j, w] means element j is
-        in subset 64 * w + b."""
+        """(sum counts, difference counts, sizes if ``sizes`` else None) of
+        the first ``count`` subsets held in ``x``, an (n, words) uint64
+        array in which bit b of x[j, w] means element j is in subset 64w + b."""
         words = x.shape[1]
         sums = np.zeros((len(self._sums), words), dtype=np.uint64)
         diffs = np.zeros((len(self._diffs), words), dtype=np.uint64)
@@ -331,12 +331,10 @@ def bit_slices(member: np.ndarray) -> np.ndarray:
 
 
 def byte_slices(raw: bytes, n: int) -> np.ndarray:
-    """Rows of ceil(n / 8) bytes, row k the little-endian bit mask of
-    subset k over n elements, bit-sliced as ``bit_slices`` slices
-    membership rows.  Each 8 x 8 bit block, 8 rows of one byte column,
-    is one uint64 whose bit 8r + e, bit e of row r, a masked-swap
-    transpose (Hacker's Delight 7-3) moves to 8e + r; one byte-level
-    reshape gathers the blocks and one puts them back as words."""
+    """Rows of ceil(n / 8) bytes, row k subset k's little-endian bit mask,
+    bit-sliced as ``bit_slices`` slices membership rows: each 8 x 8 bit
+    block (8 rows of one byte column) is one uint64, whose bit 8r + e a
+    masked-swap transpose (Hacker's Delight 7-3) moves to 8e + r."""
     width = (n + 7) // 8
     words = -(-len(raw) // (64 * width))
     rows = np.frombuffer(raw.ljust(64 * width * words, b"\0"), dtype=np.uint8)
@@ -846,9 +844,8 @@ def _mc_chunk(census: PairCensus, seed: int, special: bool, hit_cap: int, index:
     chunks are scheduled across workers.  Subset k is the ground
     elements at the set bits of row k of the chunk's ``rng.bytes`` draw,
     rows of ceil(n / 8) bytes read little-endian.  Each census block
-    draws its rows as it starts; ``Generator.bytes`` draws whole uint32
-    words and all blocks but the last hold 64 * w rows, so the draws
-    join up to the chunk's one."""
+    draws its rows as it starts; blocks but the last hold 64 * w rows and
+    ``Generator.bytes`` draws whole uint32 words, so the draws join up."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
     counts = (min(census.mc_block, take - a) for a in range(0, take, census.mc_block))
     blocks = ((byte_slices(rng.bytes((census.n + 7) // 8 * count), census.n), count) for count in counts)
