@@ -22,21 +22,21 @@ are classified in a process pool and merged in block order, so a report
 does not depend on the thread count.
 
 Every lattice engine takes its blocks from ``_blocks``: a scan ground
-of at most ``_MASK_K`` interior elements is one ``_MaskLevel``, whose
-2^k interior masks are classified in mask order and whose hits are put
-back in stream order, so budget and first-hit stops fall where rank
-order puts them (one block never starts a pool); a larger one is rank
-descriptors, (scan ground, size, rank of its first candidate), for one
-census block of candidates (2048 on grounds classified row by row),
-unranked by the combinatorial number system.  Candidates below the
-diameter floor count as examined: row by row they are not classified,
-and census and mask blocks count them with the rest, though none can be
-a hit.  Under the min-max objective each cardinality of a minimality
-level stops at its first candidate below the floor, a position
-``_level`` computes from binomial counts; levels stream lazily in
-ascending objective order.  A Monte Carlo block is a chunk of 2^16
-samples, drawn as random bytes from the chunk's own seed stream, one
-census block of rows at a time.
+of at most ``_MASK_K`` interior elements, of whose 2^k interior masks
+at least ``_MASK_SHARE`` are wanted, is one ``_MaskLevel``, whose masks
+are classified in mask order and whose hits are put back in stream
+order, so budget and first-hit stops fall where rank order puts them
+(one block never starts a pool); any other ground is rank descriptors,
+(scan ground, size, rank of its first candidate), for one census block
+of candidates (2048 on grounds classified row by row), unranked by the
+combinatorial number system.  Candidates below the diameter floor count
+as examined: row by row they are not classified, and census and mask
+blocks count them with the rest, though none can be a hit.  Under the
+min-max objective each cardinality of a minimality level stops at its
+first candidate below the floor, a position ``_level`` computes from
+binomial counts; levels stream lazily in ascending objective order.  A
+Monte Carlo block is a chunk of 2^16 samples, drawn as random bytes from
+the chunk's own seed stream, one census block of rows at a time.
 
 Monte Carlo chunks and the rank blocks of census grounds reach
 ``PairCensus``, one bit-sliced pair form for every ground, through
@@ -65,8 +65,9 @@ into index rows and counted one set at a time.  Mask levels are counted
 subset-major instead (``_mask_tiles``): each mask gets one row bitmask
 over the same rows, the OR of its element pairs' bits, built by
 doubling for 2^c masks at a time and counted by a popcount across each
-mask's words.  The first candidate of every census block, the last
-mask of every tile and every hit are counted again by
+mask's words.  The first candidate of every census block (decoded from
+the drawn bytes or unranked again, not from the sliced words), the last
+mask of every 4096 masks and every hit are counted again by
 ``sum_diff_counts``: a count that disagrees raises instead of
 reporting, so engines never report a set they did not verify.  The only
 pruning rule, skipping subsets of diameter below 14, is itself
@@ -142,20 +143,34 @@ _CENSUS_BLOCK_PAIRS = 1 << 25
 _RANK_CAP = 1 << 62
 # (scale, shift) pairs the minimality probe tests per batch of scales
 _PROBE_PAIRS = 1 << 14
-# Scan grounds of at most this many interior elements are one block in
-# mask order (``_blocks``): all 2^k masks, even when the budget, a hit or
-# a narrow window cuts it.  Whole min-max levels of the first k + 1
-# primes, us per mask against per candidate in rank order: 0.03-0.07 vs
-# 0.29-0.39 at k = 20, 0.03-0.05 vs 0.29-0.44 at 22, 0.04-0.05 vs
-# 0.31-0.43 at 24 (2-core Xeon, CPython 3.11, numpy 2.4).  So a cut
-# ground wastes at most about 0.2 s at k = 22 (size 2 of {0..21}: 0.11 to
-# 0.14 s against 0.5-0.8 ms; all sizes: 0.09-0.12 s against 0.70-0.90);
-# at 24, 0.6-0.9 s, and {0..24} keeps about 7000 hits (nearly 1 MiB).
+# Scan grounds of at most this many interior elements may be one block in
+# mask order (``_blocks``): all 2^k masks, even when a hit cuts it.  Whole
+# min-max levels of the first k + 1 primes, us per mask against per
+# candidate in rank order: 0.015 vs 0.20 at k = 20 and 22, 0.017 vs 0.20
+# at 24 (2-core Xeon, CPython 3.11, numpy 2.4); all of {0..21}: 0.054
+# against 0.52 s.  So a first hit wastes at most 0.07 s at k = 22; at 24,
+# 0.28 s, and {0..24} keeps about 7000 hits (nearly 1 MiB).
 _MASK_K = 22
-# A mask level is counted in tiles of 2^c consecutive masks, c the
-# smaller of k and this: the tile and the table of its low masks are
-# each 2^c masks of at most 10 words (320 KiB) at _MASK_K
-_TILE_BITS = 12
+# ... when the wanted candidates (streamed, capped by the budget where it
+# is known) are at least this share of 2^k.  One size of {0..17}, {0..19},
+# {0..21} and the first 22 primes, rank blocks' time over the mask
+# level's, best of 3: 0.61-0.69 at shares of 7.1-7.6%, 1.05-1.45 at
+# 11.9-12.2%; at k = 16, 0.95-1.04 at 12-17%.  Size 2 of {0..21} takes
+# 0.5 ms in rank blocks against 0.054 s as a mask level.
+_MASK_SHARE = 0.1
+# A mask level is counted in tiles of 2^c consecutive masks: c is the
+# largest value up to k for which one table of 2^c masks (a tile, or the
+# table of its low masks) fits this many bytes, but never below
+# ``_CHECK_BITS``.  The tiles of a 2-word level hold 2^14 masks, of 3-4
+# words 2^13, of more words 2^12 (at most 10 words, 320 KiB, at _MASK_K).
+# Under tracemalloc the level of {0..22} (2 words) peaks at 0.84 MB, 0.29
+# in tiles of 2^12; the powers 2^0..2^22 (9 words) at 0.92 MB.  At 2^16
+# and 2^17 bytes lattice-search's peak RSS matched 2^12-mask tiles; at
+# 2^18 it is 0.3-0.4 MB higher, and only there do the 3-4-word levels of
+# ``minimal`` on the primes get tiles of 2^13 masks (0.057 to 0.041 s).
+_TILE_BYTES = 1 << 18
+# The last mask of every 2^12 masks of a mask level is counted again
+_CHECK_BITS = 12
 
 
 @cache
@@ -402,22 +417,22 @@ def _counted_hits(subsets: list[tuple[int, ...]], special: bool) -> np.ndarray:
 
 def _census_scan(census: PairCensus, blocks, special: bool):
     """(hit positions, ascending, and every hit as a tuple of ground
-    elements) among the subsets that ``blocks`` yields as (x, count):
-    ``count`` subsets, bit-sliced as ``PairCensus.word_counts`` takes
-    them; sizes are counted only for ``special``.  The first subset of
-    every block (unless empty) and every hit are counted again by
-    ``sum_diff_counts``, looked up when called; a census it disagrees
-    with raises."""
+    elements) among the subsets that ``blocks`` yields as (x, count,
+    first): ``count`` subsets, bit-sliced as ``PairCensus.word_counts``
+    takes them, the first of them decoded from the source the words were
+    sliced from; sizes are counted only for ``special``.  ``first``
+    (unless empty) and every hit, decoded from ``x``, are counted again
+    by ``sum_diff_counts``, looked up when called; a census it disagrees
+    with raises, so a slicing fault that moves a subset's bits shows."""
     found, hits, start = [np.zeros(0, dtype=np.intp)], [], 0
-    for x, count in blocks:
+    for x, count, first in blocks:
         sc, dc, size = census.word_counts(x, count, special)
         at = np.flatnonzero(_census_hits(sc, dc, size, special))
-        rows = np.concatenate(([0], at))
-        subsets = _decode(census.elements, x, rows)
-        for r, subset in zip(rows.tolist(), subsets):
+        subsets = _decode(census.elements, x, at)
+        for r, subset in zip([0, *at.tolist()], [first, *subsets]):
             if subset and sum_diff_counts(subset) != (int(sc[r]), int(dc[r])):
                 raise RuntimeError(f"batched census disagrees with sum_diff_counts on {subset}")
-        hits += subsets[1:]
+        hits += subsets
         found.append(start + at)
         start += count
     return np.concatenate(found), hits
@@ -688,10 +703,9 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 
 def _mask_tiles(ground: _ScanGround):
     """(first mask, sum counts, nonnegative difference counts) of each
-    tile of 2^c consecutive masks of a mask level, c = min(k,
-    ``_TILE_BITS``), counted subset-major: each mask gets one row
-    bitmask (``_pair_bits``), held word-major, whose set bits are
-    counted.
+    tile of 2^c consecutive masks of a mask level (c as ``_TILE_BYTES``
+    gives it), counted subset-major: each mask gets one row bitmask
+    (``_pair_bits``), held word-major, whose set bits are counted.
 
     A mask's bitmask is the OR of its element pairs' bits.  The fixed
     pairs and those of the c low interior elements are one table per
@@ -703,7 +717,8 @@ def _mask_tiles(ground: _ScanGround):
     element, doubled across the tile on the low elements."""
     lead, k = ground.lead, ground.k
     bits, sum_words = _pair_bits(ground.elements)
-    c, inner = min(k, _TILE_BITS), bits[lead : lead + k]
+    c = min(k, max(_CHECK_BITS, (_TILE_BYTES // (8 * bits.shape[2])).bit_length() - 1))
+    inner = bits[lead : lead + k]
     fixed = [*range(lead), *range(lead + k, len(bits))]
     base = np.bitwise_or.reduce(bits[fixed][:, fixed], axis=(0, 1))
     own = np.bitwise_or.reduce(inner[:, fixed], axis=1) | inner[range(k), range(lead, lead + k)]
@@ -735,16 +750,17 @@ def _mask_level(special: bool, hit_cap: int, level: _MaskLevel, take: int):
     """``_lattice_block`` on a ``_MaskLevel``: every mask is classified,
     one ``_mask_tiles`` tile at a time, and the hits among the level's
     first ``take`` stream positions are returned in stream order, each
-    put there by ``_MaskLevel.position``.  The last mask of every tile,
-    unless empty, and every hit are counted again by ``sum_diff_counts``,
-    looked up when called; a tile it disagrees with raises."""
+    put there by ``_MaskLevel.position``.  The last mask of every run of
+    2^``_CHECK_BITS`` masks (of the level, if shorter), unless empty, and
+    every hit are counted again by ``sum_diff_counts``, looked up when
+    called; a tile it disagrees with raises.  A tile holds whole runs."""
     ground, found = level.ground, []
-    fixed = ground.lead + ground.tail
+    fixed, run = ground.lead + ground.tail, 1 << _CHECK_BITS
     for first, sums, nonneg in _mask_tiles(ground):
         diffs = np.maximum(2 * nonneg - 1, 0)  # A-A: nonnegative differences mirrored about 0; none in the empty set
         sizes = _popcount(np.arange(first, first + len(sums), dtype=np.uint64)) + fixed if special else None
         at = np.flatnonzero(_census_hits(sums, diffs, sizes, special)).tolist()
-        checked = {r: ground.mask_subset(first + r) for r in (len(sums) - 1, *at)}
+        checked = {r: ground.mask_subset(first + r) for r in (*range(min(run, len(sums)) - 1, len(sums), run), *at)}
         for r, subset in checked.items():
             if subset and sum_diff_counts(subset) != (int(sums[r]), int(diffs[r])):
                 raise RuntimeError(f"mask level count disagrees with sum_diff_counts on {subset}")
@@ -753,16 +769,19 @@ def _mask_level(special: bool, hit_cap: int, level: _MaskLevel, take: int):
     return take, np.array([p for p, _ in position], dtype=np.intp), [s for _, s in position[:hit_cap]]
 
 
-def _blocks(ground: _ScanGround, streamed):
+def _blocks(ground: _ScanGround, streamed, budget=math.inf):
     """(count, block) of every lattice engine: the first ``streamed[s]``
     candidates of interior size s as one ``_MaskLevel`` on a ground of at
-    most ``_MASK_K`` interior elements, else as rank descriptors (ground,
-    size, first rank) of at most ``ground.block`` candidates each."""
-    if ground.k > _MASK_K:
-        for size, count in enumerate(streamed):
-            yield from ((min(ground.block, count - a), (ground, size, a)) for a in range(0, count, ground.block))
-    elif any(streamed := tuple(streamed)):
+    most ``_MASK_K`` interior elements when at least ``_MASK_SHARE`` of
+    its 2^k masks are wanted (streamed, up to the ``budget``), else as
+    rank descriptors (ground, size, first rank) of at most
+    ``ground.block`` candidates each."""
+    streamed = tuple(streamed)
+    if ground.k <= _MASK_K and min(sum(streamed), budget) >= _MASK_SHARE * (1 << ground.k):
         yield sum(streamed), _MaskLevel(ground, streamed)
+        return
+    for size, count in enumerate(streamed):
+        yield from ((min(ground.block, count - a), (ground, size, a)) for a in range(0, count, ground.block))
 
 
 def _lattice_block(special: bool, hit_cap: int, block, take: int):
@@ -782,7 +801,9 @@ def _lattice_block(special: bool, hit_cap: int, block, take: int):
     if size + ground.lead + ground.tail < 2:
         return take, np.zeros(0, dtype=np.intp), []
     if ground.by_census:
-        at, found = _census_scan(ground.census, [(bit_slices(ground.member_rows(size, first, take)), take)], special)
+        source = ground.subset(ground.index_rows(size, first, 1)[0])
+        at, found = _census_scan(ground.census, [(bit_slices(ground.member_rows(size, first, take)), take, source)],
+                                 special)
         return take, at, found[:hit_cap]
     rows = ground.index_rows(size, first, take)
     wide = np.flatnonzero(ground.values[rows[:, -1]] - ground.values[rows[:, 0]] >= min_mstd_diameter())
@@ -794,7 +815,7 @@ def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     elems = cfg.ground.elements
     n, top = len(elems), len(elems) if cfg.max_size is None else cfg.max_size
     streamed = (math.comb(n, s) if cfg.min_size <= s <= top else 0 for s in range(n + 1))
-    blocks = _blocks(_ScanGround(elems), streamed)
+    blocks = _blocks(_ScanGround(elems), streamed, cfg.budget)
     pruning = (f"skip diameter < {min_mstd_diameter()}",)
     hits, hit_count, examined, complete = _scan(
         blocks, partial(_lattice_block, special, cfg.hit_cap), cfg.budget, 0, cfg.hit_cap,
@@ -845,11 +866,19 @@ def _mc_chunk(census: PairCensus, seed: int, special: bool, hit_cap: int, index:
     elements at the set bits of row k of the chunk's ``rng.bytes`` draw,
     rows of ceil(n / 8) bytes read little-endian.  Each census block
     draws its rows as it starts; blocks but the last hold 64 * w rows and
-    ``Generator.bytes`` draws whole uint32 words, so the draws join up."""
+    ``Generator.bytes`` draws whole uint32 words, so the draws join up.
+    A block's first subset is decoded from its first row for the spot
+    check."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
+    n, width = census.n, (census.n + 7) // 8
+
+    def drawn(count):
+        raw = rng.bytes(width * count)
+        first = np.unpackbits(np.frombuffer(raw, np.uint8, width), bitorder="little").tolist()
+        return byte_slices(raw, n), count, tuple(compress(census.elements, first))
+
     counts = (min(census.mc_block, take - a) for a in range(0, take, census.mc_block))
-    blocks = ((byte_slices(rng.bytes((census.n + 7) // 8 * count), census.n), count) for count in counts)
-    at, found = _census_scan(census, blocks, special)
+    at, found = _census_scan(census, map(drawn, counts), special)
     return take, at, found[:hit_cap]
 
 

@@ -361,12 +361,14 @@ def scan_lattice(blocks, budget, special, hit_cap, first_hit, workers):
 @pytest.mark.parametrize("mask_k", [_MASK_K, 0], ids=["mask", "rank"])
 @pytest.mark.parametrize("seed", range(3))
 def test_lattice_blocks_match_the_tuple_stream(monkeypatch, seed, mask_k):
-    # this 15-element ground is one mask level at the default _MASK_K;
-    # at 0 it is rank blocks of _BLOCK candidates, as on a ground
-    # classified row by row, which put block edges inside sizes 7 and 8
-    # (its own census blocks hold every size whole)
+    # this 15-element ground is one mask level at the default _MASK_K,
+    # whatever share of it the window and the budget want; at 0 it is
+    # rank blocks of _BLOCK candidates, as on a ground classified row by
+    # row, which put block edges inside sizes 7 and 8 (its own census
+    # blocks hold every size whole)
     monkeypatch.setattr(_ScanGround, "block", _BLOCK)
     monkeypatch.setattr(search, "_MASK_K", mask_k)
+    monkeypatch.setattr(search, "_MASK_SHARE", 0)
     rng = random.Random(seed)
     elems = conway_ground(rng, 7, 30)
     lo, hi = [(0, len(elems)), (7, 9), (8, 8)][seed]
@@ -412,8 +414,9 @@ def test_lattice_blocks_match_the_tuple_stream(monkeypatch, seed, mask_k):
     ids=lambda elems: f"{len(elems)}-from-{elems[0] % 1000}",
 )
 def test_search_reports_match_in_mask_and_rank_order(monkeypatch, elems):
-    # a ground of at most _MASK_K elements is one mask level; at
-    # _MASK_K = 0 the same scan runs in rank blocks.  Both engines give
+    # a ground of at most _MASK_K elements is one mask level (at
+    # _MASK_SHARE = 0, for any window and budget); at _MASK_K = 0 the
+    # same scan runs in rank blocks.  Both engines give
     # one report for windows from size 0 (the empty set and singletons)
     # up, budgets of 1, at and beside the rank blocks' edges and past the
     # window, both objectives and hit caps 1, 3 and 1000; the rank blocks
@@ -437,12 +440,57 @@ def test_search_reports_match_in_mask_and_rank_order(monkeypatch, elems):
                 for objective, hit_cap in (("count-all", (1, 3, 1000)[i % 3]), ("first-hit", 1)):
                     cfg = SearchConfig(ground=IntSet(elems, diameter_cap=None), min_size=lo, max_size=hi,
                                        budget=budget, objective=objective, hit_cap=hit_cap)
+                    monkeypatch.setattr(search, "_MASK_SHARE", 0)
                     mask = run(cfg).to_dict()
                     monkeypatch.setattr(search, "_MASK_K", 0)
                     assert run(cfg).to_dict() == mask
                     if budget > count and objective == "count-all" and len(edges) > 1:
                         assert run(replace(cfg, threads=2)).to_dict() == mask
                     monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [3, 9, 16, 20, 22, 23])
+def test_search_takes_mask_order_for_wide_enough_windows(monkeypatch, n):
+    # a search's block kind, from the rule: a mask level when the ground
+    # has at most _MASK_K elements and the window's candidates, capped by
+    # the budget, are at least _MASK_SHARE of its 2^n masks; else rank
+    # blocks.  The dense benchmark's window (size 10 of 20, 17.6%) is a
+    # mask level, size 2 of {0..21} (231 candidates) rank blocks
+    class First(Exception):
+        pass
+
+    def blocks(ground, streamed, budget=math.inf):
+        for _, block in _blocks(ground, streamed, budget):
+            raise First(isinstance(block, _MaskLevel))
+        yield
+
+    monkeypatch.setattr(search, "_blocks", blocks)
+    rng = random.Random(n)
+    elems = tuple(sorted(rng.sample(range(2 * n + 4), n)))
+    kinds = set()
+    for lo, hi in [(0, n), (2, 2), (n // 2, n // 2), (max(0, n // 2 - 3), n // 2 - 1), (n - 1, n)]:
+        window = sum(math.comb(n, s) for s in range(lo, hi + 1))
+        for budget in sorted({1, 1000, window // 9, window // 11, search.DEFAULT_BUDGET} - {0}):
+            mask = n <= _MASK_K and min(window, budget) >= search._MASK_SHARE * 2**n
+            with pytest.raises(First) as first:
+                exhaustive_search(SearchConfig(ground=IntSet(elems), min_size=lo, max_size=hi, budget=budget))
+            assert first.value.args == (mask,)
+            kinds.add(mask)
+    assert (True in kinds) is (n <= _MASK_K) and (False in kinds) is (n > 3)
+    assert math.comb(20, 10) / 2**20 >= search._MASK_SHARE > 231 / 2**22
+
+
+def test_minimality_levels_on_the_primes_are_mask_levels():
+    # every level below the optimum, both objectives, on the primes up
+    # to 439: each is one mask level of all its streamed candidates
+    elems = tuple(PrimeSieve(439).primes().tolist())
+    maxima = [m for m, e in enumerate(elems) if FLOOR <= e < 73]
+    pairs = [(i, j) for j, b in enumerate(elems) for i, a in enumerate(elems[:j]) if FLOOR <= b - a < 68]
+    for objective, levels in ((MIN_MAX, maxima), (MIN_DIAMETER, pairs)):
+        assert len(levels) > 10
+        for where in levels:
+            (count, level), = _level(elems, objective, where, FLOOR)
+            assert isinstance(level, _MaskLevel) and count >= search._MASK_SHARE * 2**level.ground.k
 
 
 # (objective, levels of at most this many interior elements in mask
@@ -545,6 +593,7 @@ def test_mask_order_matches_rank_order_on_every_level(monkeypatch, objective, se
         levels = [(i, j) for i, a in enumerate(elems) for j, b in enumerate(elems) if b - a >= FLOOR]
     cuts = hits = 0
     for where in levels:
+        monkeypatch.setattr(search, "_MASK_SHARE", 0)  # levels of few candidates too
         (count, level), = _level(elems, objective, where, FLOOR)
         assert isinstance(level, _MaskLevel) and count == sum(level.streamed)
         monkeypatch.setattr(search, "_MASK_K", 0)
@@ -600,9 +649,12 @@ def test_mask_positions_are_combinations_stream_indices(lead, tail, cut):
 def test_mask_level_peak_memory():
     # one whole level of _MASK_K interior elements: the tiles of 2^c
     # masks come one at a time, and only hits are kept, so no array is
-    # sized 2^k; the primes hold few hits, {0..K} hundreds
+    # sized 2^k; the primes hold few hits, {0..K} hundreds, the powers of
+    # two none, in 9 words (tiles of 2^12 masks, past the byte budget)
     primes = tuple(PrimeSieve(1000).primes()[: _MASK_K + 1].tolist())
-    for elems in (primes, tuple(range(_MASK_K + 1))):
+    powers = tuple(2**i for i in range(_MASK_K + 1))
+    assert search._pair_bits(powers)[0].shape[2] == 9
+    for elems in (primes, tuple(range(_MASK_K + 1)), powers):
         (count, level), = _level(elems, MIN_MAX, _MASK_K, FLOOR)
         assert level.ground.k == _MASK_K and count > 2**19
         first = _lattice_block(False, search.DEFAULT_HIT_CAP, level, count)  # an untraced first run
@@ -612,7 +664,7 @@ def test_mask_level_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert again[1].tolist() == first[1].tolist() and len(first[1]) > 0
+        assert again[1].tolist() == first[1].tolist() and (len(first[1]) > 0) is (elems != powers)
         assert peak < 2**20
 
 
@@ -643,14 +695,23 @@ def test_popcount_swar_matches_bit_count(monkeypatch):
     assert swar.dtype == np.uint8 and swar.tolist() == expected
 
 
-@pytest.mark.parametrize("tile_bits", [0, 3, search._TILE_BITS])
+def tile_budget(monkeypatch, ground, c):
+    """Patch the tile byte budget (and the floor on c, which is the run of
+    masks that one recount covers) so that ``ground``'s tiles hold 2^c
+    masks."""
+    words = search._pair_bits(ground.elements)[0].shape[2]
+    monkeypatch.setattr(search, "_TILE_BYTES", 8 * words << c)
+    monkeypatch.setattr(search, "_CHECK_BITS", min(c, search._CHECK_BITS))
+
+
+@pytest.mark.parametrize("tile_bits", [0, 3, 12])
 def test_mask_tiles_match_pair_enumeration(monkeypatch, tile_bits):
-    # every mask of small levels, counted in tiles of 2^c masks (c = 0
-    # and 3 leave high elements for each tile to add), against |A+A| and
-    # |A-A| enumerated pair by pair; and the level's hits, special or
-    # not, against the same counts, in stream order.  Without fixed
-    # elements the empty mask is a candidate, with no differences
-    monkeypatch.setattr(search, "_TILE_BITS", tile_bits)
+    # every mask of small levels, counted in tiles of 2^c masks (byte
+    # budgets for c = 0 and 3 leave high elements for each tile to add),
+    # against |A+A| and |A-A| enumerated pair by pair; and the level's
+    # hits, special or not, against the same counts, in stream order.
+    # Without fixed elements the empty mask is a candidate, with no
+    # differences
     rng = random.Random(7)
     grounds = [tuple(range(5, 41, 3))]  # an AP
     for _ in range(2):  # Conway's set and elements inside it
@@ -670,6 +731,7 @@ def test_mask_tiles_match_pair_enumeration(monkeypatch, tile_bits):
                          for m in range(1 << k)]
                 counts = [(len({a + b for a in c for b in c}), len({a - b for a in c for b in c})) for c in cands]
                 ground = _ScanGround(level_elems, lead, tail)
+                tile_budget(monkeypatch, ground, tile_bits)
                 got = []
                 for first, sums, nonneg in search._mask_tiles(ground):
                     assert first == len(got) and len(sums) == 1 << min(k, tile_bits)
@@ -689,14 +751,15 @@ def test_mask_tiles_are_recounted_tile_by_tile(monkeypatch):
     # a kernel fault in one pair's bit: the sum of the tail and the top
     # interior element, which no other pair has, is dropped.  Only the
     # masks that hold that element miscount, the first of them in a
-    # later tile, and an AP has no hit to recount, so only the recount
-    # of each tile's last mask can see it
+    # later tile of 16 masks, and an AP has no hit to recount, so only
+    # the recount of the last mask of each run of 16 can see it
     elems = tuple(range(0, 60, 5))
     min_mstd_diameter()
     (count, level), = _level(elems, MIN_MAX, len(elems) - 1, FLOOR)
     k = level.ground.k
-    monkeypatch.setattr(search, "_TILE_BITS", 4)
+    tile_budget(monkeypatch, level.ground, 4)
     honest = list(search._mask_tiles(level.ground))
+    assert len(honest) == 2 ** (k - 4)
     pair_bits = search._pair_bits
 
     def dropped(elements):
@@ -713,6 +776,26 @@ def test_mask_tiles_are_recounted_tile_by_tile(monkeypatch):
         _lattice_block(False, 1, level, count)
     monkeypatch.undo()
     assert _lattice_block(False, 1, level, count)[1].tolist() == []
+
+
+def test_mask_levels_recount_one_mask_in_4096(monkeypatch):
+    # the spot checks do not thin out as tiles grow: a level of k = 14 (an
+    # AP, two words) with no special hit, in tiles of 2^12, 2^13 and 2^14
+    # masks, is recounted 2^14 / 4096 times, at the end of every 4096 masks
+    elems = tuple(range(0, 75, 5))
+    min_mstd_diameter()
+    (count, level), = _level(elems, MIN_MAX, len(elems) - 1, FLOOR)
+    assert level.ground.k == 14 and search._pair_bits(elems)[0].shape[2] == 2
+    honest = search.sum_diff_counts
+    for c in (12, 13, 14):
+        monkeypatch.setattr(search, "_TILE_BYTES", 16 << c)
+        assert [first for first, _, _ in search._mask_tiles(level.ground)] == list(range(0, 1 << 14, 1 << c))
+        seen = []
+        monkeypatch.setattr(search, "sum_diff_counts", lambda e, *a, **k: seen.append(e) or honest(e))
+        assert _lattice_block(True, 1, level, count)[1].tolist() == []
+        assert seen == [level.ground.mask_subset(m) for m in range(4095, 1 << 14, 4096)]
+        monkeypatch.undo()
+    assert search._TILE_BYTES == 1 << 18  # the default: 2^14 masks of two words
 
 
 @pytest.mark.parametrize(
@@ -1131,6 +1214,22 @@ def test_lattice_blocks_are_census_blocks_on_census_grounds():
     assert "census" not in vars(wide)
 
 
+def test_census_spot_checks_see_a_slicing_fault(monkeypatch):
+    # a bit_slices that swaps two elements' rows gives wrong subsets that
+    # agree with a recount decoded from the words; the recount of each
+    # rank block's first candidate, unranked again, sees it
+    primes = IntSet(tuple(PrimeSieve(100).primes().tolist()))  # 25 elements: census rank blocks
+    cfg = SearchConfig(ground=primes, min_size=8, max_size=8, budget=50_000)
+    honest, rows = search.bit_slices, list(range(25))
+    rows[3], rows[20] = 20, 3
+    min_mstd_diameter()
+    monkeypatch.setattr(search, "bit_slices", lambda member: honest(member[rows]))
+    with pytest.raises(RuntimeError, match="disagrees with sum_diff_counts"):
+        exhaustive_search(cfg)
+    monkeypatch.undo()
+    assert exhaustive_search(cfg).examined == 50_000
+
+
 def test_census_lattice_block_peak_memory():
     # one whole census block on a narrow ground, whose blocks are the
     # longest: about 110 and 93 bytes per subset (search.py, PairCensus
@@ -1225,6 +1324,30 @@ def test_byte_slices_match_an_independent_decode(n):
         for k in range(64 * x.shape[1]):
             mask = int.from_bytes(raw[k * width : (k + 1) * width], "little") if k < count else 0
             assert [row[k] for row in bits] == [mask >> j & 1 for j in range(n)]
+
+
+def test_monte_carlo_spot_checks_see_a_slicing_fault(monkeypatch):
+    # a byte_slices with one wrong swap mask (0x...CCCD for 0x...CCCC)
+    # moves bits of every word: its samples are wrong but agree with a
+    # recount decoded from the words; the recount of each block's first
+    # row, decoded from the drawn bytes, sees it
+    def faulty(raw, n):
+        width = (n + 7) // 8
+        words = -(-len(raw) // (64 * width))
+        rows = np.frombuffer(raw.ljust(64 * width * words, b"\0"), dtype=np.uint8)
+        x = rows.reshape(words, 8, 8, width).transpose(0, 1, 3, 2).copy().view(np.uint64)
+        for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCD), (28, 0x00000000F0F0F0F0)):
+            t = (x ^ (x >> np.uint64(shift))) & np.uint64(mask)
+            x ^= t ^ (t << np.uint64(shift))
+        return np.ascontiguousarray(x.view(np.uint8).reshape(words, 8, width, 8).transpose(2, 3, 0, 1)).reshape(
+            8 * width, 8 * words).view(np.uint64)[:n]
+
+    min_mstd_diameter()
+    monkeypatch.setattr(search, "byte_slices", faulty)
+    with pytest.raises(RuntimeError, match="disagrees with sum_diff_counts"):
+        monte_carlo_density(100, _MC_CHUNK, seed=0)
+    monkeypatch.undo()
+    assert monte_carlo_density(100, _MC_CHUNK, seed=0).hit_count > 0
 
 
 def test_monte_carlo_chunk_peak_memory():
