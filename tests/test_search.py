@@ -416,11 +416,11 @@ def test_lattice_blocks_match_the_tuple_stream(monkeypatch, seed, mask_k):
 def test_search_reports_match_in_mask_and_rank_order(monkeypatch, elems):
     # a ground of at most _MASK_K elements is one mask level (at
     # _MASK_SHARE = 0, for any window and budget); at _MASK_K = 0 the
-    # same scan runs in rank blocks.  Both engines give
-    # one report for windows from size 0 (the empty set and singletons)
-    # up, budgets of 1, at and beside the rank blocks' edges and past the
-    # window, both objectives and hit caps 1, 3 and 1000; the rank blocks
-    # of a whole window also in a pool of two.  Every mask level costs
+    # same scan runs in rank blocks.  Both engines give one report for
+    # windows from size 0 (the empty set and singletons) up, budgets of
+    # 1, at and beside the rank blocks' edges and past the window, both
+    # objectives and hit caps 1, 3 and 1000; the rank blocks of a whole
+    # window also in a pool of two.  Every mask level costs
     # all its 2^n masks, so the 22-element ground runs only its whole
     # lattice, at budgets around its first edge and past its end
     n = len(elems)
@@ -795,7 +795,7 @@ def test_mask_levels_recount_one_mask_in_4096(monkeypatch):
         assert _lattice_block(True, 1, level, count)[1].tolist() == []
         assert seen == [level.ground.mask_subset(m) for m in range(4095, 1 << 14, 4096)]
         monkeypatch.undo()
-    assert search._TILE_BYTES == 1 << 18  # the default: 2^14 masks of two words
+    assert len(list(search._mask_tiles(level.ground))) == 1  # the default budget: one tile of 2^14
 
 
 @pytest.mark.parametrize(
