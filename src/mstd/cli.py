@@ -6,14 +6,18 @@ plain dict.  ``main`` prints it, as machine-readable JSON by default
 and picks the exit code: 0 success, 1 for a claim that failed its
 check (``passed`` false; its report is still printed) or a domain or
 capacity error (bad values, cap exceeded; one stderr line, no report),
-2 usage error (unknown command, unparseable arguments).  Stochastic
-commands echo their seed so reports are reproducible artifacts.
+2 usage error (unknown command, unparseable arguments, or a flag the
+subcommand does not read).  Stochastic commands echo their seed so
+reports are reproducible artifacts.
 
 Set inputs are inline comma lists ("0,2,3") or @file references (one
 integer per line).  Sequences use a small grammar:
 fibonacci | geometric:c,r,d | recurrence:c1,..:s1,.. | explicit:e1,e2,..
-Defaults for the global flags can also come from a config file of
-key=value lines (--config), with command-line flags winning.
+Every subcommand takes --format and --config; ``_COMMON`` names the
+other common flags and the subcommands whose handlers read them, and
+only those subcommands accept them.  A --config file of key=value lines
+gives defaults: every key is checked, and a key fills a flag left off
+the command line only where the flag is read (``_flag``).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 from .errors import CapacityError, DomainError
 from .primes import (
@@ -62,15 +67,6 @@ from .sets import (
     diffset,
     sumset,
 )
-
-_GLOBAL_DEFAULTS = {
-    "format": "json",
-    "seed": 0,
-    "threads": 1,
-    "budget": None,  # library defaults apply when unset
-    "diameter_cap": DEFAULT_DIAMETER_CAP,
-}
-
 
 # Ranges in an integer list expand to at most this many integers in all,
 # checked before expanding: "0..1000000000" must not build 10^9 ints.
@@ -166,6 +162,21 @@ def _nonnegative_count(text: str) -> int:
     return value
 
 
+# The common flags: type, built-in default (a budget of None leaves the
+# library's), and the subcommands whose handlers read them.  Only those
+# subcommands accept the flag; on the rest it ends in argparse's exit 2.
+# reproduce reads only an explicit --seed or --threads, since an unset
+# one leaves its claim as pinned.
+_COMMON = {
+    "seed": (int, 0, ("search", "density", "reproduce")),
+    "threads": (int, 1, ("search", "density", "reproduce")),
+    "budget": (_count, None, ("search", "minimal", "certify", "certify-finite")),
+    "diameter_cap": (
+        _count, DEFAULT_DIAMETER_CAP, ("classify", "sumset", "diffset", "expand", "append", "bound")
+    ),
+}
+
+
 def _emit(payload: dict, fmt: str) -> None:
     # a report may hold integers of more digits than the interpreter turns
     # into text (sequence terms): lift that limit only while printing
@@ -206,7 +217,7 @@ def _load_config_file(path: str) -> dict:
                     raise DomainError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
                 key, _, value = line.partition("=")
                 key = key.strip().lower().replace("-", "_")
-                if key not in _GLOBAL_DEFAULTS:
+                if key != "format" and key not in _COMMON:
                     raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = value.strip() if key == "format" else _config_int(value, path, lineno)
     except OSError as exc:
@@ -221,22 +232,26 @@ def _config_int(value: str, path: str, lineno: int) -> int:
         raise DomainError(f"{path}:{lineno}: expected integer, got {value.strip()!r}")
 
 
-def _resolve_globals(args) -> dict:
-    cfg = dict(_GLOBAL_DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(_load_config_file(args.config))
-    for key in _GLOBAL_DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    if cfg["format"] not in ("json", "table"):
-        raise DomainError(f"unknown format {cfg['format']!r}")
-    if cfg["budget"] is not None and cfg["budget"] < 1:
-        raise DomainError(f"budget must be >= 1, got {cfg['budget']}")
-    return cfg
+def _read_config(args) -> dict:
+    """The --config file's keys, each checked whether this subcommand reads it or not."""
+    values = _load_config_file(args.config) if args.config else {}
+    if values.get("format", "json") not in ("json", "table"):
+        raise DomainError(f"unknown format {values['format']!r}")
+    for budget in (values.get("budget"), getattr(args, "budget", None)):
+        if budget is not None and budget < 1:
+            raise DomainError(f"budget must be >= 1, got {budget}")
+    return values
+
+
+def _flag(args, key):
+    """A common flag from the command line, else the --config file, else built in."""
+    value = getattr(args, key)
+    return args.config.get(key, _COMMON[key][1]) if value is None else value
 
 
 def _ground_from_args(args) -> IntSet:
+    if args.terms is not None and args.seq is None:
+        raise DomainError("--terms applies only to --seq grounds")
     if args.ground is not None:
         return IntSet(args.ground, diameter_cap=None)
     if args.seq is not None:
@@ -248,106 +263,114 @@ def _ground_from_args(args) -> IntSet:
     )
 
 
-def _budget(cfg, keyword="budget") -> dict:
-    """--budget as a keyword argument if given; otherwise the library default applies."""
-    return {} if cfg["budget"] is None else {keyword: cfg["budget"]}
+def _budget(args, keyword="budget") -> dict:
+    """The budget as a keyword argument if set; otherwise the library default applies."""
+    budget = _flag(args, "budget")
+    return {} if budget is None else {keyword: budget}
 
 
 # -- handlers: each returns its report, which main prints ---------------
 
-def _cmd_classify(args, cfg):
-    return classify(IntSet(args.set, diameter_cap=None), diameter_cap=cfg["diameter_cap"])
+def _cmd_classify(args):
+    return classify(IntSet(args.set, diameter_cap=None), diameter_cap=_flag(args, "diameter_cap"))
 
 
-def _cmd_sumset(args, cfg):
-    return sumset(IntSet(args.set, diameter_cap=None), diameter_cap=cfg["diameter_cap"])
+def _cmd_sumset(args):
+    return sumset(IntSet(args.set, diameter_cap=None), diameter_cap=_flag(args, "diameter_cap"))
 
 
-def _cmd_diffset(args, cfg):
+def _cmd_diffset(args):
     s = IntSet(args.set, diameter_cap=None)
-    return {"elements": list(diffset(s, diameter_cap=cfg["diameter_cap"]))}
+    return {"elements": list(diffset(s, diameter_cap=_flag(args, "diameter_cap")))}
 
 
-def _cmd_expand(args, cfg):
-    return base_expansion(IntSet(args.set, diameter_cap=None), args.k, diameter_cap=cfg["diameter_cap"])
-
-
-def _cmd_append(args, cfg):
-    return append_analysis(IntSet(args.set, diameter_cap=None), args.x, diameter_cap=cfg["diameter_cap"])
-
-
-def _cmd_bound(args, cfg):
+def _cmd_expand(args):
     s = IntSet(args.set, diameter_cap=None)
-    return verify_difference_bound(s, args.x, args.r, diameter_cap=cfg["diameter_cap"])
+    return base_expansion(s, args.k, diameter_cap=_flag(args, "diameter_cap"))
 
 
-def _cmd_seq(args, cfg):
+def _cmd_append(args):
+    s = IntSet(args.set, diameter_cap=None)
+    return append_analysis(s, args.x, diameter_cap=_flag(args, "diameter_cap"))
+
+
+def _cmd_bound(args):
+    s = IntSet(args.set, diameter_cap=None)
+    return verify_difference_bound(s, args.x, args.r, diameter_cap=_flag(args, "diameter_cap"))
+
+
+def _cmd_seq(args):
     return {"terms": materialize(args.seq, args.terms)}
 
 
-def _cmd_search(args, cfg):
-    ground = _ground_from_args(args)
-    mode = args.mode
-    if mode == MODE_MONTE_CARLO and not args.special:
-        raise DomainError("monte-carlo search needs --special (plain density: the density command)")
+def _cmd_search(args):
+    # a flag the chosen mode leaves unread is refused, not ignored
+    if args.mode == MODE_EXHAUSTIVE and args.samples is not None:
+        raise DomainError("exhaustive search takes no --samples (sampling: --mode monte-carlo --special)")
+    if args.mode == MODE_MONTE_CARLO:
+        if not args.special:
+            raise DomainError("monte-carlo search needs --special (plain density: the density command)")
+        if (args.min_size, args.max_size, args.budget) != (None, None, None):
+            raise DomainError("monte-carlo search samples every size without a budget: "
+                              "it takes no --min-size, --max-size or --budget")
     config = SearchConfig(
-        ground=ground,
-        min_size=args.min_size,
+        ground=_ground_from_args(args),
+        min_size=args.min_size or 0,
         max_size=args.max_size,
-        mode=mode,
+        mode=args.mode,
         samples=args.samples,
-        seed=cfg["seed"],
+        seed=_flag(args, "seed"),
         objective=args.objective,
         hit_cap=args.hit_cap,
-        threads=cfg["threads"],
-        **_budget(cfg),
+        threads=_flag(args, "threads"),
+        **_budget(args),
     )
     return special_search(config) if args.special else exhaustive_search(config)
 
 
-def _cmd_density(args, cfg):
+def _cmd_density(args):
     return monte_carlo_density(
         args.n,
         args.samples,
-        seed=cfg["seed"],
-        threads=cfg["threads"],
+        seed=_flag(args, "seed"),
+        threads=_flag(args, "threads"),
         hit_cap=args.hit_cap,
     )
 
 
-def _cmd_minimal(args, cfg):
-    return minimal_mstd_in(_ground_from_args(args), objective=args.objective, **_budget(cfg))
+def _cmd_minimal(args):
+    return minimal_mstd_in(_ground_from_args(args), objective=args.objective, **_budget(args))
 
 
-def _cmd_certify(args, cfg):
-    return certify_no_mstd(args.seq, r=args.r, upto=args.upto, **_budget(cfg))
+def _cmd_certify(args):
+    return certify_no_mstd(args.seq, r=args.r, upto=args.upto, **_budget(args))
 
 
-def _cmd_certify_finite(args, cfg):
+def _cmd_certify_finite(args):
     return certify_finitely_many(
-        args.seq, start=args.start, upto=args.upto, **_budget(cfg, "special_search_budget")
+        args.seq, start=args.start, upto=args.upto, **_budget(args, "special_search_budget")
     )
 
 
-def _cmd_growth(args, cfg):
+def _cmd_growth(args):
     return check_growth(args.seq, r=args.r, upto=args.upto, start=args.start)
 
 
-def _cmd_primes_admissible(args, cfg):
+def _cmd_primes_admissible(args):
     return is_admissible(PrimeTuple(tuple(args.offsets)))
 
 
-def _cmd_primes_series(args, cfg):
+def _cmd_primes_series(args):
     return singular_series(PrimeTuple(tuple(args.offsets)), rel_tol=args.tol)
 
 
-def _cmd_primes_match(args, cfg):
+def _cmd_primes_match(args):
     return match_tuple(
         PrimeTuple(tuple(args.offsets)), args.upto, rel_tol=args.tol, match_cap=args.cap
     )
 
 
-def _cmd_primes_ap(args, cfg):
+def _cmd_primes_ap(args):
     result = find_prime_ap(args.length, args.bound, max_diff=args.max_diff)
     if result is None:
         payload = {"found": False, "first": None, "difference": None}
@@ -357,22 +380,22 @@ def _cmd_primes_ap(args, cfg):
     return payload
 
 
-def _cmd_primes_sieve(args, cfg):
+def _cmd_primes_sieve(args):
     count, primes = prime_count(args.upto, args.cap)
     return {"limit": args.upto, "count": count, "primes": list(primes)}
 
 
-def _cmd_primes_dilate(args, cfg):
+def _cmd_primes_dilate(args):
     hit = dilated_conway(args.shift, args.scale)
     return {**hit.to_dict(), **classify(hit).to_dict()}
 
 
-def _cmd_primes_apset(args, cfg):
+def _cmd_primes_apset(args):
     hit = mstd_in_ap((args.first, args.diff, args.length))
     return {**hit.to_dict(), **classify(hit).to_dict()}
 
 
-def _cmd_primes_mstd(args, cfg):
+def _cmd_primes_mstd(args):
     report = match_tuple(PrimeTuple(TUPLE_T), args.upto, match_cap=args.cap)
     return {
         "x": report.x,
@@ -382,14 +405,9 @@ def _cmd_primes_mstd(args, cfg):
     }
 
 
-def _cmd_reproduce(args, cfg):
-    # only an explicit --seed unpins a claim's recorded seed
-    return run_claim(
-        args.claim,
-        samples=args.samples,
-        seed=args.seed,
-        threads=cfg["threads"],
-    )
+def _cmd_reproduce(args):
+    # only explicit flags reach a claim: config and built-in defaults do not unpin it
+    return run_claim(args.claim, samples=args.samples, seed=args.seed, threads=args.threads)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -407,168 +425,160 @@ def _add_ground_options(sub):
     sub.add_argument("--terms", type=int, help="terms to materialize with --seq")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "table"), default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None)
-    common.add_argument("--budget", type=_count, default=None)
-    common.add_argument("--diameter-cap", dest="diameter_cap", type=_count, default=None)
-    common.add_argument("--config", default=None, help="key=value defaults file")
+@cache
+def _flag_parsers() -> dict:
+    """One parent parser per common flag, built once and shared by every
+    parser ``build_parser`` makes."""
+    flags = {key: _Parser(add_help=False) for key in ("format", *_COMMON, "config")}
+    flags["format"].add_argument("--format", choices=("json", "table"))
+    for key, (kind, _, _) in _COMMON.items():
+        flags[key].add_argument("--" + key.replace("_", "-"), type=kind)
+    flags["config"].add_argument("--config", help="key=value defaults file")
+    return flags
 
+
+def _command(subs, name, handler, help):
+    """The parser of one subcommand: --format, --config and the common flags its handler reads."""
+    flags = _flag_parsers()
+    keys = ("format", *(key for key, (_, _, readers) in _COMMON.items() if name in readers), "config")
+    sub = subs.add_parser(name.rpartition(" ")[2], parents=[flags[key] for key in keys], help=help)
+    sub.set_defaults(handler=handler)
+    return sub
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mstd",
         description="Sumset vs difference-set toolkit: classification, certificates, searches, prime constellations.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("classify", parents=[common], help="sum/difference census of a set")
+    sub = _command(subs, "classify", _cmd_classify, "sum/difference census of a set")
     sub.add_argument("set", type=_int_list)
-    sub.set_defaults(handler=_cmd_classify)
 
-    sub = subs.add_parser("sumset", parents=[common], help="A+A")
+    sub = _command(subs, "sumset", _cmd_sumset, "A+A")
     sub.add_argument("set", type=_int_list)
-    sub.set_defaults(handler=_cmd_sumset)
 
-    sub = subs.add_parser("diffset", parents=[common], help="A-A")
+    sub = _command(subs, "diffset", _cmd_diffset, "A-A")
     sub.add_argument("set", type=_int_list)
-    sub.set_defaults(handler=_cmd_diffset)
 
-    sub = subs.add_parser("expand", parents=[common], help="carry-free base expansion")
+    sub = _command(subs, "expand", _cmd_expand, "carry-free base expansion")
     sub.add_argument("set", type=_int_list)
     sub.add_argument("k", type=int, help="number of digits")
-    sub.set_defaults(handler=_cmd_expand)
 
-    sub = subs.add_parser("append", parents=[common], help="effect of adjoining one element")
+    sub = _command(subs, "append", _cmd_append, "effect of adjoining one element")
     sub.add_argument("set", type=_int_list)
     sub.add_argument("x", type=int, help="element to adjoin")
-    sub.set_defaults(handler=_cmd_append)
 
-    sub = subs.add_parser(
-        "bound", parents=[common], help="new-sums/new-differences bound for one adjoined element"
+    sub = _command(
+        subs, "bound", _cmd_bound, "new-sums/new-differences bound for one adjoined element"
     )
     sub.add_argument("set", type=_int_list, help="the set before adjoining")
     sub.add_argument("x", type=int, help="element to adjoin (must exceed max)")
     sub.add_argument("--r", type=int, required=True, help="growth window parameter")
-    sub.set_defaults(handler=_cmd_bound)
 
-    sub = subs.add_parser("seq", parents=[common], help="materialize a sequence prefix")
+    sub = _command(subs, "seq", _cmd_seq, "materialize a sequence prefix")
     sub.add_argument("--seq", type=_seq_spec, required=True)
     sub.add_argument("--terms", type=int, required=True)
-    sub.set_defaults(handler=_cmd_seq)
 
-    sub = subs.add_parser("search", parents=[common], help="subset search over a ground set")
+    sub = _command(subs, "search", _cmd_search, "subset search over a ground set")
     _add_ground_options(sub)
-    sub.add_argument("--min-size", type=int, default=0)
+    sub.add_argument("--min-size", type=int, default=None)
     sub.add_argument("--max-size", type=int, default=None)
     sub.add_argument("--mode", choices=(MODE_EXHAUSTIVE, MODE_MONTE_CARLO), default=MODE_EXHAUSTIVE)
     sub.add_argument("--samples", type=_count, default=None)
     sub.add_argument("--special", action="store_true", help="require gap >= |subset|")
     sub.add_argument("--objective", choices=("count-all", "first-hit"), default="count-all")
     sub.add_argument("--hit-cap", type=int, default=1000)
-    sub.set_defaults(handler=_cmd_search)
 
-    sub = subs.add_parser("density", parents=[common], help="Monte Carlo MSTD density of {0..n}")
+    sub = _command(subs, "density", _cmd_density, "Monte Carlo MSTD density of {0..n}")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--samples", type=_count, required=True)
     sub.add_argument("--hit-cap", type=int, default=1000)
-    sub.set_defaults(handler=_cmd_density)
 
-    sub = subs.add_parser("minimal", parents=[common], help="smallest MSTD subset of a ground set")
+    sub = _command(subs, "minimal", _cmd_minimal, "smallest MSTD subset of a ground set")
     _add_ground_options(sub)
     sub.add_argument(
         "--objective",
         choices=("minimize-max-element", "minimize-diameter"),
         default="minimize-max-element",
     )
-    sub.set_defaults(handler=_cmd_minimal)
 
-    sub = subs.add_parser("certify", parents=[common], help="no-MSTD-subsets certificate")
+    sub = _command(subs, "certify", _cmd_certify, "no-MSTD-subsets certificate")
     sub.add_argument("--seq", type=_seq_spec, required=True)
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--upto", type=int, required=True)
-    sub.set_defaults(handler=_cmd_certify)
 
-    sub = subs.add_parser(
-        "certify-finite", parents=[common], help="finitely-many-MSTD-subsets hypotheses"
+    sub = _command(
+        subs, "certify-finite", _cmd_certify_finite, "finitely-many-MSTD-subsets hypotheses"
     )
     sub.add_argument("--seq", type=_seq_spec, required=True)
     sub.add_argument("--start", type=int, required=True)
     sub.add_argument("--upto", type=int, required=True)
-    sub.set_defaults(handler=_cmd_certify_finite)
 
-    sub = subs.add_parser("growth", parents=[common], help="growth-inequality window check")
+    sub = _command(subs, "growth", _cmd_growth, "growth-inequality window check")
     sub.add_argument("--seq", type=_seq_spec, required=True)
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--upto", type=int, required=True)
     sub.add_argument("--start", type=int, default=None)
-    sub.set_defaults(handler=_cmd_growth)
 
     primes = subs.add_parser("primes", help="prime tuple machinery")
     psubs = primes.add_subparsers(dest="primes_command", required=True)
 
-    sub = psubs.add_parser("admissible", parents=[common], help="residue-coverage check")
+    sub = _command(psubs, "primes admissible", _cmd_primes_admissible, "residue-coverage check")
     sub.add_argument("offsets", type=_int_list)
-    sub.set_defaults(handler=_cmd_primes_admissible)
 
-    sub = psubs.add_parser("series", parents=[common], help="singular series value")
+    sub = _command(psubs, "primes series", _cmd_primes_series, "singular series value")
     sub.add_argument("offsets", type=_int_list)
     sub.add_argument("--tol", type=float, default=1e-3)
-    sub.set_defaults(handler=_cmd_primes_series)
 
-    sub = psubs.add_parser("match", parents=[common], help="count shifts matching the tuple")
+    sub = _command(psubs, "primes match", _cmd_primes_match, "count shifts matching the tuple")
     sub.add_argument("offsets", type=_int_list)
     sub.add_argument("--upto", type=_count, required=True)
     sub.add_argument("--tol", type=float, default=1e-3)
     sub.add_argument("--cap", type=_nonnegative_count, default=1000)
-    sub.set_defaults(handler=_cmd_primes_match)
 
-    sub = psubs.add_parser("ap", parents=[common], help="prime arithmetic progression")
+    sub = _command(psubs, "primes ap", _cmd_primes_ap, "prime arithmetic progression")
     sub.add_argument("--length", type=int, required=True)
     sub.add_argument("--bound", type=_count, required=True)
     sub.add_argument("--max-diff", dest="max_diff", type=_count, default=None)
-    sub.set_defaults(handler=_cmd_primes_ap)
 
-    sub = psubs.add_parser("sieve", parents=[common], help="primes up to a limit")
+    sub = _command(psubs, "primes sieve", _cmd_primes_sieve, "primes up to a limit")
     sub.add_argument("--upto", type=_count, required=True)
     sub.add_argument("--cap", type=_nonnegative_count, default=1000, help="max primes listed")
-    sub.set_defaults(handler=_cmd_primes_sieve)
 
-    sub = psubs.add_parser("dilate", parents=[common], help="affine image of the minimal pattern")
+    sub = _command(
+        psubs, "primes dilate", _cmd_primes_dilate, "affine image of the minimal pattern"
+    )
     sub.add_argument("--shift", type=int, required=True)
     sub.add_argument("--scale", type=int, required=True)
-    sub.set_defaults(handler=_cmd_primes_dilate)
 
-    sub = psubs.add_parser("apset", parents=[common], help="embed the minimal pattern in an AP")
+    sub = _command(psubs, "primes apset", _cmd_primes_apset, "embed the minimal pattern in an AP")
     sub.add_argument("--first", type=int, required=True)
     sub.add_argument("--diff", type=int, required=True)
     sub.add_argument("--length", type=int, required=True)
-    sub.set_defaults(handler=_cmd_primes_apset)
 
-    sub = psubs.add_parser("mstd", parents=[common], help="MSTD prime sets from tuple matches")
+    sub = _command(psubs, "primes mstd", _cmd_primes_mstd, "MSTD prime sets from tuple matches")
     sub.add_argument("--upto", type=_count, required=True)
     sub.add_argument("--cap", type=_nonnegative_count, default=1000)
-    sub.set_defaults(handler=_cmd_primes_mstd)
 
-    sub = subs.add_parser("reproduce", parents=[common], help="pinned result pipelines")
+    sub = _command(subs, "reproduce", _cmd_reproduce, "pinned result pipelines")
     sub.add_argument("claim", choices=CLAIM_IDS)
     sub.add_argument("--samples", type=_count, default=None)
-    sub.set_defaults(handler=_cmd_reproduce)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_globals(args)
-        report = args.handler(args, cfg)
+        args.config = _read_config(args)  # the path becomes the file's keys
+        report = args.handler(args)
     except (DomainError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = report if isinstance(report, dict) else report.to_dict()
-    _emit(payload, cfg["format"])
+    _emit(payload, args.format or args.config.get("format", "json"))
     # a claim that fails its check still prints its report
     return 0 if payload.get("passed", True) else 1
 

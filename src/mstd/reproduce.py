@@ -211,10 +211,10 @@ def _claim_tuple_t_1e9(params):
     return abs(report.count - report.predicted) <= half, measured
 
 
-def _claim_density(params, samples=None, seed=None, threads=1):
+def _claim_density(params, samples=None, seed=None, threads=None):
     samples = params["samples"] if samples is None else int(samples)
     seed = params["seed"] if seed is None else int(seed)
-    report = monte_carlo_density(params["n"], samples, seed=seed, threads=threads)
+    report = monte_carlo_density(params["n"], samples, seed=seed, threads=1 if threads is None else threads)
     lo, hi = params["window"]
     measured = {
         "density": report.density_estimate,
@@ -257,14 +257,16 @@ def run_claim(
     claim_id: str,
     samples: int | None = None,
     seed: int | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> dict:
     """Run one pinned pipeline; returns a JSON-safe pass/fail report."""
     if claim_id not in _RUNNERS:
         raise DomainError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
     params = MANIFEST[claim_id]
-    if claim_id != "density-4.5e-4" and (samples is not None or seed is not None):
-        raise DomainError(f"claim {claim_id!r} is pinned; only density-4.5e-4 takes a sample count or seed")
+    if claim_id != "density-4.5e-4" and (samples, seed, threads) != (None, None, None):
+        raise DomainError(
+            f"claim {claim_id!r} is pinned; only density-4.5e-4 takes a sample count, seed or thread count"
+        )
     if claim_id == "density-4.5e-4":
         passed, measured = _claim_density(params, samples=samples, seed=seed, threads=threads)
         # report the parameters actually run, not the pinned ones

@@ -647,25 +647,32 @@ def test_mask_positions_are_combinations_stream_indices(lead, tail, cut):
 
 
 def test_mask_level_peak_memory():
-    # one whole level of _MASK_K interior elements: the tiles of 2^c
-    # masks come one at a time, and only hits are kept, so no array is
-    # sized 2^k; the primes hold few hits, {0..K} hundreds, the powers of
-    # two none, in 9 words (tiles of 2^12 masks, past the byte budget)
+    # one whole level of _MASK_K interior elements, traced cold: the
+    # tiles of 2^c masks come one at a time, and only hits are kept, so
+    # no array is sized 2^k; the primes hold few hits, {0..K} hundreds,
+    # the powers of two none, in 9 words (tiles of 2^12 masks, past the
+    # byte budget).  {0..K}'s whole block is not traced: its 1594 hits
+    # are tuples, not the arrays this bound is about
     primes = tuple(PrimeSieve(1000).primes()[: _MASK_K + 1].tolist())
+    interval = tuple(range(_MASK_K + 1))
     powers = tuple(2**i for i in range(_MASK_K + 1))
     assert search._pair_bits(powers)[0].shape[2] == 9
-    for elems in (primes, tuple(range(_MASK_K + 1)), powers):
-        (count, level), = _level(elems, MIN_MAX, _MASK_K, FLOOR)
-        assert level.ground.k == _MASK_K and count > 2**19
-        first = _lattice_block(False, search.DEFAULT_HIT_CAP, level, count)  # an untraced first run
+
+    def traced(run):
         tracemalloc.start()
         try:
-            again = _lattice_block(False, search.DEFAULT_HIT_CAP, level, count)
-            peak = tracemalloc.get_traced_memory()[1]
+            return run(), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert again[1].tolist() == first[1].tolist() and (len(first[1]) > 0) is (elems != powers)
-        assert peak < 2**20
+
+    for elems in (primes, interval, powers):
+        (count, level), = _level(elems, MIN_MAX, _MASK_K, FLOOR)
+        assert level.ground.k == _MASK_K and count > 2**19
+        _, tiles_peak = traced(lambda: sum(1 for _ in search._mask_tiles(level.ground)))
+        block = functools.partial(_lattice_block, False, search.DEFAULT_HIT_CAP, level, count)
+        (_, hits, _), block_peak = (block(), 0) if elems == interval else traced(block)
+        assert (len(hits) > 0) is (elems != powers)
+        assert tiles_peak < 2**20 and block_peak < 2**20
 
 
 def test_mask_levels_are_spot_checked(monkeypatch):
