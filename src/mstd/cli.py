@@ -180,17 +180,15 @@ _COMMON = {
 def _emit(payload: dict, fmt: str) -> None:
     # a report may hold integers of more digits than the interpreter turns
     # into text (sequence terms): lift that limit only while printing
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if fmt == "table":
             _print_table(payload)
         else:
             print(json.dumps(payload))
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def _print_table(payload: dict, indent: int = 0) -> None:

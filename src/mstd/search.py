@@ -543,9 +543,9 @@ class _ScanGround:
         subsets, whatever the subset size; row by row a subset costs
         ``sum_diff_counts``, more the larger it is.  The first n primes,
         one size to a budget of 200,000, census against row by row, best
-        of 3 (2-core Xeon): size 8, 0.81 vs 2.25 s at n = 150, 1.15-1.66
-        vs 1.47-1.79 at 250-280, 1.85-2.61 vs 1.64-1.77 at 330-361; size
-        3, 0.94 vs 1.29 at 150, rows ahead from 200.  So the census runs
+        of 3 (2-core Xeon): size 8, 0.46 vs 1.13 s at n = 150, 0.93-1.09
+        vs 1.26-1.28 at 250-280, 1.33-1.47 vs 1.30-1.37 at 330-361; size
+        3, 0.45 vs 0.65 at 150, rows ahead from 200.  So the census runs
         to 300 elements, past which both sizes run faster row by row."""
         n = len(self.elements)
         return n * (n + 1) // 2 <= _CENSUS_PAIRS
@@ -683,24 +683,6 @@ def _pair_bits(elements: tuple[int, ...]) -> tuple[np.ndarray, int]:
     return bits.reshape(n, n, -1), sum_words
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """The set bits of each uint64 word, as uint8: ``np.bitwise_count``
-    where numpy has it (2.0 on), else a SWAR sum over 2^13 words at a
-    time."""
-    bitwise_count = getattr(np, "bitwise_count", None)
-    if bitwise_count is not None:
-        return bitwise_count(words)
-    out = np.empty(words.shape, dtype=np.uint8)
-    flat, counts = words.reshape(-1), out.reshape(-1)
-    for a in range(0, len(flat), 1 << 13):
-        x = flat[a : a + (1 << 13)]
-        x = x - (x >> np.uint64(1) & np.uint64(0x5555555555555555))  # 2-bit fields
-        x = (x & np.uint64(0x3333333333333333)) + (x >> np.uint64(2) & np.uint64(0x3333333333333333))
-        x = x + (x >> np.uint64(4)) & np.uint64(0x0F0F0F0F0F0F0F0F)  # bytes
-        counts[a : a + (1 << 13)] = x * np.uint64(0x0101010101010101) >> np.uint64(56)  # their sum
-    return out
-
-
 def _mask_tiles(ground: _ScanGround):
     """(first mask, sum counts, nonnegative difference counts) of each
     tile of 2^c consecutive masks of a mask level (c as ``_TILE_BYTES``
@@ -741,7 +723,7 @@ def _mask_tiles(ground: _ScanGround):
             for b, row in enumerate(np.bitwise_or.reduce(cross[:, at], axis=1)):
                 np.bitwise_or(tile[:, : 1 << b], row[:, None], out=tile[:, 1 << b : 2 << b])
             tile |= low
-        counts = _popcount(tile if high else low)
+        counts = np.bitwise_count(tile if high else low)
         sums, diffs = counts[:sum_words], counts[sum_words:]  # a level has far fewer than 2^15 rows
         yield high << c, sums.sum(axis=0, dtype=np.int16), diffs.sum(axis=0, dtype=np.int16)
 
@@ -758,7 +740,7 @@ def _mask_level(special: bool, hit_cap: int, level: _MaskLevel, take: int):
     fixed, run = ground.lead + ground.tail, 1 << _CHECK_BITS
     for first, sums, nonneg in _mask_tiles(ground):
         diffs = np.maximum(2 * nonneg - 1, 0)  # A-A: nonnegative differences mirrored about 0; none in the empty set
-        sizes = _popcount(np.arange(first, first + len(sums), dtype=np.uint64)) + fixed if special else None
+        sizes = np.bitwise_count(np.arange(first, first + len(sums), dtype=np.uint64)) + fixed if special else None
         at = np.flatnonzero(_census_hits(sums, diffs, sizes, special)).tolist()
         checked = {r: ground.mask_subset(first + r) for r in (*range(min(run, len(sums)) - 1, len(sums), run), *at)}
         for r, subset in checked.items():

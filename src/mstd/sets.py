@@ -35,7 +35,7 @@ its element list, a tuple a list, and dict keys become strings.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -67,6 +67,7 @@ VERDICT_DIFF_DOMINATED = "diff_dominated"
 CONWAY = (0, 2, 3, 4, 7, 11, 12, 14)
 
 
+@dataclass(frozen=True, slots=True)
 class IntSet:
     """Immutable sorted set of nonnegative integers.
 
@@ -75,10 +76,11 @@ class IntSet:
     callers use that for sparse sets that never touch a bit vector).
     """
 
-    __slots__ = ("elements",)
+    elements: tuple[int, ...]
+    diameter_cap: InitVar[int | None] = DEFAULT_DIAMETER_CAP
 
-    def __init__(self, elements: Iterable[int], diameter_cap: int | None = DEFAULT_DIAMETER_CAP):
-        elems = tuple(sorted(int(x) for x in elements))
+    def __post_init__(self, diameter_cap: int | None) -> None:
+        elems = tuple(sorted(int(x) for x in self.elements))
         if not elems:
             raise DomainError("set must be nonempty")
         if elems[0] < 0:
@@ -91,9 +93,6 @@ class IntSet:
                 f"diameter {elems[-1] - elems[0]} exceeds cap {diameter_cap}"
             )
         object.__setattr__(self, "elements", elems)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntSet is immutable")
 
     @property
     def min(self) -> int:
@@ -119,17 +118,6 @@ class IntSet:
 
     def __contains__(self, x) -> bool:
         return x in self.elements
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IntSet):
-            return self.elements == other.elements
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
-
-    def __repr__(self) -> str:
-        return f"IntSet({list(self.elements)!r})"
 
     def to_dict(self) -> dict:
         return {"elements": list(self.elements)}

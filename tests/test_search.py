@@ -689,19 +689,6 @@ def test_mask_levels_are_spot_checked(monkeypatch):
     assert _lattice_block(False, 1, level, count)[1].tolist() == []
 
 
-def test_popcount_swar_matches_bit_count(monkeypatch):
-    # numpy 2 counts by np.bitwise_count; numpy 1 takes the SWAR sum,
-    # run here with bitwise_count hidden, over more than one 2^13-word
-    # chunk, with 0 and 2^64 - 1 among the words
-    words = np.frombuffer(random.Random(3).randbytes(8 * 3 * 5000), dtype=np.uint64).reshape(3, 5000).copy()
-    words[0, :2] = 0, 2**64 - 1
-    expected = [[w.bit_count() for w in row] for row in words.tolist()]
-    assert search._popcount(words).tolist() == expected
-    monkeypatch.delattr(np, "bitwise_count", raising=False)
-    swar = search._popcount(words)
-    assert swar.dtype == np.uint8 and swar.tolist() == expected
-
-
 def tile_budget(monkeypatch, ground, c):
     """Patch the tile byte budget (and the floor on c, which is the run of
     masks that one recount covers) so that ``ground``'s tiles hold 2^c

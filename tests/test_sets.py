@@ -1,5 +1,7 @@
 """Core set arithmetic: sumsets, difference sets, classification."""
 
+import copy
+import pickle
 import random
 import tracemalloc
 
@@ -69,6 +71,23 @@ def test_intset_immutable():
     s = IntSet([0, 1])
     with pytest.raises(AttributeError):
         s.elements = (5,)
+
+
+def test_intset_is_a_hashable_value():
+    s, t = IntSet([3, 0, 2]), IntSet(x for x in (2, 3, 0))
+    assert s == t and hash(s) == hash(t)
+    assert s != (0, 2, 3) and s != IntSet([0, 2])
+    assert {s: "x"}[t] == "x"
+    assert 2 in s and 1 not in s
+    with pytest.raises(AttributeError):
+        del s.elements
+    # nor any other name; a frozen slotted dataclass raises TypeError here
+    # on CPython 3.11, so either error is a refusal
+    with pytest.raises((AttributeError, TypeError)):
+        s.other = 1
+    assert s.elements == (0, 2, 3)
+    for clone in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert clone == s and hash(clone) == hash(s) and clone.elements == (0, 2, 3)
 
 
 def test_cached_extremes():
