@@ -58,15 +58,7 @@ from .sequences import (
     materialize,
     verify_difference_bound,
 )
-from .sets import (
-    DEFAULT_DIAMETER_CAP,
-    IntSet,
-    append_analysis,
-    base_expansion,
-    classify,
-    diffset,
-    sumset,
-)
+from .sets import IntSet, append_analysis, base_expansion, classify, diffset, sumset
 
 # Ranges in an integer list expand to at most this many integers in all,
 # checked before expanding: "0..1000000000" must not build 10^9 ints.
@@ -171,9 +163,6 @@ _COMMON = {
     "seed": (int, 0, ("search", "density", "reproduce")),
     "threads": (int, 1, ("search", "density", "reproduce")),
     "budget": (_count, None, ("search", "minimal", "certify", "certify-finite")),
-    "diameter_cap": (
-        _count, DEFAULT_DIAMETER_CAP, ("classify", "sumset", "diffset", "expand", "append", "bound")
-    ),
 }
 
 
@@ -251,14 +240,12 @@ def _ground_from_args(args) -> IntSet:
     if args.terms is not None and args.seq is None:
         raise DomainError("--terms applies only to --seq grounds")
     if args.ground is not None:
-        return IntSet(args.ground, diameter_cap=None)
+        return IntSet(args.ground)
     if args.seq is not None:
         if args.terms is None:
             raise DomainError("--seq grounds need --terms")
-        return IntSet(materialize(args.seq, args.terms), diameter_cap=None)
-    return IntSet(
-        (int(p) for p in PrimeSieve(args.primes_upto).primes()), diameter_cap=None
-    )
+        return IntSet(materialize(args.seq, args.terms))
+    return IntSet(int(p) for p in PrimeSieve(args.primes_upto).primes())
 
 
 def _budget(args, keyword="budget") -> dict:
@@ -270,31 +257,27 @@ def _budget(args, keyword="budget") -> dict:
 # -- handlers: each returns its report, which main prints ---------------
 
 def _cmd_classify(args):
-    return classify(IntSet(args.set, diameter_cap=None), diameter_cap=_flag(args, "diameter_cap"))
+    return classify(IntSet(args.set))
 
 
 def _cmd_sumset(args):
-    return sumset(IntSet(args.set, diameter_cap=None), diameter_cap=_flag(args, "diameter_cap"))
+    return sumset(IntSet(args.set))
 
 
 def _cmd_diffset(args):
-    s = IntSet(args.set, diameter_cap=None)
-    return {"elements": list(diffset(s, diameter_cap=_flag(args, "diameter_cap")))}
+    return {"elements": list(diffset(IntSet(args.set)))}
 
 
 def _cmd_expand(args):
-    s = IntSet(args.set, diameter_cap=None)
-    return base_expansion(s, args.k, diameter_cap=_flag(args, "diameter_cap"))
+    return base_expansion(IntSet(args.set), args.k)
 
 
 def _cmd_append(args):
-    s = IntSet(args.set, diameter_cap=None)
-    return append_analysis(s, args.x, diameter_cap=_flag(args, "diameter_cap"))
+    return append_analysis(IntSet(args.set), args.x)
 
 
 def _cmd_bound(args):
-    s = IntSet(args.set, diameter_cap=None)
-    return verify_difference_bound(s, args.x, args.r, diameter_cap=_flag(args, "diameter_cap"))
+    return verify_difference_bound(IntSet(args.set), args.x, args.r)
 
 
 def _cmd_seq(args):

@@ -562,7 +562,7 @@ def dilated_conway(p: int, s: int) -> IntSet:
         raise DomainError(f"shift must be nonnegative, got {p}")
     if s < 1:
         raise DomainError(f"dilation factor must be >= 1, got {s}")
-    return IntSet((p + c * s for c in CONWAY), diameter_cap=None)
+    return IntSet(p + c * s for c in CONWAY)
 
 
 def find_prime_ap(
@@ -591,8 +591,9 @@ def find_prime_ap(
     to b + (length - 1) * max_diff, so an explicit large max_diff pays
     for that sieve before any first term is tried (length 2, bound 10,
     max_diff 1e8 took 0.5-0.7 s and a 130 MB peak RSS to find (2, 1)).
-    A negative max_diff raises DomainError; 0 leaves only the one-term
-    AP (2, 0).
+    A negative max_diff raises DomainError.  Past length 1, one below the
+    smallest modulus (primorial // length for a prime length, else the
+    primorial), 0 included, returns None before any sieve to the bound.
     """
     length = int(length)
     bound = int(start_bound)
@@ -604,7 +605,10 @@ def find_prime_ap(
         return None
     if length == 1:  # 2 is the least prime, whatever the bound
         return (2, 0)
-    primorial = math.prod(PrimeSieve(length).primes().tolist())
+    primes = PrimeSieve(length).primes().tolist()
+    primorial = math.prod(primes)
+    if max_diff is not None and max_diff < (primorial // length if primes[-1] == length else primorial):
+        return None
     if max_diff is None:
         headroom = (_SIEVE_LIMIT_CAP - bound) // (length - 1)
         max_diff = max(min(100 * primorial, headroom), primorial)
@@ -668,4 +672,4 @@ def mstd_in_ap(ap: tuple[int, int, int]) -> IntSet:
         raise DomainError(f"AP first term must be nonnegative, got {first}")
     if diff < 1:
         raise DomainError(f"AP difference must be >= 1, got {diff}")
-    return IntSet((first + c * diff for c in CONWAY), diameter_cap=None)
+    return IntSet(first + c * diff for c in CONWAY)

@@ -116,7 +116,7 @@ def _claim_fib_no_mstd(params):
     cert = certify_no_mstd(SequenceSpec.fibonacci(), r=params["r"], upto=params["upto"])
     terms = materialize(SequenceSpec.fibonacci(), params["enumerated_terms"])
     rep = exhaustive_search(
-        SearchConfig(ground=IntSet(terms, diameter_cap=None), budget=1 << 20)
+        SearchConfig(ground=IntSet(terms), budget=1 << 20)
     )
     measured = {
         "verdict": cert.verdict,

@@ -90,7 +90,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .sets import CONWAY, DEFAULT_DIAMETER_CAP, IntSet, _distinct_sets, sum_diff_counts
+from .sets import CONWAY, IntSet, _distinct_sets, _select_bits, sum_diff_counts
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_MONTE_CARLO = "monte-carlo"
@@ -298,7 +298,7 @@ class PairCensus:
     def __init__(self, elements: Sequence[int]):
         self.elements = tuple(elements)
         self.n = n = len(self.elements)
-        sums, nonneg_diffs = _distinct_sets(self.elements, DEFAULT_DIAMETER_CAP)
+        sums, nonneg_diffs = _distinct_sets(self.elements)
         rows = len(sums) + len(nonneg_diffs)
         _check_census_capacity(n, rows)
         top = 2 * self.elements[-1]
@@ -508,9 +508,9 @@ def _scan(blocks, classify, budget, examined, hit_cap, first_hit, threads=1):
     try:
         for take, at, found in results:
             if first_hit and len(at):
-                return [IntSet(found[0], diameter_cap=None)], 1, examined + int(at[0]) + 1, False
+                return [IntSet(found[0])], 1, examined + int(at[0]) + 1, False
             hit_count += len(at)
-            hits += [IntSet(e, diameter_cap=None) for e in found[: hit_cap - len(hits)]]
+            hits += [IntSet(e) for e in found[: hit_cap - len(hits)]]
             examined += take
     finally:
         results.close()
@@ -585,7 +585,7 @@ class _ScanGround:
         """The candidate of interior mask ``mask``: the lead, interior
         element e when bit e of the mask is set, and the tail."""
         lead, k = self.lead, self.k
-        interior = compress(self.elements[lead : lead + k], (mask >> e & 1 for e in range(k)))
+        interior = _select_bits(mask, self.elements[lead : lead + k])
         return (*self.elements[:lead], *interior, *self.elements[lead + k :])
 
     def index_rows(self, size: int, first: int, count: int) -> np.ndarray:
@@ -856,8 +856,8 @@ def _mc_chunk(census: PairCensus, seed: int, special: bool, hit_cap: int, index:
 
     def drawn(count):
         raw = rng.bytes(width * count)
-        first = np.unpackbits(np.frombuffer(raw, np.uint8, width), bitorder="little").tolist()
-        return byte_slices(raw, n), count, tuple(compress(census.elements, first))
+        first = int.from_bytes(raw[:width], "little") & ((1 << n) - 1)  # the bits of row 0 that byte_slices keeps
+        return byte_slices(raw, n), count, _select_bits(first, census.elements)
 
     counts = (min(census.mc_block, take - a) for a in range(0, take, census.mc_block))
     at, found = _census_scan(census, map(drawn, counts), special)
@@ -955,7 +955,7 @@ def minimal_mstd_in(
     best: IntSet | None = None
     examined, images = _probe(elems, floor, budget)
     for cand in compress(images, _counted_hits(images, special=False)):
-        hit = IntSet(cand, diameter_cap=None)
+        hit = IntSet(cand)
         if len(hits) < DEFAULT_HIT_CAP:
             hits.append(hit)
         if best is None or value_of(cand) < value_of(best.elements):

@@ -284,7 +284,7 @@ def certify_no_mstd(
         route = "small-subset-search" if growth.holds else "refutation-search"
         rep = exhaustive_search(
             SearchConfig(
-                ground=IntSet(terms, diameter_cap=None),
+                ground=IntSet(terms),
                 min_size=8,
                 max_size=bound if growth.holds else len(terms),
                 budget=budget,
@@ -331,12 +331,9 @@ class DifferenceBoundReport(Report):
     verdict: str
 
 
-def verify_difference_bound(
-    s_prime: IntSet, new_element: int, r: int, diameter_cap: int | None = DEFAULT_DIAMETER_CAP
-) -> DifferenceBoundReport:
-    """Check, by ``append_analysis`` under ``diameter_cap``, that adjoining
-    ``new_element`` to S' creates at least |S|+1 new differences and at
-    most |S|+1 new sums.
+def verify_difference_bound(s_prime: IntSet, new_element: int, r: int) -> DifferenceBoundReport:
+    """Check, by ``append_analysis``, that adjoining ``new_element`` to S'
+    creates at least |S|+1 new differences and at most |S|+1 new sums.
 
     The hypothesis is the growth inequality on the top elements of
     S = S' + {x}: x > s_{k-1} + s_{k-r} (1-indexed, s_k = x).  When it
@@ -354,7 +351,7 @@ def verify_difference_bound(
     k = len(s_prime) + 1
     if k < 2 * r + 2:
         raise DomainError(f"|S'|+1 = {k} is below the required 2r+2 = {2 * r + 2}")
-    change = append_analysis(s_prime, x, diameter_cap=diameter_cap)
+    change = append_analysis(s_prime, x)
     new_sums, new_diffs = change.new_sums, change.new_diffs
     applies = x > s_prime.elements[k - 2] + s_prime.elements[k - r - 1]  # s_{k-1} + s_{k-r}
     if not applies:
@@ -407,8 +404,11 @@ def certify_finitely_many(
     scale; the search examines every leading prefix of the sequence,
     adjoining one term per prefix to one census (special sets built by
     digit expansion show up exactly there), and then exhausts the subset
-    lattice of the longest leading window the budget allows.
+    lattice of the longest leading window the budget allows.  A budget
+    below 1 raises DomainError.
     """
+    if special_search_budget < 1:
+        raise DomainError(f"budget must be >= 1, got {special_search_budget}")
     upto = int(upto)
     growth, terms = _growth(spec, 3, upto, start)
 
@@ -423,7 +423,7 @@ def certify_finitely_many(
         if window > 0:
             rep = special_search(
                 SearchConfig(
-                    ground=IntSet(terms[:window], diameter_cap=None),
+                    ground=IntSet(terms[:window]),
                     budget=max(remaining, 1),
                     objective="first-hit",
                 )

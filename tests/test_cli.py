@@ -70,19 +70,9 @@ def test_subcommand_table_lists_every_subcommand():
 
 
 # The common flags each subcommand's handler reads, written from the
-# handlers, not from the parser.  --diameter-cap leaves the reports of
-# these set commands as they are, so a spy on the library call each
-# handler makes sees it instead.
-DIAMETER_CAP_CALLS = {
-    "classify": "classify",
-    "sumset": "sumset",
-    "diffset": "diffset",
-    "expand": "base_expansion",
-    "append": "append_analysis",
-    "bound": "verify_difference_bound",
-}
+# handlers, not from the parser.  --diameter-cap, a flag that is gone,
+# stays in COMMON_FLAGS with no readers, so every subcommand refuses it.
 READS = {
-    **{name: {"--diameter-cap"} for name in DIAMETER_CAP_CALLS},
     "search": {"--seed", "--threads", "--budget"},
     "density": {"--seed", "--threads"},
     "reproduce": {"--seed", "--threads"},
@@ -105,15 +95,6 @@ def test_each_subcommand_accepts_only_the_common_flags_it_reads(capsys, monkeypa
         captured = capsys.readouterr()
         assert (exc.value.code, captured.out) == (2, "")
         assert captured.err.count("\n") == 1 and f"unrecognized arguments: {flag}" in captured.err
-    elif flag == "--diameter-cap":
-        from mstd.sets import DEFAULT_DIAMETER_CAP
-
-        honest, caps = getattr(cli, DIAMETER_CAP_CALLS[name]), []
-        monkeypatch.setattr(
-            cli, DIAMETER_CAP_CALLS[name], lambda *a, **k: caps.append(k["diameter_cap"]) or honest(*a, **k)
-        )
-        assert run(capsys, *argv) == run(capsys, *SUBCOMMANDS[name])
-        assert caps == [12345, DEFAULT_DIAMETER_CAP]
     else:
         assert run(capsys, *argv) != run(capsys, *SUBCOMMANDS[name])
 
@@ -221,7 +202,8 @@ def test_bound_honours_the_diameter_cap(capsys, monkeypatch):
     monkeypatch.setattr(sets, "SumDiffSets", lambda *args: built.append(args) or honest(*args))
     uncapped = run_json(capsys, "bound", "0..13", "14", "--r", "3")
     assert not built
-    capped = run_json(capsys, "bound", "0..13", "14", "--r", "3", "--diameter-cap", "1")
+    monkeypatch.setattr(sets, "DEFAULT_DIAMETER_CAP", 1)
+    capped = run_json(capsys, "bound", "0..13", "14", "--r", "3")
     assert capped == uncapped and built
 
 
@@ -334,7 +316,7 @@ def test_config_keys_apply_only_where_read(capsys, tmp_path):
     # a key a subcommand does not read is skipped, so its report is
     # unchanged, and a budget from the file is no Monte Carlo refusal
     cfg = tmp_path / "mstd.conf"
-    cfg.write_text("budget=3\nseed=5\nthreads=2\ndiameter_cap=1\n")
+    cfg.write_text("budget=3\nseed=5\nthreads=2\n")
     for argv in (["reproduce", "conway-counts"], ["primes", "sieve", "--upto", "100"]):
         assert run(capsys, *argv, "--config", str(cfg)) == run(capsys, *argv), argv
     assert run(capsys, *MONTE_CARLO, "--config", str(cfg)) == run(capsys, *MONTE_CARLO, "--seed", "5")
@@ -589,10 +571,12 @@ def test_config_seed_applies_to_density(capsys, tmp_path):
 
 def test_unknown_config_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "mstd.conf"
-    cfg.write_text("verbosity=9\n")
-    code, _, err = run(capsys, "classify", "0..5", "--config", str(cfg))
-    assert code == 1
-    assert "verbosity" in err
+    # diameter_cap is a key no longer: the bit-vector bound is fixed
+    for key in ("verbosity=9", "diameter_cap=1"):
+        cfg.write_text(key + "\n")
+        code, _, err = run(capsys, "classify", "0..5", "--config", str(cfg))
+        assert code == 1
+        assert key.partition("=")[0] in err
     # a line without "=", an unreadable path and an unknown format end the same way
     for text, word in (("seed 3\n", "key=value"), (None, "cannot read"), ("format=xml\n", "xml")):
         path = tmp_path / "missing.conf" if text is None else cfg
@@ -673,7 +657,7 @@ def test_density_past_the_census_bound_exits_one_before_the_ground(capsys, monke
 
     monkeypatch.setattr(search, "IntSet", no_ground)
     # the census bound is the one rule: its element pairs from n = 8191,
-    # its bytes too past the 2^24 diameter cap
+    # its bytes too at and past n = 2^24
     for n in ("8191", "16777216", "16777217"):
         code, out, err = run(capsys, "density", "--n", n, "--samples", "1")
         assert (code, out) == (1, "")
@@ -717,23 +701,25 @@ def _naive_append(elements, x):
 
 
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv, cap, expected",
     [
-        (["sumset", "100000000,100000001"], {"elements": _naive_sums([10**8, 10**8 + 1])}),
-        (["classify", "0,1,40000000"], _naive_census([0, 1, 40_000_000])),
-        (["diffset", "0,20000000"], {"elements": _naive_diffs([0, 20_000_000])}),
+        (["sumset", "100000000,100000001"], None, {"elements": _naive_sums([10**8, 10**8 + 1])}),
+        (["classify", "0,1,40000000"], None, _naive_census([0, 1, 40_000_000])),
+        (["diffset", "0,20000000"], None, {"elements": _naive_diffs([0, 20_000_000])}),
         (
             ["append", "0,2,3,4,7,11,12,14", "20000000"],
+            None,
             _naive_append([0, 2, 3, 4, 7, 11, 12, 14], 20_000_000),
         ),
-        (
-            ["classify", "0,20000000", "--diameter-cap", "1000000"],
-            _naive_census([0, 20_000_000]),
-        ),
+        (["classify", "0,20000000"], 1_000_000, _naive_census([0, 20_000_000])),
     ],
     ids=["sumset", "classify", "diffset", "append", "classify-cap"],
 )
-def test_wide_sets_fall_back_to_pairs(capsys, argv, expected):
+def test_wide_sets_fall_back_to_pairs(capsys, monkeypatch, argv, cap, expected):
+    if cap is not None:
+        from mstd import sets
+
+        monkeypatch.setattr(sets, "DEFAULT_DIAMETER_CAP", cap)
     assert run_json(capsys, *argv) == expected
 
 

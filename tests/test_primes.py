@@ -786,6 +786,25 @@ def test_prime_ap_memory_follows_the_answer():
     assert peak < 2 << 20, peak
 
 
+def test_prime_ap_below_the_smallest_modulus_sieves_nothing():
+    # no difference below 2 (length 3: 6 // 3) or 1 (length 2: 2 // 2)
+    # keeps every term prime: one sieve to 10^8 would be about 95 MiB
+    find_prime_ap(3, 10)
+    tracemalloc.start()
+    try:
+        found = [find_prime_ap(3, 10**8, max_diff=1), find_prime_ap(2, 10**8, max_diff=0)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == [None, None]
+    assert peak < 1 << 20, peak
+    # at the smallest modulus itself the search runs: prime and composite lengths
+    for length, bound, smallest in ((3, 100, 2), (2, 100, 1), (4, 1000, 6), (5, 1000, 6)):
+        assert find_prime_ap(length, bound, max_diff=smallest - 1) is None
+        assert find_prime_ap(length, bound, max_diff=smallest) == oracle_prime_ap(length, bound, smallest)
+        assert find_prime_ap(length, bound, max_diff=smallest) is not None
+
+
 def test_prime_ap_sieve_cap(monkeypatch):
     monkeypatch.setattr(mstd.primes, "_SIEVE_LIMIT_CAP", 10**5)
     # found in the first step, whose sieve fits under the cap

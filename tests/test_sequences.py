@@ -333,6 +333,13 @@ def test_prefix_pass_recounts_only_its_first_prefix_and_witness(monkeypatch):
     assert recounted == [2, len(cert.special_witness)]
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_finiteness_budget_below_one_rejected(budget):
+    # as certify_no_mstd and minimal_mstd_in refuse it: no verdict from no search
+    with pytest.raises(DomainError, match="budget"):
+        certify_finitely_many(FIB, 4, 20, special_search_budget=budget)
+
+
 def test_finiteness_start_must_precede_upto():
     with pytest.raises(DomainError):
         certify_finitely_many(FIB, 10, 5)

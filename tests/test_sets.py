@@ -1,6 +1,8 @@
 """Core set arithmetic: sumsets, difference sets, classification."""
 
+import ast
 import copy
+import inspect
 import pickle
 import random
 import tracemalloc
@@ -61,10 +63,14 @@ def test_negative_elements_rejected():
 
 
 def test_diameter_cap_enforced():
+    # the check is off unless a cap is passed: past the bit-vector bound
+    # every kernel counts by pairs
     with pytest.raises(CapacityError):
-        IntSet([0, 1 << 25])
-    big = IntSet([0, 1 << 25], diameter_cap=None)
+        IntSet([0, 1 << 25], diameter_cap=1 << 24)
+    assert IntSet([0, 1 << 24], diameter_cap=1 << 24).diameter == 1 << 24
+    big = IntSet([0, 1 << 25])
     assert big.diameter == 1 << 25
+    assert classify(big).sum_count == 3
 
 
 def test_intset_immutable():
@@ -261,15 +267,19 @@ def test_pair_census_bounds_its_memory():
         assert (sc[row], dc[row], size[row]) == (*sum_diff_counts(chosen), len(chosen))
 
 
-def test_bits_kernel_respects_capacity():
+def test_bits_kernel_respects_capacity(monkeypatch):
     wide = (0, 5, 1 << 20)
+    # the bound is read when called
+    monkeypatch.setattr(sets, "DEFAULT_DIAMETER_CAP", 1 << 20)
     with pytest.raises(CapacityError):
-        sum_diff_counts(wide, kernel="bits", diameter_cap=1 << 20)
+        sum_diff_counts(wide, kernel="bits")
     # auto quietly switches to the pair kernel instead of failing
-    assert sum_diff_counts(wide, diameter_cap=1 << 20) == naive_counts(wide)
+    assert sum_diff_counts(wide) == naive_counts(wide)
     s = IntSet(wide)
-    assert len(sumset(s, diameter_cap=1 << 20)) == naive_counts(wide)[0]
-    assert len(diffset(s, diameter_cap=1 << 20)) == naive_counts(wide)[1]
+    assert len(sumset(s)) == naive_counts(wide)[0]
+    assert len(diffset(s)) == naive_counts(wide)[1]
+    monkeypatch.setattr(sets, "DEFAULT_DIAMETER_CAP", 1 << 21)
+    assert sum_diff_counts(wide, kernel="bits") == naive_counts(wide)
     # the vector is offset by min, so only the diameter counts
     narrow_far = IntSet([10**8, 10**8 + 1])
     assert sum_diff_counts(narrow_far.elements, kernel="bits") == (3, 3)
@@ -280,6 +290,35 @@ def test_bits_kernel_respects_capacity():
 def test_unknown_kernel_rejected():
     with pytest.raises(DomainError):
         sum_diff_counts((0, 1), kernel="fft")
+
+
+def _bit_loop(mask, items):
+    out, i = [], 0
+    while mask:
+        if mask & 1:
+            out.append(items[i])
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
+def test_select_bits_matches_a_bit_loop():
+    rng = random.Random(32)
+    sparse = sum(1 << i for i in rng.sample(range(4000), 20))  # 20 * 32 < 4000: read bit by bit
+    dense = rng.getrandbits(4000) | 1 << 3999
+    lone_top, lone_bottom = 1 << 3999, 1
+    for mask in (0, sparse, dense, lone_top, lone_bottom, (1 << 64) - 1, 1 << 63 | 1):
+        for items in (range(4000), range(7, 4007), tuple(range(10_000, 14_000))):
+            assert sets._select_bits(mask, items) == _bit_loop(mask, items)
+    assert sparse.bit_count() * 32 < sparse.bit_length() and dense.bit_count() * 32 >= dense.bit_length()
+    assert sets._select_bits(0, ()) == ()
+
+
+def test_sets_does_not_import_numpy():
+    tree = ast.parse(inspect.getsource(sets))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+    assert imported and not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
 # -- classify ----------------------------------------------------------
@@ -466,12 +505,18 @@ def test_append_counts_match_recomputation():
         assert report.new_diffs <= 2 * len(s)
 
 
-def test_append_to_special_set_stays_mstd():
+def test_append_to_special_set_stays_mstd(monkeypatch):
     s3 = base_expansion(CONWAY_SET, 3)
-    for x in (2 * s3.total, 2 * s3.total + 12345):
-        report = append_analysis(s3, x, diameter_cap=None)
-        assert report.threshold_met
-        assert report.after.verdict == "mstd"
+    # S3 in a bit vector, then (cap 0) by pairs, to the same report
+    reports = []
+    for cap in (sets.DEFAULT_DIAMETER_CAP, 0):
+        monkeypatch.setattr(sets, "DEFAULT_DIAMETER_CAP", cap)
+        for x in (2 * s3.total, 2 * s3.total + 12345):
+            report = append_analysis(s3, x)
+            assert report.threshold_met
+            assert report.after.verdict == "mstd"
+            reports.append(report)
+    assert reports[:2] == reports[2:]
 
 
 def test_append_keeps_a_dense_set_in_bit_vectors():
@@ -536,10 +581,15 @@ def test_base_expansion_multiplicative_cardinalities():
             assert got == (sc**k, dc**k)
 
 
-def test_base_expansion_capacity():
-    with pytest.raises(CapacityError):
+def test_base_expansion_capacity(monkeypatch):
+    with pytest.raises(CapacityError, match="cap 16777216"):
         base_expansion(CONWAY_SET, 6)  # diameter 14*(29^6-1)/28 > 2^24
-    assert len(base_expansion(CONWAY_SET, 6, diameter_cap=None)) == 8**6
+    diameter = 14 * (29**6 - 1) // 28
+    monkeypatch.setattr(sets, "DEFAULT_DIAMETER_CAP", diameter)
+    assert len(base_expansion(CONWAY_SET, 6)) == 8**6
+    monkeypatch.setattr(sets, "DEFAULT_DIAMETER_CAP", diameter - 1)
+    with pytest.raises(CapacityError):
+        base_expansion(CONWAY_SET, 6)
 
 
 def test_pair_census_refuses_a_ground_past_its_block_bound(monkeypatch):
