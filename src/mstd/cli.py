@@ -13,11 +13,10 @@ reports are reproducible artifacts.
 Set inputs are inline comma lists ("0,2,3") or @file references (one
 integer per line).  Sequences use a small grammar:
 fibonacci | geometric:c,r,d | recurrence:c1,..:s1,.. | explicit:e1,e2,..
-Every subcommand takes --format and --config; ``_COMMON`` names the
-other common flags and the subcommands whose handlers read them, and
-only those subcommands accept them.  A --config file of key=value lines
-gives defaults: every key is checked, and a key fills a flag left off
-the command line only where the flag is read (``_flag``).
+Every subcommand takes --format; ``_COMMON`` names the other common
+flags and the subcommands whose handlers read them, and only those
+subcommands accept them.  A common flag left off the command line takes
+its built-in default (``_flag``).
 """
 
 from __future__ import annotations
@@ -192,48 +191,10 @@ def _print_table(payload: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {value}")
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise DomainError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-                key, _, value = line.partition("=")
-                key = key.strip().lower().replace("-", "_")
-                if key != "format" and key not in _COMMON:
-                    raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = value.strip() if key == "format" else _config_int(value, path, lineno)
-    except OSError as exc:
-        raise DomainError(f"cannot read config file {path}: {exc}")
-    return values
-
-
-def _config_int(value: str, path: str, lineno: int) -> int:
-    try:
-        return _integral(value)
-    except ValueError:
-        raise DomainError(f"{path}:{lineno}: expected integer, got {value.strip()!r}")
-
-
-def _read_config(args) -> dict:
-    """The --config file's keys, each checked whether this subcommand reads it or not."""
-    values = _load_config_file(args.config) if args.config else {}
-    if values.get("format", "json") not in ("json", "table"):
-        raise DomainError(f"unknown format {values['format']!r}")
-    for budget in (values.get("budget"), getattr(args, "budget", None)):
-        if budget is not None and budget < 1:
-            raise DomainError(f"budget must be >= 1, got {budget}")
-    return values
-
-
 def _flag(args, key):
-    """A common flag from the command line, else the --config file, else built in."""
+    """A common flag from the command line, else built in."""
     value = getattr(args, key)
-    return args.config.get(key, _COMMON[key][1]) if value is None else value
+    return _COMMON[key][1] if value is None else value
 
 
 def _ground_from_args(args) -> IntSet:
@@ -387,7 +348,7 @@ def _cmd_primes_mstd(args):
 
 
 def _cmd_reproduce(args):
-    # only explicit flags reach a claim: config and built-in defaults do not unpin it
+    # only explicit flags reach a claim: built-in defaults do not unpin it
     return run_claim(args.claim, samples=args.samples, seed=args.seed, threads=args.threads)
 
 
@@ -410,18 +371,17 @@ def _add_ground_options(sub):
 def _flag_parsers() -> dict:
     """One parent parser per common flag, built once and shared by every
     parser ``build_parser`` makes."""
-    flags = {key: _Parser(add_help=False) for key in ("format", *_COMMON, "config")}
-    flags["format"].add_argument("--format", choices=("json", "table"))
+    flags = {key: _Parser(add_help=False) for key in ("format", *_COMMON)}
+    flags["format"].add_argument("--format", choices=("json", "table"), default="json")
     for key, (kind, _, _) in _COMMON.items():
         flags[key].add_argument("--" + key.replace("_", "-"), type=kind)
-    flags["config"].add_argument("--config", help="key=value defaults file")
     return flags
 
 
 def _command(subs, name, handler, help):
-    """The parser of one subcommand: --format, --config and the common flags its handler reads."""
+    """The parser of one subcommand: --format and the common flags its handler reads."""
     flags = _flag_parsers()
-    keys = ("format", *(key for key, (_, _, readers) in _COMMON.items() if name in readers), "config")
+    keys = ("format", *(key for key, (_, _, readers) in _COMMON.items() if name in readers))
     sub = subs.add_parser(name.rpartition(" ")[2], parents=[flags[key] for key in keys], help=help)
     sub.set_defaults(handler=handler)
     return sub
@@ -553,13 +513,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.config = _read_config(args)  # the path becomes the file's keys
+        budget = getattr(args, "budget", None)  # refused before any ground is built
+        if budget is not None and budget < 1:
+            raise DomainError(f"budget must be >= 1, got {budget}")
         report = args.handler(args)
     except (DomainError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = report if isinstance(report, dict) else report.to_dict()
-    _emit(payload, args.format or args.config.get("format", "json"))
+    _emit(payload, args.format)
     # a claim that fails its check still prints its report
     return 0 if payload.get("passed", True) else 1
 

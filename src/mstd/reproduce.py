@@ -2,9 +2,11 @@
 
 Each claim id maps to a parameter manifest plus a runner; parameters
 live here, checked in, so the same numbers can be regenerated verbatim
-(`mstd reproduce <claim>`).  Runners return a JSON-safe report with the
-measured values, the expected values, and a pass flag.  Only the
-density claim accepts a sample count and seed; every other pipeline is
+(`mstd reproduce <claim>`).  Runners take the claim's parameters and a
+thread count, which only the density claim's engine uses; they return
+a pass flag and the measured values, which ``run_claim`` reports with
+the parameters run and the expected values.  Only the density claim
+accepts a sample count, seed and thread count; every other pipeline is
 fully pinned, and refuses them with DomainError.
 """
 
@@ -83,7 +85,7 @@ MANIFEST = {
 CLAIM_IDS = tuple(MANIFEST)
 
 
-def _claim_conway_counts(params):
+def _claim_conway_counts(params, threads):
     cls = classify(IntSet(params["set"]))
     measured = cls.to_dict()
     exp = params["expected"]
@@ -91,7 +93,7 @@ def _claim_conway_counts(params):
     return passed, measured
 
 
-def _claim_min_size_8(params):
+def _claim_min_size_8(params, threads):
     full = IntSet(range(params["full_ground_top"] + 1))
     small_sizes = exhaustive_search(
         SearchConfig(ground=full, max_size=params["small_size_cap"])
@@ -112,7 +114,7 @@ def _claim_min_size_8(params):
     return passed, measured
 
 
-def _claim_fib_no_mstd(params):
+def _claim_fib_no_mstd(params, threads):
     cert = certify_no_mstd(SequenceSpec.fibonacci(), r=params["r"], upto=params["upto"])
     terms = materialize(SequenceSpec.fibonacci(), params["enumerated_terms"])
     rep = exhaustive_search(
@@ -133,7 +135,7 @@ def _claim_fib_no_mstd(params):
     return passed, measured
 
 
-def _claim_s3_special(params):
+def _claim_s3_special(params, threads):
     s3 = base_expansion(IntSet(CONWAY), params["expansion_length"])
     cls = classify(s3)
     exp = params["expected"]
@@ -163,7 +165,7 @@ def _claim_s3_special(params):
     return ok, measured
 
 
-def _claim_tuple_t_admissible(params):
+def _claim_tuple_t_admissible(params, threads):
     result = is_admissible(PrimeTuple(tuple(params["offsets"])))
     measured = result.to_dict()
     exp = params["expected"]
@@ -174,7 +176,7 @@ def _claim_tuple_t_admissible(params):
     return passed, measured
 
 
-def _claim_p19_prime_mstd(params):
+def _claim_p19_prime_mstd(params, threads):
     report = match_tuple(PrimeTuple(tuple(params["offsets"])), params["x"])
     hit = dilated_conway(params["shift"], params["dilation"])
     cls = classify(hit)
@@ -199,7 +201,7 @@ def _claim_p19_prime_mstd(params):
     return passed, measured
 
 
-def _claim_tuple_t_1e9(params):
+def _claim_tuple_t_1e9(params, threads):
     report = match_tuple(PrimeTuple(tuple(params["offsets"])), params["x"])
     half = params["expected"]["poisson_sds"] * report.predicted**0.5
     measured = {
@@ -211,22 +213,20 @@ def _claim_tuple_t_1e9(params):
     return abs(report.count - report.predicted) <= half, measured
 
 
-def _claim_density(params, samples=None, seed=None, threads=None):
-    samples = params["samples"] if samples is None else int(samples)
-    seed = params["seed"] if seed is None else int(seed)
-    report = monte_carlo_density(params["n"], samples, seed=seed, threads=1 if threads is None else threads)
+def _claim_density(params, threads):
+    report = monte_carlo_density(params["n"], params["samples"], seed=params["seed"], threads=threads)
     lo, hi = params["window"]
     measured = {
         "density": report.density_estimate,
         "stderr": report.stderr,
         "hit_count": report.hit_count,
-        "samples": samples,
-        "seed": seed,
+        "samples": params["samples"],
+        "seed": params["seed"],
     }
     return lo <= report.density_estimate <= hi, measured
 
 
-def _claim_hl_twin_ratio(params):
+def _claim_hl_twin_ratio(params, threads):
     report = match_tuple(
         PrimeTuple(tuple(params["offsets"])), params["x"], rel_tol=params["rel_tol"]
     )
@@ -260,21 +260,19 @@ def run_claim(
     threads: int | None = None,
 ) -> dict:
     """Run one pinned pipeline; returns a JSON-safe pass/fail report."""
-    if claim_id not in _RUNNERS:
+    if claim_id not in MANIFEST:
         raise DomainError(f"unknown claim id {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
     params = MANIFEST[claim_id]
-    if claim_id != "density-4.5e-4" and (samples, seed, threads) != (None, None, None):
+    # only a sampled claim, one whose manifest holds a seed, takes overrides
+    sampled = [claim for claim, pinned in MANIFEST.items() if "seed" in pinned]
+    if claim_id not in sampled and (samples, seed, threads) != (None, None, None):
         raise DomainError(
-            f"claim {claim_id!r} is pinned; only density-4.5e-4 takes a sample count, seed or thread count"
+            f"claim {claim_id!r} is pinned; only {', '.join(sampled)} takes a sample count, seed or thread count"
         )
-    if claim_id == "density-4.5e-4":
-        passed, measured = _claim_density(params, samples=samples, seed=seed, threads=threads)
-        # report the parameters actually run, not the pinned ones
-        params = dict(params)
-        params["samples"] = measured["samples"]
-        params["seed"] = measured["seed"]
-    else:
-        passed, measured = _RUNNERS[claim_id](params)
+    # run, and report, the parameters given, not the pinned ones
+    given = {key: int(value) for key, value in (("samples", samples), ("seed", seed)) if value is not None}
+    params = {**params, **given}
+    passed, measured = _RUNNERS[claim_id](params, 1 if threads is None else threads)
     return {
         "claim": claim_id,
         "passed": passed,

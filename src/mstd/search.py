@@ -583,9 +583,13 @@ class _ScanGround:
 
     def mask_subset(self, mask: int) -> tuple[int, ...]:
         """The candidate of interior mask ``mask``: the lead, interior
-        element e when bit e of the mask is set, and the tail."""
+        element e when bit e of the mask is set, and the tail.  The tuple
+        is built at its final length: one grown from an iterator and
+        freed stays parked on CPython's free list of its length, so the
+        spot checks would hold about one tuple each until the next full
+        collection."""
         lead, k = self.lead, self.k
-        interior = _select_bits(mask, self.elements[lead : lead + k])
+        interior = [e for i, e in enumerate(self.elements[lead : lead + k]) if mask >> i & 1]
         return (*self.elements[:lead], *interior, *self.elements[lead + k :])
 
     def index_rows(self, size: int, first: int, count: int) -> np.ndarray:

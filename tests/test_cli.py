@@ -70,8 +70,9 @@ def test_subcommand_table_lists_every_subcommand():
 
 
 # The common flags each subcommand's handler reads, written from the
-# handlers, not from the parser.  --diameter-cap, a flag that is gone,
-# stays in COMMON_FLAGS with no readers, so every subcommand refuses it.
+# handlers, not from the parser.  --diameter-cap and --config, flags that
+# are gone, stay in COMMON_FLAGS with no readers, so every subcommand
+# refuses them.
 READS = {
     "search": {"--seed", "--threads", "--budget"},
     "density": {"--seed", "--threads"},
@@ -82,7 +83,7 @@ READS = {
 }
 # a value each read shows: --seed 5 and --budget 1 change the report,
 # --threads 0 exits 1 (and so do --seed and --threads on a pinned claim)
-COMMON_FLAGS = {"--seed": "5", "--threads": "0", "--budget": "1", "--diameter-cap": "12345"}
+COMMON_FLAGS = {"--seed": "5", "--threads": "0", "--budget": "1", "--diameter-cap": "12345", "--config": "mstd.conf"}
 
 
 @pytest.mark.parametrize("flag", list(COMMON_FLAGS))
@@ -312,20 +313,6 @@ def test_search_refuses_its_flags_that_the_run_leaves_unread(capsys, argv, flag)
     assert err.count("\n") == 1 and err.startswith("error:") and flag in err
 
 
-def test_config_keys_apply_only_where_read(capsys, tmp_path):
-    # a key a subcommand does not read is skipped, so its report is
-    # unchanged, and a budget from the file is no Monte Carlo refusal
-    cfg = tmp_path / "mstd.conf"
-    cfg.write_text("budget=3\nseed=5\nthreads=2\n")
-    for argv in (["reproduce", "conway-counts"], ["primes", "sieve", "--upto", "100"]):
-        assert run(capsys, *argv, "--config", str(cfg)) == run(capsys, *argv), argv
-    assert run(capsys, *MONTE_CARLO, "--config", str(cfg)) == run(capsys, *MONTE_CARLO, "--seed", "5")
-    # where a key is read, it fills the flag left off the command line
-    data = run_json(capsys, "search", "--ground", "0..15", "--config", str(cfg))
-    assert (data["examined"], data["seed"]) == (3, 5)
-    assert run_json(capsys, "search", "--ground", "0..15", "--budget", "4", "--config", str(cfg))["examined"] == 4
-
-
 def test_search_monte_carlo_needs_special(capsys):
     code, _, err = run(
         capsys, "search", "--ground", "0..30", "--mode", "monte-carlo",
@@ -540,53 +527,6 @@ def test_reproduce_unknown_claim_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-# -- config file and precedence ------------------------------------------
-
-def test_config_file_sets_defaults(capsys, tmp_path):
-    cfg = tmp_path / "mstd.conf"
-    cfg.write_text("format=table\nseed=7\n# comment line\n")
-    code, out, _ = run(capsys, "classify", "0..5", "--config", str(cfg))
-    assert code == 0
-    assert "verdict: balanced" in out
-
-
-def test_cli_flag_beats_config_file(capsys, tmp_path):
-    cfg = tmp_path / "mstd.conf"
-    cfg.write_text("format=table\n")
-    code, out, _ = run(
-        capsys, "classify", "0..5", "--config", str(cfg), "--format", "json"
-    )
-    assert code == 0
-    json.loads(out)
-
-
-def test_config_seed_applies_to_density(capsys, tmp_path):
-    cfg = tmp_path / "mstd.conf"
-    cfg.write_text("seed=21\n")
-    data = run_json(
-        capsys, "density", "--n", "30", "--samples", "1000", "--config", str(cfg)
-    )
-    assert data["seed"] == 21
-
-
-def test_unknown_config_key_rejected(capsys, tmp_path):
-    cfg = tmp_path / "mstd.conf"
-    # diameter_cap is a key no longer: the bit-vector bound is fixed
-    for key in ("verbosity=9", "diameter_cap=1"):
-        cfg.write_text(key + "\n")
-        code, _, err = run(capsys, "classify", "0..5", "--config", str(cfg))
-        assert code == 1
-        assert key.partition("=")[0] in err
-    # a line without "=", an unreadable path and an unknown format end the same way
-    for text, word in (("seed 3\n", "key=value"), (None, "cannot read"), ("format=xml\n", "xml")):
-        path = tmp_path / "missing.conf" if text is None else cfg
-        if text is not None:
-            cfg.write_text(text)
-        code, out, err = run(capsys, "classify", "0..5", "--config", str(path))
-        assert (code, out) == (1, "")
-        assert err.count("\n") == 1 and err.startswith("error:") and word in err
-
-
 # -- exit codes ----------------------------------------------------------
 
 def test_domain_error_exits_one(capsys):
@@ -732,23 +672,28 @@ def test_non_finite_count_flag_exits_two(capsys, value):
     assert err.count("\n") == 1 and "--samples" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_budget_below_one_exits_one(capsys, value):
+    for name in ("search", "minimal", "certify", "certify-finite"):
+        code, out, err = run(capsys, *SUBCOMMANDS[name], "--budget", value)
+        assert (code, out, err) == (1, "", f"error: budget must be >= 1, got {value}\n"), name
+
+
 @pytest.mark.parametrize(
-    "line",
-    ["budget=1e400", "seed=1e999", "threads=-1e400", "budget=0.5", "seed=2.5", "budget=0", "budget=-3"],
+    "flag, value",
+    [("--budget", "0.5"), ("--budget", "1e400"), ("--seed", "2.5"), ("--seed", "1e999"), ("--seed", "-1e999"),
+     ("--threads", "-1e400")],
 )
-def test_non_finite_config_value_exits_one(capsys, tmp_path, line):
-    cfg = tmp_path / "mstd.conf"
-    cfg.write_text(line + "\n")
-    for argv in (
-        ["classify", "0..5"],
-        ["search", "--ground", "0..15"],
-        ["minimal", "--ground", "0..15"],
-        ["certify", "--seq", "fibonacci", "--r", "3", "--upto", "40"],
-        ["certify-finite", "--seq", "fibonacci", "--start", "4", "--upto", "30"],
-    ):
-        code, _, err = run(capsys, *argv, "--config", str(cfg))
-        assert code == 1, argv
-        assert err.count("\n") == 1 and err.startswith("error:")
+def test_malformed_common_flag_value_exits_two(capsys, flag, value):
+    # flag=value, so argparse hands a negative value to the flag's type
+    # rather than reading it as an option
+    for name in (name for name, flags in READS.items() if flag in flags):
+        with pytest.raises(SystemExit) as exc:
+            main([*SUBCOMMANDS[name], f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, ""), name
+        assert captured.err.count("\n") == 1 and f"argument {flag}: " in captured.err, name
+        assert captured.err.endswith(f": '{value}'\n"), name
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import functools
+import gc
 import itertools
 import math
 import multiprocessing
@@ -659,6 +660,9 @@ def test_mask_level_peak_memory():
     assert search._pair_bits(powers)[0].shape[2] == 9
 
     def traced(run):
+        # a full collection empties CPython's free lists, so tuples the run
+        # parks there count against the bound whatever ran before
+        gc.collect()
         tracemalloc.start()
         try:
             return run(), tracemalloc.get_traced_memory()[1]
