@@ -6,8 +6,8 @@ already contains a small one, of at most 2r+1 elements.  The certifiers
 here turn that statement into checkable artifacts:
 
 * ``check_growth`` verifies the inequality on a finite window and, for
-  the two closed-form families (the de-duplicated Fibonacci listing and
-  c*r**k + d), decides it for every k at once.
+  a linear recurrence (the Fibonacci listing and c*r**k + d are two),
+  decides it for every k at once by one induction.
 * ``certify_no_mstd`` combines growth with an exhaustive search over
   the small-subset window.
 * ``verify_difference_bound`` adjoins one element to the census of a
@@ -17,27 +17,25 @@ here turn that statement into checkable artifacts:
   finitely many MSTD subsets": growth with window 3 from a start index,
   plus a falsification search for special MSTD subsets.
 
-Certificates never overclaim: a verdict of certified-no-mstd is issued
-only when the growth condition is known in closed form for all k;
-finite evidence alone yields consistent-within-budget.
+Certificates never overclaim: certified-no-mstd needs growth proved
+for every k with a window r <= 3; finite evidence alone yields
+consistent-within-budget.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import islice
 
 from .errors import CapacityError, DomainError
 from .search import SearchConfig, _census_hits, _scan, exhaustive_search, special_search
 from .sets import DEFAULT_DIAMETER_CAP, IntSet, Report, SumDiffSets, append_analysis, sum_diff_counts
 
-KIND_FIBONACCI = "fibonacci"
-KIND_SHIFTED_GEOMETRIC = "shifted_geometric"
 KIND_LINEAR_RECURRENCE = "linear_recurrence"
 KIND_EXPLICIT = "explicit"
 
-_KINDS = (KIND_FIBONACCI, KIND_SHIFTED_GEOMETRIC, KIND_LINEAR_RECURRENCE, KIND_EXPLICIT)
+_KINDS = (KIND_LINEAR_RECURRENCE, KIND_EXPLICIT)
 
 VERDICT_CERTIFIED = "certified-no-mstd"
 VERDICT_CONSISTENT = "consistent-within-budget"
@@ -53,37 +51,31 @@ BOUND_NOT_APPLICABLE = "hypothesis-not-applicable"
 class SequenceSpec:
     """A sequence given by kind plus parameters.
 
-    kinds: fibonacci (the de-duplicated listing 0,1,2,3,5,8,...),
-    shifted_geometric (a_k = c*r**k + d with c >= 1, r >= 2, d >= 0),
-    linear_recurrence (coeffs applied to the trailing seeds), explicit
-    (a stored prefix).  Terms are 1-indexed everywhere.
+    kinds: linear_recurrence (the seeds, then a_k = coeffs[0]*a_{k-1} +
+    coeffs[1]*a_{k-2} + ... + constant, with constant <= 0) and explicit
+    (a stored prefix).  ``fibonacci`` and ``shifted_geometric`` build
+    recurrences.  Terms are 1-indexed everywhere.
     """
 
     kind: str
-    c: int | None = None
-    r: int | None = None
-    d: int | None = None
     coeffs: tuple[int, ...] | None = None
     seeds: tuple[int, ...] | None = None
+    constant: int = 0
     elements: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown sequence kind {self.kind!r}")
-        if self.kind == KIND_SHIFTED_GEOMETRIC:
-            if self.c is None or self.c < 1:
-                raise DomainError("shifted_geometric needs integer c >= 1")
-            if self.r is None or self.r < 2:
-                raise DomainError("shifted_geometric needs integer ratio r >= 2")
-            if self.d is None or self.d < 0:
-                raise DomainError("shifted_geometric needs integer d >= 0")
-        elif self.kind == KIND_LINEAR_RECURRENCE:
+        if self.kind == KIND_LINEAR_RECURRENCE:
             if not self.coeffs or any(c < 0 for c in self.coeffs) or sum(self.coeffs) < 1:
                 raise DomainError("linear_recurrence needs nonnegative coeffs, not all zero")
             if not self.seeds or len(self.seeds) < len(self.coeffs):
                 raise DomainError("linear_recurrence needs at least as many seeds as coeffs")
+            if self.constant > 0:
+                raise DomainError(f"linear_recurrence needs a constant <= 0, got {self.constant}")
             object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
             object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+            object.__setattr__(self, "constant", int(self.constant))
         elif self.kind == KIND_EXPLICIT:
             if not self.elements:
                 raise DomainError("explicit sequence needs elements")
@@ -91,15 +83,24 @@ class SequenceSpec:
 
     @classmethod
     def fibonacci(cls) -> "SequenceSpec":
-        return cls(kind=KIND_FIBONACCI)
+        """The de-duplicated listing 0, 1, 2, 3, 5, 8, ..."""
+        return cls.linear_recurrence((1, 1), (0, 1, 2))
 
     @classmethod
     def shifted_geometric(cls, c: int, r: int, d: int) -> "SequenceSpec":
-        return cls(kind=KIND_SHIFTED_GEOMETRIC, c=int(c), r=int(r), d=int(d))
+        """a_k = c*r**k + d, as a_k = r*a_{k-1} - (r-1)*d from a_1 = c*r + d."""
+        c, r, d = int(c), int(r), int(d)
+        if c < 1:
+            raise DomainError("shifted_geometric needs integer c >= 1")
+        if r < 2:
+            raise DomainError("shifted_geometric needs integer ratio r >= 2")
+        if d < 0:
+            raise DomainError("shifted_geometric needs integer d >= 0")
+        return cls.linear_recurrence((r,), (c * r + d,), -(r - 1) * d)
 
     @classmethod
-    def linear_recurrence(cls, coeffs, seeds) -> "SequenceSpec":
-        return cls(kind=KIND_LINEAR_RECURRENCE, coeffs=tuple(coeffs), seeds=tuple(seeds))
+    def linear_recurrence(cls, coeffs, seeds, constant: int = 0) -> "SequenceSpec":
+        return cls(kind=KIND_LINEAR_RECURRENCE, coeffs=tuple(coeffs), seeds=tuple(seeds), constant=constant)
 
     @classmethod
     def explicit(cls, elements) -> "SequenceSpec":
@@ -108,22 +109,14 @@ class SequenceSpec:
 
 def _terms(spec: SequenceSpec):
     """The terms of ``spec``, endlessly (explicit: as many as stored)."""
-    if spec.kind == KIND_FIBONACCI:
-        yield from (0, 1)
-        a, b = 1, 2
-        while True:
-            yield b
-            a, b = b, a + b
-    elif spec.kind == KIND_SHIFTED_GEOMETRIC:
-        yield from (spec.c * spec.r**k + spec.d for k in count(1))
-    elif spec.kind == KIND_LINEAR_RECURRENCE:
-        trail = deque(spec.seeds, maxlen=len(spec.seeds))
-        yield from spec.seeds
-        while True:
-            trail.append(sum(c * trail[-1 - i] for i, c in enumerate(spec.coeffs)))
-            yield trail[-1]
-    else:
+    if spec.kind == KIND_EXPLICIT:
         yield from spec.elements
+        return
+    trail = deque(spec.seeds, maxlen=len(spec.seeds))
+    yield from spec.seeds
+    while True:
+        trail.append(sum(c * trail[-1 - i] for i, c in enumerate(spec.coeffs)) + spec.constant)
+        yield trail[-1]
 
 
 def materialize(spec: SequenceSpec, n: int) -> list[int]:
@@ -162,10 +155,10 @@ def materialize(spec: SequenceSpec, n: int) -> list[int]:
 class GrowthCertificate(Report):
     """Window check of a_k > a_{k-1} + a_{k-r}.
 
-    holds covers k in [start, checked_upto].  symbolic additionally
-    asserts the inequality for every k >= start, which is only claimed
-    for the closed-form kinds.  first_violation, when present, is
-    (k, a_k, a_{k-1}, a_{k-r}).
+    holds covers k in [start, checked_upto].  symbolic asserts the
+    inequality for every k >= start: it is decided for every linear
+    recurrence (``_symbolic_growth``) and never claimed for an explicit
+    prefix.  first_violation, when present, is (k, a_k, a_{k-1}, a_{k-r}).
     """
 
     r: int
@@ -176,32 +169,40 @@ class GrowthCertificate(Report):
     symbolic: bool
 
 
-def _symbolic_growth(spec: SequenceSpec, r: int, start: int) -> bool:
-    """Closed-form growth for all k >= start, where a proof is known.
+def _first_violation(terms: list[int], r: int, start: int, stop: int) -> tuple[int, int, int, int] | None:
+    """(k, a_k, a_{k-1}, a_{k-r}) at the first k in [start, stop] where
+    a_k <= a_{k-1} + a_{k-r}, or None."""
+    for k in range(start, stop + 1):
+        a_k, a_prev, a_back = terms[k - 1], terms[k - 2], terms[k - r - 1]
+        if a_k <= a_prev + a_back:
+            return k, a_k, a_prev, a_back
+    return None
 
-    fibonacci: a_k - a_{k-1} = a_{k-2} > a_{k-r} exactly when r >= 3.
-    shifted_geometric: the inequality rearranges to
-    c * r**(k-r) * (r**r - r**(r-1) - 1) > d, whose left side is
-    nondecreasing in k, so checking k = start settles every k >= start.
-    Other kinds: no closed form, return False.
+
+def _symbolic_growth(spec: SequenceSpec, r: int, start: int) -> bool:
+    """Whether a_k > a_{k-1} + a_{k-r} for every k >= start (never, for
+    an explicit prefix).
+
+    One induction decides it for a linear recurrence.  Let m = len(seeds),
+    d = len(coeffs) and b_k = a_k - a_{k-1} - a_{k-r}.  For k >= m + r + 1
+    all three terms are generated, so b_k = sum(c_i * b_{k-i}) - constant
+    >= sum(c_i * b_{k-i}), the c_i nonnegative and not all zero.  So if
+    b > 0 on [start, K + d - 1], with K = max(start, m + r + 1), then
+    b > 0 for every k >= start; that check is exact, whatever ``upto``.
     """
-    if spec.kind == KIND_FIBONACCI:
-        return r >= 3
-    if spec.kind == KIND_SHIFTED_GEOMETRIC:
-        rho = spec.r
-        factor = rho**r - rho ** (r - 1) - 1
-        if factor <= 0:
-            return False
-        return spec.c * rho ** max(start - r, 0) * factor > spec.d
-    return False
+    if spec.kind != KIND_LINEAR_RECURRENCE:
+        return False
+    last = max(start, len(spec.seeds) + r + 1) + len(spec.coeffs) - 1
+    return _first_violation(list(islice(_terms(spec), last)), r, start, last) is None
 
 
 def check_growth(spec: SequenceSpec, r: int, upto: int, start: int | None = None) -> GrowthCertificate:
     """Verify a_k > a_{k-1} + a_{k-r} for k in [start, upto].
 
     start defaults to r+1, the first index where a_{k-r} exists; an
-    explicit larger start checks the tail-window variant.  Closed-form
-    kinds also report whether the inequality holds for all k (symbolic).
+    explicit larger start checks the tail-window variant.  A linear
+    recurrence also reports whether the inequality holds for all k
+    (symbolic), whatever ``upto`` is.
     """
     return _growth(spec, r, upto, start)[0]
 
@@ -217,21 +218,14 @@ def _growth(spec: SequenceSpec, r: int, upto: int, start: int | None) -> tuple[G
     if upto < start:
         raise DomainError(f"upto = {upto} is below the first checkable index {start}")
     terms = materialize(spec, upto)
-    holds = True
-    violation = None
-    for k in range(start, upto + 1):
-        a_k, a_prev, a_back = terms[k - 1], terms[k - 2], terms[k - r - 1]
-        if a_k <= a_prev + a_back:
-            holds = False
-            violation = (k, a_k, a_prev, a_back)
-            break
+    violation = _first_violation(terms, r, start, upto)
     return GrowthCertificate(
         r=r,
         start=start,
         checked_upto=upto,
-        holds=holds,
+        holds=violation is None,
         first_violation=violation,
-        symbolic=holds and _symbolic_growth(spec, r, start),
+        symbolic=_symbolic_growth(spec, r, start),
     ), terms
 
 
@@ -261,17 +255,20 @@ def certify_no_mstd(
     upto: int,
     budget: int = 2_000_000,
 ) -> NoMstdCertificate:
-    """Certify that the first ``upto`` terms contain no MSTD subset.
+    """Certify that the sequence contains no MSTD subset.
 
-    Growth plus absence of small MSTD subsets (size <= 2r+1) rules out
-    all MSTD subsets.  For r <= 3 the small-subset window sits entirely
-    below 8, the minimum size of any MSTD set, so there is nothing to
-    search.  Verdicts: certified-no-mstd only when growth is symbolic
-    (holds for every k, not just the window); consistent-within-budget
-    when all finite evidence passed but the growth condition is only
-    known on the window; refuted with a witness; inconclusive when the
-    budget ran out or growth failed without a witness found.
+    Growth for every k reduces any MSTD subset to one of at most 2r+1
+    elements, and no MSTD set has fewer than 8: at r <= 3 symbolic
+    growth certifies the sequence with nothing to search.  At r >= 4
+    the search covers sizes 8..2r+1 of the first ``upto`` terms only,
+    while that small subset may use later ones, so it certifies only
+    when growth is symbolic at r = 3 as well.  Other verdicts:
+    consistent-within-budget when all finite evidence passed; refuted
+    with a witness; inconclusive when the budget ran out or growth
+    failed without a witness found.  A budget below 1 raises DomainError.
     """
+    if budget < 1:
+        raise DomainError(f"budget must be >= 1, got {budget}")
     growth, terms = _growth(spec, r, upto, None)
     bound = 2 * int(r) + 1
     if growth.holds and bound <= 7:
@@ -297,7 +294,7 @@ def certify_no_mstd(
         verdict = VERDICT_REFUTED
     elif not growth.holds or not exhausted:
         verdict = VERDICT_INCONCLUSIVE
-    elif growth.symbolic:
+    elif growth.symbolic and (bound <= 7 or _symbolic_growth(spec, 3, 4)):
         verdict = VERDICT_CERTIFIED
     else:
         verdict = VERDICT_CONSISTENT

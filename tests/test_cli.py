@@ -361,6 +361,14 @@ def test_certify_and_growth(capsys):
     assert data["symbolic"] is True
 
 
+def test_certify_tribonacci_for_every_k(capsys):
+    # t_k - t_{k-1} = t_{k-2} + t_{k-3} > t_{k-3}, since t_{k-2} > 0: growth
+    # at r = 3 holds for every k, so no subset of it is MSTD
+    data = run_json(capsys, "certify", "--seq", "recurrence:1,1,1:1,2,3", "--r", "3", "--upto", "40")
+    assert data["growth"]["symbolic"] is True
+    assert (data["verdict"], data["route"]) == ("certified-no-mstd", "min-size-8")
+
+
 def test_certify_finite(capsys):
     data = run_json(
         capsys, "certify-finite", "--seq", "fibonacci", "--start", "4", "--upto", "30"

@@ -101,11 +101,12 @@ def test_geometric_parameters_validated():
         lambda: SequenceSpec(kind="nope"),
         lambda: SequenceSpec.linear_recurrence([0, 0], [1, 2]),  # all coefficients zero
         lambda: SequenceSpec.linear_recurrence([1, 1], [1]),  # fewer seeds than coefficients
+        lambda: SequenceSpec.linear_recurrence([1], [1], 1),  # positive constant
         lambda: SequenceSpec.explicit([]),
         lambda: materialize(SequenceSpec.explicit([-1, 2]), 2),
         lambda: check_growth(FIB, 0, 10),  # window r = 0
     ],
-    ids=["kind", "zero-coeffs", "few-seeds", "empty-explicit", "negative-term", "window-zero"],
+    ids=["kind", "zero-coeffs", "few-seeds", "positive-constant", "empty-explicit", "negative-term", "window-zero"],
 )
 def test_invalid_sequence_input_rejected(build):
     with pytest.raises(DomainError):
@@ -157,6 +158,58 @@ def test_growth_needs_room_to_check():
         check_growth(FIB, 3, 2)  # upto < r+1
 
 
+def test_fibonacci_symbolic_exactly_from_r3():
+    # a_k - a_{k-1} = a_{k-2}, which passes a_{k-r} exactly when r >= 3;
+    # for r <= 2 it fails at k = 4 (3 <= 2 + 1 and 3 <= 2 + 2)
+    for r in range(1, 7):
+        for upto in range(r + 1, 40):
+            for start in range(r + 1, upto + 1):
+                assert check_growth(FIB, r, upto, start).symbolic == (r >= 3), (r, upto, start)
+
+
+def test_shifted_geometric_symbolic_matches_its_closed_form():
+    # a_k - a_{k-1} - a_{k-r} = c*q**(k-r)*(q**r - q**(r-1) - 1) - d, for
+    # ratio q, is nondecreasing in k when the factor is positive and at
+    # most -d otherwise: k = start settles every k >= start
+    for c in range(1, 4):
+        for q in range(2, 5):
+            for d in (0, 1, 2, 3, 5, 7, 10, 17, 30, 57):
+                spec = SequenceSpec.shifted_geometric(c, q, d)
+                assert materialize(spec, 12) == [c * q**k + d for k in range(1, 13)]
+                for r in range(1, 7):
+                    factor = q**r - q ** (r - 1) - 1
+                    for start in range(r + 1, r + 6):
+                        closed = factor > 0 and c * q ** (start - r) * factor > d
+                        for upto in (start, start + 3):
+                            cert = check_growth(spec, r, upto, start)
+                            assert cert.symbolic == closed, (c, q, d, r, start, upto)
+
+
+def test_random_recurrence_symbolic_iff_growth_holds_to_500_terms():
+    rng = random.Random(504)
+    seen = set()
+    for _ in range(300):
+        coeffs = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+        coeffs[rng.randrange(len(coeffs))] += 1
+        seeds = sorted(rng.sample(range(12), rng.randint(len(coeffs), len(coeffs) + 2)))
+        constant = rng.choice((0, 0, -1, -4))
+        r = rng.randint(1, 5)
+        start = rng.randint(r + 1, r + 6)
+        terms = list(seeds)
+        while len(terms) < 500:
+            terms.append(sum(c * terms[-1 - i] for i, c in enumerate(coeffs)) + constant)
+        grows = all(terms[k - 1] > terms[k - 2] + terms[k - r - 1] for k in range(start, 501))
+        spec = SequenceSpec.linear_recurrence(coeffs, seeds, constant)
+        try:
+            cert = check_growth(spec, r, start, start)
+        except DomainError:  # a prefix that does not increase
+            assert any(b <= a for a, b in zip(terms[:start], terms[1:start]))
+            continue
+        assert cert.symbolic == grows, (coeffs, seeds, constant, r, start)
+        seen.add(grows)
+    assert seen == {True, False}
+
+
 # -- certify_no_mstd ---------------------------------------------------
 
 def test_fibonacci_certified():
@@ -170,6 +223,35 @@ def test_fibonacci_certified():
 def test_geometric_certified():
     cert = certify_no_mstd(SequenceSpec.shifted_geometric(2, 3, 5), 3, 30)
     assert cert.verdict == "certified-no-mstd"
+
+
+def test_recurrence_with_zero_margin_at_r3():
+    # a_k = a_{k-1} + a_{k-3}: at r = 3, b_k = a_k - a_{k-1} - a_{k-3} = 0;
+    # at r = 4, b_k = a_{k-3} - a_{k-4} > 0 for every k
+    spec = SequenceSpec.linear_recurrence([1, 0, 1], [1, 2, 3])
+    assert not check_growth(spec, 3, 30).symbolic
+    assert check_growth(spec, 4, 30).symbolic
+    # the search covers subsets of the first 18 terms only, and growth at
+    # r = 3 cannot carry it to the rest
+    cert = certify_no_mstd(spec, 4, 18)
+    assert cert.growth.symbolic and cert.route == "small-subset-search" and cert.small_search_exhausted
+    assert cert.verdict == "consistent-within-budget"
+
+
+def test_large_r_search_without_growth_at_r3_is_only_consistent():
+    # 2**k + 10 grows at r = 4 for every k, but not at r = 3: a_4 = 26 <= 18 + 12
+    spec = SequenceSpec.shifted_geometric(1, 2, 10)
+    assert check_growth(spec, 3, 18).first_violation == (4, 26, 18, 12)
+    cert = certify_no_mstd(spec, 4, 18)
+    assert cert.growth.symbolic and cert.route == "small-subset-search"
+    assert cert.verdict == "consistent-within-budget"
+
+
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("budget", [0, -5])
+def test_no_mstd_budget_below_one_rejected(r, budget):
+    with pytest.raises(DomainError, match="budget"):
+        certify_no_mstd(FIB, r, 40, budget=budget)
 
 
 def test_large_r_runs_small_subset_search():
