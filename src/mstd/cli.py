@@ -1,22 +1,22 @@
 """Command-line surface: every library operation as a subcommand.
 
 Each handler returns its report: a library result with ``to_dict`` or a
-plain dict.  ``main`` prints it, as machine-readable JSON by default
-(one object per line) or a flat key/value table with --format table,
-and picks the exit code: 0 success, 1 for a claim that failed its
-check (``passed`` false; its report is still printed) or a domain or
-capacity error (bad values, cap exceeded; one stderr line, no report),
-2 usage error (unknown command, unparseable arguments, or a flag the
-subcommand does not read).  Stochastic commands echo their seed so
-reports are reproducible artifacts.
+plain dict.  ``main`` prints it as one JSON object on one line and picks
+the exit code: 0 success, 1 for a claim that failed its check
+(``passed`` false; its report is still printed) or a domain or capacity
+error (bad values, cap exceeded; one stderr line, no report), 2 usage
+error (unknown command, unparseable arguments, or a flag the subcommand
+does not read).  Lists of hits, matches and primes stop at 1000 entries
+(``search.DEFAULT_HIT_CAP``, ``primes._MATCH_CAP``), while ``count`` and
+the ``hit_count`` of search and density count all of them.  Stochastic
+commands echo their seed so reports are reproducible artifacts.
 
 Set inputs are inline comma lists ("0,2,3") or @file references (one
 integer per line).  Sequences use a small grammar:
 fibonacci | geometric:c,r,d | recurrence:c1,..:s1,.. | explicit:e1,e2,..
-Every subcommand takes --format; ``_COMMON`` names the other common
-flags and the subcommands whose handlers read them, and only those
-subcommands accept them.  A common flag left off the command line takes
-its built-in default (``_flag``).
+``_COMMON`` names the common flags and the subcommands whose handlers
+read them, and only those subcommands accept them.  A common flag left
+off the command line takes its built-in default (``_flag``).
 """
 
 from __future__ import annotations
@@ -146,13 +146,6 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not a count: {text!r}")
 
 
-def _nonnegative_count(text: str) -> int:
-    value = _count(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"not a non-negative count: {text!r}")
-    return value
-
-
 # The common flags: type, built-in default (a budget of None leaves the
 # library's), and the subcommands whose handlers read them.  Only those
 # subcommands accept the flag; on the rest it ends in argparse's exit 2.
@@ -165,30 +158,15 @@ _COMMON = {
 }
 
 
-def _emit(payload: dict, fmt: str) -> None:
+def _emit(payload: dict) -> None:
     # a report may hold integers of more digits than the interpreter turns
     # into text (sequence terms): lift that limit only while printing
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if fmt == "table":
-            _print_table(payload)
-        else:
-            print(json.dumps(payload))
+        print(json.dumps(payload))
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def _print_table(payload: dict, indent: int = 0) -> None:
-    pad = " " * indent
-    for key, value in payload.items():
-        if isinstance(value, dict):
-            print(f"{pad}{key}:")
-            _print_table(value, indent + 2)
-        elif isinstance(value, list):
-            print(f"{pad}{key}: {json.dumps(value)}")
-        else:
-            print(f"{pad}{key}: {value}")
 
 
 def _flag(args, key):
@@ -263,7 +241,6 @@ def _cmd_search(args):
         samples=args.samples,
         seed=_flag(args, "seed"),
         objective=args.objective,
-        hit_cap=args.hit_cap,
         threads=_flag(args, "threads"),
         **_budget(args),
     )
@@ -271,13 +248,7 @@ def _cmd_search(args):
 
 
 def _cmd_density(args):
-    return monte_carlo_density(
-        args.n,
-        args.samples,
-        seed=_flag(args, "seed"),
-        threads=_flag(args, "threads"),
-        hit_cap=args.hit_cap,
-    )
+    return monte_carlo_density(args.n, args.samples, seed=_flag(args, "seed"), threads=_flag(args, "threads"))
 
 
 def _cmd_minimal(args):
@@ -307,9 +278,7 @@ def _cmd_primes_series(args):
 
 
 def _cmd_primes_match(args):
-    return match_tuple(
-        PrimeTuple(tuple(args.offsets)), args.upto, rel_tol=args.tol, match_cap=args.cap
-    )
+    return match_tuple(PrimeTuple(tuple(args.offsets)), args.upto, rel_tol=args.tol)
 
 
 def _cmd_primes_ap(args):
@@ -323,7 +292,7 @@ def _cmd_primes_ap(args):
 
 
 def _cmd_primes_sieve(args):
-    count, primes = prime_count(args.upto, args.cap)
+    count, primes = prime_count(args.upto)
     return {"limit": args.upto, "count": count, "primes": list(primes)}
 
 
@@ -338,7 +307,7 @@ def _cmd_primes_apset(args):
 
 
 def _cmd_primes_mstd(args):
-    report = match_tuple(PrimeTuple(TUPLE_T), args.upto, match_cap=args.cap)
+    report = match_tuple(PrimeTuple(TUPLE_T), args.upto)
     return {
         "x": report.x,
         "count": report.count,
@@ -371,18 +340,17 @@ def _add_ground_options(sub):
 def _flag_parsers() -> dict:
     """One parent parser per common flag, built once and shared by every
     parser ``build_parser`` makes."""
-    flags = {key: _Parser(add_help=False) for key in ("format", *_COMMON)}
-    flags["format"].add_argument("--format", choices=("json", "table"), default="json")
+    flags = {key: _Parser(add_help=False) for key in _COMMON}
     for key, (kind, _, _) in _COMMON.items():
         flags[key].add_argument("--" + key.replace("_", "-"), type=kind)
     return flags
 
 
 def _command(subs, name, handler, help):
-    """The parser of one subcommand: --format and the common flags its handler reads."""
+    """The parser of one subcommand, with the common flags its handler reads."""
     flags = _flag_parsers()
-    keys = ("format", *(key for key, (_, _, readers) in _COMMON.items() if name in readers))
-    sub = subs.add_parser(name.rpartition(" ")[2], parents=[flags[key] for key in keys], help=help)
+    parents = [flags[key] for key, (_, _, readers) in _COMMON.items() if name in readers]
+    sub = subs.add_parser(name.rpartition(" ")[2], parents=parents, help=help)
     sub.set_defaults(handler=handler)
     return sub
 
@@ -430,12 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--samples", type=_count, default=None)
     sub.add_argument("--special", action="store_true", help="require gap >= |subset|")
     sub.add_argument("--objective", choices=("count-all", "first-hit"), default="count-all")
-    sub.add_argument("--hit-cap", type=int, default=1000)
 
     sub = _command(subs, "density", _cmd_density, "Monte Carlo MSTD density of {0..n}")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--samples", type=_count, required=True)
-    sub.add_argument("--hit-cap", type=int, default=1000)
 
     sub = _command(subs, "minimal", _cmd_minimal, "smallest MSTD subset of a ground set")
     _add_ground_options(sub)
@@ -477,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("offsets", type=_int_list)
     sub.add_argument("--upto", type=_count, required=True)
     sub.add_argument("--tol", type=float, default=1e-3)
-    sub.add_argument("--cap", type=_nonnegative_count, default=1000)
 
     sub = _command(psubs, "primes ap", _cmd_primes_ap, "prime arithmetic progression")
     sub.add_argument("--length", type=int, required=True)
@@ -486,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _command(psubs, "primes sieve", _cmd_primes_sieve, "primes up to a limit")
     sub.add_argument("--upto", type=_count, required=True)
-    sub.add_argument("--cap", type=_nonnegative_count, default=1000, help="max primes listed")
 
     sub = _command(
         psubs, "primes dilate", _cmd_primes_dilate, "affine image of the minimal pattern"
@@ -501,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _command(psubs, "primes mstd", _cmd_primes_mstd, "MSTD prime sets from tuple matches")
     sub.add_argument("--upto", type=_count, required=True)
-    sub.add_argument("--cap", type=_nonnegative_count, default=1000)
 
     sub = _command(subs, "reproduce", _cmd_reproduce, "pinned result pipelines")
     sub.add_argument("claim", choices=CLAIM_IDS)
@@ -521,7 +484,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = report if isinstance(report, dict) else report.to_dict()
-    _emit(payload, args.format)
+    _emit(payload)
     # a claim that fails its check still prints its report
     return 0 if payload.get("passed", True) else 1
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, exact_int
 from .sets import CONWAY, IntSet, Report
 
 # np.bool_ flags: 1 byte per integer; 2**27 is 128 MiB, a sane guard.
@@ -60,6 +60,8 @@ _WHEEL = 30
 # class steps timed per class and scaled; 2-core Xeon).
 _SLICE_MIN = 16
 
+# The tuple scan lists its first this many matches (and ``prime_count``
+# its first primes); the counts are exact
 _MATCH_CAP = 1000
 
 # The logs of the largest float, about 709.78, and of the smallest normal one
@@ -208,7 +210,7 @@ class PrimeTuple:
     def __post_init__(self):
         if not self.offsets:
             raise DomainError("tuple needs at least one offset")
-        offs = sorted(int(b) for b in self.offsets)
+        offs = sorted(map(exact_int, self.offsets))
         for a, b in zip(offs, offs[1:]):
             if a == b:
                 raise DomainError(f"duplicate offset {a}")
@@ -378,7 +380,7 @@ class MatchReport:
     """Scan outcome for one tuple up to x.
 
     count is exact (every n in [1, x] with all n + b_i prime); matches
-    lists the first ones up to a cap; predicted is the Hardy-Littlewood
+    lists the first ``_MATCH_CAP`` of them; predicted is the Hardy-Littlewood
     count, the singular series times the sum over 2 <= n <= x of
     prod_i 1/log(n + b_i) (exact up to n = 2^12, quadrature beyond, to
     about 1e-10 relative); ratio is count/predicted, None when the
@@ -407,7 +409,6 @@ def match_tuple(
     t: PrimeTuple,
     x: int,
     rel_tol: float = 1e-3,
-    match_cap: int = _MATCH_CAP,
 ) -> MatchReport:
     """Count shifts n <= x with n + b prime for every offset b.
 
@@ -433,8 +434,6 @@ def match_tuple(
     match n is itself prime.
     """
     x = int(x)
-    if match_cap < 0:
-        raise DomainError(f"match_cap must be >= 0, got {match_cap}")
     series = singular_series(t, rel_tol)
     if x < 2:
         return MatchReport(x=x, count=0, matches=(), predicted=0.0, ratio=None, series=series)
@@ -445,7 +444,7 @@ def match_tuple(
             f"scan limit x + spread = {x + t.spread} exceeds {top}; "
             f"x may be at most {top - t.spread}"
         )
-    count, matches = _scan_windows(t.offsets, x, match_cap)
+    count, matches = _scan_windows(t.offsets, x)
     # a zero series (inadmissible tuple) needs no sum over its offsets
     total, shift = _hardy_littlewood_sum(t.offsets, x) if series.value else (0.0, 0.0)
     predicted = math.exp(math.log(series.value) + shift + math.log(total)) if shift else series.value * total
@@ -455,18 +454,17 @@ def match_tuple(
     )
 
 
-def prime_count(limit: int, cap: int) -> tuple[int, tuple[int, ...]]:
-    """(the number of primes <= limit, the first ``cap`` of them), streamed
-    through the tuple scan's windows, so memory is one window however
-    large the limit.  The limit is capped as PrimeSieve's is."""
+def prime_count(limit: int) -> tuple[int, tuple[int, ...]]:
+    """(the number of primes <= limit, the first ``_MATCH_CAP`` of them),
+    streamed through the tuple scan's windows, so memory is one window
+    however large the limit.  The limit is capped as PrimeSieve's is."""
     limit = _capped(limit)
-    return _scan_windows((0,), limit, cap) if limit >= 2 else (0, ())
+    return _scan_windows((0,), limit) if limit >= 2 else (0, ())
 
 
-def _scan_windows(
-    offsets: tuple[int, ...], x: int, match_cap: int
-) -> tuple[int, tuple[int, ...]]:
-    """The count and the first match_cap of the shifts 1 <= n <= x that match.
+def _scan_windows(offsets: tuple[int, ...], x: int) -> tuple[int, tuple[int, ...]]:
+    """The count and the first ``_MATCH_CAP`` (read when called) of the
+    shifts 1 <= n <= x that match.
 
     The shifts n <= 5 are tested by trial division.  A shift n >= 7 has
     every n + b >= 7, so it can match only in a class r mod 30 (a
@@ -478,24 +476,24 @@ def _scan_windows(
     30k + c that its offsets reach.  The multiples of the base primes
     from 7 to sqrt(x + spread) are crossed off in each array, and the
     offsets' views are ANDed and counted.  Each class lists its first
-    match_cap matches, so the first match_cap of all the lists are the
-    first overall.
+    ``cap`` matches, so the first ``cap`` of all the lists are the first
+    overall.
     """
-    spread = offsets[-1]
+    spread, cap = offsets[-1], _MATCH_CAP
     small = PrimeSieve(math.isqrt(x + spread)).primes()
     shifts = [n for n in range(1, min(x, 5) + 1) if all(_is_prime(n + b, small) for b in offsets)]
-    count, lists = len(shifts), [shifts[:match_cap]]
+    count, lists = len(shifts), [shifts[:cap]]
     for r, residues in _wheel_classes(offsets):
-        found, listed = _scan_class(r, residues, x, small[3:], match_cap)  # base primes from 7
+        found, listed = _scan_class(r, residues, x, small[3:], cap)  # base primes from 7
         count += found
         lists.append(listed)
-    return count, tuple(sorted(itertools.chain(*lists))[:match_cap])
+    return count, tuple(sorted(itertools.chain(*lists))[:cap])
 
 
 def _scan_class(
-    r: int, residues: dict[int, list[int]], x: int, base: np.ndarray, match_cap: int
+    r: int, residues: dict[int, list[int]], x: int, base: np.ndarray, cap: int
 ) -> tuple[int, list[int]]:
-    """The count and the first match_cap of the matching shifts 30k + r in
+    """The count and the first ``cap`` of the matching shifts 30k + r in
     [7, x], one ``_wheel_classes`` entry's windows crossed off by ``base``."""
     first = int(r < 7)  # n = 1, the integer 1 in class 1 at k = 0, crossed off by no prime
     steps = (x - r) // _WHEEL + 1 - first  # the shifts 30k + r <= x, k >= first
@@ -522,8 +520,8 @@ def _scan_class(
             hits &= view
         found = int(np.count_nonzero(hits))
         count += found
-        if found and len(listed) < match_cap:  # decode only what the cap lists
-            listed += (_WHEEL * (k + np.flatnonzero(hits)[: match_cap - len(listed)]) + r).tolist()
+        if found and len(listed) < cap:  # decode only what the cap lists
+            listed += (_WHEEL * (k + np.flatnonzero(hits)[: cap - len(listed)]) + r).tolist()
     return count, listed
 
 
@@ -557,7 +555,7 @@ def dilated_conway(p: int, s: int) -> IntSet:
     Sum and difference counts are invariant under x -> p + s*x, so the
     image always classifies MSTD with the same 26/25 census.
     """
-    p, s = int(p), int(s)
+    p, s = exact_int(p), exact_int(s)
     if p < 0:
         raise DomainError(f"shift must be nonnegative, got {p}")
     if s < 1:
@@ -665,7 +663,7 @@ def mstd_in_ap(ap: tuple[int, int, int]) -> IntSet:
     so the progression must have at least 15 terms.  When ap is a prime
     AP the result is an MSTD set consisting entirely of primes.
     """
-    first, diff, length = (int(v) for v in ap)
+    first, diff, length = map(exact_int, ap)
     if length < 15:
         raise DomainError(f"AP length {length} < 15: the pattern needs offsets up to 14")
     if first < 0:

@@ -15,11 +15,12 @@ Every run is one call of one budgeted driver, ``_scan``: exhaustive and
 special search, Monte Carlo, the minimality levels and the prefix pass
 of ``sequences.certify_finitely_many``.  It takes blocks of candidates
 and a classifier, cuts a block at the budget before it is classified
-(so a budget stop leaves ``examined`` equal to the budget), and applies
-the hit cap and the first-hit stop to the hit positions.  With more
-than one thread and more than one block past the budget cut, the blocks
-are classified in a process pool and merged in block order, so a report
-does not depend on the thread count.
+(so a budget stop leaves ``examined`` equal to the budget), applies the
+first-hit stop to the hit positions, and lists the first
+``DEFAULT_HIT_CAP`` hits of the merged stream; classifiers return every
+hit they find.  With more than one thread and more than one block past
+the budget cut, the blocks are classified in a process pool and merged
+in block order, so a report does not depend on the thread count.
 
 Every lattice engine takes its blocks from ``_blocks``: a scan ground
 of at most ``_MASK_K`` interior elements, of whose 2^k interior masks
@@ -103,6 +104,7 @@ OBJECTIVE_MIN_DIAMETER = "minimize-diameter"
 _MINIMAL_OBJECTIVES = (OBJECTIVE_MIN_MAX, OBJECTIVE_MIN_DIAMETER)
 
 DEFAULT_BUDGET = 5_000_000
+# Reports list the first this many hits (``_scan``, ``minimal_mstd_in``)
 DEFAULT_HIT_CAP = 1000
 
 _MC_CHUNK = 1 << 16
@@ -217,7 +219,6 @@ class SearchConfig:
     samples: int | None = None
     seed: int = 0
     objective: str = OBJECTIVE_COUNT_ALL
-    hit_cap: int = DEFAULT_HIT_CAP
     threads: int = 1
 
     def __post_init__(self):
@@ -237,8 +238,6 @@ class SearchConfig:
             raise DomainError("max_size must be >= 0")
         if self.budget < 1:
             raise DomainError("budget must be >= 1")
-        if self.hit_cap < 1:
-            raise DomainError("hit_cap must be >= 1")
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
         if self.mode == MODE_MONTE_CARLO and (self.samples is None or self.samples < 1):
@@ -474,17 +473,18 @@ def _ordered(fn, work, threads: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _scan(blocks, classify, budget, examined, hit_cap, first_hit, threads=1):
+def _scan(blocks, classify, budget, examined, first_hit, threads=1):
     """The one budgeted driver behind every engine.
 
     ``blocks`` yields (count, block) pairs in scan order, ``block``
     holding ``count`` >= 1 candidates.  ``classify(block, take)``
     returns (take, the hit positions among the block's first ``take``
-    candidates, ascending, and the first ``hit_cap`` hits as tuples);
+    candidates, ascending, and those hits as tuples, in the same order);
     it runs in ``_ordered``, so with more than one worker it and the
     blocks must pickle.  ``examined`` is the count carried in from
     earlier scans, and a block is cut at the budget before it is
-    classified.  The hit cap and a first-hit stop apply by position, in
+    classified.  A first-hit stop applies by position, and the first
+    ``DEFAULT_HIT_CAP`` hits (read when called) are listed here, in
     block order, so the result does not depend on ``threads``.  Returns
     (hits, hit_count, examined, complete), where complete means the
     stream ran dry: False after a budget stop or a first-hit stop.
@@ -503,14 +503,14 @@ def _scan(blocks, classify, budget, examined, hit_cap, first_hit, threads=1):
         ran_dry = True
 
     hits: list[IntSet] = []
-    hit_count = 0
+    hit_count, cap = 0, DEFAULT_HIT_CAP
     results = _ordered(classify, cut(budget - examined), threads)
     try:
         for take, at, found in results:
             if first_hit and len(at):
                 return [IntSet(found[0])], 1, examined + int(at[0]) + 1, False
             hit_count += len(at)
-            hits += [IntSet(e) for e in found[: hit_cap - len(hits)]]
+            hits += [IntSet(e) for e in found[: cap - len(hits)]]
             examined += take
     finally:
         results.close()
@@ -732,7 +732,7 @@ def _mask_tiles(ground: _ScanGround):
         yield high << c, sums.sum(axis=0, dtype=np.int16), diffs.sum(axis=0, dtype=np.int16)
 
 
-def _mask_level(special: bool, hit_cap: int, level: _MaskLevel, take: int):
+def _mask_level(special: bool, level: _MaskLevel, take: int):
     """``_lattice_block`` on a ``_MaskLevel``: every mask is classified,
     one ``_mask_tiles`` tile at a time, and the hits among the level's
     first ``take`` stream positions are returned in stream order, each
@@ -752,7 +752,7 @@ def _mask_level(special: bool, hit_cap: int, level: _MaskLevel, take: int):
                 raise RuntimeError(f"mask level count disagrees with sum_diff_counts on {subset}")
         found += [(level.position(first + r), checked[r]) for r in at]
     position = sorted(hit for hit in found if hit[0] < take)
-    return take, np.array([p for p, _ in position], dtype=np.intp), [s for _, s in position[:hit_cap]]
+    return take, np.array([p for p, _ in position], dtype=np.intp), [s for _, s in position]
 
 
 def _blocks(ground: _ScanGround, streamed, budget=math.inf):
@@ -770,7 +770,7 @@ def _blocks(ground: _ScanGround, streamed, budget=math.inf):
         yield from ((min(ground.block, count - a), (ground, size, a)) for a in range(0, count, ground.block))
 
 
-def _lattice_block(special: bool, hit_cap: int, block, take: int):
+def _lattice_block(special: bool, block, take: int):
     """The classifier ``_scan`` runs on lattice blocks.
 
     ``block`` is a ``_MaskLevel``, classified by ``_mask_level``, or a
@@ -782,7 +782,7 @@ def _lattice_block(special: bool, hit_cap: int, block, take: int):
     than two elements are classified on neither path.
     """
     if isinstance(block, _MaskLevel):
-        return _mask_level(special, hit_cap, block, take)
+        return _mask_level(special, block, take)
     ground, size, first = block
     if size + ground.lead + ground.tail < 2:
         return take, np.zeros(0, dtype=np.intp), []
@@ -790,11 +790,12 @@ def _lattice_block(special: bool, hit_cap: int, block, take: int):
         source = ground.subset(ground.index_rows(size, first, 1)[0])
         at, found = _census_scan(ground.census, [(bit_slices(ground.member_rows(size, first, take)), take, source)],
                                  special)
-        return take, at, found[:hit_cap]
+        return take, at, found
     rows = ground.index_rows(size, first, take)
     wide = np.flatnonzero(ground.values[rows[:, -1]] - ground.values[rows[:, 0]] >= min_mstd_diameter())
-    at = wide[_counted_hits([ground.subset(rows[r]) for r in wide.tolist()], special)]
-    return take, at, [ground.subset(rows[r]) for r in at[:hit_cap].tolist()]
+    subsets = [ground.subset(rows[r]) for r in wide.tolist()]
+    hit = _counted_hits(subsets, special)
+    return take, wide[hit], list(compress(subsets, hit))
 
 
 def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
@@ -804,8 +805,7 @@ def _lattice_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     blocks = _blocks(_ScanGround(elems), streamed, cfg.budget)
     pruning = (f"skip diameter < {min_mstd_diameter()}",)
     hits, hit_count, examined, complete = _scan(
-        blocks, partial(_lattice_block, special, cfg.hit_cap), cfg.budget, 0, cfg.hit_cap,
-        cfg.objective == OBJECTIVE_FIRST_HIT, cfg.threads,
+        blocks, partial(_lattice_block, special), cfg.budget, 0, cfg.objective == OBJECTIVE_FIRST_HIT, cfg.threads
     )
     return SearchReport(
         hits=tuple(hits),
@@ -842,7 +842,7 @@ def special_search(cfg: SearchConfig) -> SearchReport:
 
 # -- Monte Carlo ------------------------------------------------------
 
-def _mc_chunk(census: PairCensus, seed: int, special: bool, hit_cap: int, index: int, take: int):
+def _mc_chunk(census: PairCensus, seed: int, special: bool, index: int, take: int):
     """The classifier ``_scan`` runs on Monte Carlo chunks: chunk
     ``index`` draws ``take`` random subsets.
 
@@ -865,14 +865,14 @@ def _mc_chunk(census: PairCensus, seed: int, special: bool, hit_cap: int, index:
 
     counts = (min(census.mc_block, take - a) for a in range(0, take, census.mc_block))
     at, found = _census_scan(census, map(drawn, counts), special)
-    return take, at, found[:hit_cap]
+    return take, at, found
 
 
 def _mc_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     samples = cfg.samples
     chunks = ((min(_MC_CHUNK, samples - start), start // _MC_CHUNK) for start in range(0, samples, _MC_CHUNK))
-    classify = partial(_mc_chunk, PairCensus(cfg.ground.elements), cfg.seed, special, cfg.hit_cap)
-    hits, hit_count, _, _ = _scan(chunks, classify, samples, 0, cfg.hit_cap, False, cfg.threads)
+    classify = partial(_mc_chunk, PairCensus(cfg.ground.elements), cfg.seed, special)
+    hits, hit_count, _, _ = _scan(chunks, classify, samples, 0, False, cfg.threads)
     density = hit_count / samples
     stderr = math.sqrt(density * (1.0 - density) / samples)
     return SearchReport(
@@ -886,13 +886,7 @@ def _mc_scan(cfg: SearchConfig, special: bool) -> SearchReport:
     )
 
 
-def monte_carlo_density(
-    n: int,
-    samples: int,
-    seed: int = 0,
-    threads: int = 1,
-    hit_cap: int = DEFAULT_HIT_CAP,
-) -> SearchReport:
+def monte_carlo_density(n: int, samples: int, seed: int = 0, threads: int = 1) -> SearchReport:
     """Estimate the fraction of subsets of {0..n} that are MSTD.
 
     Subsets are drawn with independent inclusion probability 1/2, the
@@ -910,7 +904,6 @@ def monte_carlo_density(
         samples=int(samples),
         seed=int(seed),
         threads=threads,
-        hit_cap=hit_cap,
     )
     return _mc_scan(cfg, special=False)
 
@@ -975,7 +968,7 @@ def minimal_mstd_in(
         levels = heapq.merge(*(from_left(i) for i in range(len(elems))))
     below_bound = takewhile(lambda level: bound is None or level[0] < bound, levels)
     stream = (b for value, w in below_bound if value >= floor for b in _level(elems, objective, w, floor))
-    found, _, examined, complete = _scan(stream, partial(_lattice_block, False, 1), budget, examined, 1, True)
+    found, _, examined, complete = _scan(stream, partial(_lattice_block, False), budget, examined, True)
     if found:  # every level below the hit's was exhausted first
         best = found[0]
         if len(hits) < DEFAULT_HIT_CAP:

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, exact_int
 from .search import SearchConfig, _census_hits, _scan, exhaustive_search, special_search
 from .sets import DEFAULT_DIAMETER_CAP, IntSet, Report, SumDiffSets, append_analysis, sum_diff_counts
 
@@ -73,13 +73,13 @@ class SequenceSpec:
                 raise DomainError("linear_recurrence needs at least as many seeds as coeffs")
             if self.constant > 0:
                 raise DomainError(f"linear_recurrence needs a constant <= 0, got {self.constant}")
-            object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-            object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-            object.__setattr__(self, "constant", int(self.constant))
+            object.__setattr__(self, "coeffs", tuple(map(exact_int, self.coeffs)))
+            object.__setattr__(self, "seeds", tuple(map(exact_int, self.seeds)))
+            object.__setattr__(self, "constant", exact_int(self.constant))
         elif self.kind == KIND_EXPLICIT:
             if not self.elements:
                 raise DomainError("explicit sequence needs elements")
-            object.__setattr__(self, "elements", tuple(int(x) for x in self.elements))
+            object.__setattr__(self, "elements", tuple(map(exact_int, self.elements)))
 
     @classmethod
     def fibonacci(cls) -> "SequenceSpec":
@@ -89,7 +89,7 @@ class SequenceSpec:
     @classmethod
     def shifted_geometric(cls, c: int, r: int, d: int) -> "SequenceSpec":
         """a_k = c*r**k + d, as a_k = r*a_{k-1} - (r-1)*d from a_1 = c*r + d."""
-        c, r, d = int(c), int(r), int(d)
+        c, r, d = map(exact_int, (c, r, d))
         if c < 1:
             raise DomainError("shifted_geometric needs integer c >= 1")
         if r < 2:
@@ -409,7 +409,7 @@ def certify_finitely_many(
     upto = int(upto)
     growth, terms = _growth(spec, 3, upto, start)
 
-    found, _, examined, _ = _scan([(upto - 1, terms)], _prefix_block, special_search_budget, 0, 1, True)
+    found, _, examined, _ = _scan([(upto - 1, terms)], _prefix_block, special_search_budget, 0, True)
     witness = found[0] if found else None
 
     window = 0

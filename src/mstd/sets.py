@@ -39,7 +39,7 @@ from dataclasses import InitVar, dataclass, fields
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, exact_int
 
 # Bit-vector kernels allocate ~diameter bits per operand; 2**24 bits is
 # 2 MiB, enough for every built-in workload while keeping a typo like
@@ -71,16 +71,17 @@ CONWAY = (0, 2, 3, 4, 7, 11, 12, 14)
 class IntSet:
     """Immutable sorted set of nonnegative integers.
 
-    Invariants: nonempty, strictly increasing, every element >= 0.  The
-    diameter is bounded only by a ``diameter_cap`` passed in (CapacityError
-    past it): kernels count sets past ``DEFAULT_DIAMETER_CAP`` by pairs.
+    Invariants: nonempty, strictly increasing, every element an integer
+    (2.5 is refused, not truncated) and >= 0.  The diameter is bounded
+    only by a ``diameter_cap`` passed in (CapacityError past it): kernels
+    count sets past ``DEFAULT_DIAMETER_CAP`` by pairs.
     """
 
     elements: tuple[int, ...]
     diameter_cap: InitVar[int | None] = None
 
     def __post_init__(self, diameter_cap: int | None) -> None:
-        elems = tuple(sorted(int(x) for x in self.elements))
+        elems = tuple(sorted(map(exact_int, self.elements)))
         if not elems:
             raise DomainError("set must be nonempty")
         if elems[0] < 0:

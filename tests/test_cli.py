@@ -1,5 +1,6 @@
-"""CLI surface: parsing, output formats, exit codes, reproducibility."""
+"""CLI surface: parsing, the JSON report, exit codes, reproducibility."""
 
+import importlib.util
 import json
 import math
 import os
@@ -8,11 +9,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from mstd import cli
+from mstd import cli, search
 from mstd.cli import main
+from mstd.reproduce import CLAIM_IDS
 
 
 def run(capsys, *argv):
@@ -69,10 +72,32 @@ def test_subcommand_table_lists_every_subcommand():
     assert sorted(_subcommand_names(cli.build_parser())) == sorted(SUBCOMMANDS)
 
 
+def test_golden_calls_cover_every_subcommand_and_claim(capsys):
+    # tools/golden.py's call list, read by the tool's own reader: every
+    # case above and every claim is a call, each unmarked call parses, and
+    # each call marked as a usage error exits 2 in the parser
+    path = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
+    spec = importlib.util.spec_from_file_location("golden", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    calls = golden.read_calls()
+    listed = [argv for argv, _ in calls]
+    assert [name for name, argv in SUBCOMMANDS.items() if argv not in listed] == []
+    assert [claim for claim in CLAIM_IDS if ["reproduce", claim] not in listed] == []
+    parser = cli.build_parser()
+    for argv, usage_error in calls:
+        if usage_error:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2, argv
+        else:
+            parser.parse_args(argv)
+
+
 # The common flags each subcommand's handler reads, written from the
-# handlers, not from the parser.  --diameter-cap and --config, flags that
-# are gone, stay in COMMON_FLAGS with no readers, so every subcommand
-# refuses them.
+# handlers, not from the parser.  --diameter-cap, --config, --format,
+# --hit-cap and --cap, flags that are gone, stay in COMMON_FLAGS with no
+# readers, so every subcommand refuses them.
 READS = {
     "search": {"--seed", "--threads", "--budget"},
     "density": {"--seed", "--threads"},
@@ -83,7 +108,10 @@ READS = {
 }
 # a value each read shows: --seed 5 and --budget 1 change the report,
 # --threads 0 exits 1 (and so do --seed and --threads on a pinned claim)
-COMMON_FLAGS = {"--seed": "5", "--threads": "0", "--budget": "1", "--diameter-cap": "12345", "--config": "mstd.conf"}
+COMMON_FLAGS = {
+    "--seed": "5", "--threads": "0", "--budget": "1",
+    "--diameter-cap": "12345", "--config": "mstd.conf", "--format": "table", "--hit-cap": "3", "--cap": "5",
+}
 
 
 @pytest.mark.parametrize("flag", list(COMMON_FLAGS))
@@ -102,22 +130,22 @@ def test_each_subcommand_accepts_only_the_common_flags_it_reads(capsys, monkeypa
 
 @pytest.mark.parametrize("argv", list(SUBCOMMANDS.values()), ids=list(SUBCOMMANDS))
 def test_every_subcommand_prints_one_report_in_both_formats(capsys, argv):
-    code, out, err = run(capsys, *argv, "--format", "json")
+    # the report in both its forms: the one JSON line main prints, and
+    # the object the handler returns, as a dict
+    code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert len(lines) == 1
     report = json.loads(lines[0])
     assert isinstance(report, dict) and report
-    code, out, err = run(capsys, *argv, "--format", "table")
-    assert (code, err) == (0, "")
-    top = [line for line in out.splitlines() if not line.startswith(" ")]
-    assert [line.partition(":")[0] for line in top] == list(report)
-    assert all(line.startswith(f"{key}:") for line, key in zip(top, report))
+    args = cli.build_parser().parse_args(argv)
+    returned = args.handler(args)
+    assert out == json.dumps(returned if isinstance(returned, dict) else returned.to_dict()) + "\n"
 
 
 def test_every_report_class_survives_a_json_round_trip():
-    # the table printer shows only lists through json.dumps, so a tuple
-    # or an int key left in a report would change the table silently
+    # main prints to_dict through json.dumps: a tuple or an int key left
+    # in a report would come back from its JSON as a list or a string key
     from mstd import (
         CONWAY, IntSet, PrimeTuple, SequenceSpec, append_analysis, base_expansion, certify_finitely_many,
         certify_no_mstd, check_growth, classify, is_admissible, singular_series, verify_difference_bound,
@@ -172,13 +200,6 @@ def test_set_from_file(capsys, tmp_path):
     assert data["verdict"] == "mstd"
 
 
-def test_table_format(capsys):
-    code, out, _ = run(capsys, "classify", "0,2,3,4,7,11,12,14", "--format", "table")
-    assert code == 0
-    assert "verdict: mstd" in out
-    assert "sum_count: 26" in out
-
-
 def test_expand_and_append(capsys):
     data = run_json(capsys, "expand", "0,1", "2")
     assert data["elements"] == [0, 1, 3, 4]
@@ -217,8 +238,7 @@ def test_seq_command(capsys):
     assert data["terms"] == [4, 7, 11, 18]
 
 
-@pytest.mark.parametrize("fmt", ["json", "table"])
-def test_seq_prints_terms_past_the_digit_limit(capsys, fmt):
+def test_seq_prints_terms_past_the_digit_limit(capsys):
     # a_k = 10**6 * a_(k-1) + a_(k-2) passes 4300 decimal digits, the
     # interpreter's default limit on int-to-text conversion, near k = 717
     expected = [1, 2]
@@ -226,12 +246,12 @@ def test_seq_prints_terms_past_the_digit_limit(capsys, fmt):
         expected.append(10**6 * expected[-1] + expected[-2])
     limit = sys.get_int_max_str_digits()
     assert expected[-1].bit_length() > 4300 * 3.33 and limit
-    code, out, err = run(capsys, "seq", "--seq", "recurrence:1000000,1:1,2", "--terms", "800", "--format", fmt)
+    code, out, err = run(capsys, "seq", "--seq", "recurrence:1000000,1:1,2", "--terms", "800")
     assert (code, err) == (0, "")
     assert sys.get_int_max_str_digits() == limit  # lifted only while printing
     sys.set_int_max_str_digits(0)
     try:
-        terms = json.loads(out)["terms"] if fmt == "json" else json.loads(out.removeprefix("terms: "))
+        terms = json.loads(out)["terms"]
     finally:
         sys.set_int_max_str_digits(limit)
     assert terms == expected
@@ -278,17 +298,22 @@ def test_search_rejects_negative_max_size(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["search", "--ground", "0..15", "--min-size", "8", "--max-size", "9", "--hit-cap", "3"],
+        ["search", "--ground", "0..15", "--min-size", "8", "--max-size", "9"],
         ["search", "--ground", "0..15", "--objective", "first-hit", "--budget", "30000"],
         ["search", "--ground", "0..30", "--mode", "monte-carlo", "--special", "--samples", "3000"],
+        ["density", "--n", "20", "--samples", "140000", "--seed", "3"],  # three chunks: a pool of two
     ],
-    ids=["search", "first-hit", "monte-carlo"],
+    ids=["search", "first-hit", "monte-carlo", "density-chunks"],
 )
-def test_thread_count_leaves_stdout_unchanged(capsys, argv):
+def test_thread_count_leaves_stdout_unchanged(capsys, monkeypatch, argv):
+    # the hit list is cut where the blocks merge, so a cap set here holds
+    # in a pool of workers too
+    monkeypatch.setattr(search, "DEFAULT_HIT_CAP", 3)
     serial = run(capsys, *argv, "--threads", "1")
     pooled = run(capsys, *argv, "--threads", "2")
     assert serial[0] == 0, serial[2]
     assert serial == pooled
+    assert len(json.loads(serial[1])["hits"]) <= 3
 
 
 MONTE_CARLO = ["search", "--ground", "0..30", "--mode", "monte-carlo", "--special", "--samples", "1000"]
@@ -461,7 +486,7 @@ def test_primes_sieve_dilate_apset(capsys):
 
 
 def test_primes_mstd_pipeline(capsys):
-    data = run_json(capsys, "primes", "mstd", "--upto", "10000", "--cap", "2")
+    data = run_json(capsys, "primes", "mstd", "--upto", "10000")
     assert data["matches"][0] == 19
     assert data["sets"][0] == [19, 79, 109, 139, 229, 349, 379, 439]
 

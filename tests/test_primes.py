@@ -411,16 +411,11 @@ def test_match_below_two_is_empty():
     assert report.matches == ()
 
 
-def test_match_cap_truncates_listing_not_count():
-    report = match_tuple(TWIN, 10_000, match_cap=5)
-    assert len(report.matches) == 5
+def test_match_cap_truncates_listing_not_count(monkeypatch):
+    monkeypatch.setattr(mstd.primes, "_MATCH_CAP", 5)
+    report = match_tuple(TWIN, 10_000)
+    assert report.matches == (3, 5, 11, 17, 29)
     assert report.count == 205  # pi_2(10^4), frozen from the full scan
-
-
-def test_negative_match_cap_rejected():
-    with pytest.raises(DomainError):
-        match_tuple(TWIN, 100, match_cap=-1)
-    assert match_tuple(TWIN, 100, match_cap=0).matches == ()
 
 
 def test_cousin_tuple_ratio_near_one():
@@ -544,9 +539,10 @@ def class_window_edges(offsets, window):
 def test_window_edges_cut_no_match(monkeypatch, window, name):
     t = SCAN_TUPLES[name]
     monkeypatch.setattr(mstd.primes, "_SEGMENT", window)
+    monkeypatch.setattr(mstd.primes, "_MATCH_CAP", 10**6)
     for x in (2, window - 1, window, window + 1, 3 * window + 2, ORACLE_X):
         expected = oracle_matches(t.offsets, x)
-        report = match_tuple(t, x, match_cap=10**6)
+        report = match_tuple(t, x)
         assert (report.count, list(report.matches)) == (len(expected), expected), (name, x)
         for n in report.matches:
             assert all(trial_division_is_prime(n + b) for b in t.offsets), (name, n)
@@ -556,7 +552,7 @@ def test_window_edges_cut_no_match(monkeypatch, window, name):
     edges = {e + d for e in class_window_edges(t.offsets, window) for d in (-1, 0, 1)}
     for x in sorted({3, 4, 5, 6, 7} | edges):
         expected = oracle_matches(t.offsets, x)
-        assert mstd.primes._scan_windows(t.offsets, x, 10**6) == (len(expected), tuple(expected)), (name, x)
+        assert mstd.primes._scan_windows(t.offsets, x) == (len(expected), tuple(expected)), (name, x)
 
 
 @pytest.mark.parametrize("window", [7, 64, 1000])
@@ -567,7 +563,8 @@ def test_match_cap_across_windows(monkeypatch, window):
     # the cap-th match lies mid-window: the first match past 2.5 windows in
     middle = next(i for i, n in enumerate(expected) if n > 5 * window // 2)
     for cap in (0, 1, middle, middle + 1, len(expected), len(expected) + 1):
-        report = match_tuple(TWIN, x, match_cap=cap)
+        monkeypatch.setattr(mstd.primes, "_MATCH_CAP", cap)
+        report = match_tuple(TWIN, x)
         assert report.count == len(expected), cap
         assert list(report.matches) == expected[:cap], cap
 
@@ -580,12 +577,14 @@ def test_match_cap_on_every_scan_tuple(monkeypatch, window, name):
     x = 3000
     expected = oracle_matches(t.offsets, x)
     for cap in sorted({0, 1, 2, len(expected) // 2, len(expected), len(expected) + 1}):
-        report = match_tuple(t, x, match_cap=cap)
+        monkeypatch.setattr(mstd.primes, "_MATCH_CAP", cap)
+        report = match_tuple(t, x)
         assert (report.count, list(report.matches)) == (len(expected), expected[:cap]), cap
     # each wheel class lists its first cap matches; a cut falls inside a
     # class's list whenever another class has a match below it
     for cap in range(0, len(expected), max(1, len(expected) // 40)):
-        assert mstd.primes._scan_windows(t.offsets, x, cap) == (len(expected), tuple(expected[:cap])), cap
+        monkeypatch.setattr(mstd.primes, "_MATCH_CAP", cap)
+        assert mstd.primes._scan_windows(t.offsets, x) == (len(expected), tuple(expected[:cap])), cap
 
 
 def test_scan_memory_is_one_window():
@@ -601,35 +600,37 @@ def test_scan_memory_is_one_window():
 
 
 @pytest.mark.parametrize("x", [-5, 0, 1, 2, 3, 10, 97, 10**6, 1234567])
-def test_prime_count_matches_the_sieve(x):
+def test_prime_count_matches_the_sieve(monkeypatch, x):
     table = PrimeSieve(x)
     for cap in (0, 1, 1000):
-        assert prime_count(x, cap) == (table.count(), tuple(table.primes()[:cap].tolist()))
+        monkeypatch.setattr(mstd.primes, "_MATCH_CAP", cap)
+        assert prime_count(x) == (table.count(), tuple(table.primes()[:cap].tolist()))
 
 
 def test_prime_count_across_windows(monkeypatch):
     monkeypatch.setattr(mstd.primes, "_SEGMENT", 64)
+    monkeypatch.setattr(mstd.primes, "_MATCH_CAP", 50)
     flags = bytearray_sieve(ORACLE_X)
     expected = [n for n in range(ORACLE_X + 1) if flags[n]]
     for x in (63, 64, 65, 1000, ORACLE_X):
         want = [p for p in expected if p <= x]
-        assert prime_count(x, 50) == (len(want), tuple(want[:50]))
+        assert prime_count(x) == (len(want), tuple(want[:50]))
 
 
 def test_prime_count_is_capped_like_the_sieve(monkeypatch):
     monkeypatch.setattr(mstd.primes, "_SIEVE_LIMIT_CAP", 1000)
-    assert prime_count(1000, 1)[0] == PrimeSieve(1000).count() == 168
+    assert prime_count(1000)[0] == PrimeSieve(1000).count() == 168
     with pytest.raises(CapacityError, match="sieve limit 1001 exceeds cap 1000"):
-        prime_count(1001, 1)
+        prime_count(1001)
 
 
 def test_prime_count_memory_is_one_window():
     # a whole table of 10^7 flags would alone be 9.5 MiB, and its 664579
     # primes 5 MiB more
-    prime_count(10**5, 10)
+    prime_count(10**5)
     tracemalloc.start()
     try:
-        count, first = prime_count(10**7, 1000)
+        count, first = prime_count(10**7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -659,7 +660,7 @@ def test_scan_time_limit_edge(monkeypatch):
     # x + spread may reach 2^37; the stand-in scan stops the run at the
     # edge, so no shift is scanned
     scanned = []
-    monkeypatch.setattr(mstd.primes, "_scan_windows", lambda offsets, x, cap: scanned.append(x) or (0, ()))
+    monkeypatch.setattr(mstd.primes, "_scan_windows", lambda offsets, x: scanned.append(x) or (0, ()))
     assert match_tuple(TWIN, 2**37 - 2).count == 0 and scanned == [2**37 - 2]
     message = rf"x \+ spread = {2**37 + 1} exceeds {2**37}; x may be at most {2**37 - 2}"
     with pytest.raises(CapacityError, match=message):

@@ -127,12 +127,13 @@ def test_first_hit_stops_early():
     assert not report.exhausted
 
 
-def test_hit_cap_truncates_stored_hits_only():
-    report = exhaustive_search(
-        SearchConfig(ground=IntSet(range(16)), min_size=8, max_size=9, hit_cap=3)
-    )
-    assert len(report.hits) == 3
-    assert report.hit_count > 3
+def test_hit_cap_truncates_stored_hits_only(monkeypatch):
+    cfg = SearchConfig(ground=IntSet(range(16)), min_size=8, max_size=9)
+    full = exhaustive_search(cfg)
+    monkeypatch.setattr(search, "DEFAULT_HIT_CAP", 3)
+    report = exhaustive_search(cfg)
+    assert report.hits == full.hits[:3]
+    assert report.hit_count == full.hit_count > 3
 
 
 def test_every_reported_hit_reclassifies_mstd():
@@ -169,7 +170,7 @@ def test_config_validation():
         SearchConfig(ground=GROUND_15, budget=0)
     with pytest.raises(DomainError, match="max_size"):
         SearchConfig(ground=GROUND_15, max_size=-1)
-    for bad in ({"min_size": -1}, {"hit_cap": 0}, {"threads": 0}):
+    for bad in ({"min_size": -1}, {"threads": 0}):
         with pytest.raises(DomainError, match=next(iter(bad))):
             SearchConfig(ground=GROUND_15, **bad)
     with pytest.raises(DomainError):
@@ -200,7 +201,8 @@ def _scan_order(elems, lo, hi):
     ],
     ids=["full-window", "size-window", "hit-cap"],
 )
-def test_every_budget_examines_a_prefix(elems, lo, hi, hit_cap):
+def test_every_budget_examines_a_prefix(monkeypatch, elems, lo, hi, hit_cap):
+    monkeypatch.setattr(search, "DEFAULT_HIT_CAP", hit_cap)
     total = sum(math.comb(len(elems), k) for k in range(lo, hi + 1))
     order = _scan_order(elems, lo, hi)
     is_hit = [naive_mstd(c) for c in order]
@@ -208,7 +210,7 @@ def test_every_budget_examines_a_prefix(elems, lo, hi, hit_cap):
     assert len(naive_hits) >= 2
 
     def run(budget):
-        cfg = SearchConfig(ground=IntSet(elems), min_size=lo, max_size=hi, budget=budget, hit_cap=hit_cap)
+        cfg = SearchConfig(ground=IntSet(elems), min_size=lo, max_size=hi, budget=budget)
         return exhaustive_search(cfg)
 
     full = run(total)
@@ -352,10 +354,12 @@ def rank_blocks(ground, size, count):
 
 
 def scan_lattice(blocks, budget, special, hit_cap, first_hit, workers):
-    """``_scan`` over lattice blocks, its hits as tuples."""
-    hits, hit_count, examined, complete = _scan(
-        blocks, functools.partial(_lattice_block, special, hit_cap), budget, 0, hit_cap, first_hit, workers
-    )
+    """``_scan`` over lattice blocks under a hit cap, its hits as tuples."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "DEFAULT_HIT_CAP", hit_cap)
+        hits, hit_count, examined, complete = _scan(
+            blocks, functools.partial(_lattice_block, special), budget, 0, first_hit, workers
+        )
     return [h.elements for h in hits], hit_count, examined, complete
 
 
@@ -394,8 +398,8 @@ def test_lattice_blocks_match_the_tuple_stream(monkeypatch, seed, mask_k):
     for budget in budgets_around(len(stream), full_blocks[:1] + rng.sample(edges, 3) + sorted(pooled), rng):
         for special, run in ((False, exhaustive_search), (True, special_search)):
             for objective, hit_cap in (("count-all", 1000), ("count-all", 5), ("first-hit", 1), ("count-all", 1)):
-                cfg = SearchConfig(ground=IntSet(elems), min_size=lo, max_size=hi, budget=budget,
-                                   objective=objective, hit_cap=hit_cap)
+                monkeypatch.setattr(search, "DEFAULT_HIT_CAP", hit_cap)
+                cfg = SearchConfig(ground=IntSet(elems), min_size=lo, max_size=hi, budget=budget, objective=objective)
                 first_hit = objective == "first-hit"
                 expected = reference_scan(stream, budget, 0, special, hit_cap, first_hit)
                 assert_matches_reference(run(cfg), expected)
@@ -440,7 +444,8 @@ def test_search_reports_match_in_mask_and_rank_order(monkeypatch, elems):
             for special, run in ((False, exhaustive_search), (True, special_search)):
                 for objective, hit_cap in (("count-all", (1, 3, 1000)[i % 3]), ("first-hit", 1)):
                     cfg = SearchConfig(ground=IntSet(elems, diameter_cap=None), min_size=lo, max_size=hi,
-                                       budget=budget, objective=objective, hit_cap=hit_cap)
+                                       budget=budget, objective=objective)
+                    monkeypatch.setattr(search, "DEFAULT_HIT_CAP", hit_cap)
                     monkeypatch.setattr(search, "_MASK_SHARE", 0)
                     mask = run(cfg).to_dict()
                     monkeypatch.setattr(search, "_MASK_K", 0)
@@ -564,16 +569,16 @@ def test_minimal_matches_the_reference_search(monkeypatch, elems, objective, mas
         assert report.exhausted and report.objective_value == _brute_optimum(elems, objective)
 
 
-def rank_order(blocks, take, hit_cap):
-    """(take, hit positions, first hits) of rank blocks that hold one
-    level, cut at ``take`` and merged in stream order."""
+def rank_order(blocks, take):
+    """(take, hit positions, hits) of rank blocks that hold one level,
+    cut at ``take`` and merged in stream order."""
     at, found, start = [], [], 0
     for count, block in blocks:
         if start >= take:
             break
-        _, positions, hits = _lattice_block(False, hit_cap, block, min(count, take - start))
+        _, positions, hits = _lattice_block(False, block, min(count, take - start))
         at += (start + positions).tolist()
-        found += hits[: hit_cap - len(found)]
+        found += hits
         start += count
     return take, at, found
 
@@ -600,16 +605,15 @@ def test_mask_order_matches_rank_order_on_every_level(monkeypatch, objective, se
         monkeypatch.setattr(search, "_MASK_K", 0)
         rank = list(_level(elems, objective, where, FLOOR))
         monkeypatch.undo()
-        _, hits_at, _ = rank_order(rank, count, 1)
+        _, hits_at, _ = rank_order(rank, count)
         starts = list(itertools.accumulate(level.streamed))
         takes = {1, count, *(p + d for p in hits_at for d in (0, 1, 2)), *(s + d for s in starts for d in (0, 1))}
         takes |= {rng.randrange(1, count + 1) for _ in range(4)} | set(range(1, 65) if count <= 64 else ())
         hits += len(hits_at)
         for take in sorted(t for t in takes if 1 <= t <= count):
-            for hit_cap in (1, 3):
-                mask = _lattice_block(False, hit_cap, level, take)
-                assert (mask[0], mask[1].tolist(), mask[2]) == rank_order(rank, take, hit_cap)
-                cuts += 1
+            mask = _lattice_block(False, level, take)
+            assert (mask[0], mask[1].tolist(), mask[2]) == rank_order(rank, take)
+            cuts += 1
     assert cuts > 10 * len(levels) and hits > 0
 
 
@@ -673,7 +677,7 @@ def test_mask_level_peak_memory():
         (count, level), = _level(elems, MIN_MAX, _MASK_K, FLOOR)
         assert level.ground.k == _MASK_K and count > 2**19
         _, tiles_peak = traced(lambda: sum(1 for _ in search._mask_tiles(level.ground)))
-        block = functools.partial(_lattice_block, False, search.DEFAULT_HIT_CAP, level, count)
+        block = functools.partial(_lattice_block, False, level, count)
         (_, hits, _), block_peak = (block(), 0) if elems == interval else traced(block)
         assert (len(hits) > 0) is (elems != powers)
         assert tiles_peak < 2**20 and block_peak < 2**20
@@ -688,9 +692,9 @@ def test_mask_levels_are_spot_checked(monkeypatch):
     honest = search.sum_diff_counts
     monkeypatch.setattr(search, "sum_diff_counts", lambda e, *a, **k: (honest(e)[0], honest(e)[1] + 1))
     with pytest.raises(RuntimeError, match="disagrees with sum_diff_counts"):
-        _lattice_block(False, 1, level, count)
+        _lattice_block(False, level, count)
     monkeypatch.undo()
-    assert _lattice_block(False, 1, level, count)[1].tolist() == []
+    assert _lattice_block(False, level, count)[1].tolist() == []
 
 
 def tile_budget(monkeypatch, ground, c):
@@ -739,7 +743,7 @@ def test_mask_tiles_match_pair_enumeration(monkeypatch, tile_bits):
                 for special in (False, True):
                     expected = sorted((level.position(m), c) for m, (c, (sc, dc)) in enumerate(zip(cands, counts))
                                       if sc > dc and (not special or sc - dc >= len(c)))
-                    take, at, found = _lattice_block(special, 1 << k, level, 1 << k)
+                    take, at, found = _lattice_block(special, level, 1 << k)
                     assert (at.tolist(), found) == ([p for p, _ in expected], [c for _, c in expected])
                     hits += len(expected)
     assert hits > 0
@@ -771,9 +775,9 @@ def test_mask_tiles_are_recounted_tile_by_tile(monkeypatch):
              for r in np.flatnonzero(sums != good).tolist()]
     assert wrong == [m for m in range(1 << k) if m >> (k - 1) & 1]
     with pytest.raises(RuntimeError, match="disagrees with sum_diff_counts"):
-        _lattice_block(False, 1, level, count)
+        _lattice_block(False, level, count)
     monkeypatch.undo()
-    assert _lattice_block(False, 1, level, count)[1].tolist() == []
+    assert _lattice_block(False, level, count)[1].tolist() == []
 
 
 def test_mask_levels_recount_one_mask_in_4096(monkeypatch):
@@ -790,7 +794,7 @@ def test_mask_levels_recount_one_mask_in_4096(monkeypatch):
         assert [first for first, _, _ in search._mask_tiles(level.ground)] == list(range(0, 1 << 14, 1 << c))
         seen = []
         monkeypatch.setattr(search, "sum_diff_counts", lambda e, *a, **k: seen.append(e) or honest(e))
-        assert _lattice_block(True, 1, level, count)[1].tolist() == []
+        assert _lattice_block(True, level, count)[1].tolist() == []
         assert seen == [level.ground.mask_subset(m) for m in range(4095, 1 << 14, 4096)]
         monkeypatch.undo()
     assert len(list(search._mask_tiles(level.ground))) == 1  # the default budget: one tile of 2^14
@@ -807,15 +811,16 @@ def test_mask_levels_recount_one_mask_in_4096(monkeypatch):
     ],
     ids=["width-64", "width-65", "powers-past-int64", "conway-past-int64", "powers-of-two-70"],
 )
-def test_lattice_blocks_on_wide_and_huge_grounds(elems):
+def test_lattice_blocks_on_wide_and_huge_grounds(monkeypatch, elems):
     lo, hi = (7, 9) if 2**10 in elems else (8, 8)
     stream = list(itertools.islice((c for k in range(lo, hi + 1) for c in itertools.combinations(elems, k)), 5000))
     assert any(naive_hit(c, False) for c in stream) is (2**10 not in elems)
     for budget in (2047, 2048, 2049, 4999):
         for special, run in ((False, exhaustive_search), (True, special_search)):
             for objective, hit_cap in (("count-all", 5), ("first-hit", 1)):
+                monkeypatch.setattr(search, "DEFAULT_HIT_CAP", hit_cap)
                 cfg = SearchConfig(ground=IntSet(elems, diameter_cap=None), min_size=lo, max_size=hi,
-                                   budget=budget, objective=objective, hit_cap=hit_cap)
+                                   budget=budget, objective=objective)
                 expected = reference_scan(stream, budget, 0, special, hit_cap, objective == "first-hit")
                 assert_matches_reference(run(cfg), expected)
 
@@ -1045,12 +1050,12 @@ MC_PRIMES = [p for p in range(2, 600) if all(p % q for q in range(2, int(p**0.5)
         (tuple(MC_PRIMES[:101]), 1),
     ],
 )
-def test_monte_carlo_matches_naive_recount(elems, samples):
+def test_monte_carlo_matches_naive_recount(monkeypatch, elems, samples):
     for special in (False, True):
         for seed, hit_cap in ((1, 1000), (8, 2)):
+            monkeypatch.setattr(search, "DEFAULT_HIT_CAP", hit_cap)
             cfg = SearchConfig(
-                ground=IntSet(elems, diameter_cap=None), mode="monte-carlo",
-                samples=samples, seed=seed, hit_cap=hit_cap,
+                ground=IntSet(elems, diameter_cap=None), mode="monte-carlo", samples=samples, seed=seed
             )
             report = _mc_scan(cfg, special)
             hit_count, hits = naive_monte_carlo(elems, samples, seed, special, hit_cap)
@@ -1122,13 +1127,21 @@ def test_lattice_census_block_matches_row_by_row(monkeypatch, hit_cap):
             (take, at.tolist(), found)
             for special in (False, True)
             for block in blocks
-            for take, at, found in (_lattice_block(special, hit_cap, block, t) for t in (ground.block, 1000))
+            for take, at, found in (_lattice_block(special, block, t) for t in (ground.block, 1000))
         ]
 
     census = classify()
     monkeypatch.setattr(search, "_CENSUS_PAIRS", 0)
     assert classify() == census
-    assert max(len(found) for _, _, found in census) == hit_cap
+    # every hit comes back, and _scan lists the first hit_cap of the two
+    # whole blocks, 4 and 16 hits: cut inside the first block at caps 1
+    # and 2, inside the second at 5
+    assert all(len(at) == len(found) for _, at, found in census)
+    whole = census[0][2] + census[2][2]
+    monkeypatch.setattr(search, "DEFAULT_HIT_CAP", hit_cap)
+    hits, hit_count, _, _ = _scan([(ground.block, b) for b in blocks], functools.partial(_lattice_block, False),
+                                  2 * ground.block, 0, False)
+    assert [h.elements for h in hits] == whole[:hit_cap] and hit_count == len(whole) == 20
 
 
 def test_census_blocks_below_the_floor_match_row_by_row(monkeypatch):
@@ -1155,7 +1168,7 @@ def test_census_blocks_below_the_floor_match_row_by_row(monkeypatch):
             (take, at.tolist(), found)
             for special in (False, True)
             for count, block in blocks
-            for take, at, found in (_lattice_block(special, 2, block, t) for t in (count, count // 2 + 1))
+            for take, at, found in (_lattice_block(special, block, t) for t in (count, count // 2 + 1))
         ]
 
     census = classify()
@@ -1189,8 +1202,8 @@ def test_census_ground_blocks_of_few_candidates_go_to_the_census(monkeypatch):
                 take = min(n, count - first)
                 cands = stream[first : first + take]
                 expected = [i for i, c in enumerate(cands) if naive_hit(c, special)]
-                took, at, found = _lattice_block(special, 2, (g, size, first), take)
-                assert (took, at.tolist(), found) == (take, expected, [cands[i] for i in expected[:2]])
+                took, at, found = _lattice_block(special, (g, size, first), take)
+                assert (took, at.tolist(), found) == (take, expected, [cands[i] for i in expected])
                 hits += len(expected)
     assert hits > 0
 
@@ -1236,10 +1249,10 @@ def test_census_lattice_block_peak_memory():
     for ground, count in ((_ScanGround(primes, tail=1), 8640), (_ScanGround(tuple(range(21))), 10496)):
         assert ground.block == count
         block = next(b for _, b in rank_blocks(ground, 10, math.comb(ground.k, 10)))
-        _lattice_block(False, search.DEFAULT_HIT_CAP, block, count)  # builds the census, once per ground
+        _lattice_block(False, block, count)  # builds the census, once per ground
         tracemalloc.start()
         try:
-            _lattice_block(False, search.DEFAULT_HIT_CAP, block, count)
+            _lattice_block(False, block, count)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1301,7 +1314,7 @@ def test_monte_carlo_block_draws_join_to_the_chunk_stream(monkeypatch):
         census = PairCensus(tuple(range(8 * width - width % 3)))  # n of 8w - 2 .. 8w
         for index, take in ((0, 2 * census.mc_block + 37), (3, _MC_CHUNK), (1, 1000)):
             drawn.clear()
-            _mc_chunk(census, 5, False, 10, index, take)
+            _mc_chunk(census, 5, False, index, take)
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5, spawn_key=(index,))))
             assert len(drawn) == -(-take // census.mc_block)
             assert b"".join(drawn) == rng.bytes(width * take)
@@ -1353,10 +1366,10 @@ def test_monte_carlo_chunk_peak_memory():
     # block at a time, never the chunk's 832 KiB at once
     census = PairCensus(tuple(range(101)))
     assert census.mc_block == 5056
-    _mc_chunk(census, 3, False, search.DEFAULT_HIT_CAP, 0, _MC_CHUNK)
+    _mc_chunk(census, 3, False, 0, _MC_CHUNK)
     tracemalloc.start()
     try:
-        take, at, _ = _mc_chunk(census, 3, False, search.DEFAULT_HIT_CAP, 1, _MC_CHUNK)
+        take, at, _ = _mc_chunk(census, 3, False, 1, _MC_CHUNK)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1372,8 +1385,8 @@ def test_monte_carlo_chunks_are_lazy(monkeypatch):
 
     drawn = []
 
-    def chunk(census, seed, special, hit_cap, index, take):
-        assert (census.elements, seed, special, hit_cap) == (GROUND_15.elements, 4, True, 7)
+    def chunk(census, seed, special, index, take):
+        assert (census.elements, seed, special) == (GROUND_15.elements, 4, True)
         drawn.append((index, take))
         if index == 2 and take == _MC_CHUNK:
             raise Stop
@@ -1383,7 +1396,7 @@ def test_monte_carlo_chunks_are_lazy(monkeypatch):
 
     def run(samples):
         drawn.clear()
-        cfg = SearchConfig(ground=GROUND_15, mode="monte-carlo", samples=samples, seed=4, hit_cap=7)
+        cfg = SearchConfig(ground=GROUND_15, mode="monte-carlo", samples=samples, seed=4)
         return special_search(cfg)
 
     with pytest.raises(Stop):
@@ -1412,8 +1425,8 @@ def test_pool_reads_chunks_as_it_uses_them():
 
     def first_hit(workers):
         drawn.clear()
-        classify = functools.partial(_mc_chunk, census, 3, False, 10)
-        return _scan(endless(), classify, 10**18, 0, 10, True, workers)
+        classify = functools.partial(_mc_chunk, census, 3, False)
+        return _scan(endless(), classify, 10**18, 0, True, workers)
 
     serial = first_hit(1)
     blocks = (serial[2] - 1) // 1000 + 1  # up to the first hit's
@@ -1425,13 +1438,13 @@ def test_pool_reads_chunks_as_it_uses_them():
     census = PairCensus(CONWAY + (20,))
     drawn.clear()
     work = ((index, 2000) for _, index in endless())
-    results = _ordered(functools.partial(_mc_chunk, census, 3, False, 10), work, 2)
+    results = _ordered(functools.partial(_mc_chunk, census, 3, False), work, 2)
     try:
         got = [(take, at.tolist(), found) for take, at, found in itertools.islice(results, 4)]
     finally:
         results.close()
     assert len(drawn) <= 2 * 2 + 4
-    serial = [_mc_chunk(census, 3, False, 10, i, 2000) for i in range(4)]
+    serial = [_mc_chunk(census, 3, False, i, 2000) for i in range(4)]
     assert got == [(take, at.tolist(), found) for take, at, found in serial]
     assert len({len(at) for _, at, _ in got}) > 1
     assert not multiprocessing.active_children()

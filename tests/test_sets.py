@@ -15,10 +15,14 @@ from mstd import (
     CapacityError,
     DomainError,
     IntSet,
+    PrimeTuple,
+    SequenceSpec,
     append_analysis,
     base_expansion,
     classify,
     diffset,
+    dilated_conway,
+    mstd_in_ap,
     sum_diff_counts,
     sumset,
 )
@@ -60,6 +64,34 @@ def test_empty_set_rejected():
 def test_negative_elements_rejected():
     with pytest.raises(DomainError):
         IntSet([-1, 0, 3])
+
+
+# each constructor that takes integers, by the value it takes: v given
+# as 2.5 is refused, and 3, 3.0 and numpy's int64(3) build the same value
+INTEGRAL_INPUTS = {
+    "intset": lambda v: IntSet([0, v]),
+    "prime-tuple": lambda v: PrimeTuple((0, v)),
+    "recurrence-coeffs": lambda v: SequenceSpec.linear_recurrence([v], [1, 2]),
+    "recurrence-seeds": lambda v: SequenceSpec.linear_recurrence([1], [1, v]),
+    "recurrence-constant": lambda v: SequenceSpec.linear_recurrence([1], [1], -v),
+    "explicit": lambda v: SequenceSpec.explicit([1, v]),
+    "geometric-c": lambda v: SequenceSpec.shifted_geometric(v, 2, 0),
+    "geometric-r": lambda v: SequenceSpec.shifted_geometric(1, v, 0),
+    "geometric-d": lambda v: SequenceSpec.shifted_geometric(1, 2, v),
+    "dilate-shift": lambda v: dilated_conway(v, 1),
+    "dilate-scale": lambda v: dilated_conway(0, v),
+    "apset-first": lambda v: mstd_in_ap((v, 1, 15)),
+    "apset-diff": lambda v: mstd_in_ap((0, v, 15)),
+    "apset-length": lambda v: mstd_in_ap((0, 1, 5 * v)),
+}
+
+
+@pytest.mark.parametrize("build", list(INTEGRAL_INPUTS.values()), ids=list(INTEGRAL_INPUTS))
+def test_non_integral_values_are_refused_not_truncated(build):
+    with pytest.raises(DomainError, match=r"not an integer: -?(2\.5|12\.5)$"):
+        build(2.5)
+    # repr shows a float or a numpy scalar that was kept as given
+    assert repr(build(3)) == repr(build(3.0)) == repr(build(np.int64(3)))
 
 
 def test_diameter_cap_enforced():
